@@ -13,7 +13,10 @@ This is a faithful implementation of the paper's Appendix B pseudocode
 - an **ordered output sequence** (``out_seq``) keyed by the arrival time
   of each queue's head message (or the predicted availability time of a
   congested channel) decides which queue dequeues next -- preserving
-  global arrival order up to fair-scheduling reordering and congestion;
+  global arrival order up to fair-scheduling reordering and congestion.
+  It is a ``heapq`` of ``(time, seq, destination)`` tuples, invalidated
+  lazily: re-keying pushes a new tuple, stale ones are dropped at the top
+  and compacted away once they outnumber the live ones (``O(|O|)`` space);
 - a **token bucket per channel** enforces the channel capacity, defined
   as min(ingress limit of the upstream, egress limit of the resolver).
 
@@ -38,12 +41,14 @@ Per-source shares are supported per Appendix B.1.3: a source with share
 ``w`` may place ``w`` messages in each scheduling round.
 
 Complexities, as analysed in B.1: space ``O(|O| + q)``; enqueue and
-dequeue ``O(log |O|)`` (the logarithm comes solely from ``out_seq``).
+dequeue amortised ``O(log |O|)`` (the logarithm comes solely from
+``out_seq``; the amortisation from its stale-tuple compaction).
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -51,12 +56,16 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro import sanitize as simsan
 from repro.obs import NULL_OBS
 from repro.util.tokenbucket import TokenBucket
-from repro.util.ordmap import OrderedMap
 from repro.util.ringbuf import RingBuffer
 
 #: SimSan: run the full O(depth) structural check every Nth operation
 #: (the O(1)/O(sources) checks run on every operation)
 _SAN_FULL_CHECK_EVERY = 256
+
+#: rebuild ``out_seq`` only once it holds at least this many tuples
+_OUT_SEQ_COMPACT_MIN = 64
+#: an ``out_seq`` tuple: (ready time, tie-break sequence, destination)
+_OutKey = Tuple[float, int, str]
 
 
 class EnqueueStatus(enum.Enum):
@@ -145,8 +154,8 @@ class _PoqState:
         self.source_latest: Dict[str, List[int]] = {}
         #: source -> queued message count (state lifetime per B.1.1)
         self.source_count: Dict[str, int] = {}
-        #: current key in out_seq, or None when inactive there
-        self.out_key: Optional[Tuple[float, int]] = None
+        #: this queue's live out_seq tuple (by identity), or None
+        self.out_key: Optional[_OutKey] = None
 
 
 @dataclass
@@ -191,7 +200,9 @@ class MopiFq:
 
         self._poq: Dict[str, _PoqState] = {}
         self._rate_lim: Dict[str, TokenBucket] = {}
-        self._out_seq: OrderedMap = OrderedMap()
+        self._out_seq: List[_OutKey] = []
+        #: tuples in _out_seq that are no longer any queue's out_key
+        self._out_stale = 0
         self._seq = itertools.count()
         self.stats = MopiFqStats()
         #: observability facade (one enabled-test per op when off)
@@ -363,30 +374,24 @@ class MopiFq:
         availability time; returns ``None`` when no channel is ready
         (``FAIL_NO_DATA_OR_ALL_CONGESTED``).
         """
-        while self._out_seq:
-            key, destination = self._out_seq.min_item()
-            if key[0] > now:
+        while True:
+            key = self._live_top()
+            if key is None or key[0] > now:
                 self.stats.dequeue_empty += 1
                 return None
-            state = self._poq.get(destination)
-            if state is None or state.head is None:  # defensive
-                del self._out_seq[key]
-                continue
+            destination = key[2]
+            state = self._poq[destination]
             bucket = self.channel_bucket(destination)
             if not bucket.try_consume(now):
                 # Skip and retry when the bucket predicts availability.
-                del self._out_seq[key]
-                retry_at = bucket.next_available(now)
-                new_key = (retry_at, next(self._seq))
-                state.out_key = new_key
-                self._out_seq[new_key] = destination
+                retry = (bucket.next_available(now), next(self._seq), destination)
+                state.out_key = retry
+                heapq.heapreplace(self._out_seq, retry)
                 continue
             message = self._remove_head(destination, state)
             if self._san:
                 self._sanitize_op(destination)
             return message
-        self.stats.dequeue_empty += 1
-        return None
 
     def next_ready_time(self, now: float) -> Optional[float]:
         """Earliest time a dequeue might succeed; None when empty.
@@ -395,10 +400,20 @@ class MopiFq:
         prototype burns a busy-waiting thread instead; virtual time lets
         us do better without changing behaviour).
         """
-        if not self._out_seq:
-            return None
-        key, _ = self._out_seq.min_item()
-        return max(key[0], now)
+        key = self._live_top()
+        return None if key is None else max(key[0], now)
+
+    def _live_top(self) -> Optional[_OutKey]:
+        """The smallest live ``out_seq`` tuple, dropping stale ones above it."""
+        heap = self._out_seq
+        while heap and not self._is_live(heap[0]):
+            heapq.heappop(heap)
+            self._out_stale -= 1
+        return heap[0] if heap else None
+
+    def _is_live(self, key: _OutKey) -> bool:
+        state = self._poq.get(key[2])
+        return state is not None and state.out_key is key
 
     def _remove_head(self, destination: str, state: _PoqState) -> DequeuedMessage:
         entry = state.head
@@ -472,16 +487,26 @@ class MopiFq:
     def _reposition_out_key(self, destination: str, state: _PoqState) -> None:
         """Re-key the channel in out_seq by its (new) head arrival time."""
         if state.out_key is not None:
-            self._out_seq.pop(state.out_key, None)
+            self._retire_out_key(state)
         assert state.head is not None
-        key = (state.head.arr_time, next(self._seq))
+        key = (state.head.arr_time, next(self._seq), destination)
         state.out_key = key
-        self._out_seq[key] = destination
+        heapq.heappush(self._out_seq, key)
+
+    def _retire_out_key(self, state: _PoqState) -> None:
+        """Leave the queue's tuple in out_seq as stale; rebuild the heap
+        from the live tuples once the stale ones outnumber them."""
+        state.out_key = None
+        self._out_stale += 1
+        heap = self._out_seq
+        if self._out_stale * 2 > len(heap) >= _OUT_SEQ_COMPACT_MIN:
+            heap[:] = filter(self._is_live, heap)
+            heapq.heapify(heap)
+            self._out_stale = 0
 
     def _deactivate(self, destination: str, state: _PoqState) -> None:
         if state.out_key is not None:
-            self._out_seq.pop(state.out_key, None)
-            state.out_key = None
+            self._retire_out_key(state)
         del self._poq[destination]
         if self._san:
             # A later reactivation restarts the round clock at 0; drop
@@ -545,10 +570,14 @@ class MopiFq:
                         f"{destination}: source {source} has {cnt} > share {share} "
                         f"messages in round {round_no}"
                     )
-            assert state.out_key is not None and state.out_key in self._out_seq
+            assert state.out_key is not None and state.out_key[2] == destination
             depth_sum += state.depth
         assert depth_sum == self.total_depth, "total_depth mismatch"
-        assert len(self._out_seq) == len(self._poq), "out_seq size mismatch"
+        heap = self._out_seq
+        assert all(heap[(i - 1) >> 1] <= heap[i] for i in range(1, len(heap))), "out_seq heap order broken"
+        live = sum(map(self._is_live, heap))
+        assert live == len(self._poq), "out_seq live-entry count mismatch"
+        assert self._out_stale == len(heap) - live, "out_seq stale count mismatch"
 
     # ------------------------------------------------------------------
     # SimSan runtime checks

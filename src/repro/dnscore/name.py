@@ -39,15 +39,26 @@ class Name:
     True
     """
 
-    __slots__ = ("_labels", "_hash")
+    __slots__ = ("_labels", "_hash", "_wire_len")
 
     def __init__(self, labels: Iterable[str]) -> None:
         normalized = tuple(_normalize_label(lbl) for lbl in labels)
-        wire_len = sum(len(lbl) + 1 for lbl in normalized) + 1
+        self._set(normalized, sum(len(lbl) + 1 for lbl in normalized) + 1)
+
+    def _set(self, normalized: Tuple[str, ...], wire_len: int) -> None:
         if wire_len > MAX_NAME_LENGTH:
             raise NameTooLong(f"name would be {wire_len} octets on the wire")
         self._labels = normalized
         self._hash = hash(normalized)
+        self._wire_len = wire_len
+
+    @classmethod
+    def _derived(cls, normalized: Tuple[str, ...], wire_len: int) -> "Name":
+        """A name over labels of existing names (already normalised) whose
+        wire length the caller derived from theirs; only that is checked."""
+        name = object.__new__(cls)
+        name._set(normalized, wire_len)
+        return name
 
     # ------------------------------------------------------------------
     # constructors
@@ -96,15 +107,17 @@ class Name:
         """
         if self.is_root:
             raise FormError("the root name has no parent")
-        return Name(self._labels[1:])
+        labels = self._labels
+        return Name._derived(labels[1:], self._wire_len - len(labels[0]) - 1)
 
     def child(self, label: str) -> "Name":
         """Prepend ``label``, producing a direct subdomain of this name."""
-        return Name((label,) + self._labels)
+        label = _normalize_label(label)
+        return Name._derived((label,) + self._labels, self._wire_len + len(label) + 1)
 
     def concat(self, suffix: "Name") -> "Name":
         """Concatenate: ``Name(('a',)).concat(example.com.) == a.example.com.``"""
-        return Name(self._labels + suffix._labels)
+        return Name._derived(self._labels + suffix._labels, self._wire_len + suffix._wire_len - 1)
 
     def relativize(self, origin: "Name") -> Tuple[str, ...]:
         """Labels of this name below ``origin``.
@@ -128,9 +141,11 @@ class Name:
 
     def ancestors(self) -> Iterator["Name"]:
         """Yield this name, then each parent up to and including the root."""
-        labels = self._labels
-        for i in range(len(labels) + 1):
-            yield Name(labels[i:])
+        labels, wire_len = self._labels, self._wire_len
+        yield self
+        for i, label in enumerate(labels, 1):
+            wire_len -= len(label) + 1
+            yield Name._derived(labels[i:], wire_len)
 
     def wildcard_sibling(self) -> "Name":
         """The wildcard name at this name's parent: ``*.<parent>``.
@@ -146,7 +161,7 @@ class Name:
 
     def wire_length(self) -> int:
         """Uncompressed wire-format length in octets."""
-        return sum(len(lbl) + 1 for lbl in self._labels) + 1
+        return self._wire_len
 
     # ------------------------------------------------------------------
     # protocol

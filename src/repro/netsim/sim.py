@@ -1,9 +1,10 @@
 """The discrete-event simulator core.
 
-A binary heap of timestamped events drives virtual time forward.  Events
-scheduled for the same instant fire in scheduling order (a monotone
-sequence number breaks ties), which keeps runs deterministic regardless
-of hash seeds or dict ordering.
+A binary heap of ``(time, seq, event)`` tuples, which compare in C,
+drives virtual time forward.  Events scheduled for the same instant fire
+in scheduling order (the monotone, unique ``seq`` breaks ties before the
+event is ever compared), which keeps runs deterministic regardless of
+hash seeds or dict ordering.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import sanitize as simsan
 
@@ -19,18 +20,16 @@ from repro import sanitize as simsan
 class Event:
     """A scheduled callback; cancel() makes it a no-op."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
+    __slots__ = ("time", "fn", "args", "cancelled", "_sim")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         fn: Callable[..., Any],
         args: tuple,
         sim: Optional["Simulator"] = None,
     ) -> None:
         self.time = time
-        self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
@@ -46,12 +45,13 @@ class Event:
         if self._sim is not None:
             self._sim._note_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, {getattr(self.fn, '__name__', self.fn)}, {state})"
+
+
+#: a heap entry: ordered by (time, seq) as they were when scheduled
+_HeapEntry = Tuple[float, int, Event]
 
 
 class Simulator:
@@ -63,7 +63,7 @@ class Simulator:
 
     def __init__(self, seed: int = 42, sanitize: Optional[bool] = None) -> None:
         self._now = 0.0
-        self._heap: list[Event] = []
+        self._heap: List[_HeapEntry] = []
         self._seq = itertools.count()
         self._seed = seed
         self._rngs: Dict[str, random.Random] = {}
@@ -114,8 +114,8 @@ class Simulator:
         """Run ``fn(*args)`` at absolute virtual time ``time``."""
         if time < self._now:
             raise ValueError(f"cannot schedule at {time} < now {self._now}")
-        event = Event(time, next(self._seq), fn, args, sim=self)
-        heapq.heappush(self._heap, event)
+        event = Event(time, fn, args, sim=self)
+        heapq.heappush(self._heap, (time, next(self._seq), event))
         return event
 
     def _note_cancelled(self) -> None:
@@ -132,11 +132,12 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        live = [event for event in self._heap if not event.cancelled]
-        before = sorted((e.time, e.seq) for e in live) if self.sanitize else None
-        self._heap = self._rebuild_heap(live)
+        live = [entry for entry in self._heap if not entry[2].cancelled]
+        before = sorted(live) if self.sanitize else None
+        # in place: run() holds a reference to the list across callbacks
+        self._heap[:] = self._rebuild_heap(live)
         if before is not None:
-            after = sorted((e.time, e.seq) for e in self._heap)
+            after = sorted(self._heap)
             if before != after:
                 simsan.fail(
                     "heap compaction changed the live-event multiset "
@@ -145,8 +146,8 @@ class Simulator:
         self._cancelled = 0
         self.compactions += 1
 
-    def _rebuild_heap(self, live: List[Event]) -> List[Event]:
-        """Heapify the surviving events (split out so SimSan can verify
+    def _rebuild_heap(self, live: List[_HeapEntry]) -> List[_HeapEntry]:
+        """Heapify the surviving entries (split out so SimSan can verify
         the live-event multiset across any alternative implementation)."""
         heapq.heapify(live)
         return live
@@ -167,11 +168,11 @@ class Simulator:
         ``until`` so periodic samplers see a full final interval.
         """
         processed = 0
-        while self._heap:
-            event = self._heap[0]
-            if until is not None and event.time > until:
+        heap = self._heap
+        while heap and (max_events is None or processed < max_events):
+            if until is not None and heap[0][0] > until:
                 break
-            heapq.heappop(self._heap)
+            event = heapq.heappop(heap)[2]
             event._sim = None
             if event.cancelled:
                 self._cancelled -= 1
@@ -186,8 +187,6 @@ class Simulator:
             event.fn(*event.args)
             processed += 1
             self.events_processed += 1
-            if max_events is not None and processed >= max_events:
-                break
         if until is not None and self._now < until:
             self._now = until
             if self.obs_tick is not None:
@@ -195,23 +194,9 @@ class Simulator:
 
     def step(self) -> bool:
         """Process a single event; returns False when the heap is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            event._sim = None
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            if self.sanitize and event.time < self._now:
-                simsan.fail(
-                    f"event dequeued in the past: t={event.time!r} < now={self._now!r} ({event!r})"
-                )
-            self._now = event.time
-            if self.obs_tick is not None:
-                self.obs_tick(event.time)
-            event.fn(*event.args)
-            self.events_processed += 1
-            return True
-        return False
+        before = self.events_processed
+        self.run(max_events=1)
+        return self.events_processed > before
 
     def pending(self) -> int:
         """Number of live (non-cancelled) queued events."""

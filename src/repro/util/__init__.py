@@ -3,9 +3,6 @@
 This package holds the small, self-contained containers that the DCC
 scheduler and the simulation substrate are built on:
 
-- :class:`repro.util.ordmap.OrderedMap` -- a treap-backed ordered map with
-  O(log n) insert/remove/min, used for MOPI-FQ's output sequence
-  (``out_seq`` in the paper's Appendix B pseudocode).
 - :class:`repro.util.ringbuf.RingBuffer` -- a fixed-size ring buffer, used
   for MOPI-FQ's per-queue scheduling-round tail pointers
   (``round_tails``).
@@ -19,16 +16,17 @@ scheduler and the simulation substrate are built on:
 - :func:`repro.util.seeds.derive_seed` -- hash-based sub-seed
   derivation shared by the fuzzer's iteration streams and the fluid
   layer's promotion sub-seeds.
+
+:mod:`repro.util.ordmap` (a treap, once MOPI-FQ's ``out_seq``) has no user
+left here; it stays until the perf ledger drops its ``util.ordmap.*`` rows.
 """
 
-from repro.util.ordmap import OrderedMap
 from repro.util.ringbuf import RingBuffer
 from repro.util.seeds import derive_seed
 from repro.util.sliding import SlidingWindowCounter, SlidingWindowRatio
 from repro.util.tokenbucket import TokenBucket, WindowedCounter
 
 __all__ = [
-    "OrderedMap",
     "RingBuffer",
     "SlidingWindowCounter",
     "SlidingWindowRatio",

@@ -141,3 +141,41 @@ class TestProperties:
     def test_ancestors_are_supersets(self, name):
         for ancestor in name.ancestors():
             assert name.is_subdomain_of(ancestor)
+
+    @settings(max_examples=200, deadline=None)
+    @given(name_st, name_st, label_st)
+    def test_derived_names_match_a_validating_construction(self, name, other, label):
+        """parent/child/concat/ancestors build on the already-validated
+        labels; the result (labels, hash, wire length) must be what
+        ``Name(labels)`` would have produced."""
+        derived = [name.child(label), name.child(label.upper()), name.concat(other)]
+        derived.extend(name.ancestors())
+        if not name.is_root:
+            derived.append(name.parent())
+        for got in derived:
+            fresh = Name(got.labels)
+            assert got == fresh and hash(got) == hash(fresh)
+            assert got.wire_length() == fresh.wire_length()
+            assert got.wire_length() == sum(len(lbl) + 1 for lbl in got.labels) + 1
+
+
+class TestDerivedNameLimits:
+    def test_child_normalises_and_validates_the_new_label(self):
+        base = Name.from_text("example.com")
+        assert base.child("WWW").labels == ("www", "example", "com")
+        with pytest.raises(FormError):
+            base.child("")
+        with pytest.raises(NameTooLong):
+            base.child("a" * (MAX_LABEL_LENGTH + 1))
+
+    def test_combined_length_still_raises(self):
+        # 3 * 64 + 1 = 193 octets, each half legal on its own
+        half = Name(["a" * 63] * 3)
+        with pytest.raises(NameTooLong):
+            half.concat(half)
+        # 254 octets; one more 1-octet label makes 256 > 255
+        almost = Name(["b" * 60] + ["a" * 63] * 3)
+        assert almost.wire_length() == 254
+        with pytest.raises(NameTooLong):
+            almost.child("c")
+        assert almost.parent().child("b" * 61).wire_length() == 255

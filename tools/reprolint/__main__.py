@@ -75,10 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"cache file location (default: {engine.DEFAULT_CACHE})",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker threads for the file pass (default: cpu count)",
-    )
-    parser.add_argument(
         "--stats", action="store_true",
         help="print timing and cache-hit statistics",
     )
@@ -102,7 +98,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run(
             args.paths,
             cache_path=cache_path,
-            jobs=args.jobs,
             project_rules=not args.no_project,
         )
 

@@ -1,9 +1,9 @@
-"""The multi-pass lint engine: parallel walk, content-hash cache,
+"""The multi-pass lint engine: serial walk, content-hash cache,
 per-file rules, and the whole-program R6-R9 passes.
 
 Pipeline::
 
-    collect files -> read + sha256 (thread pool) -> per-file analysis
+    collect files -> read + sha256 -> per-file analysis
       (cache hit: reuse findings+facts; miss: parse once, run R1-R5 and
        fact extraction) -> ProjectIndex -> R6 layering, R7 RNG flow,
       R8/R9 callbacks -> per-line suppressions -> sorted findings
@@ -14,12 +14,15 @@ run never parses an unchanged file -- the project passes always run,
 but they operate on facts, not ASTs, and are cheap.  Sources are read
 regardless (hashing needs the bytes), which is what lets suppression
 comments and finding snippets work identically hot and cold.
+
+Files are analysed serially: ``ast.parse`` from a thread pool raised
+``SystemError`` now and then on CPython 3.11 and, under the GIL, saved
+no time (docs/STATIC_ANALYSIS.md has the numbers).
 """
 
 from __future__ import annotations
 
 import ast
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -215,7 +218,6 @@ def _analyze_one(
 def run(
     paths: Sequence[str],
     cache_path: Optional[str] = DEFAULT_CACHE,
-    jobs: Optional[int] = None,
     project_rules: bool = True,
     contract: Optional[Dict[str, FrozenSet[str]]] = None,
     apply_suppressions: bool = True,
@@ -225,23 +227,11 @@ def run(
     t0 = time.perf_counter()
     files = list(iter_python_files(paths))
     cache = _load_cache(cache_path)
-    workers = jobs if jobs is not None else min(32, (os.cpu_count() or 2))
 
     analyses: List[FileAnalysis] = []
     sources: Dict[str, List[str]] = {}
-    if workers > 1 and len(files) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda fp: _analyze_one(
-                    fp, cache.get(fp.replace(os.sep, "/"))),
-                files,
-            ))
-    else:
-        results = [
-            _analyze_one(fp, cache.get(fp.replace(os.sep, "/")))
-            for fp in files
-        ]
-    for analysis, lines in results:
+    for filepath in files:
+        analysis, lines = _analyze_one(filepath, cache.get(filepath.replace(os.sep, "/")))
         analyses.append(analysis)
         sources[analysis.posix_path] = lines
     analyses.sort(key=lambda a: a.posix_path)
