@@ -19,18 +19,29 @@ The remaining-alarms countdown is exported to the signaling layer: it is
 what the upstream's anomaly signal carries so a downstream resolver can
 police the true culprit before the upstream polices *it*
 (Section 3.3.1).
+
+Per-client state is one packed slot table (docs/ALGORITHMS.md, "Anomaly
+monitoring"): ``client -> slot``, and per slot 5 metrics x 8 buckets of
+``uint32`` counts, one bucket epoch and one ``last_seen``.  The five
+metrics of a client share that epoch, which is exact under a monotone
+clock (``Simulator`` and ``AsyncioClock`` both are): a bucket is zeroed
+the first time *any* metric of the client is touched after it aged out,
+before anything can read it.  Verdict, alarm count and last anomaly
+kind live in a sparse record that only clients which ever raised an
+alarm have.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from sys import getsizeof
 from typing import Dict, List, Optional
 
 from repro.dnscore.rdata import RCode
 from repro.obs import NULL_OBS
 from repro.obs.sketch import SpaceSaving
-from repro.util.sliding import SlidingWindowCounter, SlidingWindowRatio
 
 
 class AnomalyKind(enum.IntEnum):
@@ -87,33 +98,29 @@ class AnomalyEvent:
     convicted: bool
 
 
-class _ClientState:
-    __slots__ = (
-        "requests",
-        "queries",
-        "anomalous_requests",
-        "nx_ratio",
-        "verdict",
-        "alarms",
-        "suspicious_since",
-        "last_kind",
-        "last_seen",
-        "sensitivity_boost",
-    )
+#: sub-windows per sliding window (counts are exact at this granularity)
+_BUCKETS = 8
+#: offset of each metric's bucket row inside a slot
+_REQUESTS = 0
+_QUERIES = _BUCKETS
+_ANOMALOUS = 2 * _BUCKETS
+_NX_ANSWERS = 3 * _BUCKETS
+_ANSWERS = 4 * _BUCKETS
+_SLOT = 5 * _BUCKETS
+_EMPTY_SLOT = array("I", [0] * _SLOT)
 
-    def __init__(self, config: MonitorConfig) -> None:
-        self.requests = SlidingWindowCounter(config.window)
-        self.queries = SlidingWindowCounter(config.window)
-        self.anomalous_requests = SlidingWindowCounter(config.window)
-        self.nx_ratio = SlidingWindowRatio(config.window)
+
+class _Suspicion:
+    """Alarm state of one client that has left ``NORMAL`` at least once
+    (kept until the client is purged: ``last_kind`` outlives a release)."""
+
+    __slots__ = ("verdict", "alarms", "suspicious_since", "last_kind")
+
+    def __init__(self) -> None:
         self.verdict = ClientVerdict.NORMAL
         self.alarms = 0
         self.suspicious_since: Optional[float] = None
         self.last_kind: Optional[AnomalyKind] = None
-        self.last_seen = 0.0
-        #: alarms added by external pressure (policing signals received
-        #: from upstream lower our own conviction bar, Section 3.3.2)
-        self.sensitivity_boost = 0
 
 
 @dataclass
@@ -129,29 +136,76 @@ class AnomalyMonitor:
 
     def __init__(self, config: Optional[MonitorConfig] = None) -> None:
         self.config = config or MonitorConfig()
-        self._clients: Dict[str, _ClientState] = {}
+        self._window = float(self.config.window)
+        if self._window <= 0:
+            raise ValueError(f"window must be positive, got {self.config.window}")
+        self._bucket_width = self._window / _BUCKETS
+        #: the slot table: client -> slot, then per slot _SLOT counts
+        #: (metric-major), the absolute index of its newest bucket, and
+        #: when the client was last seen; purged slots wait in _free
+        self._slots: Dict[str, int] = {}
+        self._counts = array("I")
+        self._epochs = array("q")
+        self._last_seen = array("d")
+        self._free: List[int] = []
+        self._suspects: Dict[str, _Suspicion] = {}
         self.stats = MonitorStats()
+        #: the thresholds in force: the config's, or tighter while
+        #: raise_sensitivity is in effect (the config itself is shared
+        #: between shims and never written)
+        self._nx_threshold = self.config.nxdomain_ratio_threshold
+        self._amp_threshold = self.config.amplification_request_threshold
         self._sensitivity_until = 0.0
-        self._base_nx_threshold = self.config.nxdomain_ratio_threshold
-        self._base_amp_threshold = self.config.amplification_request_threshold
         #: observability facade + the owning shim's track (scenario wiring)
         self.obs = NULL_OBS
         self.obs_track = ""
         #: optional O(k) top-talker sketches (heavy_hitter_k > 0); an
-        #: alternative to walking every _ClientState for rankings
+        #: alternative to walking every slot for rankings
         self.hh_queries: Optional[SpaceSaving] = None
         self.hh_nxdomain: Optional[SpaceSaving] = None
         if self.config.heavy_hitter_k > 0:
             self.hh_queries = SpaceSaving(self.config.heavy_hitter_k)
             self.hh_nxdomain = SpaceSaving(self.config.heavy_hitter_k)
 
-    def _state(self, client: str, now: float) -> _ClientState:
-        state = self._clients.get(client)
-        if state is None:
-            state = _ClientState(self.config)
-            self._clients[client] = state
-        state.last_seen = now
-        return state
+    def _touch(self, client: str, now: float) -> int:
+        """Mark ``client`` seen at ``now`` (tracking it from here on) and
+        return the index of the newest bucket of its first metric row;
+        add a row offset to count into another metric."""
+        slot = self._slots.get(client)
+        if slot is None:
+            if self._free:
+                slot = self._free.pop()
+            else:
+                slot = len(self._epochs)
+                self._counts.extend(_EMPTY_SLOT)
+                self._epochs.append(0)
+                self._last_seen.append(0.0)
+            self._slots[client] = slot
+        self._last_seen[slot] = now
+        return slot * _SLOT + self._roll(slot, now) % _BUCKETS
+
+    def _roll(self, slot: int, now: float) -> int:
+        """Age the slot's buckets to ``now``; returns its epoch.  An
+        earlier ``now`` leaves the epoch alone, so it counts into the
+        newest bucket."""
+        index = int(now / self._bucket_width)
+        epoch = self._epochs[slot]
+        if index <= epoch:
+            return epoch
+        counts = self._counts
+        base = slot * _SLOT
+        if index - epoch >= _BUCKETS:
+            counts[base : base + _SLOT] = _EMPTY_SLOT
+        else:
+            for expired in range(epoch + 1, index + 1):
+                for bucket in range(base + expired % _BUCKETS, base + _SLOT, _BUCKETS):
+                    counts[bucket] = 0
+        self._epochs[slot] = index
+        return index
+
+    def _total(self, slot: int, metric: int) -> int:
+        start = slot * _SLOT + metric
+        return sum(self._counts[start : start + _BUCKETS])
 
     # ------------------------------------------------------------------
     # event feeds (called from the shim's I/O path)
@@ -159,44 +213,44 @@ class AnomalyMonitor:
     def record_request(self, client: str, now: float) -> None:
         """A client request entered the resolution path (cache misses
         only: cache hits are 'treated as normal by DCC', Section 3.2.3)."""
-        self._state(client, now).requests.add(now)
+        self._counts[self._touch(client, now) + _REQUESTS] += 1
 
     def record_query(self, client: str, now: float) -> None:
         """An outgoing query was attributed to ``client``."""
-        self._state(client, now).queries.add(now)
+        self._counts[self._touch(client, now) + _QUERIES] += 1
         if self.hh_queries is not None:
             self.hh_queries.offer(client)
 
     def record_answer(self, client: str, rcode: RCode, now: float) -> None:
         """An upstream answer for a query attributed to ``client``."""
-        nxdomain = rcode == RCode.NXDOMAIN
-        self._state(client, now).nx_ratio.record(now, hit=nxdomain)
-        if nxdomain and self.hh_nxdomain is not None:
-            self.hh_nxdomain.offer(client)
+        newest = self._touch(client, now)
+        self._counts[newest + _ANSWERS] += 1
+        if rcode == RCode.NXDOMAIN:
+            self._counts[newest + _NX_ANSWERS] += 1
+            if self.hh_nxdomain is not None:
+                self.hh_nxdomain.offer(client)
 
     def record_anomalous_request(self, client: str, now: float) -> None:
         """One of the client's requests crossed the per-request
         amplification threshold (reported by the shim the moment the
         request's attributed-query count exceeds it)."""
-        self._state(client, now).anomalous_requests.add(now)
+        self._counts[self._touch(client, now) + _ANOMALOUS] += 1
 
     def raise_sensitivity(self, now: float, factor: float = 0.5, duration: float = 30.0) -> None:
         """Temporarily tighten detection thresholds (Section 3.3.2):
         called when an upstream policing signal shows we failed to catch
         the culprit ourselves."""
         if self._sensitivity_until <= now:
-            self._base_nx_threshold = self.config.nxdomain_ratio_threshold
-            self._base_amp_threshold = self.config.amplification_request_threshold
-            self.config.nxdomain_ratio_threshold *= factor
-            self.config.amplification_request_threshold = max(
+            self._nx_threshold = self.config.nxdomain_ratio_threshold * factor
+            self._amp_threshold = max(
                 1.0, self.config.amplification_request_threshold * factor
             )
         self._sensitivity_until = now + duration
 
     def _maybe_restore_sensitivity(self, now: float) -> None:
         if self._sensitivity_until and now > self._sensitivity_until:
-            self.config.nxdomain_ratio_threshold = self._base_nx_threshold
-            self.config.amplification_request_threshold = self._base_amp_threshold
+            self._nx_threshold = self.config.nxdomain_ratio_threshold
+            self._amp_threshold = self.config.amplification_request_threshold
             self._sensitivity_until = 0.0
 
     def external_alarm(self, client: str, kind: AnomalyKind, now: float, weight: int = 1) -> Optional[AnomalyEvent]:
@@ -205,9 +259,9 @@ class AnomalyMonitor:
         Used when an upstream anomaly signal names this client as the
         suspect, or when a policing signal tells us to raise sensitivity.
         """
-        state = self._state(client, now)
+        self._touch(client, now)
         self.stats.external_alarms += 1
-        return self._raise_alarm(client, state, kind, now, weight=weight)
+        return self._raise_alarm(client, kind, now, weight=weight)
 
     # ------------------------------------------------------------------
     # window evaluation
@@ -218,38 +272,44 @@ class AnomalyMonitor:
         Call every ``config.window`` seconds (the shim schedules this).
         """
         self._maybe_restore_sensitivity(now)
+        for suspicion in self._suspects.values():
+            self._maybe_release(suspicion, now)
         events: List[AnomalyEvent] = []
-        for client, state in list(self._clients.items()):
-            self._maybe_release(client, state, now)
-            kind = self._detect(state, now)
+        # alarms only touch the sparse records, never the slot table
+        for client, slot in self._slots.items():
+            kind = self._detect(slot, now)
             if kind is None:
                 continue
-            event = self._raise_alarm(client, state, kind, now)
+            event = self._raise_alarm(client, kind, now)
             if event is not None:
                 events.append(event)
         return events
 
-    def _detect(self, state: _ClientState, now: float) -> Optional[AnomalyKind]:
-        observations = state.nx_ratio.observations(now)
+    def _detect(self, slot: int, now: float) -> Optional[AnomalyKind]:
+        self._roll(slot, now)
         config = self.config
-
-        if state.anomalous_requests.total(now) >= config.amplification_request_threshold:
+        if self._total(slot, _ANOMALOUS) >= self._amp_threshold:
             return AnomalyKind.AMPLIFICATION
+        observations = self._total(slot, _ANSWERS)
         if (
             observations >= config.min_observations
-            and state.nx_ratio.ratio(now) > config.nxdomain_ratio_threshold
+            and observations > 0
+            and self._total(slot, _NX_ANSWERS) / observations > self._nx_threshold
         ):
             return AnomalyKind.NXDOMAIN
         if (
             config.request_rate_threshold is not None
-            and state.requests.rate(now) > config.request_rate_threshold
+            and self._total(slot, _REQUESTS) / self._window > config.request_rate_threshold
         ):
             return AnomalyKind.RATE
         return None
 
     def _raise_alarm(
-        self, client: str, state: _ClientState, kind: AnomalyKind, now: float, weight: int = 1
+        self, client: str, kind: AnomalyKind, now: float, weight: int = 1
     ) -> Optional[AnomalyEvent]:
+        state = self._suspects.get(client)
+        if state is None:
+            state = self._suspects[client] = _Suspicion()
         if state.verdict == ClientVerdict.CONVICTED:
             return None  # already policed; nothing new to report
         if state.verdict == ClientVerdict.NORMAL:
@@ -284,7 +344,7 @@ class AnomalyMonitor:
             convicted=convicted,
         )
 
-    def _maybe_release(self, client: str, state: _ClientState, now: float) -> None:
+    def _maybe_release(self, state: _Suspicion, now: float) -> None:
         if (
             state.verdict == ClientVerdict.SUSPICIOUS
             and state.suspicious_since is not None
@@ -299,17 +359,17 @@ class AnomalyMonitor:
     # queries from the shim / signaling
     # ------------------------------------------------------------------
     def verdict(self, client: str) -> ClientVerdict:
-        state = self._clients.get(client)
+        state = self._suspects.get(client)
         return state.verdict if state is not None else ClientVerdict.NORMAL
 
     def countdown(self, client: str) -> int:
-        state = self._clients.get(client)
+        state = self._suspects.get(client)
         if state is None or state.verdict == ClientVerdict.NORMAL:
             return self.config.alarm_threshold
         return max(0, self.config.alarm_threshold - state.alarms)
 
     def last_kind(self, client: str) -> Optional[AnomalyKind]:
-        state = self._clients.get(client)
+        state = self._suspects.get(client)
         return state.last_kind if state is not None else None
 
     def clear_conviction(self, client: str) -> None:
@@ -323,12 +383,12 @@ class AnomalyMonitor:
         release path (no alarms for a full suspicion period) still
         applies via :meth:`evaluate`.
         """
-        state = self._clients.get(client)
+        state = self._suspects.get(client)
         if state is not None and state.verdict == ClientVerdict.CONVICTED:
             state.verdict = ClientVerdict.SUSPICIOUS
             state.alarms = max(0, self.config.alarm_threshold - 1)
             if state.suspicious_since is None:
-                state.suspicious_since = state.last_seen
+                state.suspicious_since = self._last_seen[self._slots[client]]
 
     def top_talkers(self, n: int, now: float) -> List[tuple]:
         """The ``n`` clients issuing the most attributed queries, as
@@ -337,28 +397,53 @@ class AnomalyMonitor:
         With ``heavy_hitter_k`` configured this reads the O(k)
         Space-Saving sketch (counts are lifetime totals, error bounded
         by n/k); otherwise it falls back to walking every tracked
-        client's sliding window (exact, but O(clients) memory -- the
+        client's sliding window (exact, but O(clients) time -- the
         cost the sketch exists to avoid).
         """
         if self.hh_queries is not None:
             return [(hh.key, hh.count) for hh in self.hh_queries.top(n)]
-        ranked = sorted(
-            ((client, state.queries.total(now)) for client, state in self._clients.items()),
-            key=lambda item: (-item[1], item[0]),
-        )
+        ranked = []
+        for client, slot in self._slots.items():
+            self._roll(slot, now)
+            ranked.append((client, self._total(slot, _QUERIES)))
+        ranked.sort(key=lambda item: (-item[1], item[0]))
         return ranked[:n]
 
     def tracked_clients(self) -> int:
-        return len(self._clients)
+        return len(self._slots)
+
+    def state_bytes(self) -> int:
+        """Resident bytes of the per-client state (Table 1 / Figure 10):
+        the key dict with its keys and slot numbers, the three arrays,
+        the free list and the sparse suspicion records."""
+        slots, suspects = self._slots, self._suspects
+        return (
+            getsizeof(slots)
+            + sum(map(getsizeof, slots))
+            + sum(map(getsizeof, slots.values()))
+            + getsizeof(self._counts)
+            + getsizeof(self._epochs)
+            + getsizeof(self._last_seen)
+            + getsizeof(self._free)
+            # records share their keys with the slot dict
+            + getsizeof(suspects)
+            + sum(map(getsizeof, suspects.values()))
+        )
 
     def purge(self, now: float, idle_timeout: float) -> int:
-        """Drop state for clients idle longer than ``idle_timeout``."""
+        """Drop state for clients idle longer than ``idle_timeout``;
+        their slots are zeroed and handed to the next new client."""
+        last_seen = self._last_seen
         stale = [
             client
-            for client, state in self._clients.items()
-            if now - state.last_seen > idle_timeout
-            and state.verdict == ClientVerdict.NORMAL
+            for client, slot in self._slots.items()
+            if now - last_seen[slot] > idle_timeout
+            and self.verdict(client) == ClientVerdict.NORMAL
         ]
         for client in stale:
-            del self._clients[client]
+            slot = self._slots.pop(client)
+            self._suspects.pop(client, None)
+            self._counts[slot * _SLOT : (slot + 1) * _SLOT] = _EMPTY_SLOT
+            self._epochs[slot] = 0
+            self._free.append(slot)
         return len(stale)

@@ -590,7 +590,7 @@ class DccShim:
     def approx_state_bytes(self) -> int:
         queued = getattr(self.scheduler, "total_depth", 0)
         return self.tables.approx_bytes(
-            tracked_clients=self.tracked_clients(),
+            client_state_bytes=self.monitor.state_bytes(),
             tracked_servers=self.tracked_servers(),
             queued_messages=queued,
         )

@@ -57,8 +57,8 @@ class PerRequestState:
 class DccStateTables:
     """The per-request table plus cross-granularity accounting."""
 
-    #: per-client and per-server entry footprints for the memory proxy
-    PER_CLIENT_BYTES = 160  # sliding windows + verdict + policy slot
+    #: per-server entry footprint for the memory proxy (per-client state
+    #: is measured: :meth:`AnomalyMonitor.state_bytes`)
     PER_SERVER_BYTES = 120  # queue head/tails + rounds + token bucket
 
     def __init__(self, request_lifetime: float = 30.0) -> None:
@@ -109,11 +109,11 @@ class DccStateTables:
         return len(self._requests)
 
     def approx_bytes(
-        self, tracked_clients: int, tracked_servers: int, queued_messages: int
+        self, client_state_bytes: int, tracked_servers: int, queued_messages: int
     ) -> int:
         """Approximate resident bytes across all three granularities."""
         return (
-            tracked_clients * self.PER_CLIENT_BYTES
+            client_state_bytes
             + tracked_servers * self.PER_SERVER_BYTES
             + (len(self._requests) + queued_messages) * PerRequestState.APPROX_BYTES
         )

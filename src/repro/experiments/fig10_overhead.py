@@ -12,7 +12,8 @@ Substitutions for the Python reproduction (documented in DESIGN.md):
   per-request path (cache insert/lookup + pending bookkeeping).  The
   paper's observation to reproduce: DCC's cost is *insensitive* to the
   number of tracked entities (constant/logarithmic operations).
-- **Memory** -> deep ``getsizeof`` over each side's state containers.
+- **Memory** -> deep ``getsizeof`` over each side's state containers
+  (the monitor reports its own: ``AnomalyMonitor.state_bytes``).
   The observations to reproduce: DCC's footprint grows with entity
   count but stays *below* the resolver's own state, and is more
   sensitive to servers than clients.
@@ -94,7 +95,7 @@ def _drive_dcc(n_clients: int, n_servers: int, ops: int, seed: int = 11) -> Over
     dcc_ops = ops / elapsed if elapsed > 0 else float("inf")
 
     dcc_bytes = (
-        approx_deep_size(monitor._clients)
+        monitor.state_bytes()
         + approx_deep_size(scheduler._poq)
         + approx_deep_size(scheduler._rate_lim)
         + approx_deep_size(tables._requests)

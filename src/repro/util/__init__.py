@@ -8,7 +8,8 @@ scheduler and the simulation substrate are built on:
   (``round_tails``).
 - :class:`repro.util.sliding.SlidingWindowCounter` and
   :class:`repro.util.sliding.SlidingWindowRatio` -- windowed counters used
-  by DCC's anomaly monitoring.
+  by DCC's channel-capacity estimation (the anomaly monitor packs the
+  same bucket scheme into its slot table).
 - :class:`repro.util.tokenbucket.TokenBucket` and
   :class:`repro.util.tokenbucket.WindowedCounter` -- rate-limiting
   primitives shared by the server-side limiter tables and DCC's

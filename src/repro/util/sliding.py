@@ -1,9 +1,13 @@
-"""Sliding-window counters for anomaly monitoring.
+"""Sliding-window counters.
 
 DCC's anomaly monitor (paper Section 3.2.2) tracks, per client, "a
 collection of anomaly metrics, e.g., the amount, the rate, or the
 percentage of anomalous requests ... over a sliding window (e.g., 2
-seconds)".  The windows here are *tumbling at sub-window granularity*:
+seconds)".  ``dcc/monitor.py`` packs that scheme into one slot table for
+all clients; these classes are the one-counter-per-object form, used by
+``dcc/capacity.py`` per channel and as the monitor's reference in
+``tests/test_monitor_packed.py``.  The windows are *tumbling at sub-window
+granularity*:
 the window is divided into a small number of buckets that age out as
 virtual time advances, which bounds memory regardless of event rate and
 matches how production rate estimators (and the paper's per-window alarm

@@ -139,16 +139,40 @@ class TestStateMachine:
 class TestSensitivity:
     def test_raise_sensitivity_lowers_thresholds(self):
         monitor = AnomalyMonitor(config())
-        base = monitor.config.nxdomain_ratio_threshold
-        monitor.raise_sensitivity(0.0)
-        assert monitor.config.nxdomain_ratio_threshold < base
+        for i in range(2):  # half of amplification_request_threshold
+            monitor.record_anomalous_request("amp", 0.1 * i)
+        assert monitor.evaluate(0.5) == []
+        monitor.raise_sensitivity(0.5)
+        events = monitor.evaluate(1.0)
+        assert events and events[0].kind == AnomalyKind.AMPLIFICATION
+        assert monitor.config == config()  # tightened locally, not in the config
 
     def test_sensitivity_restored_after_duration(self):
         monitor = AnomalyMonitor(config())
-        base = monitor.config.nxdomain_ratio_threshold
         monitor.raise_sensitivity(0.0, duration=5.0)
         monitor.evaluate(10.0)
-        assert monitor.config.nxdomain_ratio_threshold == base
+        nx_flood(monitor, "border", 10.1, 20, nx_fraction=0.15)
+        assert monitor.evaluate(11.0) == []  # back under 0.2
+
+    def test_monitors_sharing_a_config_do_not_share_sensitivity(self):
+        """AttackScenario hands one MonitorConfig to every shim: a raise
+        on one must not tighten the other, and overlapping raises must
+        not leave the shared threshold halved for good."""
+        shared = config()
+        a, b = AnomalyMonitor(shared), AnomalyMonitor(shared)
+        a.raise_sensitivity(0.0)
+        b.raise_sensitivity(1.0)
+        nx_flood(b, "border", 1.0, 20, nx_fraction=0.15)
+        assert b.evaluate(1.5)  # 0.15 > 0.1: b halved the base once, not a's half
+        a.evaluate(31.0)
+        b.evaluate(32.0)
+        assert shared == config()
+        for monitor, start in ((a, 40.0), (b, 44.0)):
+            nx_flood(monitor, "late", start, 20, nx_fraction=0.15)
+            assert monitor.evaluate(start + 1.0) == []  # both back at 0.2
+        nx_flood(a, "mid", 50.0, 20, nx_fraction=0.15)
+        b.raise_sensitivity(50.0)
+        assert a.evaluate(51.0) == []  # b's raise is b's alone
 
     def test_tightened_threshold_catches_borderline_client(self):
         monitor = AnomalyMonitor(config())

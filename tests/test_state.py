@@ -68,9 +68,11 @@ class TestPurge:
 class TestAccounting:
     def test_approx_bytes_scales_with_entities(self):
         tables = DccStateTables()
-        small = tables.approx_bytes(tracked_clients=10, tracked_servers=10, queued_messages=0)
-        large = tables.approx_bytes(tracked_clients=1000, tracked_servers=10, queued_messages=0)
+        small = tables.approx_bytes(client_state_bytes=0, tracked_servers=10, queued_messages=0)
+        large = tables.approx_bytes(client_state_bytes=0, tracked_servers=1000, queued_messages=0)
         assert large > small
+        # per-client state is measured by the monitor and passed through
+        assert tables.approx_bytes(4096, 10, 0) == small + 4096
 
     def test_approx_bytes_counts_open_requests(self):
         tables = DccStateTables()
