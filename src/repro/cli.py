@@ -12,23 +12,49 @@ regenerated without writing Python:
     python -m repro table1
     python -m repro chaos --backend sim   # fault-schedule replay + recovery SLOs
     python -m repro chaos --backend live --slo  # same schedule over real sockets
-    python -m repro chaos-matrix --scale 0.25   # sim-only DCC on/off comparison
-    python -m repro resilience --scale 0.25  # vanilla vs hardened resolver
+    python -m repro chaos --backend live --schedule examples/chaos_none.json
+                                         # fault-free real-socket smoke
+    python -m repro resilience --scale 0.25  # fault matrix: resolver cells x fault plans
     python -m repro selfcheck            # determinism proof (SimSan on)
     python -m repro obs --scale 0.15     # observed run, exports traces
     python -m repro fuzz --seed 42 --iterations 25  # scenario fuzzing
     python -m repro lint                 # reprolint over src/ tests/ tools/
-    python -m repro live --duration 2 --seed 1  # real-socket smoke (UDP backend)
-    python -m repro bench                # perf baseline BENCH_<shortrev>.json
     python -m repro scale --clients 1000000  # hybrid fluid/packet core
     python -m repro all --scale 0.1      # everything, quick settings
+
+(The perf ledger is not a subcommand: ``python3 perf/run.py``, see
+perf/README.md.)
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
+
+#: drivers that own their argparse: ``name -> ("module:function", help)``.
+#: Everything after the command name is forwarded verbatim to
+#: ``function(argv) -> int``; the sub-parser registered for each exists
+#: only to put the row into ``repro --help``.
+_FORWARDED: Dict[str, Tuple[str, str]] = {
+    "chaos": (
+        "repro.experiments.chaos_unified:main",
+        "replay a fault schedule on the sim or live (real UDP socket) "
+        "backend and audit recovery SLOs; --backend live with "
+        "examples/chaos_none.json is the real-socket smoke",
+    ),
+    "scale": (
+        "repro.experiments.scale:main",
+        "million-client hybrid fluid/packet scenario with double-run "
+        "digests per mode and a hybrid-vs-packet verdict gate",
+    ),
+    "lint": (
+        "repro.cli:_cmd_lint",
+        "run the reprolint static analyzer (rules R1-R9); defaults "
+        "to src/ tests/ tools/ against the checked-in ratchet",
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,20 +123,11 @@ def _build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--top", type=int, default=10,
                      help="heavy-hitter table depth")
 
-    chaos_matrix = sub.add_parser(
-        "chaos-matrix",
-        help="sim-only resilience comparison under infrastructure faults "
-        "(DCC on/off); `repro chaos` replays schedules on either backend",
-    )
-    chaos_matrix.add_argument("--scale", type=float, default=0.25)
-    chaos_matrix.add_argument("--seed", type=int, default=42)
-    chaos_matrix.add_argument("--out", type=str, default=None,
-                              help="also write the report to this file")
-
     resilience = sub.add_parser(
         "resilience",
-        help="resilience matrix: vanilla vs hardened resolver under a "
-        "total authoritative outage + NX flood",
+        help="fault matrix under an NX flood: vanilla/hardened/hardened+dcc "
+        "through a total authoritative outage, vanilla/dcc through a "
+        "primary crash + loss ramp",
     )
     resilience.add_argument("--scale", type=float, default=0.25)
     resilience.add_argument("--seed", type=int, default=42)
@@ -146,48 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--quiet", action="store_true",
                       help="suppress the live verdict-log tail")
 
-    live = sub.add_parser(
-        "live",
-        help="benign+NX-flood smoke over real asyncio UDP sockets "
-        "(transport backend + chaos proxy); writes results/live_smoke.txt",
-    )
-    live.add_argument(
-        "live_args", nargs=argparse.REMAINDER, metavar="ARGS",
-        help="flags forwarded to repro.experiments.live_smoke "
-        "(--duration, --seed, --loss, --min-goodput, --check-against, ...)",
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="time MOPI-FQ, the event loop, and fig10-quick; "
-        "writes BENCH_<shortrev>.json (perf baseline trajectory)",
-    )
-    bench.add_argument(
-        "bench_args", nargs=argparse.REMAINDER, metavar="ARGS",
-        help="flags forwarded to repro.experiments.bench (--ops, --events, --out-dir)",
-    )
-
-    scale = sub.add_parser(
-        "scale",
-        help="million-client hybrid fluid/packet scenario with double-run "
-        "digests per mode and a hybrid-vs-packet verdict gate",
-    )
-    scale.add_argument(
-        "scale_args", nargs=argparse.REMAINDER, metavar="ARGS",
-        help="flags forwarded to repro.experiments.scale "
-        "(--clients, --mode, --runs, --duration, --seed, --out)",
-    )
-
-    lint = sub.add_parser(
-        "lint",
-        help="run the reprolint static analyzer (rules R1-R9); defaults "
-        "to src/ tests/ tools/ against the checked-in ratchet",
-    )
-    lint.add_argument(
-        "lint_args", nargs=argparse.REMAINDER, metavar="ARGS",
-        help="paths and flags forwarded to tools.reprolint "
-        "(see python -m tools.reprolint --help)",
-    )
+    for name, (_, help_text) in _FORWARDED.items():
+        sub.add_parser(name, help=help_text, add_help=False)
 
     everything = sub.add_parser("all", help="run every experiment (quick settings)")
     everything.add_argument("--scale", type=float, default=0.1)
@@ -272,30 +249,11 @@ def _cmd_lint(lint_args: List[str]) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     tokens = list(sys.argv[1:] if argv is None else argv)
-    if tokens and tokens[0] == "lint":
-        # forwarded verbatim: argparse's REMAINDER drops leading flags
-        # (bpo-17050), so lint never goes through the parser
-        return _cmd_lint(tokens[1:])
-    if tokens and tokens[0] == "live":
-        # same REMAINDER caveat: the smoke driver owns its own argparse
-        from repro.experiments import live_smoke
-
-        return live_smoke.main(tokens[1:])
-    if tokens and tokens[0] == "bench":
-        from repro.experiments import bench
-
-        return bench.main(tokens[1:])
-    if tokens and tokens[0] == "chaos":
-        # fault-schedule replay on either backend; owns its own argparse
-        # (same REMAINDER caveat as live/bench)
-        from repro.experiments import chaos_unified
-
-        return chaos_unified.main(tokens[1:])
-    if tokens and tokens[0] == "scale":
-        # hybrid fluid/packet million-client runs; owns its own argparse
-        from repro.experiments import scale
-
-        return scale.main(tokens[1:])
+    if tokens and tokens[0] in _FORWARDED:
+        # a REMAINDER positional would drop leading flags (bpo-17050),
+        # so these never go through the parser
+        module, _, function = _FORWARDED[tokens[0]][0].partition(":")
+        return getattr(importlib.import_module(module), function)(tokens[1:])
     args = _build_parser().parse_args(tokens)
 
     if args.command == "fig2":
@@ -342,21 +300,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return obs_demo.main(
             scale=args.scale, seed=args.seed, out_dir=args.out_dir, top=args.top
         )
-    elif args.command == "chaos-matrix":
-        from repro.experiments import chaos_resilience
-
-        chaos_resilience.main(scale=args.scale, seed=args.seed, out=args.out)
     elif args.command == "resilience":
         from repro.experiments import resilience_matrix
 
         return resilience_matrix.main(scale=args.scale, seed=args.seed, out=args.out)
     elif args.command == "fuzz":
         return _cmd_fuzz(args)
-    elif args.command == "lint":
-        return _cmd_lint(args)
     elif args.command == "all":
         from repro.experiments import (
-            chaos_resilience,
             fig2_ratelimits,
             fig4_attacks,
             fig8_resilience,
@@ -374,8 +325,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         fig10_overhead.main(quick=True)
         fig11_delay.main(quick=True)
         table1_state.main()
-        chaos_resilience.main(scale=max(args.scale, 0.15))
-        resilience_matrix.main(scale=max(args.scale, 0.1))
+        resilience_matrix.main(scale=max(args.scale, 0.15))
     return 0
 
 

@@ -7,7 +7,7 @@ and the real-socket backend through the same orchestration API
 (:mod:`repro.chaos.slo`) emits deterministic MTTR / goodput-retained /
 time-to-90% metrics either way.
 
-Topology (live_smoke's, plus a second benign client)::
+Topology::
 
     pool EngineClient  ──┐                          ┌─> root auth
     fresh EngineClient ──┼─> resolver (+DCC shim) ──┤      [partition]
@@ -31,7 +31,12 @@ fall in guard bands, and the document is serialized through
 a previous run's file against the current bytes; ``--slo`` gates on the
 recovery floors (the acceptance criterion: the live run recovers to
 >= 80% of pre-fault goodput after a total authoritative outage with DCC
-and hardening enabled).
+and hardening enabled); ``--min-goodput`` puts a floor under the
+fault-window goodput.
+
+With an empty schedule (``examples/chaos_none.json``) the live backend
+is the real-socket smoke: liveness, event-loop and TCP-path errors and
+same-seed byte equality are still gated (docs/TRANSPORT.md).
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from repro.chaos import (
 from repro.dcc.mopifq import MopiFqConfig
 from repro.dcc.shim import DccConfig, DccShim
 from repro.dnscore.name import Name
+from repro.experiments.common import ROOT_ADDR, TARGET_ORIGIN
 from repro.netsim.faults import (
     FaultSpec,
     LinkDegradation,
@@ -71,8 +77,6 @@ from repro.transport.simnet import VirtualBackend
 from repro.transport.udp import UdpBackend
 from repro.workloads.zonegen import build_root_zone, build_target_zone
 
-TARGET_ORIGIN = "target-domain."
-ROOT_ADDR = "10.0.0.1"
 TARGET_ANS_ADDR = "10.0.3.1"
 RESOLVER_ADDR = "10.0.1.1"
 POOL_ADDR = "10.0.9.1"
@@ -161,9 +165,9 @@ def _attack_name(i: int) -> Name:
 
 
 def _client_engine_config(cfg: ChaosConfig) -> EngineConfig:
-    # same reasoning as live_smoke: rto_min above the resolver's
-    # worst-case answer latency, so a client verdict depends only on
-    # *whether* the resolver answers, never on wall answer timing
+    # rto_min above the resolver's worst-case answer latency, so a
+    # client verdict depends only on *whether* the resolver answers (a
+    # seeded-fault function), never on wall-clock answer timing
     return EngineConfig(
         retries=1,
         deadline=cfg.client_deadline,
@@ -455,8 +459,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="send-phase length in seconds")
     parser.add_argument("--schedule", default=None, metavar="FILE",
                         help="JSON fault schedule (default: the built-in "
-                        "outage+partition+degradation plan; see "
-                        "examples/chaos_schedule.json)")
+                        "outage+partition+degradation plan, "
+                        "examples/chaos_schedule.json; chaos_none.json is "
+                        "the fault-free smoke, chaos_loss30.json 30%% loss)")
     parser.add_argument("--out", default=None,
                         help="also write the human report to this file")
     parser.add_argument("--metrics-out", default=None, metavar="FILE",
@@ -473,6 +478,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="required recovery/pre goodput fraction")
     parser.add_argument("--max-mttr", type=float, default=None,
                         help="optional MTTR ceiling in seconds")
+    parser.add_argument("--min-goodput", type=float, default=None,
+                        help="fail unless fault-window goodput (the pre "
+                        "window's, under an empty schedule) >= this fraction")
     args = parser.parse_args(argv)
 
     faults = _load_schedule(args.schedule)
@@ -513,6 +521,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"\n[metrics written to {metrics_path}]")
 
     status = 1 if report.failures() else 0
+    if args.min_goodput is not None:
+        window = "fault" if faults else "pre"
+        goodput = report.auditor.counts[window].goodput
+        ok = goodput >= args.min_goodput
+        print(f"goodput check {'ok' if ok else 'FAILED'}: {window}-window "
+              f"goodput {goodput:.3f}, floor {args.min_goodput:.3f}")
+        if not ok:
+            status = 1
     if args.check_against:
         with open(args.check_against, "r", encoding="utf-8") as fh:
             expected = fh.read()

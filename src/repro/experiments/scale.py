@@ -33,7 +33,6 @@ feeds the resolver's overload watermarks through
 from __future__ import annotations
 
 import argparse
-import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -318,16 +317,7 @@ class ScaleScenario:
 
     def _digest(self, events_processed: int) -> str:
         """selfcheck-style digest over everything the mode produced."""
-        hasher = hashlib.sha256()
-        for record in self.trace.records:
-            hasher.update(
-                (
-                    f"{record.time:.9f}|{record.src}|{record.dst}|{record.question}|"
-                    f"{int(record.is_response)}|{record.rcode}|{record.wire_bytes}\n"
-                ).encode("utf-8")
-            )
-        hasher.update(f"events={events_processed}\n".encode("utf-8"))
-        hasher.update(f"messages={len(self.trace.records)}\n".encode("utf-8"))
+        hasher = self.trace.sha256(events_processed)
         if self.bridge is not None:
             hasher.update(f"fluid={self.bridge.digest()}\n".encode("ascii"))
         if self.controller is not None:

@@ -23,7 +23,6 @@ CLI: ``repro-experiments selfcheck [--seed N] [--scale S] [--runs K]``.
 
 from __future__ import annotations
 
-import hashlib
 from typing import List, Optional
 
 from repro import sanitize
@@ -53,17 +52,7 @@ def trace_digest(seed: int = 42, scale: float = 0.05, obs=None) -> str:
     scenario.add_clients(specs)
     result = scenario.run()
 
-    digest = hashlib.sha256()
-    for record in trace.records:
-        digest.update(
-            (
-                f"{record.time:.9f}|{record.src}|{record.dst}|{record.question}|"
-                f"{int(record.is_response)}|{record.rcode}|{record.wire_bytes}\n"
-            ).encode("utf-8")
-        )
-    digest.update(f"events={result.events_processed}\n".encode("utf-8"))
-    digest.update(f"messages={len(trace.records)}\n".encode("utf-8"))
-    return digest.hexdigest()
+    return trace.sha256(result.events_processed).hexdigest()
 
 
 def run_selfcheck(

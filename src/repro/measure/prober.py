@@ -33,7 +33,7 @@ from repro.netsim.node import Node
 from repro.netsim.sim import Simulator
 from repro.measure.population import ResolverProfile
 from repro.server.authoritative import AuthoritativeServer
-from repro.server.ratelimit import RateLimitAction, RateLimitConfig, RateLimiter, TokenBucket
+from repro.server.ratelimit import RateLimitAction, RateLimitConfig, RateLimiter
 from repro.server.resolver import RecursiveResolver, ResolverConfig
 from repro.workloads.patterns import (
     CnameChainPattern,

@@ -11,6 +11,7 @@ Tracing is passive: it never alters delivery, ordering, or timing.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -118,6 +119,26 @@ class MessageTrace:
         if query_bytes == 0:
             return None
         return response_bytes / query_bytes
+
+    def sha256(self, events_processed: int) -> hashlib._Hash:
+        """SHA-256 over every recorded message plus the run's event count.
+
+        The determinism digest shared by ``selfcheck``, the resilience
+        matrix and ``scale``: two same-seed runs must hash identically.
+        Returns the hasher, so a caller can append its own lines before
+        taking ``hexdigest()``.
+        """
+        hasher = hashlib.sha256()
+        for record in self.records:
+            hasher.update(
+                (
+                    f"{record.time:.9f}|{record.src}|{record.dst}|{record.question}|"
+                    f"{int(record.is_response)}|{record.rcode}|{record.wire_bytes}\n"
+                ).encode("utf-8")
+            )
+        hasher.update(f"events={events_processed}\n".encode("utf-8"))
+        hasher.update(f"messages={len(self.records)}\n".encode("utf-8"))
+        return hasher
 
     def summary(self, top: int = 10) -> str:
         """The busiest channels, one per line, with byte totals."""

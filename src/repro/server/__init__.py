@@ -18,7 +18,7 @@
   watermark hysteresis and suspicion-aware priority shedding.
 """
 
-from repro.server.ratelimit import TokenBucket, RateLimiter, RateLimitAction, RateLimitConfig
+from repro.server.ratelimit import RateLimiter, RateLimitAction, RateLimitConfig
 from repro.server.cache import ResolverCache, CacheEntry
 from repro.server.authoritative import AuthoritativeServer
 from repro.server.health import (
@@ -36,6 +36,7 @@ from repro.server.overload import (
 )
 from repro.server.resolver import RecursiveResolver, ResolverConfig
 from repro.server.forwarder import Forwarder, ForwarderConfig
+from repro.util.tokenbucket import TokenBucket
 
 __all__ = [
     "TokenBucket",

@@ -7,7 +7,7 @@ channel at a substantially lower cost than overloading an entire server"
 (Section 2.3).  The underlying :class:`TokenBucket` and
 :class:`WindowedCounter` primitives live in
 :mod:`repro.util.tokenbucket` (DCC shares them without importing the
-server layer); they are re-exported here for compatibility.
+server layer).
 
 Everything is driven by virtual time passed in by the caller; no wall
 clock is read.
@@ -25,8 +25,6 @@ __all__ = [
     "RateLimitAction",
     "RateLimitConfig",
     "RateLimiter",
-    "TokenBucket",
-    "WindowedCounter",
     "prefix_key",
 ]
 

@@ -1,4 +1,4 @@
-"""Chaos-resilience experiment tests.
+"""Chaos-resilience tests: the resilience matrix's ``crash-ramp`` plan.
 
 Covers the three acceptance properties: determinism of a full chaos run,
 DCC-on benign service dominating DCC-off under the identical fault
@@ -10,36 +10,41 @@ import pytest
 
 from repro.dcc.monitor import AnomalyKind, ClientVerdict, MonitorConfig
 from repro.dcc.policing import PolicyKind, PolicyTemplate
-from repro.experiments import chaos_resilience
-from repro.experiments.chaos_resilience import run_chaos, run_pair
+from repro.experiments import resilience_matrix as rm
 from repro.experiments.common import AttackScenario, ScenarioConfig
 from repro.netsim.faults import NodeOutage
 from repro.workloads.schedule import ClientSpec
 
-SCALE = 0.1
-
 
 class TestChaosExperiment:
+    """Primary-ANS crash + loss ramp onto the replica: the fault schedule
+    executes, goodput dips, and DCC-on benign service dominates DCC-off
+    under the identical timeline."""
+
+    SCALE = 0.1
+
     def test_run_is_deterministic(self):
-        a = run_chaos(use_dcc=True, scale=SCALE, seed=7)
-        b = run_chaos(use_dcc=True, scale=SCALE, seed=7)
+        a = rm.run_cell("dcc", rm.CRASH_RAMP, scale=self.SCALE, seed=7)
+        b = rm.run_cell("dcc", rm.CRASH_RAMP, scale=self.SCALE, seed=7)
         assert a.metrics() == b.metrics()
         assert a.goodput_series == b.goodput_series
         assert a.timeline == b.timeline
 
-    def test_fault_schedule_executes(self):
-        run = run_chaos(use_dcc=False, scale=SCALE, seed=42)
-        assert run.fault_stats.crashes == 1
-        assert run.fault_stats.recoveries == 1
-        assert run.fault_stats.degraded_messages > 0
-        assert "crash" in run.timeline and "recover" in run.timeline
+    @pytest.fixture(scope="class")
+    def vanilla(self):
+        return rm.run_cell("vanilla", rm.CRASH_RAMP, scale=self.SCALE, seed=42)
 
-    def test_goodput_dips_during_fault(self):
-        run = run_chaos(use_dcc=False, scale=SCALE, seed=42)
-        assert run.fault_goodput < run.baseline_goodput
+    def test_fault_schedule_executes(self, vanilla):
+        assert vanilla.fault_stats.crashes == 1
+        assert vanilla.fault_stats.recoveries == 1
+        assert vanilla.fault_stats.degraded_messages > 0
+        assert "crash" in vanilla.timeline and "recover" in vanilla.timeline
+
+    def test_goodput_dips_during_fault(self, vanilla):
+        assert vanilla.fault_goodput < vanilla.baseline_goodput
 
     def test_dcc_dominates_vanilla_under_identical_faults(self):
-        runs = run_pair(scale=0.15, seed=42)
+        runs = rm.run_plan(rm.CRASH_RAMP, scale=0.15, seed=42)
         dcc, vanilla = runs["dcc"], runs["vanilla"]
         # Both cells saw the exact same fault schedule...
         assert dcc.timeline == vanilla.timeline
@@ -47,11 +52,16 @@ class TestChaosExperiment:
         assert dcc.fault_goodput >= vanilla.fault_goodput
         assert dcc.availability >= vanilla.availability
 
-    def test_report_renders(self):
-        runs = run_pair(scale=SCALE, seed=42)
-        report = chaos_resilience.render_report(runs, scale=SCALE, seed=42)
+    def test_report_renders(self, vanilla):
+        runs = {
+            "vanilla": vanilla,
+            "dcc": rm.run_cell("dcc", rm.CRASH_RAMP, scale=self.SCALE, seed=42),
+        }
+        report = rm.render_report(rm.CRASH_RAMP, runs)
+        assert "crash-ramp" in report
         assert "recovery" in report
         assert "avail(fault)" in report
+        assert "degradation start" in report
 
 
 class TestReconvictionAfterCrash:

@@ -1,9 +1,11 @@
-"""The unified ``repro chaos`` driver on the virtual backend.
+"""The unified ``repro chaos`` driver.
 
-The live backend is exercised by CI's ``chaos-live`` job (real sockets,
-real seconds); here the same driver runs in virtual time, which pins the
-backend-neutral parts: schedule loading, window accounting, canonical
-metrics determinism, SLO gating, and the CLI dispatch.
+Mostly on the virtual backend, which pins the backend-neutral parts:
+schedule loading, window accounting, canonical metrics determinism, SLO
+and goodput gating, and the CLI dispatch.  ``TestLiveSmoke`` runs the
+fault-free cast over real 127.0.0.1 sockets for two seconds; the faulted
+live schedules (real seconds of outage) stay in CI's ``chaos-live`` and
+``live-smoke`` jobs.
 """
 
 import json
@@ -78,6 +80,24 @@ class TestSimChaosRun:
             run_chaos(ChaosConfig(backend="quantum"), default_schedule())
 
 
+class TestLiveSmoke:
+    def test_fault_free_run_over_real_sockets_is_live_and_deterministic(self):
+        reports = [
+            run_chaos(ChaosConfig(backend="live", seed=1, duration=2.0), [])
+            for _ in range(2)
+        ]
+        for report in reports:
+            # no silent hang, no event-loop callback error, no TCP error
+            assert report.liveness == []
+            assert report.loop_errors == []
+            assert report.failures() == []
+            sent = report.extra["workload"]
+            assert sum(report.info["pool_verdicts"].values()) == sent["pool_sent"]
+            assert sum(report.info["fresh_verdicts"].values()) == sent["fresh_sent"]
+            assert sent["pool_sent"] > 0 and sent["attack_sent"] > 0
+        assert reports[0].canonical_metrics() == reports[1].canonical_metrics()
+
+
 class TestScheduleLoading:
     def test_example_schedule_is_the_default_plan(self):
         loaded = chaos_unified._load_schedule("examples/chaos_schedule.json")
@@ -85,6 +105,13 @@ class TestScheduleLoading:
 
     def test_none_falls_back_to_default(self):
         assert chaos_unified._load_schedule(None) == default_schedule()
+
+    def test_smoke_schedules_load(self):
+        assert chaos_unified._load_schedule("examples/chaos_none.json") == []
+        (loss,) = chaos_unified._load_schedule("examples/chaos_loss30.json")
+        assert loss.matches(chaos_unified.RESOLVER_ADDR, chaos_unified.TARGET_ANS_ADDR)
+        assert (loss.start, loss.end, loss.loss, loss.ramp) == (2.0, 8.0, 0.3, 0.0)
+        assert loss.latency == 0.0 and loss.jitter == 0.0
 
 
 class TestCli:
@@ -106,6 +133,32 @@ class TestCli:
         assert status == 0
         assert "determinism check ok" in out
         assert rerun.read_bytes() == metrics.read_bytes()
+
+    def test_min_goodput_gates_the_fault_window(self, tmp_path, capsys):
+        def status(floor):
+            return chaos_unified.main([
+                "--backend", "sim", "--seed", "1",
+                "--schedule", "examples/chaos_loss30.json",
+                "--metrics-out", str(tmp_path / "loss.json"),
+                "--min-goodput", floor,
+            ])
+
+        # 30% loss both ways on resolver<->target: the three-attempt
+        # retry ladder keeps fault-window goodput at 0.942 on this seed
+        assert status("0.7") == 0
+        assert "goodput check ok: fault-window goodput 0.942" in capsys.readouterr().out
+        assert status("0.95") == 1
+        assert "goodput check FAILED" in capsys.readouterr().out
+
+    def test_min_goodput_uses_the_pre_window_without_faults(self, tmp_path, capsys):
+        status = chaos_unified.main([
+            "--backend", "sim", "--seed", "1", "--duration", "3",
+            "--schedule", "examples/chaos_none.json",
+            "--metrics-out", str(tmp_path / "none.json"),
+            "--min-goodput", "1.0",
+        ])
+        assert status == 0
+        assert "pre-window goodput 1.000" in capsys.readouterr().out
 
     def test_repro_cli_dispatches_chaos_token(self, tmp_path, capsys):
         from repro import cli

@@ -1,5 +1,7 @@
 """CLI dispatcher tests (fast paths only)."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -45,6 +47,8 @@ def test_resilience_small(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "Resilience matrix" in out
     assert "hardened retains benign service" in out
+    assert "plan total-outage" in out and "plan crash-ramp" in out
+    assert "hardened+dcc" in out and "degradation start" in out
     assert "Resilience matrix" in out_file.read_text()
 
 
@@ -63,6 +67,17 @@ def test_lint_subcommand_forwards_to_reprolint(capsys, tmp_path):
 
 def test_lint_subcommand_propagates_path_errors(tmp_path):
     assert main(["lint", str(tmp_path / "missing"), "--no-cache"]) == 2
+
+
+def test_help_lists_exactly_the_readme_cli_table(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    listed = re.search(r"\{([a-z0-9,]+)\}", capsys.readouterr().out).group(1)
+    with open("README.md", encoding="utf-8") as fh:
+        table = fh.read().split("All `repro` subcommands:")[1].split("\n\nSee ")[0]
+    documented = re.findall(r"^\| `([a-z0-9-]+)` \|", table, re.MULTILINE)
+    assert sorted(documented) == sorted(listed.split(","))
+    assert "chaos" in documented and len(documented) == 16
 
 
 def test_unknown_command_rejected():

@@ -8,10 +8,9 @@ from repro.server.ratelimit import (
     RateLimitAction,
     RateLimitConfig,
     RateLimiter,
-    TokenBucket,
-    WindowedCounter,
     prefix_key,
 )
+from repro.util.tokenbucket import TokenBucket, WindowedCounter
 
 
 class TestTokenBucket:

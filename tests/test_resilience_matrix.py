@@ -1,4 +1,6 @@
-"""Acceptance tests for the resilience-matrix experiment."""
+"""Acceptance tests for the resilience-matrix experiment: hardened vs
+vanilla on the ``total-outage`` plan, plan/cell plumbing, the digest.
+(DCC vs vanilla on ``crash-ramp`` is ``tests/test_chaos_experiment.py``.)"""
 
 import pytest
 
@@ -16,7 +18,7 @@ class TestHardenedBeatsVanilla:
     @pytest.fixture(scope="class")
     def cells(self):
         return {
-            cell: rm.run_cell(cell, scale=0.1, seed=42)
+            cell: rm.run_cell(cell, rm.TOTAL_OUTAGE, scale=0.1, seed=42)
             for cell in ("vanilla", "hardened")
         }
 
@@ -89,18 +91,28 @@ class TestPlumbing:
         with pytest.raises(ValueError):
             rm.cell_scenario_config("bogus", scale=0.1, seed=1)
 
+    def test_every_plan_cell_is_defined(self):
+        for plan in rm.PLANS:
+            assert set(plan.cells) <= set(rm.CELLS)
+            assert set(plan.compare) <= set(plan.cells)
+
     def test_clients_scale_with_timeline(self):
-        specs = {s.name: s for s in rm.matrix_clients(time_scale=0.5)}
-        assert specs["attacker"].start == pytest.approx(rm.ATTACK_START * 0.5)
-        assert specs["heavy"].stop == pytest.approx(30.0)
-        assert specs["heavy"].rate == 600.0  # rates stay at paper values
+        scenario = rm.build_cell("vanilla", rm.CRASH_RAMP, scale=0.5, seed=1)
+        # the plans name these nodes by literal address
+        assert scenario.target_ans_addrs == [rm.PRIMARY_ANS, rm.REPLICA_ANS]
+        assert [r.address for r in scenario.resolvers] == [rm.RESOLVER]
+        attacker = scenario.clients["attacker"]
+        assert attacker.config.start == pytest.approx(5.0)
+        assert attacker.config.rate == 1100.0  # rates stay at paper values
+        outage, ramp = (rm._compressed(f, 0.5) for f in rm.CRASH_RAMP.schedule)
+        assert (outage.at, outage.duration) == (12.5, 7.5)
+        assert (ramp.start, ramp.end, ramp.ramp) == (12.5, 22.5, 2.5)
+        assert ramp.loss == 0.35  # a probability, not a time
 
     def test_report_renders(self):
-        runs = {
-            cell: rm.run_cell(cell, scale=0.05, seed=3)
-            for cell in rm.CELLS
-        }
-        report = rm.render_report(runs, scale=0.05, seed=3)
+        plan = rm.TOTAL_OUTAGE
+        runs = rm.run_plan(plan, scale=0.05, seed=3)
+        report = rm.render_report(plan, runs)
         assert "Resilience matrix" in report
-        for cell in rm.CELLS:
+        for cell in plan.cells:
             assert cell in report

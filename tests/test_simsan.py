@@ -8,7 +8,7 @@ import pytest
 from repro import sanitize
 from repro.dcc.mopifq import MopiFq, MopiFqConfig, _PoqState
 from repro.netsim.sim import Event, Simulator
-from repro.server.ratelimit import TokenBucket, WindowedCounter
+from repro.util.tokenbucket import TokenBucket, WindowedCounter
 
 
 def _noop() -> None:
