@@ -46,6 +46,15 @@ class Flags(enum.IntFlag):
     RA = 0x0080
 
 
+# Flag tests read ``flags._value_`` against these masks: ``IntFlag.__and__``
+# and ``__or__`` build an enum member per call, on every message hop.
+_QR, _TC, _RD = int(Flags.QR), int(Flags.TC), int(Flags.RD)
+_NO_FLAGS = Flags(0)
+_QUERY_RD = Flags.RD
+_RESPONSE = Flags.QR
+_RESPONSE_RD_RA = Flags.QR | Flags.RD | Flags.RA
+
+
 @dataclass(frozen=True)
 class Question:
     """The question section entry: (QNAME, QTYPE); IN class implied."""
@@ -67,7 +76,7 @@ class Message:
     question: Question
     id: int = field(default_factory=next_message_id)
     opcode: Opcode = Opcode.QUERY
-    flags: Flags = Flags(0)
+    flags: Flags = _NO_FLAGS
     rcode: RCode = RCode.NOERROR
     answers: List[RRSet] = field(default_factory=list)
     authority: List[RRSet] = field(default_factory=list)
@@ -88,15 +97,13 @@ class Message:
         recursion_desired: bool = True,
         msg_id: Optional[int] = None,
     ) -> "Message":
-        flags = Flags.RD if recursion_desired else Flags(0)
+        flags = _QUERY_RD if recursion_desired else _NO_FLAGS
         kwargs = {} if msg_id is None else {"id": msg_id}
         return cls(question=Question(name, rrtype), flags=flags, **kwargs)
 
     def make_response(self, rcode: RCode = RCode.NOERROR) -> "Message":
         """A response skeleton echoing this query's ID and question."""
-        flags = Flags.QR
-        if self.flags & Flags.RD:
-            flags |= Flags.RD | Flags.RA
+        flags = _RESPONSE_RD_RA if self.flags._value_ & _RD else _RESPONSE
         return Message(question=self.question, id=self.id, flags=flags, rcode=rcode)
 
     # ------------------------------------------------------------------
@@ -104,15 +111,15 @@ class Message:
     # ------------------------------------------------------------------
     @property
     def is_response(self) -> bool:
-        return bool(self.flags & Flags.QR)
+        return bool(self.flags._value_ & _QR)
 
     @property
     def is_query(self) -> bool:
-        return not self.is_response
+        return not self.flags._value_ & _QR
 
     @property
     def is_truncated(self) -> bool:
-        return bool(self.flags & Flags.TC)
+        return bool(self.flags._value_ & _TC)
 
     def truncate(self) -> "Message":
         """A TC-flagged copy with all record sections dropped, as a UDP

@@ -39,7 +39,7 @@ class Name:
     True
     """
 
-    __slots__ = ("_labels", "_hash", "_wire_len")
+    __slots__ = ("_labels", "_hash", "_wire_len", "_parent")
 
     def __init__(self, labels: Iterable[str]) -> None:
         normalized = tuple(_normalize_label(lbl) for lbl in labels)
@@ -51,6 +51,8 @@ class Name:
         self._labels = normalized
         self._hash = hash(normalized)
         self._wire_len = wire_len
+        #: memo of parent(): labels never change, so nothing invalidates it
+        self._parent: Optional[Name] = None
 
     @classmethod
     def _derived(cls, normalized: Tuple[str, ...], wire_len: int) -> "Name":
@@ -104,20 +106,36 @@ class Name:
         """The name with the most specific label removed.
 
         Raises :class:`FormError` on the root, which has no parent.
+        Built on first use and kept: every later call returns the same
+        object.
         """
-        if self.is_root:
-            raise FormError("the root name has no parent")
-        labels = self._labels
-        return Name._derived(labels[1:], self._wire_len - len(labels[0]) - 1)
+        parent = self._parent
+        if parent is None:
+            labels = self._labels
+            if not labels:
+                raise FormError("the root name has no parent")
+            parent = self._parent = Name._derived(labels[1:], self._wire_len - len(labels[0]) - 1)
+        return parent
 
     def child(self, label: str) -> "Name":
-        """Prepend ``label``, producing a direct subdomain of this name."""
+        """Prepend ``label``, producing a direct subdomain of this name.
+
+        The child keeps this name alive as its :meth:`parent`, so build a
+        shared ancestor once rather than once per descendant.
+        """
         label = _normalize_label(label)
-        return Name._derived((label,) + self._labels, self._wire_len + len(label) + 1)
+        child = Name._derived((label,) + self._labels, self._wire_len + len(label) + 1)
+        child._parent = self
+        return child
 
     def concat(self, suffix: "Name") -> "Name":
         """Concatenate: ``Name(('a',)).concat(example.com.) == a.example.com.``"""
-        return Name._derived(self._labels + suffix._labels, self._wire_len + suffix._wire_len - 1)
+        name = Name._derived(self._labels + suffix._labels, self._wire_len + suffix._wire_len - 1)
+        if len(self._labels) == 1:
+            # child() by another spelling (zone-relative owners): share
+            # the suffix instead of building a private copy on first walk
+            name._parent = suffix
+        return name
 
     def relativize(self, origin: "Name") -> Tuple[str, ...]:
         """Labels of this name below ``origin``.
@@ -141,11 +159,11 @@ class Name:
 
     def ancestors(self) -> Iterator["Name"]:
         """Yield this name, then each parent up to and including the root."""
-        labels, wire_len = self._labels, self._wire_len
-        yield self
-        for i, label in enumerate(labels, 1):
-            wire_len -= len(label) + 1
-            yield Name._derived(labels[i:], wire_len)
+        name = self
+        yield name
+        while name._labels:
+            name = name.parent()
+            yield name
 
     def wildcard_sibling(self) -> "Name":
         """The wildcard name at this name's parent: ``*.<parent>``.

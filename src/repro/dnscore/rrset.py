@@ -7,7 +7,7 @@ type (RFC 2181 section 5) -- the unit of caching and of zone lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.dnscore.name import Name
 from repro.dnscore.rdata import RData, RRType
@@ -44,15 +44,18 @@ class RRSet:
     """All records with the same (owner, type).
 
     The TTL of the set is the minimum record TTL, which is what caches
-    must honour.
+    must honour.  It and the wire size are computed on first use and
+    kept until :meth:`add`, the only mutator, appends a record.
     """
 
-    __slots__ = ("name", "rrtype", "_records")
+    __slots__ = ("name", "rrtype", "_records", "_ttl", "_wire_len")
 
     def __init__(self, name: Name, rrtype: RRType, records: Iterable[ResourceRecord] = ()) -> None:
         self.name = name
         self.rrtype = rrtype
         self._records: List[ResourceRecord] = []
+        self._ttl: Optional[int] = None
+        self._wire_len: Optional[int] = None
         for rec in records:
             self.add(rec)
 
@@ -72,6 +75,7 @@ class RRSet:
             raise ValueError(f"record type {record.rrtype} does not match RRSet type {self.rrtype}")
         if record not in self._records:
             self._records.append(record)
+            self._ttl = self._wire_len = None
 
     @property
     def records(self) -> Tuple[ResourceRecord, ...]:
@@ -79,7 +83,10 @@ class RRSet:
 
     @property
     def ttl(self) -> int:
-        return min(rec.ttl for rec in self._records)
+        ttl = self._ttl
+        if ttl is None:
+            ttl = self._ttl = min(rec.ttl for rec in self._records)
+        return ttl
 
     def __len__(self) -> int:
         return len(self._records)
@@ -91,7 +98,10 @@ class RRSet:
         return bool(self._records)
 
     def wire_length(self) -> int:
-        return sum(rec.wire_length() for rec in self._records)
+        size = self._wire_len
+        if size is None:
+            size = self._wire_len = sum(rec.wire_length() for rec in self._records)
+        return size
 
     def with_name(self, name: Name) -> "RRSet":
         """Copy the whole set under a new owner (wildcard synthesis)."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.dnscore.errors import ZoneError
@@ -227,12 +228,11 @@ class Zone:
 
     def _find_cut(self, qname: Name) -> Optional[Name]:
         """First zone cut on the path from just below the apex to qname."""
-        rel = qname.relativize(self.origin)
-        node = self.origin
-        for label in reversed(rel):
-            node = node.child(label)
+        # qname's own ancestors strictly below the apex, walked top-down
+        below = list(islice(qname.ancestors(), len(qname) - len(self.origin)))
+        for node in reversed(below):
             types = self._nodes.get(node)
-            if types is not None and RRType.NS in types and node != self.origin:
+            if types is not None and RRType.NS in types:
                 return node
         return None
 

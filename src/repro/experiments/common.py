@@ -190,6 +190,8 @@ class AttackScenario:
         self.clients: Dict[str, StubClient] = {}
         self.shims: List[DccShim] = []
         self._client_addr: Dict[str, str] = {}
+        #: the reverse map (addresses are unique: Network.attach enforces it)
+        self._client_name: Dict[str, str] = {}
         self._wire_series: Dict[str, TimeSeries] = {}
         #: live observability facade, or None when the run is not observed
         self.obs: Optional[Observability] = (
@@ -398,9 +400,9 @@ class AttackScenario:
         return tap
 
     def _addr_to_name(self, address: str) -> Optional[str]:
-        for name, addr in self._client_addr.items():
-            if addr == address:
-                return name
+        name = self._client_name.get(address)
+        if name is not None:
+            return name
         # Queries attributed to the forwarder belong to whichever of its
         # clients originated them; at the resolver hop we cannot tell
         # (the paper's visibility problem), so they are accounted to the
@@ -439,6 +441,7 @@ class AttackScenario:
             self.net.attach(client)
             self.clients[spec.name] = client
             self._client_addr[spec.name] = address
+            self._client_name[address] = spec.name
 
     def _pattern_for(self, spec: ClientSpec) -> QueryPattern:
         if spec.pattern == "WC":

@@ -47,8 +47,8 @@ class Node:
 
     @property
     def now(self) -> float:
-        assert self.sim is not None, f"{self.address} is not attached to a simulator"
-        return self.sim.now
+        """The attached clock's time (``AttributeError`` if unattached)."""
+        return self.sim.now  # type: ignore[union-attr]
 
     def send(self, dst: str, message: "Message") -> None:
         assert self.network is not None, f"{self.address} is not attached to a network"

@@ -62,7 +62,9 @@ class Simulator:
     COMPACT_MIN_SIZE = 64
 
     def __init__(self, seed: int = 42, sanitize: Optional[bool] = None) -> None:
-        self._now = 0.0
+        #: current virtual time in seconds; a plain attribute (it is read
+        #: on every message hop) that only :meth:`run` writes
+        self.now = 0.0
         self._heap: List[_HeapEntry] = []
         self._seq = itertools.count()
         self._seed = seed
@@ -83,11 +85,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # time and randomness
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
     def rng(self, stream: str) -> random.Random:
         """A PRNG dedicated to ``stream``.
 
@@ -108,12 +105,12 @@ class Simulator:
         """Run ``fn(*args)`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, fn, *args)
+        return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Run ``fn(*args)`` at absolute virtual time ``time``."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule at {time} < now {self._now}")
+        if time < self.now:
+            raise ValueError(f"cannot schedule at {time} < now {self.now}")
         event = Event(time, fn, args, sim=self)
         heapq.heappush(self._heap, (time, next(self._seq), event))
         return event
@@ -177,18 +174,18 @@ class Simulator:
             if event.cancelled:
                 self._cancelled -= 1
                 continue
-            if self.sanitize and event.time < self._now:
+            if self.sanitize and event.time < self.now:
                 simsan.fail(
-                    f"event dequeued in the past: t={event.time!r} < now={self._now!r} ({event!r})"
+                    f"event dequeued in the past: t={event.time!r} < now={self.now!r} ({event!r})"
                 )
-            self._now = event.time
+            self.now = event.time
             if self.obs_tick is not None:
                 self.obs_tick(event.time)
             event.fn(*event.args)
             processed += 1
             self.events_processed += 1
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
             if self.obs_tick is not None:
                 self.obs_tick(until)
 
@@ -203,4 +200,4 @@ class Simulator:
         return len(self._heap) - self._cancelled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Simulator(now={self._now:.6f}, pending={self.pending()})"
+        return f"Simulator(now={self.now:.6f}, pending={self.pending()})"

@@ -25,6 +25,8 @@ from repro.dnscore.name import Name
 from repro.dnscore.rdata import NSData, RCode, RRType
 from repro.dnscore.rrset import RRSet
 
+_ADDRESS_TYPES = (RRType.A, RRType.AAAA)
+
 
 @dataclass
 class CacheEntry:
@@ -133,7 +135,7 @@ class ResolverCache:
     def peek(self, name: Name, rrtype: RRType, now: float) -> Optional[CacheEntry]:
         """Like :meth:`get` but without touching statistics or LRU order."""
         entry = self._entries.get((name, rrtype))
-        if entry is not None and entry.fresh(now):
+        if entry is not None and now < entry.expires:
             return entry
         return None
 
@@ -147,18 +149,19 @@ class ResolverCache:
         starts its descent from here (root hints live in the cache as an
         NS RRset for ``.`` with effectively infinite TTL).
         """
+        entries, ns = self._entries, RRType.NS
         for ancestor in qname.ancestors():
-            entry = self.peek(ancestor, RRType.NS, now)
-            if entry is not None and entry.rrset is not None:
+            entry = entries.get((ancestor, ns))
+            if entry is not None and now < entry.expires and entry.rrset is not None:
                 return ancestor, entry.rrset
         return None
 
     def addresses_for(self, server_name: Name, now: float) -> List[str]:
         """Cached A/AAAA addresses for a nameserver host name."""
         addresses: List[str] = []
-        for addr_type in (RRType.A, RRType.AAAA):
-            entry = self.peek(server_name, addr_type, now)
-            if entry is not None and entry.rrset is not None:
+        for addr_type in _ADDRESS_TYPES:
+            entry = self._entries.get((server_name, addr_type))
+            if entry is not None and now < entry.expires and entry.rrset is not None:
                 addresses.extend(rec.rdata.address for rec in entry.rrset)  # type: ignore[union-attr]
         return addresses
 

@@ -19,10 +19,11 @@ When no hooks are installed the resolver behaves exactly like the
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.dnscore.edns import ClientAttribution, OptionCode
+from repro.dnscore.edns import ClientAttribution, OptionCode, remove_options
 from repro.dnscore.message import Message
 from repro.dnscore.name import ROOT, Name
 from repro.dnscore.rdata import NSData, RCode, RRType
@@ -225,6 +226,9 @@ class RecursiveResolver(Node):
         self.egress_tap: Optional[Callable[[Message, str], None]] = None
 
         self._purge_scheduled = False
+        #: the simulator's ``resolver.<address>.srtt`` stream, kept after
+        #: first use (same object, same draws)
+        self._srtt_rng: Optional[random.Random] = None
 
     def _health_rng(self):
         """Dedicated seeded stream for breaker backoff jitter."""
@@ -544,7 +548,9 @@ class RecursiveResolver(Node):
         """
         if not candidates:
             return None
-        rng = self.sim.rng(f"resolver.{self.address}.srtt")
+        rng = self._srtt_rng
+        if rng is None:
+            rng = self._srtt_rng = self.sim.rng(f"resolver.{self.address}.srtt")
         explore = (
             1.0 if self.config.server_selection != "srtt" else self.config.srtt_explore
         )
@@ -610,8 +616,6 @@ class RecursiveResolver(Node):
         and its shim; strip them before the message leaves the host, as
         the paper's prototype does.
         """
-        from repro.dnscore.edns import remove_options
-
         if self.egress_tap is not None:
             self.egress_tap(query, server)
         query.edns_options = remove_options(query.edns_options, OptionCode.CLIENT_ATTRIBUTION)

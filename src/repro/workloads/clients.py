@@ -15,6 +15,7 @@ signals to its owner (e.g. to hunt a compromised local application).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -100,6 +101,11 @@ class StubClient(Node):
         self._rate_penalty = 0.0  # dcc-aware backoff state
         self._penalty_since = 0.0
         self._resolver_offset = 0  # dcc-aware resolver switching
+        #: the simulator's per-client streams, kept after first use (plain
+        #: attributes: a cached_property writes through ``__dict__``, which
+        #: un-inlines every attribute of the instance on CPython 3.11+)
+        self._jitter_rng: Optional[random.Random] = None
+        self._names_rng: Optional[random.Random] = None
 
     # ------------------------------------------------------------------
     # generation
@@ -125,7 +131,9 @@ class StubClient(Node):
         self._send_request()
         gap = 1.0 / self._current_rate()
         if self.config.jitter > 0:
-            rng = self.sim.rng(f"client.{self.address}.jitter")
+            rng = self._jitter_rng
+            if rng is None:
+                rng = self._jitter_rng = self.sim.rng(f"client.{self.address}.jitter")
             gap *= 1.0 + rng.uniform(-self.config.jitter, self.config.jitter)
         self.sim.schedule(gap, self._fire)
 
@@ -134,7 +142,9 @@ class StubClient(Node):
         return resolvers[(self._resolver_offset + attempt) % len(resolvers)]
 
     def _send_request(self) -> None:
-        rng = self.sim.rng(f"client.{self.address}.names")
+        rng = self._names_rng
+        if rng is None:
+            rng = self._names_rng = self.sim.rng(f"client.{self.address}.names")
         question = self.pattern.next_question(rng)
         request = Message.query(question.name, question.rrtype)
         resolver = self._resolver_for(0)

@@ -131,14 +131,14 @@ def build_ff_attacker_zone(
     zone.add_soa(negative_ttl=ttl, ttl=ttl)
     zone.add_ns("@", ns_name, ttl=3600)
     zone.add_a(ns_name, ns_address, ttl=3600)
-    target = as_name(target_origin)
+    ff = as_name(target_origin).child("ff")  # one parent shared by every leaf
     for instance in range(instances):
         q_owner = f"q-{instance}"
         for j in range(1, fanout + 1):
             mid = f"ns-a{j}-{instance}"
             zone.add_ns(q_owner, mid, ttl=ttl)
             for k in range(1, fanout + 1):
-                leaf = target.child("ff").child(f"ns-t{j}{k}-{instance}")
+                leaf = ff.child(f"ns-t{j}{k}-{instance}")
                 zone.add_ns(mid, leaf, ttl=ttl)
     return zone
 

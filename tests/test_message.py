@@ -1,5 +1,7 @@
 """DNS message and EDNS option tests."""
 
+import itertools
+
 import pytest
 
 from repro.dnscore.edns import (
@@ -14,6 +16,7 @@ from repro.dnscore.message import Flags, Message, Question
 from repro.dnscore.name import Name
 from repro.dnscore.rdata import AData, RCode, RRType, NSData
 from repro.dnscore.rrset import ResourceRecord, RRSet
+from repro.dnscore.wire import decode_message, encode_message
 
 QNAME = Name.from_text("www.example.com.")
 
@@ -110,3 +113,93 @@ class TestOptionHelpers:
         q.edns_options.append(EdnsOption(9, b"zz"))
         assert q.find_edns(9).payload == b"zz"
         assert q.find_edns(10) is None
+
+
+def _reference_make_response_flags(flags):
+    """``make_response`` as the enum arithmetic it replaced."""
+    out = Flags.QR
+    if flags & Flags.RD:
+        out |= Flags.RD | Flags.RA
+    return out
+
+
+def _assert_flag_tests_match_enum_arithmetic(message):
+    flags = message.flags
+    assert message.is_response is bool(flags & Flags.QR)
+    assert message.is_query is (not bool(flags & Flags.QR))
+    assert message.is_truncated is bool(flags & Flags.TC)
+    response = message.make_response()
+    assert response.flags == _reference_make_response_flags(flags)
+    assert isinstance(response.flags, Flags)
+    assert (response.id, response.question) == (message.id, message.question)
+
+
+class TestIntegerFlagTests:
+    """The classification properties test ``flags._value_`` against integer
+    masks; they must agree with ``IntFlag`` arithmetic on every flag word."""
+
+    def test_all_combinations_of_the_five_header_bits(self):
+        bits = (Flags.QR, Flags.AA, Flags.TC, Flags.RD, Flags.RA)
+        seen = set()
+        for picks in itertools.product((False, True), repeat=len(bits)):
+            flags = Flags(0)
+            for bit, on in zip(bits, picks):
+                if on:
+                    flags |= bit
+            seen.add(int(flags))
+            _assert_flag_tests_match_enum_arithmetic(
+                Message(question=Question(QNAME, RRType.A), flags=flags))
+        assert len(seen) == 32
+
+    @pytest.mark.parametrize("extra", [0x0040, 0x0020, 0x0010, 0x0070])
+    def test_decoded_flag_words_with_z_ad_cd_bits(self, extra):
+        for base in (Flags(0), Flags.RD, Flags.QR | Flags.TC, Flags.QR | Flags.AA | Flags.RD | Flags.RA):
+            wire = bytearray(encode_message(Message(question=Question(QNAME, RRType.A), flags=base)))
+            word = int.from_bytes(wire[2:4], "big") | extra
+            wire[2:4] = word.to_bytes(2, "big")
+            decoded = decode_message(bytes(wire))
+            assert int(decoded.flags) == int(base) | extra
+            _assert_flag_tests_match_enum_arithmetic(decoded)
+
+    def test_query_constructor_flags(self):
+        assert Message.query(QNAME, RRType.A).flags == Flags.RD
+        assert Message.query(QNAME, RRType.A, recursion_desired=False).flags == Flags(0)
+        assert Message(question=Question(QNAME, RRType.A)).flags == Flags(0)
+
+
+class TestWireLengthIsRecomputed:
+    """Messages are mutated after construction (the resolver strips the
+    attribution option, the shim attaches signals, servers append
+    sections), so ``Message.wire_length()`` caches nothing."""
+
+    @staticmethod
+    def _from_scratch(message):
+        size = 12 + message.question.name.wire_length() + 4
+        for section in (message.answers, message.authority, message.additional):
+            for rrset in section:
+                size += sum(rec.wire_length() for rec in rrset)
+        if message.edns_options:
+            size += 11 + sum(opt.wire_length() for opt in message.edns_options)
+        return size
+
+    def test_tracks_every_mutation(self):
+        message = Message.query(QNAME, RRType.A)
+        assert message.wire_length() == self._from_scratch(message)
+        message.edns_options.append(ClientAttribution("10.0.0.7", 99, 3).encode())
+        with_option = message.wire_length()
+        assert with_option == self._from_scratch(message) > 12 + QNAME.wire_length() + 4
+        message.edns_options = remove_options(message.edns_options, OptionCode.CLIENT_ATTRIBUTION)
+        assert message.wire_length() == self._from_scratch(message) < with_option
+
+        response = message.make_response()
+        before = response.wire_length()
+        rrset = RRSet.of(ResourceRecord(QNAME, 60, AData("1.2.3.4")))
+        response.answers.append(rrset)
+        assert response.wire_length() == self._from_scratch(response) == before + rrset.wire_length()
+        # the RRset's own cached size moves with add(), and the message follows
+        rrset.add(ResourceRecord(QNAME, 30, AData("5.6.7.8")))
+        assert response.wire_length() == self._from_scratch(response)
+        response.authority.append(RRSet.of(ResourceRecord(QNAME, 60, NSData(QNAME))))
+        assert response.wire_length() == self._from_scratch(response)
+        del response.answers[:]
+        assert response.wire_length() == self._from_scratch(response)

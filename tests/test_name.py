@@ -1,5 +1,7 @@
 """Domain-name tests (RFC 1035 semantics)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,3 +181,71 @@ class TestDerivedNameLimits:
         with pytest.raises(NameTooLong):
             almost.child("c")
         assert almost.parent().child("b" * 61).wire_length() == 255
+
+
+class TestMemoisedChain:
+    """``parent()`` is a memo and ``child()`` links it; a walk up the chain
+    must still yield exactly the names a fresh construction would."""
+
+    @staticmethod
+    def _random_labels(rng):
+        alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-"
+        return tuple(
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
+            for _ in range(rng.randint(0, 8))
+        )
+
+    def test_ancestors_equal_fresh_constructions_and_are_reused(self):
+        rng = random.Random(20240918)
+        for _ in range(300):
+            labels = self._random_labels(rng)
+            name = Name(labels)
+            chain = list(name.ancestors())
+            assert len(chain) == len(labels) + 1
+            for i, got in enumerate(chain):
+                fresh = Name(labels[i:])
+                assert got.labels == fresh.labels and got == fresh
+                assert hash(got) == hash(fresh)
+                assert got.wire_length() == fresh.wire_length()
+            assert chain[0] is name and chain[-1].is_root
+            again = list(name.ancestors())
+            assert all(a is b for a, b in zip(chain, again))
+            if labels:
+                assert name.parent() is chain[1]
+
+    def test_child_links_its_parent(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            base = Name(self._random_labels(rng))
+            child = base.child("Leaf")
+            assert child.parent() is base
+            assert list(child.ancestors())[1] is base
+            # a name built from text has no link yet; its memo is equal, not shared
+            rebuilt = Name(child.labels)
+            assert rebuilt.parent() == base and rebuilt.parent() is rebuilt.parent()
+
+    def test_concat_with_one_label_is_child_by_another_spelling(self):
+        base = Name.from_text("example.com")
+        assert Name(("www",)).concat(base).parent() is base
+        deeper = Name.from_text("a.b").concat(base)  # no link: the memo is built on first use
+        assert deeper.parent() == Name.from_text("b.example.com")
+        assert [str(n) for n in deeper.ancestors()] == [
+            "a.b.example.com.", "b.example.com.", "example.com.", "com.", "."]
+        assert ROOT.concat(base).parent() == Name.from_text("com")
+
+    def test_root_still_has_no_parent(self):
+        for root in (ROOT, Name(()), Name.from_text("com").parent()):
+            with pytest.raises(FormError):
+                root.parent()
+            assert list(root.ancestors()) == [ROOT]
+
+    def test_length_limit_still_trips_through_child(self):
+        name = ROOT
+        for _ in range(3):
+            name = name.child("a" * 63)
+        name = name.child("b" * 61)  # 3 * 64 + 62 + 1 = 255 octets: the limit
+        assert name.wire_length() == 255
+        with pytest.raises(NameTooLong):
+            name.child("c")
+        with pytest.raises(NameTooLong):
+            name.parent().child("b" * 62)

@@ -1,0 +1,181 @@
+"""The contract between ``src/repro`` and the perf ledger's tracer.
+
+``perf/trace.py::Tracer.install`` patches a fixed list of methods by name
+and relies on them being plain functions that are *called* on the message
+path.  Breaking that (a method turned into a property, a class that skips
+``__init__``, a deleted module) leaves ``perf/run.py --trace 0`` green and
+makes ``--trace 1`` exit 1 with no JSON line -- which only the benchmark
+driver would notice.  This file notices in tier-1.  It reads ``perf/`` and
+edits nothing there.
+"""
+
+import inspect
+import os
+import sys
+import types
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
+
+from perf.trace import CALLS, Tracer  # noqa: E402
+
+from repro.dcc.mopifq import MopiFq  # noqa: E402
+from repro.dnscore.message import Message  # noqa: E402
+from repro.dnscore.name import Name  # noqa: E402
+from repro.experiments.common import AttackScenario, ScenarioConfig  # noqa: E402
+from repro.netsim.link import Network  # noqa: E402
+from repro.netsim.sim import Event, Simulator  # noqa: E402
+from repro.netsim.trace import MessageTrace  # noqa: E402
+from repro.transport.udp import AsyncioClock  # noqa: E402
+from repro.workloads.schedule import table2_clients  # noqa: E402
+from tools.perf_fence import _faults  # noqa: E402
+
+VIRTUAL_SECONDS = 1.0
+
+#: spans every packet-simulator run must enter
+PACKET_SPANS = (
+    "netsim.sim.schedule_at",
+    "netsim.sim.run",
+    "netsim.sim.cancel",
+    "netsim.link.send",
+    "dnscore.name.init",
+    "dnscore.message.wire_length",
+    "server.cache.get",
+    "server.cache.put_rrset",
+    "server.resolver.receive",
+    "server.resolver.raw_send_query",
+    "server.resolver.deliver_answer",
+    "server.authoritative.receive",
+    "server.ratelimit.allow",
+    "workloads.clients.send",
+    "workloads.clients.receive",
+)
+#: and, with the shim in the path, these too
+DCC_SPANS = (
+    "dcc.mopifq.enqueue",
+    "dcc.mopifq.dequeue",
+    "dcc.mopifq.next_ready_time",
+    "dcc.monitor.record_request",
+    "dcc.monitor.record_query",
+    "dcc.monitor.record_answer",
+    "dcc.policing.check",
+    "dcc.signaling.extract_signals",
+    "dcc.state.open_request",
+    "dcc.state.get_request",
+    "dcc.state.close_request",
+    "util.tokenbucket.try_consume",
+)
+
+
+def _run(use_dcc: bool):
+    """(events processed, delivered-message digest) of one short FF run."""
+    scale = VIRTUAL_SECONDS / 60.0
+    scenario = AttackScenario(ScenarioConfig(
+        seed=11, duration=VIRTUAL_SECONDS, channel_capacity=1000.0,
+        use_dcc=use_dcc, ff_instances=20,
+    ))
+    trace = MessageTrace(scenario.net, max_records=1_000_000)
+    scenario.add_clients(table2_clients("amplification", time_scale=scale))
+    result = scenario.run(grace=2.5)
+    return result.events_processed, trace.sha256(result.events_processed).hexdigest()
+
+
+@pytest.mark.parametrize("use_dcc", [False, True], ids=["vanilla", "dcc"])
+def test_a_traced_run_is_the_untraced_run(use_dcc):
+    untraced = _run(use_dcc)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        traced = _run(use_dcc)
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert _run(use_dcc) == untraced  # uninstall() put everything back
+    expected = PACKET_SPANS + (DCC_SPANS if use_dcc else ())
+    never_entered = [name for name in expected if not tracer.agg.get(name, [0])[CALLS]]
+    assert not never_entered
+    if not use_dcc:
+        assert not any(agg[CALLS] for name, agg in tracer.agg.items() if name.startswith("dcc."))
+
+
+def test_every_patch_point_is_a_plain_function():
+    """``install`` wraps ``getattr(owner, attr)`` and calls it with the
+    original positional arguments: a property, a descriptor or a missing
+    attribute breaks the traced pass only."""
+    tracer = Tracer()
+    tracer.install()
+    try:
+        patched = [(owner, attr) for owner, attr, _original in tracer._patches]
+    finally:
+        tracer.uninstall()
+    assert len(patched) > 40
+    for owner, attr in patched:  # inherited ones (StubClient.send) resolve up the MRO
+        found = inspect.getattr_static(owner, attr)
+        assert isinstance(found, types.FunctionType), f"{getattr(owner, '__name__', owner)}.{attr}"
+    for owner, attr in ((Name, "__init__"), (Message, "wire_length"), (Event, "cancel"),
+                        (Simulator, "schedule_at"), (Simulator, "run"), (Network, "send")):
+        assert isinstance(vars(owner)[attr], types.FunctionType), f"{owner.__name__}.{attr}"
+
+
+def test_positional_signatures_the_tracer_indexes_into():
+    def positional(function):
+        return [p.name for p in inspect.signature(function).parameters.values()]
+
+    assert positional(Simulator.schedule_at) == ["self", "time", "fn", "args"]
+    assert positional(AsyncioClock.schedule)[:3] == ["self", "delay", "fn"]
+    assert positional(AsyncioClock.call_soon)[:2] == ["self", "fn"]
+    assert positional(MopiFq.dequeue) == ["self", "now"]
+
+
+def test_schedule_and_call_soon_go_through_schedule_at():
+    tracer = Tracer()
+    tracer.install()
+    try:
+        sim = Simulator(seed=1)
+        fired = []
+        sim.schedule(0.5, fired.append, "later")
+        sim.call_soon(fired.append, "soon")
+        sim.schedule_at(0.25, fired.append, "at")
+        sim.run()
+    finally:
+        tracer.uninstall()
+    assert fired == ["soon", "at", "later"]
+    assert tracer.agg["netsim.sim.schedule_at"][CALLS] == 3
+    assert sim.now == 0.5 and sim.events_processed == 3
+
+
+class TestPerfFenceVerdicts:
+    """``tools/perf_fence.py`` decides from (exit code, last line, printed
+    checks); the twelve real invocations run in CI's ``perf-smoke`` job."""
+
+    @staticmethod
+    def _run(exit_code=0, correct=True, failed=0, digest="a" * 64, checks=(), result=True):
+        last_line = {"correct": correct, "attempted": 100, "failed": failed, "metrics": {}}
+        return {"exit": exit_code, "result": last_line if result else None, "digest": digest,
+                "checks": list(checks), "stderr": ""}
+
+    def test_a_clean_run_has_no_faults(self):
+        assert _faults(self._run(), None, full_size=True) == []
+        assert _faults(self._run(), "a" * 64, full_size=True) == []
+        assert _faults(self._run(digest=None), None, full_size=True) == []  # live: no digest
+
+    def test_each_rejection_reason_is_a_fault(self):
+        assert _faults(self._run(exit_code=1, result=False), None, True) == ["exit 1", "no JSON last line"]
+        assert _faults(self._run(exit_code="timeout", result=False), None, True)[0] == "exit timeout"
+        assert _faults(self._run(exit_code=1, correct=False), None, True) == ["exit 1", "correct: false"]
+        assert _faults(self._run(failed=3), None, True) == ["failed 3"]
+        assert len(_faults(self._run(), "b" * 64, True)) == 1
+        assert len(_faults(self._run(digest=None), "b" * 64, True)) == 1
+
+    def test_shape_checks_are_excused_only_below_the_benchmark_size(self):
+        shape = self._run(exit_code=1, correct=False, checks=["pass 1: shape: attacker ends suspicious"])
+        assert _faults(shape, None, full_size=False) == []
+        assert _faults(shape, None, full_size=True) == ["exit 1", "correct: false"]
+        mixed = self._run(exit_code=1, correct=False,
+                          checks=["pass 1: shape: x", "traced digest abc != untraced def"])
+        assert _faults(mixed, None, full_size=False) == ["exit 1", "correct: false"]
+        stranded = self._run(exit_code=1, correct=False, failed=2, checks=["pass 1: shape: x"])
+        assert _faults(stranded, None, full_size=False) == ["failed 2"]

@@ -108,3 +108,47 @@ class TestRRSet:
     def test_wire_length_sums_records(self):
         rrset = RRSet.of(_record(AData("1.1.1.1")), _record(AData("2.2.2.2")))
         assert rrset.wire_length() == 2 * (OWNER.wire_length() + 10 + 4)
+
+
+class TestRRSetCachedDerivedValues:
+    """``ttl`` and ``wire_length()`` are kept between calls; ``add`` is the
+    one mutator and must drop both."""
+
+    @staticmethod
+    def _from_scratch(rrset):
+        records = list(rrset)
+        return min(rec.ttl for rec in records), sum(rec.wire_length() for rec in records)
+
+    def test_add_invalidates_ttl_and_wire_length(self):
+        rrset = RRSet.of(_record(TXTData("a"), ttl=600))
+        assert (rrset.ttl, rrset.wire_length()) == self._from_scratch(rrset)
+        rrset.add(_record(TXTData("a much longer text record"), ttl=60))
+        assert rrset.ttl == 60
+        assert (rrset.ttl, rrset.wire_length()) == self._from_scratch(rrset)
+        assert (rrset.ttl, rrset.wire_length()) == (
+            RRSet.of(*rrset).ttl, RRSet.of(*rrset).wire_length())
+        rrset.add(_record(TXTData("b"), ttl=900))  # higher TTL: minimum stays
+        assert (rrset.ttl, rrset.wire_length()) == self._from_scratch(rrset)
+        assert rrset.ttl == 60
+
+    def test_duplicate_add_changes_neither(self):
+        record = _record(AData("1.1.1.1"), ttl=30)
+        rrset = RRSet.of(record, _record(AData("2.2.2.2"), ttl=90))
+        before = (rrset.ttl, rrset.wire_length(), len(rrset))
+        rrset.add(record)
+        assert (rrset.ttl, rrset.wire_length(), len(rrset)) == before
+        assert before[:2] == self._from_scratch(rrset)
+
+    def test_synthesised_copy_has_its_own_values(self):
+        rrset = RRSet.of(_record(AData("1.1.1.1"), ttl=30))
+        assert rrset.wire_length() == OWNER.wire_length() + 14
+        longer = Name.from_text("a-much-longer-owner.example.com.")
+        copy = rrset.with_name(longer)
+        assert copy.wire_length() == longer.wire_length() + 14
+        assert copy.ttl == 30
+
+    def test_empty_set_has_no_ttl(self):
+        empty = RRSet(OWNER, RRType.A)
+        assert empty.wire_length() == 0
+        with pytest.raises(ValueError):
+            empty.ttl
