@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.dnscore.edns import EdnsOption, find_option
 from repro.dnscore.name import Name
@@ -55,9 +55,12 @@ _RESPONSE = Flags.QR
 _RESPONSE_RD_RA = Flags.QR | Flags.RD | Flags.RA
 
 
-@dataclass(frozen=True)
-class Question:
-    """The question section entry: (QNAME, QTYPE); IN class implied."""
+class Question(NamedTuple):
+    """The question section entry: (QNAME, QTYPE); IN class implied.
+
+    Immutable (a query and all its responses share one) and, as a named
+    tuple, built without a per-field ``object.__setattr__``.
+    """
 
     name: Name
     rrtype: RRType
@@ -98,8 +101,9 @@ class Message:
         msg_id: Optional[int] = None,
     ) -> "Message":
         flags = _QUERY_RD if recursion_desired else _NO_FLAGS
-        kwargs = {} if msg_id is None else {"id": msg_id}
-        return cls(question=Question(name, rrtype), flags=flags, **kwargs)
+        if msg_id is None:
+            msg_id = next_message_id()
+        return cls(Question(name, rrtype), msg_id, flags=flags)
 
     def make_response(self, rcode: RCode = RCode.NOERROR) -> "Message":
         """A response skeleton echoing this query's ID and question."""
@@ -169,10 +173,16 @@ class Message:
     def wire_length(self) -> int:
         """Approximate uncompressed message size (for transport stats)."""
         size = 12 + self.question.wire_length()
-        for section in (self.answers, self.authority, self.additional):
-            size += sum(rrset.wire_length() for rrset in section)
+        for rrset in self.answers:
+            size += rrset.wire_length()
+        for rrset in self.authority:
+            size += rrset.wire_length()
+        for rrset in self.additional:
+            size += rrset.wire_length()
         if self.edns_options:
-            size += 11 + sum(opt.wire_length() for opt in self.edns_options)
+            size += 11
+            for opt in self.edns_options:
+                size += opt.wire_length()
         return size
 
     def section_counts(self) -> str:

@@ -44,11 +44,12 @@ class RRSet:
     """All records with the same (owner, type).
 
     The TTL of the set is the minimum record TTL, which is what caches
-    must honour.  It and the wire size are computed on first use and
-    kept until :meth:`add`, the only mutator, appends a record.
+    must honour.  It, the wire size, the NS targets and the addresses are
+    computed on first use and kept until :meth:`add`, the only mutator,
+    appends a record.
     """
 
-    __slots__ = ("name", "rrtype", "_records", "_ttl", "_wire_len")
+    __slots__ = ("name", "rrtype", "_records", "_ttl", "_wire_len", "_ns_targets", "_addresses")
 
     def __init__(self, name: Name, rrtype: RRType, records: Iterable[ResourceRecord] = ()) -> None:
         self.name = name
@@ -56,6 +57,8 @@ class RRSet:
         self._records: List[ResourceRecord] = []
         self._ttl: Optional[int] = None
         self._wire_len: Optional[int] = None
+        self._ns_targets: Optional[Tuple[Name, ...]] = None
+        self._addresses: Optional[Tuple[str, ...]] = None
         for rec in records:
             self.add(rec)
 
@@ -75,7 +78,7 @@ class RRSet:
             raise ValueError(f"record type {record.rrtype} does not match RRSet type {self.rrtype}")
         if record not in self._records:
             self._records.append(record)
-            self._ttl = self._wire_len = None
+            self._ttl = self._wire_len = self._ns_targets = self._addresses = None
 
     @property
     def records(self) -> Tuple[ResourceRecord, ...]:
@@ -102,6 +105,30 @@ class RRSet:
         if size is None:
             size = self._wire_len = sum(rec.wire_length() for rec in self._records)
         return size
+
+    @property
+    def ns_targets(self) -> Tuple[Name, ...]:
+        """Nameserver host names of an NS set (empty for any other type)."""
+        targets = self._ns_targets
+        if targets is None:
+            targets = self._ns_targets = (
+                tuple(rec.rdata.target for rec in self._records)  # type: ignore[attr-defined]
+                if self.rrtype == RRType.NS
+                else ()
+            )
+        return targets
+
+    @property
+    def addresses(self) -> Tuple[str, ...]:
+        """Addresses of an A/AAAA set (empty for any other type)."""
+        addresses = self._addresses
+        if addresses is None:
+            addresses = self._addresses = (
+                tuple(rec.rdata.address for rec in self._records)  # type: ignore[attr-defined]
+                if self.rrtype in (RRType.A, RRType.AAAA)
+                else ()
+            )
+        return addresses
 
     def with_name(self, name: Name) -> "RRSet":
         """Copy the whole set under a new owner (wildcard synthesis)."""

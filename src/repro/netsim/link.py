@@ -108,7 +108,8 @@ class Network:
         delay = spec.latency
         if spec.jitter > 0:
             delay += self.sim.rng("network.jitter").uniform(0, spec.jitter)
-        self.sim.schedule(delay, self._deliver, src, dst, message)
+        sim = self.sim
+        sim.schedule_at(sim.now + delay, self._deliver, src, dst, message)
 
     def _deliver(self, src: str, dst: str, message: "Message") -> None:
         node = self._nodes.get(dst)

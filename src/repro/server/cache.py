@@ -18,23 +18,24 @@ The cache stores:
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.dnscore.name import Name
-from repro.dnscore.rdata import NSData, RCode, RRType
+from repro.dnscore.rdata import RCode, RRType
 from repro.dnscore.rrset import RRSet
 
 _ADDRESS_TYPES = (RRType.A, RRType.AAAA)
 
 
-@dataclass
 class CacheEntry:
     """One cached fact: either an RRset or a negative answer."""
 
-    rrset: Optional[RRSet]  # None for negative entries
-    rcode: RCode  # NOERROR (positive/NODATA) or NXDOMAIN
-    expires: float
+    __slots__ = ("rrset", "rcode", "expires")
+
+    def __init__(self, rrset: Optional[RRSet], rcode: RCode, expires: float) -> None:
+        self.rrset = rrset  # None for negative entries
+        self.rcode = rcode  # NOERROR (positive/NODATA) or NXDOMAIN
+        self.expires = expires
 
     @property
     def is_negative(self) -> bool:
@@ -162,11 +163,11 @@ class ResolverCache:
         for addr_type in _ADDRESS_TYPES:
             entry = self._entries.get((server_name, addr_type))
             if entry is not None and now < entry.expires and entry.rrset is not None:
-                addresses.extend(rec.rdata.address for rec in entry.rrset)  # type: ignore[union-attr]
+                addresses.extend(entry.rrset.addresses)
         return addresses
 
-    def nameserver_names(self, ns_rrset: RRSet) -> List[Name]:
-        return [rec.rdata.target for rec in ns_rrset if isinstance(rec.rdata, NSData)]
+    def nameserver_names(self, ns_rrset: RRSet) -> Tuple[Name, ...]:
+        return ns_rrset.ns_targets
 
     # ------------------------------------------------------------------
     # aggressive negative caching (RFC 8198)

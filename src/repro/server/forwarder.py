@@ -146,6 +146,7 @@ class Forwarder(Node):
         for pending in self._pending.values():
             if pending.timer is not None:
                 pending.timer.cancel()
+                pending.timer = None  # timer <-> event.args is a cycle
         self._pending.clear()
         self._rr_index = 0
         self.health.clear()
@@ -318,6 +319,7 @@ class Forwarder(Node):
     def _on_timeout(self, pending: _PendingForward) -> None:
         if self._pending.pop(pending.upstream_query_id, None) is None:
             return
+        pending.timer = None  # fired
         self.stats.upstream_timeouts += 1
         if self.obs.enabled:
             self.obs.inc("forwarder.upstream_timeouts")
@@ -348,6 +350,7 @@ class Forwarder(Node):
             return
         if pending.timer is not None:
             pending.timer.cancel()
+            pending.timer = None
 
         if answer.rcode in (RCode.SERVFAIL, RCode.REFUSED):
             # Failed upstream: try the next one (retries against the

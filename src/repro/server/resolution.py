@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.dnscore.edns import ClientAttribution
+from repro.dnscore.edns import ClientAttribution, EdnsOption
 from repro.dnscore.message import Message
 from repro.dnscore.name import Name
 from repro.dnscore.rdata import CNAMEData, RCode, RRType, SOAData
@@ -97,13 +97,38 @@ class _PendingQuery:
         self.span = 0
 
 
+class _TreeState:
+    """What every task of one client request's tree shares.
+
+    Its own object rather than fields of the root task: background
+    NS-address subtasks outlive the root's ``_finish`` and still charge
+    the budget, and a ``task.root`` reference would make every root task
+    a cycle only the collector can free.
+    """
+
+    __slots__ = ("queries_budget", "queries_sent", "in_progress", "deadline", "attribution_option")
+
+    def __init__(self, budget: int, deadline: Optional[float], attribution: ClientAttribution) -> None:
+        self.queries_budget = budget
+        self.queries_sent = 0
+        #: (name, type) pairs in flight anywhere in this tree (loop guard)
+        self.in_progress: Set[Tuple[Name, RRType]] = set()
+        #: absolute virtual-time budget for the whole tree (the client's
+        #: patience, threaded in by overload admission)
+        self.deadline = deadline
+        #: the attribution every query of the tree carries, encoded once;
+        #: frozen, so the queries can share it
+        self.attribution_option: EdnsOption = attribution.encode()
+
+
 class ResolutionTask:
     """Resolve (qname, qtype), reporting through ``on_done(outcome)``.
 
     Subtasks (NS-address lookups) share the root task's attribution and
-    query budget; the budget is the resolver's ``max_queries_per_request``
-    guard (BIND's max-fetches analogue), generous by default so that the
-    amplification behaviours the paper measures are reproduced.
+    query budget (``_TreeState``); the budget is the resolver's
+    ``max_queries_per_request`` guard (BIND's max-fetches analogue),
+    generous by default so that the amplification behaviours the paper
+    measures are reproduced.
     """
 
     def __init__(
@@ -114,7 +139,7 @@ class ResolutionTask:
         attribution: ClientAttribution,
         on_done: Callable[[ResolutionOutcome], None],
         depth: int = 0,
-        root: Optional["ResolutionTask"] = None,
+        tree: Optional[_TreeState] = None,
         deadline: Optional[float] = None,
         span_parent: int = 0,
     ) -> None:
@@ -123,9 +148,14 @@ class ResolutionTask:
         self.qname = qname
         self.qtype = qtype
         self.attribution = attribution
-        self.on_done = on_done
+        #: released by ``_finish``/``abandon``: for a subtask it is the
+        #: parent's bound method, the child -> parent edge of a cycle
+        self.on_done: Optional[Callable[[ResolutionOutcome], None]] = on_done
         self.depth = depth
-        self.root = root or self
+        #: ``deadline`` is the root's; subtasks are handed the tree
+        self._tree = tree if tree is not None else _TreeState(
+            resolver.config.max_queries_per_request, deadline, attribution
+        )
         self.finished = False
         self.span = 0
         if resolver.obs.enabled:
@@ -137,10 +167,6 @@ class ResolutionTask:
                 qname=str(qname),
                 depth=depth,
             )
-        #: absolute virtual-time budget for the whole task tree (the
-        #: client's patience, threaded in by overload admission); only
-        #: the root's value is consulted
-        self.deadline = deadline if root is None else None
 
         self.current_name = qname
         self.cname_chain: List[RRSet] = []
@@ -151,13 +177,7 @@ class ResolutionTask:
         self._subtasks: List["ResolutionTask"] = []
         self._awaiting_addresses = False
         self._fanout_rounds = 0
-        # Budget is shared through the root task.
-        if self.root is self:
-            self.queries_budget = resolver.config.max_queries_per_request
-            self.queries_sent = 0
-            #: (name, type) pairs in flight anywhere in this tree (loop guard)
-            self.in_progress: Set[Tuple[Name, RRType]] = set()
-        self.root.in_progress.add((qname, qtype))
+        self._tree.in_progress.add((qname, qtype))
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -169,29 +189,36 @@ class ResolutionTask:
         if self.finished:
             return
         self.finished = True
-        self.root.in_progress.discard((self.qname, self.qtype))
+        self._tree.in_progress.discard((self.qname, self.qtype))
         if self._pending is not None:
-            if self._pending.timer is not None:
-                self._pending.timer.cancel()
-            self.resolver.unregister_query(self._pending.message_id)
-            self.resolver.release_server_slot(self._pending.server)
-            if self._pending.span:
-                self.resolver.obs.end(
-                    self._pending.span, self.resolver.now, outcome="cancelled"
-                )
-            self._pending = None
-        if self.root is self:
-            outcome.queries_sent = self.queries_sent
+            self._drop_pending("cancelled")
+        outcome.queries_sent = self._tree.queries_sent
         if self.span:
             self.resolver.obs.end(self.span, self.resolver.now, rcode=outcome.rcode.name)
-        self.on_done(outcome)
+        on_done, self.on_done = self.on_done, None
+        on_done(outcome)
+
+    def _drop_pending(self, outcome: str, release_slot: bool = True) -> None:
+        """Tear the armed exchange down completely.  Nothing may keep
+        pointing at the timer: ``pending.timer`` <-> ``event.args`` is a
+        cycle, so every site that cancels or fires it clears it."""
+        pending = self._pending
+        if pending.timer is not None:
+            pending.timer.cancel()
+            pending.timer = None
+        self.resolver.unregister_query(pending.message_id)
+        if release_slot:
+            self.resolver.release_server_slot(pending.server)
+        if pending.span:
+            self.resolver.obs.end(pending.span, self.resolver.now, outcome=outcome)
+        self._pending = None
 
     def _fail(self, rcode: RCode = RCode.SERVFAIL) -> None:
         self._finish(ResolutionOutcome(rcode=rcode))
 
     def _deadline_exceeded(self) -> bool:
         """Has the task tree outlived its client's patience?"""
-        deadline = self.root.deadline
+        deadline = self._tree.deadline
         if deadline is not None and self.resolver.now >= deadline:
             self.resolver.stats.deadline_exhausted += 1
             return True
@@ -209,16 +236,10 @@ class ResolutionTask:
         if self.finished:
             return
         self.finished = True
-        self.root.in_progress.discard((self.qname, self.qtype))
+        self.on_done = None
+        self._tree.in_progress.discard((self.qname, self.qtype))
         if self._pending is not None:
-            if self._pending.timer is not None:
-                self._pending.timer.cancel()
-            self.resolver.unregister_query(self._pending.message_id)
-            if self._pending.span:
-                self.resolver.obs.end(
-                    self._pending.span, self.resolver.now, outcome="abandoned"
-                )
-            self._pending = None
+            self._drop_pending("abandoned", release_slot=False)
         if self.span:
             self.resolver.obs.end(self.span, self.resolver.now, outcome="abandoned")
         for subtask in self._subtasks:
@@ -260,7 +281,8 @@ class ResolutionTask:
         addressed: List[str] = []
         for ns_name in ns_names:
             addressed.extend(cache.addresses_for(ns_name, now))
-        candidates = [addr for addr in addressed if addr not in self._tried_servers]
+        tried = self._tried_servers
+        candidates = [addr for addr in addressed if addr not in tried] if tried else addressed
         if not candidates and addressed:
             # Every known server for this cut has been tried and failed:
             # give up rather than hammering dead servers forever.
@@ -304,16 +326,9 @@ class ResolutionTask:
             # fallback issued from a response handler) must first tear
             # down the old exchange completely, or its timeout timer
             # stays scheduled and fires against the *new* pending state.
-            if self._pending.timer is not None:
-                self._pending.timer.cancel()
-            self.resolver.unregister_query(self._pending.message_id)
-            self.resolver.release_server_slot(self._pending.server)
-            if self._pending.span:
-                self.resolver.obs.end(
-                    self._pending.span, self.resolver.now, outcome="superseded"
-                )
-            self._pending = None
-        if self.root.queries_sent >= self.root.queries_budget:
+            self._drop_pending("superseded")
+        tree = self._tree
+        if tree.queries_sent >= tree.queries_budget:
             self._fail()
             return
         if self._deadline_exceeded():
@@ -339,10 +354,10 @@ class ResolutionTask:
             else:
                 self._advance()
             return
-        self.root.queries_sent += 1
+        tree.queries_sent += 1
         query = Message.query(qname, qtype, recursion_desired=False)
         query.via_tcp = via_tcp
-        query.edns_options.append(self.attribution.encode())
+        query.edns_options.append(tree.attribution_option)
         pending = _PendingQuery(
             qname,
             qtype,
@@ -374,21 +389,23 @@ class ResolutionTask:
     def _on_timeout(self, pending: _PendingQuery) -> None:
         if self.finished or self._pending is not pending:
             return
+        pending.timer = None  # fired; the retry below arms a new one
         self.resolver.unregister_query(pending.message_id)
         self.resolver.stats.query_timeouts += 1
+        tree = self._tree
         if (
             pending.retries_left > 0
-            and self.root.queries_sent < self.root.queries_budget
+            and tree.queries_sent < tree.queries_budget
             and not self._deadline_exceeded()
         ):
             # Retry against the same server with a fresh message ID,
             # backing the adaptive RTO off first (RFC 6298 5.5).
             self.resolver.note_retransmit_timeout(pending.server)
-            self.root.queries_sent += 1
+            tree.queries_sent += 1
             self.resolver.stats.query_retries += 1
             query = Message.query(pending.qname, pending.qtype, recursion_desired=False)
             query.via_tcp = pending.via_tcp
-            query.edns_options.append(self.attribution.encode())
+            query.edns_options.append(tree.attribution_option)
             pending.retries_left -= 1
             pending.message_id = query.id
             pending.retransmitted = True
@@ -440,6 +457,7 @@ class ResolutionTask:
             return
         if pending.timer is not None:
             pending.timer.cancel()
+            pending.timer = None
         self._pending = None
         self.resolver.unregister_query(response.id)
         self.resolver.release_server_slot(pending.server)
@@ -592,7 +610,7 @@ class ResolutionTask:
     # ------------------------------------------------------------------
     # NS address fan-out (the FF amplification point)
     # ------------------------------------------------------------------
-    def _fetch_ns_addresses(self, ns_names: List[Name]) -> None:
+    def _fetch_ns_addresses(self, ns_names: Sequence[Name]) -> None:
         """Resolve addresses for a glue-less delegation.
 
         A real resolver (and BIND in the paper's testbed, MAF ~= 50)
@@ -621,7 +639,7 @@ class ResolutionTask:
         targets = [
             name
             for name in ns_names[: self.resolver.config.max_ns_address_fetches]
-            if (name, RRType.A) not in self.root.in_progress
+            if (name, RRType.A) not in self._tree.in_progress
         ]
         if not targets:
             self._fail()
@@ -637,7 +655,7 @@ class ResolutionTask:
                 self.attribution,
                 on_done=self._on_ns_address,
                 depth=self.depth + 1,
-                root=self.root,
+                tree=self._tree,
                 span_parent=self.span,
             )
             self._subtasks.append(subtask)

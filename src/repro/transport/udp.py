@@ -75,6 +75,7 @@ class AsyncioTimer:
         self.cancelled = True
         if self._handle is not None:
             self._handle.cancel()
+            self._handle = None
         self._clock._pending_count -= 1
 
 
@@ -159,6 +160,7 @@ class AsyncioClock:
         if timer.cancelled:
             return
         timer.fired = True
+        timer._handle = None  # its args hold the timer: a cycle once fired
         self._pending_count -= 1
         self.events_processed += 1
         # exceptions propagate to the loop's exception handler on purpose

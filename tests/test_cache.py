@@ -133,6 +133,43 @@ class TestDelegationWalk:
             ResourceRecord(ROOT, 60, NSData(Name.from_text("b."))),
         )
         assert set(map(str, cache.nameserver_names(ns))) == {"a.", "b."}
+        assert cache.nameserver_names(a_rrset()) == ()
+
+    def test_addresses_for_reads_both_families_and_follows_add(self):
+        from repro.dnscore.rdata import AAAAData
+
+        cache = ResolverCache()
+        ns_name = Name.from_text("ns.gtld.")
+        glue = a_rrset(ns_name, "10.0.0.9")
+        cache.put_rrset(glue, now=0.0)
+        cache.put_rrset(RRSet.of(ResourceRecord(ns_name, 60, AAAAData("2001:db8::9"))), now=0.0)
+        assert cache.addresses_for(ns_name, now=1.0) == ["10.0.0.9", "2001:db8::9"]
+        glue.add(ResourceRecord(ns_name, 60, AData("10.0.0.10")))
+        assert cache.addresses_for(ns_name, now=1.0) == ["10.0.0.9", "10.0.0.10", "2001:db8::9"]
+        assert cache.addresses_for(ns_name, now=61.0) == []  # expired entries contribute nothing
+
+
+class TestCacheEntry:
+    """A ``__slots__`` class since one is built per cache write; what the
+    resolver reads of it is unchanged."""
+
+    def test_is_negative_and_fresh(self):
+        from repro.server.cache import CacheEntry
+
+        positive = CacheEntry(a_rrset(), RCode.NOERROR, 60.0)
+        negative = CacheEntry(None, RCode.NXDOMAIN, 5.0)
+        assert not positive.is_negative and negative.is_negative
+        assert positive.fresh(59.999) and not positive.fresh(60.0)
+        assert (negative.rrset, negative.rcode, negative.expires) == (None, RCode.NXDOMAIN, 5.0)
+        assert not hasattr(positive, "__dict__")
+
+    def test_what_the_cache_stores(self):
+        cache = ResolverCache()
+        cache.put_rrset(a_rrset(ttl=60), now=2.0)
+        cache.put_negative(WWW, RRType.AAAA, RCode.NOERROR, 5.0, now=2.0)
+        positive, nodata = cache.get(WWW, RRType.A, 3.0), cache.get(WWW, RRType.AAAA, 3.0)
+        assert (positive.rcode, positive.expires, positive.is_negative) == (RCode.NOERROR, 62.0, False)
+        assert (nodata.rrset, nodata.rcode, nodata.expires, nodata.is_negative) == (None, RCode.NOERROR, 7.0, True)
 
 
 class TestMaintenance:

@@ -203,3 +203,76 @@ class TestWireLengthIsRecomputed:
         assert response.wire_length() == self._from_scratch(response)
         del response.answers[:]
         assert response.wire_length() == self._from_scratch(response)
+
+    @staticmethod
+    def _generator_form(message):
+        """``wire_length`` as it was written before the loop form."""
+        size = 12 + message.question.wire_length()
+        for section in (message.answers, message.authority, message.additional):
+            size += sum(rrset.wire_length() for rrset in section)
+        if message.edns_options:
+            size += 11 + sum(opt.wire_length() for opt in message.edns_options)
+        return size
+
+    def test_loop_form_equals_the_generator_form_on_random_messages(self):
+        import random
+
+        rng = random.Random(19)
+
+        def random_rrset():
+            owner = QNAME.child(f"h{rng.randrange(1000)}")
+            return RRSet.of(*(ResourceRecord(owner, rng.randrange(1, 600), AData(f"10.0.{i}.{rng.randrange(256)}"))
+                              for i in range(rng.randrange(1, 4))))
+
+        for _ in range(200):
+            message = Message.query(QNAME.child(f"q{rng.randrange(10**6)}"), RRType.A).make_response()
+            for section in (message.answers, message.authority, message.additional):
+                section.extend(random_rrset() for _ in range(rng.randrange(4)))
+            for i in range(rng.randrange(3)):
+                message.edns_options.append(EdnsOption(65001 + i, bytes(rng.randrange(0, 24))))
+            assert message.wire_length() == self._generator_form(message) == self._from_scratch(message)
+            # mutate one thing of each kind and measure again
+            message.additional.append(random_rrset())
+            if message.answers:
+                message.answers[0].add(ResourceRecord(message.answers[0].name, 5, AData("192.0.2.99")))
+            message.edns_options = message.edns_options[1:]
+            assert message.wire_length() == self._generator_form(message) == self._from_scratch(message)
+
+
+class TestQuestion:
+    """A named tuple since the per-query path builds one per message: still
+    a value (equal, hashable, immutable) shared by a query and its responses."""
+
+    def test_equal_hashable_immutable(self):
+        question = Question(QNAME, RRType.A)
+        assert question == Question(Name.from_text("WWW.example.com."), RRType.A)
+        assert question != Question(QNAME, RRType.AAAA)
+        assert hash(question) == hash(Question(QNAME, RRType.A))
+        assert len({question, Question(QNAME, RRType.A), Question(QNAME, RRType.NS)}) == 2
+        with pytest.raises(AttributeError):
+            question.name = QNAME.parent()
+        with pytest.raises(AttributeError):
+            question.extra = 1
+        assert (question.name, question.rrtype) == (QNAME, RRType.A)
+
+    def test_text_and_size_unchanged(self):
+        question = Question(QNAME, RRType.A)
+        assert str(question) == "www.example.com. A"
+        assert question.wire_length() == QNAME.wire_length() + 4
+        assert str(Message.query(QNAME, RRType.A, msg_id=5)) == (
+            "<query id=5 www.example.com. A NOERROR an=0 au=0 ad=0>")
+
+    def test_shared_by_a_query_and_its_responses_and_survives_the_wire(self):
+        query = Message.query(QNAME, RRType.NS)
+        assert query.make_response().question is query.question
+        assert query.truncate().question is query.question
+        assert decode_message(encode_message(query)).question == query.question
+        assert hash(decode_message(encode_message(query)).question) == hash(query.question)
+
+    def test_query_ids(self):
+        """``Message.query`` draws a fresh id unless handed one."""
+        first, second = Message.query(QNAME, RRType.A), Message.query(QNAME, RRType.A)
+        assert second.id == first.id + 1
+        assert Message.query(QNAME, RRType.A, msg_id=77).id == 77
+        assert Message.query(QNAME, RRType.A, msg_id=0).id == 0
+        assert not Message.query(QNAME, RRType.A, recursion_desired=False).flags & Flags.RD

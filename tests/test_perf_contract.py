@@ -32,6 +32,7 @@ from repro.netsim.trace import MessageTrace  # noqa: E402
 from repro.transport.udp import AsyncioClock  # noqa: E402
 from repro.workloads.schedule import table2_clients  # noqa: E402
 from tools.perf_fence import _faults  # noqa: E402
+from tools.perf_pairs import quartiles, verdict  # noqa: E402
 
 VIRTUAL_SECONDS = 1.0
 
@@ -179,3 +180,51 @@ class TestPerfFenceVerdicts:
         assert _faults(mixed, None, full_size=False) == ["exit 1", "correct: false"]
         stranded = self._run(exit_code=1, correct=False, failed=2, checks=["pass 1: shape: x"])
         assert _faults(stranded, None, full_size=False) == ["failed 2"]
+
+
+class TestPerfPairsVerdicts:
+    """``tools/perf_pairs.py`` judges a metric by the claim rule (at least
+    nine tenths of all pairs won, ties for neither side, **and** medians
+    further apart than the parent's quartiles); CI's ``perf-smoke`` runs
+    one real pair."""
+
+    PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9, 100.0]
+
+    def test_quartiles_stay_inside_the_data(self):
+        assert quartiles([5.0]) == (5.0, 5.0, 5.0)
+        assert quartiles([1.0, 2.0, 3.0]) == (1.5, 2.0, 2.5)
+        q1, median, q3 = quartiles(self.PARENT)
+        assert min(self.PARENT) <= q1 <= median <= q3 <= max(self.PARENT)
+
+    def test_a_clear_gain_in_either_direction_of_better(self):
+        higher = verdict(self.PARENT, [value * 1.1 for value in self.PARENT], "higher")
+        assert (higher["verdict"], higher["won"], higher["lost"], higher["pairs"]) == ("gain", 10, 0, 10)
+        assert higher["ratio"] == pytest.approx(1.1) and higher["gap"] > higher["parent_iqr"] > 0
+        lower = verdict(self.PARENT, [value * 0.9 for value in self.PARENT], "lower")
+        assert (lower["verdict"], lower["won"]) == ("gain", 10)
+        assert lower["gap"] == pytest.approx(10.0, abs=0.1)  # positive: the change is the better side
+        assert verdict(self.PARENT, [value * 0.9 for value in self.PARENT], "higher")["verdict"] == "worse"
+        assert verdict(self.PARENT, [value * 1.1 for value in self.PARENT], "lower")["verdict"] == "worse"
+
+    def test_nine_of_ten_is_enough_eight_is_not(self):
+        change = [value + 5.0 for value in self.PARENT]
+        change[3] = self.PARENT[3] - 1.0
+        assert verdict(self.PARENT, change, "higher")["verdict"] == "gain"
+        change[4] = self.PARENT[4] - 1.0
+        outcome = verdict(self.PARENT, change, "higher")
+        assert (outcome["verdict"], outcome["won"], outcome["lost"]) == ("unresolved", 8, 2)
+
+    def test_ties_count_for_neither_side(self):
+        change = [value + 5.0 for value in self.PARENT]
+        change[0], change[1] = self.PARENT[0], self.PARENT[1]
+        outcome = verdict(self.PARENT, change, "higher")
+        assert (outcome["verdict"], outcome["won"], outcome["lost"]) == ("unresolved", 8, 0)
+        same = verdict([0.405948] * 10, [0.405948] * 10, "higher")
+        assert (same["verdict"], same["won"], same["lost"], same["gap"]) == ("same", 0, 0, 0.0)
+
+    def test_a_gap_inside_the_parents_own_spread_is_not_a_gain(self):
+        noisy = [90.0, 110.0, 95.0, 105.0, 92.0, 108.0, 97.0, 103.0, 99.0, 101.0]
+        change = [value + 1.0 for value in noisy]  # wins every pair, by less than the parent's IQR
+        outcome = verdict(noisy, change, "higher")
+        assert outcome["won"] == 10 and outcome["gap"] < outcome["parent_iqr"]
+        assert outcome["verdict"] == "unresolved"

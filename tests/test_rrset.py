@@ -152,3 +152,55 @@ class TestRRSetCachedDerivedValues:
         assert empty.wire_length() == 0
         with pytest.raises(ValueError):
             empty.ttl
+
+    # -- NS targets / addresses (stored next to ttl / wire size) --------
+    @staticmethod
+    def _walk(rrset):
+        """What the resolver cache computed per call before the values
+        were stored: a record walk with ``isinstance`` on each."""
+        records = list(rrset)
+        return (
+            tuple(rec.rdata.target for rec in records if isinstance(rec.rdata, NSData)),
+            tuple(rec.rdata.address for rec in records if isinstance(rec.rdata, (AData, AAAAData))),
+        )
+
+    def test_ns_targets_and_addresses_equal_a_walk_before_and_after_add(self):
+        ns = RRSet.of(_record(NSData(Name.from_text("ns1.example.net."))))
+        assert (ns.ns_targets, ns.addresses) == self._walk(ns)
+        assert ns.ns_targets == (Name.from_text("ns1.example.net."),)
+        ns.add(_record(NSData(Name.from_text("ns2.example.net."))))
+        assert (ns.ns_targets, ns.addresses) == self._walk(ns)
+        assert len(ns.ns_targets) == 2 and ns.addresses == ()
+        for rdata_type, first, second in ((AData, "192.0.2.1", "192.0.2.2"),
+                                          (AAAAData, "2001:db8::1", "2001:db8::2")):
+            addrs = RRSet.of(_record(rdata_type(first)))
+            assert (addrs.ns_targets, addrs.addresses) == self._walk(addrs) == ((), (first,))
+            addrs.add(_record(rdata_type(second)))
+            assert (addrs.ns_targets, addrs.addresses) == self._walk(addrs) == ((), (first, second))
+
+    def test_duplicate_add_keeps_the_stored_tuples(self):
+        record = _record(NSData(Name.from_text("ns1.example.net.")))
+        ns = RRSet.of(record, _record(NSData(Name.from_text("ns2.example.net."))))
+        targets = ns.ns_targets
+        ns.add(record)
+        assert ns.ns_targets is targets  # nothing was cleared
+        glue = RRSet.of(_record(AData("192.0.2.1")))
+        addresses = glue.addresses
+        glue.add(_record(AData("192.0.2.1")))
+        assert glue.addresses is addresses
+
+    def test_with_name_copies_inherit_nothing(self):
+        ns = RRSet.of(_record(NSData(Name.from_text("ns1.example.net."))))
+        glue = RRSet.of(_record(AData("192.0.2.1"), ttl=30))
+        _ = ns.ns_targets, glue.addresses, glue.ttl, glue.wire_length()
+        other = Name.from_text("other.example.com.")
+        for copy in (ns.with_name(other), glue.with_name(other)):
+            assert copy._ns_targets is None and copy._addresses is None
+            assert copy._ttl is None and copy._wire_len is None
+            assert (copy.ns_targets, copy.addresses) == self._walk(copy)
+
+    def test_other_types_and_empty_sets_yield_empty_tuples(self):
+        for rrset in (RRSet.of(_record(TXTData("x"))),
+                      RRSet.of(_record(CNAMEData(Name.from_text("t.example.com.")))),
+                      RRSet(OWNER, RRType.NS), RRSet(OWNER, RRType.A)):
+            assert rrset.ns_targets == () and rrset.addresses == ()

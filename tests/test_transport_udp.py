@@ -96,6 +96,35 @@ class TestAsyncioClock:
 
         asyncio.run(run())
 
+    def test_timers_leave_nothing_for_the_cyclic_collector(self):
+        """``timer._handle`` <-> the loop handle's args (the timer) is a
+        cycle; cancel and fire both break it."""
+        import gc
+
+        async def run():
+            clock = AsyncioClock(seed=1)
+            clock.start()
+            fired = []
+            gc.collect()
+            gc.disable()
+            try:
+                for i in range(50):
+                    clock.schedule(0.001, fired.append, i)
+                    clock.call_soon(fired.append, -i)
+                    clock.schedule(5.0, fired.append, "never").cancel()
+                cancelled = clock.schedule(5.0, fired.append, "never")
+                cancelled.cancel()
+                late = clock.schedule(0.001, fired.append, "late")
+                await asyncio.sleep(0.05)
+                assert len(fired) == 101 and clock.pending() == 0
+                assert cancelled._handle is None and late._handle is None and late.fired
+                del cancelled, late
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+
+        asyncio.run(run())
+
 
 class TestUdpFabric:
     def test_udp_query_round_trip(self):
