@@ -9,21 +9,29 @@ middlebox intercepts raw packets, so the library ships a faithful codec:
 - EDNS options are carried in an OPT pseudo-record in the additional
   section, exactly as on the real wire.
 
-The codec doubles as the source of truth for message sizes in transport
-statistics and for property tests (encode-decode round-trips under
-hypothesis).
+Both directions are one pass (docs/TRANSPORT.md "Wire codec"): one
+``bytearray`` and precompiled structs out; index arithmetic in, every
+bound checked before the read and every malformed input rejected with
+:class:`WireDecodeError` -- nothing else may leave
+:func:`decode_message`, whose callers sit in socket callbacks.
+
+The live ``TransportStats.bytes_sent`` counts these bytes; the simulated
+``NetworkStats.bytes_sent`` sums ``Message.wire_length()``, an
+*uncompressed estimate* that adds the 11-byte OPT record only when
+options are present (a plain ``a.example.`` query: 27 octets there, 38
+here).  Simulated truncation reads it, so the outcome digests depend on it.
 """
 
 from __future__ import annotations
 
 import ipaddress
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.dnscore.edns import EDNS_UDP_SIZE, EdnsOption
 from repro.dnscore.errors import WireDecodeError
 from repro.dnscore.message import Flags, Message, Question
-from repro.dnscore.name import Name, ROOT
+from repro.dnscore.name import MAX_NAME_LENGTH, Name, ROOT
 from repro.dnscore.rdata import (
     AAAAData,
     AData,
@@ -42,339 +50,331 @@ from repro.dnscore.rdata import (
 from repro.dnscore.rrset import ResourceRecord, RRSet
 
 _MAX_POINTER_OFFSET = 0x3FFF
+_MAX_POINTER_HOPS = 128
 
+_HEADER = struct.Struct("!6H")  # ID, flags, QD/AN/NS/ARCOUNT
+_U16 = struct.Struct("!H")
+_U16_PAIR = struct.Struct("!HH")  # QTYPE/QCLASS; option code/length
+_RR_FIXED = struct.Struct("!HHIH")  # TYPE, CLASS, TTL, RDLENGTH
+_SOA_TIMERS = struct.Struct("!5I")
+#: OPT pseudo-record up to RDLENGTH: root owner, TYPE=OPT, CLASS=payload
+#: size, TTL=0 (extended rcode bits: all our rcodes fit in the header)
+_OPT_FIXED = b"\x00" + struct.pack("!HHI", RRType.OPT, EDNS_UDP_SIZE, 0)
+_TYPE_OPT = int(RRType.OPT)
 
-class _Writer:
-    """Accumulates wire bytes and tracks name-compression offsets."""
+# enum members by wire value: a dict lookup instead of ``EnumMeta.__call__``, same value sets
+_RRTYPES: Dict[int, RRType] = {int(member): member for member in RRType}
+_OPCODES: Dict[int, Opcode] = {int(member): member for member in Opcode}
+_RCODES: Dict[int, RCode] = {int(member): member for member in RCode}
 
-    def __init__(self) -> None:
-        self._chunks: List[bytes] = []
-        self._length = 0
-        self._name_offsets: Dict[Tuple[str, ...], int] = {}
-
-    @property
-    def length(self) -> int:
-        return self._length
-
-    def write(self, data: bytes) -> None:
-        self._chunks.append(data)
-        self._length += len(data)
-
-    def write_u8(self, value: int) -> None:
-        self.write(struct.pack("!B", value))
-
-    def write_u16(self, value: int) -> None:
-        self.write(struct.pack("!H", value & 0xFFFF))
-
-    def write_u32(self, value: int) -> None:
-        self.write(struct.pack("!I", value & 0xFFFFFFFF))
-
-    def write_name(self, name: Name, compress: bool = True) -> None:
-        """Emit ``name``, reusing a pointer to any previously written
-        suffix when compression is allowed."""
-        labels = name.labels
-        for i in range(len(labels)):
-            suffix = labels[i:]
-            offset = self._name_offsets.get(suffix)
-            if compress and offset is not None:
-                self.write_u16(0xC000 | offset)
-                return
-            if self._length <= _MAX_POINTER_OFFSET:
-                self._name_offsets[suffix] = self._length
-            label = labels[i].encode("ascii")
-            self.write_u8(len(label))
-            self.write(label)
-        self.write_u8(0)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._chunks)
-
-
-class _Reader:
-    """Sequential reader with compression-pointer chasing."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-
-    @property
-    def pos(self) -> int:
-        return self._pos
-
-    def remaining(self) -> int:
-        return len(self._data) - self._pos
-
-    def read(self, count: int) -> bytes:
-        if self.remaining() < count:
-            raise WireDecodeError(f"truncated message: wanted {count} bytes, have {self.remaining()}")
-        chunk = self._data[self._pos : self._pos + count]
-        self._pos += count
-        return chunk
-
-    def read_u8(self) -> int:
-        return self.read(1)[0]
-
-    def read_u16(self) -> int:
-        return struct.unpack("!H", self.read(2))[0]
-
-    def read_u32(self) -> int:
-        return struct.unpack("!I", self.read(4))[0]
-
-    def read_name(self) -> Name:
-        labels: List[str] = []
-        pos = self._pos
-        jumped = False
-        hops = 0
-        while True:
-            if pos >= len(self._data):
-                raise WireDecodeError("name runs past end of message")
-            length = self._data[pos]
-            if length & 0xC0 == 0xC0:
-                if pos + 1 >= len(self._data):
-                    raise WireDecodeError("truncated compression pointer")
-                target = ((length & 0x3F) << 8) | self._data[pos + 1]
-                if not jumped:
-                    self._pos = pos + 2
-                    jumped = True
-                if target >= pos:
-                    raise WireDecodeError("compression pointer does not point backwards")
-                pos = target
-                hops += 1
-                if hops > 128:
-                    raise WireDecodeError("compression pointer loop")
-            elif length == 0:
-                if not jumped:
-                    self._pos = pos + 1
-                return Name(tuple(labels)) if labels else ROOT
-            elif length & 0xC0:
-                raise WireDecodeError(f"reserved label type 0x{length:02x}")
-            else:
-                start = pos + 1
-                end = start + length
-                if end > len(self._data):
-                    raise WireDecodeError("label runs past end of message")
-                try:
-                    labels.append(self._data[start:end].decode("ascii"))
-                except UnicodeDecodeError as exc:
-                    raise WireDecodeError(f"non-ascii label bytes: {exc}") from exc
-                pos = end
+#: the canonical spelling of each IPv4 octet (no sign, space or leading zero)
+_OCTETS: Dict[str, int] = {str(value): value for value in range(256)}
 
 
 # ----------------------------------------------------------------------
-# rdata codecs
+# encoder
 # ----------------------------------------------------------------------
 
-def _encode_rdata(writer: _Writer, rdata: RData) -> None:
-    """Append RDLENGTH + RDATA for ``rdata``.
-
-    Names inside rdata are written uncompressed: RFC 3597 forbids
-    compressing names in newer types, and doing so uniformly keeps
-    RDLENGTH computable before writing.
-    """
-    body = _Writer()
-    if isinstance(rdata, AData):
-        body.write(ipaddress.IPv4Address(rdata.address).packed)
-    elif isinstance(rdata, AAAAData):
-        body.write(ipaddress.IPv6Address(rdata.address).packed)
-    elif isinstance(rdata, (NSData, CNAMEData, PTRData)):
-        body.write_name(rdata.target, compress=False)
-    elif isinstance(rdata, SOAData):
-        body.write_name(rdata.mname, compress=False)
-        body.write_name(rdata.rname, compress=False)
-        for value in (rdata.serial, rdata.refresh, rdata.retry, rdata.expire, rdata.minimum):
-            body.write_u32(value)
-    elif isinstance(rdata, MXData):
-        body.write_u16(rdata.preference)
-        body.write_name(rdata.exchange, compress=False)
-    elif isinstance(rdata, NSECData):
-        body.write_name(rdata.next_name, compress=False)
-        body.write_u16(0)  # empty type bitmap (simplified NSEC)
-    elif isinstance(rdata, TXTData):
-        text = rdata.text.encode("utf-8")
-        for i in range(0, max(len(text), 1), 255):
-            chunk = text[i : i + 255]
-            body.write_u8(len(chunk))
-            body.write(chunk)
-    else:
-        raise WireDecodeError(f"cannot encode rdata type {type(rdata).__name__}")
-    payload = body.getvalue()
-    writer.write_u16(len(payload))
-    writer.write(payload)
+def _write_name(out: bytearray, offsets: Dict[Tuple[str, ...], int], labels: Tuple[str, ...]) -> None:
+    """Append an owner/question name: a pointer to the longest suffix
+    already written, else its labels, registering the first occurrence
+    of each suffix that starts where a 14-bit pointer can still reach."""
+    for i in range(len(labels)):
+        suffix = labels[i:]
+        offset = offsets.get(suffix)
+        if offset is not None:
+            out += _U16.pack(0xC000 | offset)
+            return
+        if len(out) <= _MAX_POINTER_OFFSET:
+            offsets[suffix] = len(out)
+        label = labels[i].encode("ascii")
+        out.append(len(label))
+        out += label
+    out.append(0)
 
 
-def _decode_rdata(reader: _Reader, rrtype: RRType, rdlength: int) -> RData:
-    end = reader.pos + rdlength
-    if rrtype == RRType.A:
-        rdata: RData = AData(str(ipaddress.IPv4Address(reader.read(4))))
-    elif rrtype == RRType.AAAA:
-        rdata = AAAAData(str(ipaddress.IPv6Address(reader.read(16))))
-    elif rrtype == RRType.NS:
-        rdata = NSData(reader.read_name())
-    elif rrtype == RRType.CNAME:
-        rdata = CNAMEData(reader.read_name())
-    elif rrtype == RRType.PTR:
-        rdata = PTRData(reader.read_name())
-    elif rrtype == RRType.SOA:
-        mname = reader.read_name()
-        rname = reader.read_name()
-        serial, refresh, retry, expire, minimum = (
-            reader.read_u32() for _ in range(5)
-        )
-        rdata = SOAData(mname, rname, serial, refresh, retry, expire, minimum)
-    elif rrtype == RRType.MX:
-        pref = reader.read_u16()
-        rdata = MXData(pref, reader.read_name())
-    elif rrtype == RRType.NSEC:
-        next_name = reader.read_name()
-        reader.read_u16()  # skip the (empty) type bitmap
-        rdata = NSECData(next_name)
-    elif rrtype == RRType.TXT:
-        parts = []
-        while reader.pos < end:
-            length = reader.read_u8()
-            try:
-                parts.append(reader.read(length).decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise WireDecodeError(f"invalid TXT bytes: {exc}") from exc
-        rdata = TXTData("".join(parts))
-    else:
-        raise WireDecodeError(f"cannot decode rdata type {rrtype}")
-    if reader.pos != end:
-        raise WireDecodeError(f"rdata length mismatch for {rrtype}: {reader.pos} != {end}")
-    return rdata
+def _name_bytes(name: Name) -> bytes:
+    """A name inside rdata, uncompressed: RFC 3597 forbids compressing
+    names in newer types, and doing so uniformly keeps RDLENGTH known
+    before anything is written.  (Label lengths are < 64: ASCII too.)"""
+    return ("".join([chr(len(label)) + label for label in name.labels]) + "\0").encode("ascii")
 
 
-# ----------------------------------------------------------------------
-# message codec
-# ----------------------------------------------------------------------
-
-def _encode_record(writer: _Writer, record: ResourceRecord) -> None:
-    writer.write_name(record.name)
-    writer.write_u16(int(record.rrtype))
-    writer.write_u16(1)  # class IN
-    writer.write_u32(record.ttl)
-    _encode_rdata(writer, record.rdata)
+def _ipv4_packed(address: str) -> bytes:
+    try:
+        a, b, c, d = address.split(".")
+        return bytes((_OCTETS[a], _OCTETS[b], _OCTETS[c], _OCTETS[d]))
+    except (KeyError, ValueError):
+        # not four canonical decimal octets: ``ipaddress`` decides, and raises what it always raised
+        return ipaddress.IPv4Address(address).packed
 
 
-def _encode_opt(writer: _Writer, options: List[EdnsOption], rcode: RCode) -> None:
-    """EDNS OPT pseudo-record: root owner, TYPE=OPT, CLASS=payload size,
-    TTL carries extended rcode bits (zero here: all our rcodes fit)."""
-    writer.write_u8(0)  # root owner name
-    writer.write_u16(int(RRType.OPT))
-    writer.write_u16(EDNS_UDP_SIZE)
-    writer.write_u32(0)
-    body = _Writer()
-    for opt in options:
-        body.write_u16(opt.code)
-        body.write_u16(len(opt.payload))
-        body.write(opt.payload)
-    payload = body.getvalue()
-    writer.write_u16(len(payload))
-    writer.write(payload)
+def _txt_bytes(rdata: TXTData) -> bytes:
+    text = rdata.text.encode("utf-8")
+    strings = [text[i : i + 255] for i in range(0, max(len(text), 1), 255)]
+    return b"".join([bytes((len(string),)) + string for string in strings])
+
+
+def _soa_bytes(rdata: SOAData) -> bytes:
+    timers = (rdata.serial, rdata.refresh, rdata.retry, rdata.expire, rdata.minimum)
+    return _name_bytes(rdata.mname) + _name_bytes(rdata.rname) + _SOA_TIMERS.pack(*[t & 0xFFFFFFFF for t in timers])
+
+
+_RDATA_ENCODERS: Dict[type, Callable[..., bytes]] = {
+    AData: lambda rdata: _ipv4_packed(rdata.address),
+    AAAAData: lambda rdata: ipaddress.IPv6Address(rdata.address).packed,
+    NSData: lambda rdata: _name_bytes(rdata.target),
+    CNAMEData: lambda rdata: _name_bytes(rdata.target),
+    PTRData: lambda rdata: _name_bytes(rdata.target),
+    SOAData: _soa_bytes,
+    MXData: lambda rdata: _U16.pack(rdata.preference & 0xFFFF) + _name_bytes(rdata.exchange),
+    # empty type bitmap (simplified NSEC)
+    NSECData: lambda rdata: _name_bytes(rdata.next_name) + b"\x00\x00",
+    TXTData: _txt_bytes,
+}
 
 
 def encode_message(message: Message) -> bytes:
-    """Serialise ``message`` to RFC 1035 wire format."""
-    writer = _Writer()
-    writer.write_u16(message.id)
-    flag_word = int(message.flags) | (int(message.opcode) << 11) | int(message.rcode)
-    writer.write_u16(flag_word)
-    writer.write_u16(1)  # QDCOUNT
-    ancount = sum(len(rrset) for rrset in message.answers)
-    nscount = sum(len(rrset) for rrset in message.authority)
-    arcount = sum(len(rrset) for rrset in message.additional)
-    if message.edns_options or True:
-        # Always attach an OPT record: every server in this system is
-        # EDNS-capable, and DCC relies on options being available.
-        arcount += 1
-    writer.write_u16(ancount)
-    writer.write_u16(nscount)
-    writer.write_u16(arcount)
-    writer.write_name(message.question.name)
-    writer.write_u16(int(message.question.rrtype))
-    writer.write_u16(1)
+    """Serialise ``message`` to RFC 1035 wire format.
+
+    An OPT record is always attached: every server in this system is
+    EDNS-capable, and DCC relies on options being available.
+    """
+    out = bytearray(12)
+    offsets: Dict[Tuple[str, ...], int] = {}
+    question = message.question
+    _write_name(out, offsets, question.name.labels)
+    out += _U16_PAIR.pack(int(question.rrtype) & 0xFFFF, 1)
+    counts = []
     for section in (message.answers, message.authority, message.additional):
+        count = 0
         for rrset in section:
             for record in rrset:
-                _encode_record(writer, record)
-    _encode_opt(writer, message.edns_options, message.rcode)
-    return writer.getvalue()
+                rdata = record.rdata
+                encoder = _RDATA_ENCODERS.get(type(rdata))
+                if encoder is None:
+                    raise WireDecodeError(f"cannot encode rdata type {type(rdata).__name__}")
+                payload = encoder(rdata)
+                _write_name(out, offsets, record.name.labels)
+                out += _RR_FIXED.pack(int(rdata.rrtype) & 0xFFFF, 1, record.ttl & 0xFFFFFFFF, len(payload) & 0xFFFF)
+                out += payload
+                count += 1
+        counts.append(count)
+    options = b"".join([_U16_PAIR.pack(opt.code & 0xFFFF, len(opt.payload) & 0xFFFF) + opt.payload
+                        for opt in message.edns_options])
+    out += _OPT_FIXED
+    out += _U16.pack(len(options) & 0xFFFF)
+    out += options
+    # Simulation-internal ids are 31-bit: every field is masked to its
+    # wire width, because ``Struct.pack`` raises where it does not fit.
+    flag_word = int(message.flags) | (int(message.opcode) << 11) | int(message.rcode)
+    _HEADER.pack_into(out, 0, message.id & 0xFFFF, flag_word & 0xFFFF, 1,
+                      counts[0] & 0xFFFF, counts[1] & 0xFFFF, (counts[2] + 1) & 0xFFFF)
+    return bytes(out)
 
 
-def _decode_record(reader: _Reader) -> Tuple[Optional[ResourceRecord], List[EdnsOption]]:
-    """Decode one record; OPT records come back as (None, options)."""
-    name = reader.read_name()
-    rrtype_raw = reader.read_u16()
-    klass = reader.read_u16()
-    ttl = reader.read_u32()
-    rdlength = reader.read_u16()
-    if rrtype_raw == int(RRType.OPT):
-        end = reader.pos + rdlength
-        options: List[EdnsOption] = []
-        while reader.pos < end:
-            code = reader.read_u16()
-            length = reader.read_u16()
-            options.append(EdnsOption(code, reader.read(length)))
-        return None, options
-    if klass != 1:
-        raise WireDecodeError(f"unsupported class {klass}")
-    rdata = _decode_rdata(reader, _enum(RRType, rrtype_raw, "record type"), rdlength)
-    return ResourceRecord(name=name, ttl=ttl, rdata=rdata), []
+# ----------------------------------------------------------------------
+# decoder
+# ----------------------------------------------------------------------
+
+#: per-message memo: offset a name starts at -> (the name, pointer hops its walk took).  ``data``
+#: is immutable and so is a ``Name``: no entry can go stale, and the dict dies with the call.
+_NameMemo = Dict[int, Tuple[Name, int]]
 
 
-def _enum(enum_type, value, what):
-    """Enum conversion that reports malformed input as a decode error."""
+def _read_name(data: bytes, pos: int, memo: _NameMemo) -> Tuple[Name, int]:
+    """The name starting at ``pos`` and the offset just past it.
+
+    A pointer to an offset where a name of this message already started
+    yields that name object (extended by any labels read before the
+    pointer) without walking it again; the hops its walk took still
+    count against the limit, so the memo changes no verdict.
+    """
+    size = len(data)
+    start = pos
+    after = 0  # offset past the name as written at ``start``; set at the first pointer
+    hops = 0
+    wire_len = 1
+    labels: List[str] = []
+    while True:
+        if pos >= size:
+            raise WireDecodeError("name runs past end of message")
+        length = data[pos]
+        if length >= 0xC0:
+            if pos + 1 >= size:
+                raise WireDecodeError("truncated compression pointer")
+            target = ((length & 0x3F) << 8) | data[pos + 1]
+            if target >= pos:
+                raise WireDecodeError("compression pointer does not point backwards")
+            after = after or pos + 2
+            known = memo.get(target)
+            hops += 1 if known is None else 1 + known[1]
+            if hops > _MAX_POINTER_HOPS:
+                raise WireDecodeError("compression pointer loop")
+            if known is None:
+                pos = target
+                continue
+            name = known[0]
+            if labels:
+                wire_len += name.wire_length() - 1
+                if wire_len > MAX_NAME_LENGTH:
+                    raise WireDecodeError(f"name would be {wire_len} octets on the wire")
+                name = Name._derived(tuple(labels) + name.labels, wire_len)
+            break
+        if length == 0:
+            after = after or pos + 1
+            name = Name._derived(tuple(labels), wire_len) if labels else ROOT
+            break
+        if length > 63:
+            raise WireDecodeError(f"reserved label type 0x{length:02x}")
+        end = pos + 1 + length
+        if end > size:
+            raise WireDecodeError("label runs past end of message")
+        wire_len += length + 1
+        if wire_len > MAX_NAME_LENGTH:
+            raise WireDecodeError(f"name would be {wire_len} octets on the wire")
+        try:
+            labels.append(data[pos + 1 : end].decode("ascii").lower())
+        except UnicodeDecodeError as exc:
+            raise WireDecodeError(f"non-ascii label bytes: {exc}") from exc
+        pos = end
+    memo[start] = (name, hops)
+    return name, after
+
+
+def _read_names(data: bytes, pos: int, end: int, memo: _NameMemo, count: int = 1, tail: int = 0) -> List[Name]:
+    """``count`` names followed by ``tail`` fixed octets, filling
+    ``data[pos:end]`` exactly (``end`` is inside the message)."""
+    names = []
+    for _ in range(count):
+        name, pos = _read_name(data, pos, memo)
+        names.append(name)
+    if pos + tail != end:
+        raise WireDecodeError(f"rdata length mismatch: {pos + tail} != {end}")
+    return names
+
+
+def _decode_a(data: bytes, pos: int, end: int, memo: _NameMemo) -> RData:
+    if end - pos != 4:
+        raise WireDecodeError(f"A rdata of {end - pos} octets")
+    return AData("%d.%d.%d.%d" % tuple(data[pos:end]))
+
+
+def _decode_aaaa(data: bytes, pos: int, end: int, memo: _NameMemo) -> RData:
+    if end - pos != 16:
+        raise WireDecodeError(f"AAAA rdata of {end - pos} octets")
+    # ipaddress's text form: inet_ntop prints v4-mapped addresses differently
+    return AAAAData(str(ipaddress.IPv6Address(data[pos:end])))
+
+
+def _decode_soa(data: bytes, pos: int, end: int, memo: _NameMemo) -> RData:
+    mname, rname = _read_names(data, pos, end, memo, 2, 20)
+    return SOAData(mname, rname, *_SOA_TIMERS.unpack_from(data, end - 20))
+
+
+def _decode_mx(data: bytes, pos: int, end: int, memo: _NameMemo) -> RData:
+    if end - pos < 2:
+        raise WireDecodeError("MX rdata shorter than its preference")
+    return MXData(_U16.unpack_from(data, pos)[0], *_read_names(data, pos + 2, end, memo))
+
+
+def _decode_txt(data: bytes, pos: int, end: int, memo: _NameMemo) -> RData:
+    chunks = []
+    while pos < end:
+        chunk_end = pos + 1 + data[pos]
+        if chunk_end > end:
+            raise WireDecodeError("TXT character-string runs past its rdata")
+        chunks.append(data[pos + 1 : chunk_end])
+        pos = chunk_end
     try:
-        return enum_type(value)
-    except ValueError as exc:
-        raise WireDecodeError(f"unknown {what} {value}") from exc
+        # joined first: a multi-byte character may straddle two strings
+        return TXTData(b"".join(chunks).decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise WireDecodeError(f"invalid TXT bytes: {exc}") from exc
+
+
+#: by TYPE; an ``IntEnum`` key is found by the plain ``int`` off the wire
+_RDATA_DECODERS: Dict[int, Callable[[bytes, int, int, _NameMemo], RData]] = {
+    RRType.A: _decode_a,
+    RRType.AAAA: _decode_aaaa,
+    RRType.NS: lambda data, pos, end, memo: NSData(*_read_names(data, pos, end, memo)),
+    RRType.CNAME: lambda data, pos, end, memo: CNAMEData(*_read_names(data, pos, end, memo)),
+    RRType.PTR: lambda data, pos, end, memo: PTRData(*_read_names(data, pos, end, memo)),
+    RRType.SOA: _decode_soa,
+    RRType.MX: _decode_mx,
+    # the (empty) type bitmap's two octets are skipped, whatever they hold
+    RRType.NSEC: lambda data, pos, end, memo: NSECData(*_read_names(data, pos, end, memo, tail=2)),
+    RRType.TXT: _decode_txt,
+}
+
+
+def _read_options(data: bytes, pos: int, end: int, options: List[EdnsOption]) -> int:
+    """Append an OPT record's options and return the offset past the last.
+    One is read while it *starts* before ``end``, bounded by the message
+    and not by RDLENGTH (kept from the first codec: a lying RDLENGTH is
+    caught, if at all, by the trailing-bytes check)."""
+    size = len(data)
+    while pos < end:
+        if pos + 4 > size:
+            raise WireDecodeError("truncated EDNS option header")
+        code, length = _U16_PAIR.unpack_from(data, pos)
+        pos += 4 + length
+        if pos > size:
+            raise WireDecodeError("EDNS option runs past end of message")
+        options.append(EdnsOption(code, data[pos - length : pos]))
+    return pos
 
 
 def decode_message(data: bytes) -> Message:
     """Parse wire bytes back into a :class:`Message`.
 
     Adjacent records with the same (owner, type) are regrouped into
-    RRsets per section.
+    RRsets per section.  Raises :class:`WireDecodeError`, and nothing
+    else, on input that is not a well-formed message.
     """
-    reader = _Reader(data)
-    msg_id = reader.read_u16()
-    flag_word = reader.read_u16()
-    qdcount = reader.read_u16()
+    size = len(data)
+    if size < 12:
+        raise WireDecodeError(f"truncated message: header needs 12 bytes, have {size}")
+    msg_id, flag_word, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data)
     if qdcount != 1:
         raise WireDecodeError(f"expected exactly one question, got {qdcount}")
-    ancount = reader.read_u16()
-    nscount = reader.read_u16()
-    arcount = reader.read_u16()
-    qname = reader.read_name()
-    qtype = _enum(RRType, reader.read_u16(), "question type")
-    qclass = reader.read_u16()
-    if qclass != 1:
-        raise WireDecodeError(f"unsupported question class {qclass}")
+    memo: _NameMemo = {}
+    qname, pos = _read_name(data, 12, memo)
+    if pos + 4 > size:
+        raise WireDecodeError("truncated question")
+    qtype_raw, qclass = _U16_PAIR.unpack_from(data, pos)
+    pos += 4
+    qtype = _RRTYPES.get(qtype_raw)
+    opcode = _OPCODES.get((flag_word >> 11) & 0xF)
+    rcode = _RCODES.get(flag_word & 0xF)
+    if qtype is None or opcode is None or rcode is None or qclass != 1:
+        raise WireDecodeError(f"unsupported question: type {qtype_raw}, class {qclass}, flag word 0x{flag_word:04x}")
 
-    message = Message(
-        question=Question(qname, qtype),
-        id=msg_id,
-        opcode=_enum(Opcode, (flag_word >> 11) & 0xF, "opcode"),
-        flags=Flags(flag_word & 0x87F0),
-        rcode=_enum(RCode, flag_word & 0xF, "rcode"),
-    )
-
-    def read_section(count: int, target: List[RRSet]) -> None:
+    message = Message(Question(qname, qtype), msg_id, opcode, Flags(flag_word & 0x87F0), rcode)
+    options = message.edns_options
+    for count, section in ((ancount, message.answers), (nscount, message.authority), (arcount, message.additional)):
         groups: Dict[Tuple[Name, RRType], RRSet] = {}
         for _ in range(count):
-            record, options = _decode_record(reader)
-            if record is None:
-                message.edns_options.extend(options)
+            name, pos = _read_name(data, pos, memo)
+            if pos + 10 > size:
+                raise WireDecodeError("truncated record header")
+            rrtype_raw, klass, ttl, rdlength = _RR_FIXED.unpack_from(data, pos)
+            pos += 10
+            end = pos + rdlength
+            if rrtype_raw == _TYPE_OPT:
+                pos = _read_options(data, pos, end, options)
                 continue
-            key = (record.name, record.rrtype)
-            if key not in groups:
-                groups[key] = RRSet(record.name, record.rrtype)
-                target.append(groups[key])
-            groups[key].add(record)
-
-    read_section(ancount, message.answers)
-    read_section(nscount, message.authority)
-    read_section(arcount, message.additional)
-    if reader.remaining():
-        raise WireDecodeError(f"{reader.remaining()} trailing bytes after message")
+            decoder = _RDATA_DECODERS.get(rrtype_raw)
+            if decoder is None or klass != 1 or end > size:
+                raise WireDecodeError(f"undecodable record: type {rrtype_raw}, class {klass}, rdlength {rdlength}")
+            rdata = decoder(data, pos, end, memo)
+            pos = end
+            key = (name, rdata.rrtype)
+            rrset = groups.get(key)
+            if rrset is None:
+                rrset = groups[key] = RRSet(name, rdata.rrtype)
+                section.append(rrset)
+            rrset.add(ResourceRecord(name, ttl, rdata))
+    if pos != size:
+        raise WireDecodeError(f"{size - pos} trailing bytes after message")
     return message

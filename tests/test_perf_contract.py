@@ -23,12 +23,15 @@ if ROOT not in sys.path:
 from perf.trace import CALLS, Tracer  # noqa: E402
 
 from repro.dcc.mopifq import MopiFq  # noqa: E402
+from repro.dnscore import wire  # noqa: E402
 from repro.dnscore.message import Message  # noqa: E402
 from repro.dnscore.name import Name  # noqa: E402
 from repro.experiments.common import AttackScenario, ScenarioConfig  # noqa: E402
 from repro.netsim.link import Network  # noqa: E402
 from repro.netsim.sim import Event, Simulator  # noqa: E402
 from repro.netsim.trace import MessageTrace  # noqa: E402
+from repro.dnscore.rdata import RRType  # noqa: E402
+from repro.transport import chaosproxy, udp  # noqa: E402
 from repro.transport.udp import AsyncioClock  # noqa: E402
 from repro.workloads.schedule import table2_clients  # noqa: E402
 from tools.perf_fence import _faults  # noqa: E402
@@ -129,6 +132,60 @@ def test_positional_signatures_the_tracer_indexes_into():
     assert positional(AsyncioClock.schedule)[:3] == ["self", "delay", "fn"]
     assert positional(AsyncioClock.call_soon)[:2] == ["self", "fn"]
     assert positional(MopiFq.dequeue) == ["self", "now"]
+
+
+def test_the_wire_codec_is_two_plain_functions_looked_up_at_call_time():
+    """``_patch_function`` swaps ``encode_message``/``decode_message`` in
+    every ``repro`` module's globals.  A codec that became a callable
+    object, grew a parameter, or was bound into a default argument or a
+    class attribute at import would run unpatched: the live workloads'
+    ``dnscore.wire.*`` rows would read zero and nothing else would say."""
+    def positional(function):
+        return [p.name for p in inspect.signature(function).parameters.values()]
+
+    assert isinstance(wire.encode_message, types.FunctionType) and positional(wire.encode_message) == ["message"]
+    assert isinstance(wire.decode_message, types.FunctionType) and positional(wire.decode_message) == ["data"]
+    codec = (wire.encode_message, wire.decode_message)
+
+    def functions(module):
+        holders = [module] + [obj for obj in vars(module).values()
+                              if inspect.isclass(obj) and obj.__module__ == module.__name__]
+        return holders, [value for holder in holders for value in vars(holder).values()
+                         if isinstance(value, types.FunctionType)]
+
+    def sites(module, name):  # functions that look ``name`` up when they run
+        return sorted(f.__qualname__ for f in functions(module)[1] if name in f.__code__.co_names)
+
+    assert sites(udp, "encode_message") == ["UdpFabric._tcp_exchange", "UdpFabric._tcp_serve", "UdpFabric.send"]
+    assert sites(udp, "decode_message") == ["UdpFabric._on_datagram", "UdpFabric._tcp_exchange", "UdpFabric._tcp_serve"]
+    assert sites(chaosproxy, "decode_message") == ["ChaosProxy._key"]
+    for module in (udp, chaosproxy):
+        holders, found = functions(module)
+        for function in found:
+            bound = (function.__defaults__ or ()) + tuple((function.__kwdefaults__ or {}).values())
+            assert not any(value in codec for value in bound), function.__qualname__
+        for holder in holders[1:]:
+            assert not any(value in codec for value in vars(holder).values()), holder.__name__
+        assert all(vars(module).get(function.__name__, function) is function for function in codec)
+
+    # and by behaviour: under the tracer, what the fabric and the proxy
+    # do per datagram lands in the two spans
+    query = Message.query(Name.from_text("a.example."), RRType.A)
+    datagram = wire.encode_message(query)
+    clock = AsyncioClock(seed=1)
+    fabric = udp.UdpFabric(clock)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        fabric.send("10.9.9.8", "10.9.9.9", query)  # encoded, then unroutable: no socket is bound
+        fabric._on_datagram("10.9.9.9", datagram, ("127.0.0.1", 9))  # decoded, then unroutable
+        key = chaosproxy.ChaosProxy(fabric, clock, "a", "b", chaosproxy.ChaosSpec(), seed=1)._key(datagram)
+    finally:
+        tracer.uninstall()
+    assert (fabric.stats.decode_errors, fabric.stats.messages_unroutable, key) == (0, 2, "a.example./1")
+    assert tracer.agg["dnscore.wire.encode"][CALLS] == 1
+    assert tracer.agg["dnscore.wire.decode"][CALLS] == 2
+    assert udp.encode_message is wire.encode_message  # uninstall() put them back
 
 
 def test_schedule_and_call_soon_go_through_schedule_at():

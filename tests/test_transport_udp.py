@@ -6,6 +6,7 @@ no event-loop plugin is needed.
 """
 
 import asyncio
+import socket
 
 import pytest
 
@@ -16,7 +17,8 @@ from repro.netsim.sim import Simulator
 from repro.server.authoritative import AuthoritativeServer
 from repro.transport.base import Clock, Fabric
 from repro.transport.engine import EngineClient, EngineConfig
-from repro.transport.udp import AsyncioClock, UdpBackend
+from repro.transport.chaosproxy import ChaosProxy, ChaosSpec
+from repro.transport.udp import AsyncioClock, UdpBackend, UdpFabric
 from repro.workloads.zonegen import build_target_zone
 
 from tests.conftest import Collector
@@ -246,6 +248,78 @@ class TestUdpFabric:
                     client.query(AUTH, f"p{i}.wc.target-domain.")
                 await _wait_until(lambda: backend.fabric.stats.shed_backpressure >= 1)
                 assert backend.fabric.stats.paced >= 1
+            finally:
+                await backend.aclose()
+
+        asyncio.run(run())
+
+
+#: a well-formed header and question whose QNAME is five 63-octet labels:
+#: 321 octets where RFC 1035 allows 255 (12 + 321 + 4 bytes of datagram)
+OVERLONG_NAME_DATAGRAM = (
+    b"\x00\x01\x01\x00\x00\x01\x00\x00\x00\x00\x00\x00" + (b"\x3f" + b"a" * 63) * 5 + b"\x00" + b"\x00\x01\x00\x01"
+)
+
+
+class TestHostileDatagrams:
+    """Nothing a peer sends may raise out of the protocol callback
+    (ROADMAP item 4).  The transport catches ``WireDecodeError``; the
+    decoder used to let ``NameTooLong`` -- a ``FormError`` that is not
+    one -- out for this datagram."""
+
+    def test_overlong_name_is_counted_not_raised(self):
+        assert len(OVERLONG_NAME_DATAGRAM) == 12 + 321 + 4
+        fabric = UdpFabric(AsyncioClock(seed=1))
+        client = Collector(CLIENT)
+        fabric.attach(client)
+        fabric._on_datagram(CLIENT, OVERLONG_NAME_DATAGRAM, ("127.0.0.1", 5353))
+        assert fabric.stats.decode_errors == 1
+        assert fabric.stats.messages_delivered == 0
+        assert client.responses == []
+
+    def test_chaos_proxy_keys_it_as_raw_bytes(self):
+        clock = AsyncioClock(seed=1)
+        proxy = ChaosProxy(UdpFabric(clock), clock, CLIENT, AUTH, ChaosSpec(), seed=1)
+        assert proxy._key(OVERLONG_NAME_DATAGRAM).startswith("raw:")
+        assert proxy.stats.undecodable == 1
+
+    def test_over_a_real_socket_the_server_keeps_serving(self):
+        backend, auth, client = _backend()
+
+        async def run():
+            await backend.start()
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: loop_errors.append(context))
+            try:
+                with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as peer:
+                    peer.sendto(OVERLONG_NAME_DATAGRAM, backend.fabric.udp_address_if_bound(AUTH))
+                await _wait_until(lambda: backend.fabric.stats.decode_errors == 1 or loop_errors)
+                assert loop_errors == []
+                assert auth.stats.queries_received == 0
+                query = client.query(AUTH, "a.wc.target-domain.")
+                await _wait_until(lambda: client.response_to(query) is not None)
+                assert backend.fabric.stats.decode_errors == 1
+            finally:
+                await backend.aclose()
+
+        asyncio.run(run())
+
+    def test_over_tcp_the_frame_is_counted_and_the_connection_closed(self):
+        backend, auth, client = _backend()
+
+        async def run():
+            await backend.start()
+            try:
+                host, port = backend.fabric._tcp_addr[AUTH]
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(len(OVERLONG_NAME_DATAGRAM).to_bytes(2, "big") + OVERLONG_NAME_DATAGRAM)
+                await writer.drain()
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""  # closed, nothing sent back
+                writer.close()
+                assert backend.fabric.stats.decode_errors == 1
+                assert backend.fabric.tcp_errors == []
+                assert auth.stats.queries_received == 0
             finally:
                 await backend.aclose()
 

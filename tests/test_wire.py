@@ -98,6 +98,31 @@ class TestRoundtrip:
         assert d.answers[0].records[0].rdata.text == text
 
 
+    @pytest.mark.parametrize("text", [
+        "", "a", "a" * 254 + "é", "a" * 255, "a" * 256, "a" * 510 + "€", "é" * 300,
+    ], ids=["0", "1", "254+2", "255", "256", "510+3", "600-all-2-byte"])
+    def test_txt_round_trips_at_every_string_boundary(self, text):
+        """The encoder cuts the UTF-8 bytes into 255-octet character-
+        strings wherever they fall; the decoder must join before it
+        decodes, or a character cut in two fails on the codec's own
+        output (it did: ``"a" * 254 + "é"``)."""
+        r = Message.query(QNAME, RRType.TXT).make_response()
+        r.answers.append(RRSet.of(ResourceRecord(QNAME, 60, TXTData(text))))
+        wire = encode_message(r)
+        raw = text.encode("utf-8")
+        assert len(wire) == 12 + 21 + 2 + 10 + len(raw) + max(1, -(-len(raw) // 255)) + 11
+        assert roundtrip(r).answers[0].records[0].rdata == TXTData(text)
+
+    def test_invalid_utf8_in_txt_is_still_a_decode_error(self):
+        r = Message.query(QNAME, RRType.TXT).make_response()
+        r.answers.append(RRSet.of(ResourceRecord(QNAME, 60, TXTData("a" * 254 + "é"))))
+        wire = bytearray(encode_message(r))
+        assert wire[-13:-11] == b"\x01\xa9"  # the second string: the character's second byte
+        wire[-12] = 0x41  # "...\xc3" + "A": no longer UTF-8 however it is joined
+        with pytest.raises(WireDecodeError, match="invalid TXT bytes"):
+            decode_message(bytes(wire))
+
+
 class TestCompression:
     def test_compression_shrinks_repeated_names(self):
         r = Message.query(QNAME, RRType.A).make_response()
