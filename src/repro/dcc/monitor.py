@@ -182,7 +182,10 @@ class AnomalyMonitor:
                 self._last_seen.append(0.0)
             self._slots[client] = slot
         self._last_seen[slot] = now
-        return slot * _SLOT + self._roll(slot, now) % _BUCKETS
+        epoch = self._epochs[slot]
+        if int(now / self._bucket_width) > epoch:
+            epoch = self._roll(slot, now)
+        return slot * _SLOT + epoch % _BUCKETS
 
     def _roll(self, slot: int, now: float) -> int:
         """Age the slot's buckets to ``now``; returns its epoch.  An

@@ -7,16 +7,24 @@ This is a faithful implementation of the paper's Appendix B pseudocode
   free entries form a linked free list (``avail_slots``);
 - each active output channel has a **flattened calendar queue**
   (Figure 7c): a doubly-linked run of entries logically divided into
-  scheduling rounds, with per-round tail pointers in a ring buffer
-  (``round_tails``) and per-source latest-round tracking
+  scheduling rounds, with per-round tail pointers (``round_tails``, a
+  list of ``MAX_ROUND`` slots used as a ring: only rounds ``current ..
+  current + MAX_ROUND - 1`` are ever queued, so slot ``r % MAX_ROUND``
+  is round ``r``'s) and per-source latest-round tracking
   (``source_latest``);
 - an **ordered output sequence** (``out_seq``) keyed by the arrival time
   of each queue's head message (or the predicted availability time of a
   congested channel) decides which queue dequeues next -- preserving
   global arrival order up to fair-scheduling reordering and congestion.
-  It is a ``heapq`` of ``(time, seq, destination)`` tuples, invalidated
-  lazily: re-keying pushes a new tuple, stale ones are dropped at the top
-  and compacted away once they outnumber the live ones (``O(|O|)`` space);
+  It is a ``heapq`` of ``(time, seq, destination)`` tuples, one per
+  active output.  ``dequeue`` serves the queue whose tuple *is* the top
+  of the heap and updates it in place: popped when the queue empties,
+  replaced when a new head (or a congested channel's retry time) takes
+  over.  Any other re-key -- an eviction that takes a queue's head, a
+  new head linked in front of the old one; docs/ALGORITHMS.md says why
+  ``enqueue`` reaches neither -- pushes a new tuple and leaves the old
+  one stale, dropped when it surfaces and compacted away once stale
+  tuples outnumber live ones (``O(|O|)`` space whatever the pattern);
 - a **token bucket per channel** enforces the channel capacity, defined
   as min(ingress limit of the upstream, egress limit of the resolver).
 
@@ -56,7 +64,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro import sanitize as simsan
 from repro.obs import NULL_OBS
 from repro.util.tokenbucket import TokenBucket
-from repro.util.ringbuf import RingBuffer
 
 #: SimSan: run the full O(depth) structural check every Nth operation
 #: (the O(1)/O(sources) checks run on every operation)
@@ -93,14 +100,29 @@ class MopiFqConfig:
     default_channel_burst: Optional[float] = None
 
 
-@dataclass
 class DequeuedMessage:
-    """What :meth:`MopiFq.dequeue` hands back."""
+    """What :meth:`MopiFq.dequeue` hands back (one per served message, so
+    slotted and built positionally)."""
 
-    source: str
-    destination: str
-    payload: Any
-    arr_time: float
+    __slots__ = ("source", "destination", "payload", "arr_time")
+
+    def __init__(self, source: str, destination: str, payload: Any, arr_time: float) -> None:
+        self.source = source
+        self.destination = destination
+        self.payload = payload
+        self.arr_time = arr_time
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DequeuedMessage):
+            return NotImplemented
+        return (self.source, self.destination, self.payload, self.arr_time) == (
+            other.source, other.destination, other.payload, other.arr_time)
+
+    def __repr__(self) -> str:
+        return (
+            f"DequeuedMessage(source={self.source!r}, destination={self.destination!r}, "
+            f"payload={self.payload!r}, arr_time={self.arr_time!r})"
+        )
 
 
 @dataclass
@@ -115,7 +137,7 @@ class EvictedMessage:
 class _QEntry:
     """Pool entry: doubly linked, also reused as a free-list node."""
 
-    __slots__ = ("next", "prev", "source", "payload", "arr_time", "round", "in_use")
+    __slots__ = ("next", "prev", "source", "payload", "arr_time", "round")
 
     def __init__(self) -> None:
         self.next: Optional["_QEntry"] = None
@@ -124,7 +146,6 @@ class _QEntry:
         self.payload: Any = None
         self.arr_time: float = 0.0
         self.round: int = 0
-        self.in_use = False
 
 
 class _PoqState:
@@ -146,7 +167,8 @@ class _PoqState:
         self.depth = 0
         self.head: Optional[_QEntry] = None
         self.tail: Optional[_QEntry] = None
-        self.round_tails = RingBuffer(max_round)
+        #: tail entry of each queued round, slot ``round % max_round``
+        self.round_tails: List[Optional[_QEntry]] = [None] * max_round
         self.current_round = 0
         #: highest round with a queued message
         self.latest_round = -1
@@ -175,7 +197,7 @@ class MopiFq:
     """The MOPI-FQ scheduler.
 
     ``share_of`` maps a source to its integral share (Section 3.2.1's
-    client share allocation); the default gives everyone share 1.
+    client share allocation); without one everyone has share 1.
     """
 
     def __init__(
@@ -185,7 +207,10 @@ class MopiFq:
         sanitize: Optional[bool] = None,
     ) -> None:
         self.config = config or MopiFqConfig()
-        self.share_of = share_of or (lambda source: 1)
+        for name, least in (("max_round", 1), ("max_poq_depth", 1), ("pool_capacity", 0)):
+            if getattr(self.config, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self.config, name)}")
+        self.share_of = share_of
         #: SimSan: verify scheduler invariants after every operation
         #: (defaults to the REPRO_SIMSAN environment switch)
         self._san = simsan.ENABLED if sanitize is None else bool(sanitize)
@@ -229,48 +254,39 @@ class MopiFq:
         return bucket
 
     # ------------------------------------------------------------------
-    # pool plumbing
-    # ------------------------------------------------------------------
-    def _alloc(self) -> Optional[_QEntry]:
-        entry = self._avail
-        if entry is None:
-            return None
-        self._avail = entry.next
-        entry.next = entry.prev = None
-        entry.in_use = True
-        return entry
-
-    def _recycle(self, entry: _QEntry) -> None:
-        entry.payload = None
-        entry.source = ""
-        entry.prev = None
-        entry.in_use = False
-        entry.next = self._avail
-        self._avail = entry
-
-    # ------------------------------------------------------------------
     # enqueue (Figure 13 right column)
     # ------------------------------------------------------------------
     def enqueue(
         self, source: str, destination: str, payload: Any, now: float
     ) -> Tuple[EnqueueStatus, Optional[EvictedMessage]]:
         """Insert a message; returns the status and any evicted victim."""
+        config = self.config
         state = self._poq.get(destination)
         if state is None:
-            state = _PoqState(self.config.max_round)
+            state = _PoqState(config.max_round)
             self._poq[destination] = state
 
         crt_r = state.current_round
         lat_r = state.latest_round
-        src_nxt = self._src_next_round(state, source)
+        # ``get_src_next_round``: where this source's next message goes.
+        latest = state.source_latest.get(source)
+        if latest is None:
+            src_nxt = crt_r
+        else:
+            src_nxt = latest[0] if latest[1] > 0 else latest[0] + 1
+            if src_nxt < crt_r:
+                src_nxt = crt_r
 
-        if src_nxt >= crt_r + self.config.max_round:
+        if src_nxt >= crt_r + config.max_round:
             self.stats.fail_overspeed += 1
             self._drop_poq_if_empty(destination, state)
             return EnqueueStatus.FAIL_CLIENT_OVERSPEED, None
 
+        # An eviction below never takes a message of ``source`` (a source
+        # with a message in the latest round is rejected, not admitted by
+        # eviction), so ``latest`` stays this source's record throughout.
         evicted: Optional[EvictedMessage] = None
-        if state.depth >= self.config.max_poq_depth:
+        if state.depth >= config.max_poq_depth:
             if src_nxt >= lat_r:
                 self.stats.fail_congested += 1
                 return EnqueueStatus.FAIL_CHANNEL_CONGESTED, None
@@ -279,7 +295,7 @@ class MopiFq:
             # for the insertion about to happen.
             self._poq[destination] = state
 
-        if self.total_depth >= self.config.pool_capacity:
+        if self.total_depth >= config.pool_capacity:
             if src_nxt >= lat_r or state.depth == 0:
                 self.stats.fail_overflow += 1
                 self._drop_poq_if_empty(destination, state)
@@ -288,18 +304,28 @@ class MopiFq:
                 evicted = self._evict_latest(destination, state)
                 self._poq[destination] = state
 
-        entry = self._alloc()
+        entry = self._avail
         if entry is None:  # pool exhausted despite accounting: defensive
             self.stats.fail_overflow += 1
             self._drop_poq_if_empty(destination, state)
             return EnqueueStatus.FAIL_QUEUE_OVERFLOW, None
-
+        self._avail = entry.next
+        entry.next = None
         entry.source = source
         entry.payload = payload
         entry.arr_time = now
         entry.round = src_nxt
         self._append_to_round(destination, state, entry)
-        self._note_enqueue(state, source, src_nxt)
+
+        # Source bookkeeping: one more message, one unit of quota spent.
+        if latest is not None and latest[0] == src_nxt and latest[1] > 0:
+            latest[1] -= 1
+        else:
+            share_of = self.share_of
+            share = 1 if share_of is None else max(1, int(share_of(source)))
+            state.source_latest[source] = [src_nxt, share - 1]
+        counts = state.source_count
+        counts[source] = counts.get(source, 0) + 1
         self.total_depth += 1
         self.stats.enqueued += 1
         if self.obs.enabled:
@@ -308,35 +334,18 @@ class MopiFq:
             self._sanitize_op(destination)
         return EnqueueStatus.SUCCESS, evicted
 
-    def _src_next_round(self, state: _PoqState, source: str) -> int:
-        """``get_src_next_round``: where this source's next message goes."""
-        latest = state.source_latest.get(source)
-        if latest is None:
-            return state.current_round
-        round_no, quota_left = latest
-        if quota_left > 0:
-            return max(round_no, state.current_round)
-        return max(round_no + 1, state.current_round)
-
-    def _note_enqueue(self, state: _PoqState, source: str, round_no: int) -> None:
-        share = max(1, int(self.share_of(source)))
-        latest = state.source_latest.get(source)
-        if latest is not None and latest[0] == round_no and latest[1] > 0:
-            latest[1] -= 1
-        else:
-            state.source_latest[source] = [round_no, share - 1]
-        state.source_count[source] = state.source_count.get(source, 0) + 1
-
     def _append_to_round(self, destination: str, state: _PoqState, entry: _QEntry) -> None:
         """``append_poq_round``: link the entry at the end of its round."""
         round_no = entry.round
-        anchor: Optional[_QEntry] = state.round_tails.get(round_no)
+        tails = state.round_tails
+        size = len(tails)
+        anchor = tails[round_no % size]
         if anchor is None:
             # End of the nearest non-empty earlier round (bounded scan:
             # at most MAX_ROUND slots -> constant time).
             probe = round_no - 1
             while probe >= state.current_round:
-                anchor = state.round_tails.get(probe)
+                anchor = tails[probe % size]
                 if anchor is not None:
                     break
                 probe -= 1
@@ -359,7 +368,7 @@ class MopiFq:
             if state.tail is anchor:
                 state.tail = entry
 
-        state.round_tails.set(round_no, entry)
+        tails[round_no % size] = entry
         if round_no > state.latest_round:
             state.latest_round = round_no
         state.depth += 1
@@ -373,25 +382,83 @@ class MopiFq:
         Congested channels are re-keyed in ``out_seq`` at their predicted
         availability time; returns ``None`` when no channel is ready
         (``FAIL_NO_DATA_OR_ALL_CONGESTED``).
+
+        The served queue's tuple is the top of ``out_seq`` from the
+        moment it is found live until the queue's head is gone, so it is
+        popped or replaced where it lies and never left behind as stale.
         """
+        heap = self._out_seq
+        poq = self._poq
         while True:
-            key = self._live_top()
-            if key is None or key[0] > now:
+            # the smallest live tuple, dropping stale ones above it
+            while heap:
+                key = heap[0]
+                state = poq.get(key[2])
+                if state is not None and state.out_key is key:
+                    break
+                heapq.heappop(heap)
+                self._out_stale -= 1
+            if not heap or key[0] > now:
                 self.stats.dequeue_empty += 1
                 return None
             destination = key[2]
-            state = self._poq[destination]
             bucket = self.channel_bucket(destination)
-            if not bucket.try_consume(now):
-                # Skip and retry when the bucket predicts availability.
-                retry = (bucket.next_available(now), next(self._seq), destination)
-                state.out_key = retry
-                heapq.heapreplace(self._out_seq, retry)
-                continue
-            message = self._remove_head(destination, state)
-            if self._san:
-                self._sanitize_op(destination)
-            return message
+            if bucket.try_consume(now):
+                break
+            # Skip and retry when the bucket predicts availability.
+            retry = (bucket.next_available(now), next(self._seq), destination)
+            state.out_key = retry
+            heapq.heapreplace(heap, retry)
+
+        entry = state.head
+        assert entry is not None
+        source = entry.source
+        result = DequeuedMessage(source, destination, entry.payload, entry.arr_time)
+        successor = entry.next
+        if successor is None:
+            # The queue's last message: the queue, its tuple and every
+            # piece of per-source state go with it.
+            heapq.heappop(heap)
+            del poq[destination]
+        else:
+            successor.prev = None
+            state.head = successor
+            tails = state.round_tails
+            slot = entry.round % len(tails)
+            if tails[slot] is entry:
+                # alone in its round; a later round exists (the successor's)
+                tails[slot] = None
+            # Per B.1.1, per-source state lives exactly as long as the
+            # source has messages queued for this output.
+            counts = state.source_count
+            count = counts.get(source, 0) - 1
+            if count <= 0:
+                counts.pop(source, None)
+                state.source_latest.pop(source, None)
+            else:
+                counts[source] = count
+            state.depth -= 1
+            state.current_round = successor.round
+            key = (successor.arr_time, next(self._seq), destination)
+            state.out_key = key
+            heapq.heapreplace(heap, key)
+        self.total_depth -= 1
+
+        entry.payload = None
+        entry.source = ""
+        entry.next = self._avail
+        self._avail = entry
+
+        stats = self.stats
+        stats.dequeued += 1
+        per_dst = stats.output_per_source.get(destination)
+        if per_dst is None:
+            stats.output_per_source[destination] = {source: 1}
+        else:
+            per_dst[source] = per_dst.get(source, 0) + 1
+        if self._san:
+            self._sanitize_op(destination)
+        return result
 
     def next_ready_time(self, now: float) -> Optional[float]:
         """Earliest time a dequeue might succeed; None when empty.
@@ -400,39 +467,19 @@ class MopiFq:
         prototype burns a busy-waiting thread instead; virtual time lets
         us do better without changing behaviour).
         """
-        key = self._live_top()
-        return None if key is None else max(key[0], now)
-
-    def _live_top(self) -> Optional[_OutKey]:
-        """The smallest live ``out_seq`` tuple, dropping stale ones above it."""
         heap = self._out_seq
         while heap and not self._is_live(heap[0]):
             heapq.heappop(heap)
             self._out_stale -= 1
-        return heap[0] if heap else None
+        return max(heap[0][0], now) if heap else None
 
     def _is_live(self, key: _OutKey) -> bool:
         state = self._poq.get(key[2])
         return state is not None and state.out_key is key
 
-    def _remove_head(self, destination: str, state: _PoqState) -> DequeuedMessage:
-        entry = state.head
-        assert entry is not None
-        result = DequeuedMessage(
-            source=entry.source,
-            destination=destination,
-            payload=entry.payload,
-            arr_time=entry.arr_time,
-        )
-        self._unlink(destination, state, entry)
-        self.stats.dequeued += 1
-        per_dst = self.stats.output_per_source.setdefault(destination, {})
-        per_dst[result.source] = per_dst.get(result.source, 0) + 1
-        return result
-
     def _evict_latest(self, destination: str, state: _PoqState) -> EvictedMessage:
         """Displace the tail of the latest round (fairness eviction)."""
-        victim = state.round_tails.get(state.latest_round)
+        victim = state.round_tails[state.latest_round % len(state.round_tails)]
         assert victim is not None, "latest round must be non-empty"
         evicted = EvictedMessage(
             source=victim.source, destination=destination, payload=victim.payload
@@ -442,7 +489,8 @@ class MopiFq:
         return evicted
 
     def _unlink(self, destination: str, state: _PoqState, entry: _QEntry) -> None:
-        """Remove ``entry`` from its queue, fixing every piece of state."""
+        """Remove ``entry`` from anywhere in its queue, fixing every piece
+        of state (``dequeue`` has its own, shorter, head removal)."""
         prev_entry, next_entry = entry.prev, entry.next
         if prev_entry is not None:
             prev_entry.next = next_entry
@@ -455,11 +503,13 @@ class MopiFq:
             state.tail = prev_entry
 
         # Round-tail bookkeeping.
-        if state.round_tails.get(entry.round) is entry:
+        tails = state.round_tails
+        slot = entry.round % len(tails)
+        if tails[slot] is entry:
             if prev_entry is not None and prev_entry.round == entry.round:
-                state.round_tails.set(entry.round, prev_entry)
+                tails[slot] = prev_entry
             else:
-                state.round_tails.clear_at(entry.round)
+                tails[slot] = None
                 if entry.round == state.latest_round:
                     state.latest_round = prev_entry.round if prev_entry is not None else -1
 
@@ -482,7 +532,11 @@ class MopiFq:
             if head_changed:
                 self._reposition_out_key(destination, state)
 
-        self._recycle(entry)
+        entry.payload = None
+        entry.source = ""
+        entry.prev = None
+        entry.next = self._avail
+        self._avail = entry
 
     def _reposition_out_key(self, destination: str, state: _PoqState) -> None:
         """Re-key the channel in out_seq by its (new) head arrival time."""
@@ -565,7 +619,7 @@ class MopiFq:
             assert counts == state.source_count, f"{destination}: source counts"
             for round_no, sources in per_round.items():
                 for source, cnt in sources.items():
-                    share = max(1, int(self.share_of(source)))
+                    share = 1 if self.share_of is None else max(1, int(self.share_of(source)))
                     assert cnt <= share, (
                         f"{destination}: source {source} has {cnt} > share {share} "
                         f"messages in round {round_no}"

@@ -19,35 +19,41 @@ across all three granularities for the Table 1 / Figure 10 measurements
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.dcc.monitor import AnomalyKind
 
 
-@dataclass
 class PerRequestState:
     """Query statistics and signal status for one in-flight client
-    request (the last column of Table 1)."""
+    request (the last column of Table 1).  One is built per request, so
+    the class is slotted and :meth:`DccStateTables.open_request` builds
+    it positionally."""
 
-    client: str
-    request_id: int
-    created_at: float
-    queries_attributed: int = 0
-    queries_sent: int = 0
-    dropped_congestion: int = 0
-    dropped_policing: int = 0
-    #: the anomaly this request exhibited, if any (drives the local
-    #: anomaly signal on its response)
-    anomaly: Optional[AnomalyKind] = None
-    #: signals received from upstream, to relay on the response
-    relay_signals: List[object] = field(default_factory=list)
-    #: fair rate currently allocated to the client on the congested
-    #: channel (reported in congestion signals)
-    allocated_rate: float = 0.0
+    __slots__ = (
+        "client", "request_id", "created_at", "queries_attributed", "queries_sent",
+        "dropped_congestion", "dropped_policing", "anomaly", "relay_signals", "allocated_rate",
+    )
 
     #: rough per-entry footprint used by the Figure 10 memory proxy
     APPROX_BYTES = 96
+
+    def __init__(self, client: str, request_id: int, created_at: float) -> None:
+        self.client = client
+        self.request_id = request_id
+        self.created_at = created_at
+        self.queries_attributed = 0
+        self.queries_sent = 0
+        self.dropped_congestion = 0
+        self.dropped_policing = 0
+        #: the anomaly this request exhibited, if any (drives the local
+        #: anomaly signal on its response)
+        self.anomaly: Optional[AnomalyKind] = None
+        #: signals received from upstream, to relay on the response
+        self.relay_signals: List[object] = []
+        #: fair rate currently allocated to the client on the congested
+        #: channel (reported in congestion signals)
+        self.allocated_rate = 0.0
 
     @property
     def key(self) -> Tuple[str, int]:
@@ -75,7 +81,7 @@ class DccStateTables:
         key = (client, request_id)
         state = self._requests.get(key)
         if state is None:
-            state = PerRequestState(client=client, request_id=request_id, created_at=now)
+            state = PerRequestState(client, request_id, now)
             self._requests[key] = state
             self.created += 1
         return state

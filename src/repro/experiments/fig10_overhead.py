@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.memsize import approx_deep_size
 from repro.analysis.report import render_table
@@ -48,6 +48,26 @@ class OverheadPoint:
     resolver_state_bytes: int
 
 
+def warm_control_loop(
+    n_clients: int, n_servers: int, channel_rate: float
+) -> Tuple[MopiFq, AnomalyMonitor, PolicyEngine, DccStateTables, List[str], List[str]]:
+    """DCC's control-loop tables, warmed at time 0 to the target entity
+    counts (the paper starts collecting once the expected number of
+    entities is tracked), and the two ID spaces they were warmed with."""
+    scheduler = MopiFq(
+        MopiFqConfig(max_poq_depth=100, max_round=75, pool_capacity=100_000,
+                     default_channel_rate=channel_rate)
+    )
+    monitor = AnomalyMonitor(MonitorConfig())
+    clients = [f"10.{i >> 16 & 255}.{i >> 8 & 255}.{i & 255}" for i in range(n_clients)]
+    servers = [f"172.{i >> 16 & 255}.{i >> 8 & 255}.{i & 255}" for i in range(n_servers)]
+    for client in clients:
+        monitor.record_request(client, 0.0)
+    for server in servers:
+        scheduler.channel_bucket(server)
+    return scheduler, monitor, PolicyEngine(), DccStateTables(), clients, servers
+
+
 def _drive_dcc(n_clients: int, n_servers: int, ops: int, seed: int = 11) -> OverheadPoint:
     """Run ``ops`` control-loop iterations over the given ID spaces.
 
@@ -56,24 +76,10 @@ def _drive_dcc(n_clients: int, n_servers: int, ops: int, seed: int = 11) -> Over
     seed-injection convention as ``experiments/common.py``).
     """
     rng = random.Random(seed)
-    scheduler = MopiFq(
-        MopiFqConfig(max_poq_depth=100, max_round=75, pool_capacity=100_000,
-                     default_channel_rate=10_000.0)
+    scheduler, monitor, engine, tables, clients, servers = warm_control_loop(
+        n_clients, n_servers, channel_rate=10_000.0
     )
-    monitor = AnomalyMonitor(MonitorConfig())
-    engine = PolicyEngine()
-    tables = DccStateTables()
-
-    clients = [f"10.{i >> 16 & 255}.{i >> 8 & 255}.{i & 255}" for i in range(n_clients)]
-    servers = [f"172.{i >> 16 & 255}.{i >> 8 & 255}.{i & 255}" for i in range(n_servers)]
-
-    # Warm the tables to the target entity counts, as the paper starts
-    # collecting data once the expected number of entities is tracked.
     now = 0.0
-    for i, client in enumerate(clients):
-        monitor.record_request(client, now)
-    for i, server in enumerate(servers):
-        scheduler.channel_bucket(server)
 
     start = time.perf_counter()
     request_id = 0

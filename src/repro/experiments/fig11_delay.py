@@ -26,12 +26,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import render_table
 from repro.analysis.series import percentile
-from repro.dcc.monitor import AnomalyMonitor, MonitorConfig
-from repro.dcc.mopifq import MopiFq, MopiFqConfig
-from repro.dcc.policing import PolicyEngine
-from repro.dcc.state import DccStateTables
 from repro.dnscore.rdata import RCode
 from repro.experiments.common import AttackScenario, ScenarioConfig
+from repro.experiments.fig10_overhead import warm_control_loop
 from repro.workloads.schedule import ClientSpec
 
 
@@ -85,17 +82,10 @@ def run_control_path(
     import random
 
     rng = random.Random(seed)
-    scheduler = MopiFq(MopiFqConfig(default_channel_rate=1e9))
-    monitor = AnomalyMonitor(MonitorConfig())
-    engine = PolicyEngine()
-    tables = DccStateTables()
-    clients = [f"10.{i >> 16 & 255}.{i >> 8 & 255}.{i & 255}" for i in range(n_clients)]
-    servers = [f"172.{i >> 16 & 255}.{i >> 8 & 255}.{i & 255}" for i in range(n_servers)]
+    scheduler, monitor, engine, tables, clients, servers = warm_control_loop(
+        n_clients, n_servers, channel_rate=1e9
+    )
     now = 0.0
-    for client in clients:
-        monitor.record_request(client, now)
-    for server in servers:
-        scheduler.channel_bucket(server)
 
     samples: List[float] = []
     for i in range(requests):

@@ -3,9 +3,6 @@
 This package holds the small, self-contained containers that the DCC
 scheduler and the simulation substrate are built on:
 
-- :class:`repro.util.ringbuf.RingBuffer` -- a fixed-size ring buffer, used
-  for MOPI-FQ's per-queue scheduling-round tail pointers
-  (``round_tails``).
 - :class:`repro.util.sliding.SlidingWindowCounter` and
   :class:`repro.util.sliding.SlidingWindowRatio` -- windowed counters used
   by DCC's channel-capacity estimation (the anomaly monitor packs the
@@ -22,13 +19,11 @@ scheduler and the simulation substrate are built on:
 left here; it stays until the perf ledger drops its ``util.ordmap.*`` rows.
 """
 
-from repro.util.ringbuf import RingBuffer
 from repro.util.seeds import derive_seed
 from repro.util.sliding import SlidingWindowCounter, SlidingWindowRatio
 from repro.util.tokenbucket import TokenBucket, WindowedCounter
 
 __all__ = [
-    "RingBuffer",
     "SlidingWindowCounter",
     "SlidingWindowRatio",
     "TokenBucket",

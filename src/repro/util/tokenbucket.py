@@ -71,9 +71,19 @@ class TokenBucket:
 
     def try_consume(self, now: float, amount: float = 1.0) -> bool:
         """Take ``amount`` tokens if present; False (and no change) if not."""
-        self._refill(now)
-        if self._tokens >= amount - _EPSILON:
-            self._tokens = max(0.0, self._tokens - amount)
+        # _refill, inline: this is the scheduler's per-dequeue call
+        tokens = self._tokens
+        if now > self._stamp:
+            tokens += (now - self._stamp) * self.rate
+            if not tokens < self.burst:
+                tokens = self.burst
+            self._tokens = tokens
+            self._stamp = now
+        if simsan.ENABLED:
+            self._sanitize()
+        if tokens >= amount - _EPSILON:
+            tokens -= amount
+            self._tokens = tokens if tokens > 0.0 else 0.0
             if simsan.ENABLED:
                 self._sanitize()
             return True

@@ -28,6 +28,30 @@ def make(depth=10, max_round=5, pool=100, rate=1000.0, share_of=None):
     return fq
 
 
+class TestConfigBounds:
+    """A scheduler that could never admit a message is refused when it is
+    built, not discovered as a run of silent rejections."""
+
+    def test_max_round_below_one_rejected(self):
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="max_round"):
+                MopiFq(MopiFqConfig(max_round=bad))
+        assert MopiFq(MopiFqConfig(max_round=1, pool_capacity=4)).enqueue("s", "d", 0, 0.0)[0].ok
+
+    def test_max_poq_depth_below_one_rejected(self):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_poq_depth"):
+                MopiFq(MopiFqConfig(max_poq_depth=bad))
+        assert MopiFq(MopiFqConfig(max_poq_depth=1, pool_capacity=4)).enqueue("s", "d", 0, 0.0)[0].ok
+
+    def test_negative_pool_capacity_rejected(self):
+        with pytest.raises(ValueError, match="pool_capacity"):
+            MopiFq(MopiFqConfig(pool_capacity=-1))
+        # an empty pool is a valid (always overflowing) scheduler
+        status, _ = MopiFq(MopiFqConfig(pool_capacity=0)).enqueue("s", "d", 0, 0.0)
+        assert status is EnqueueStatus.FAIL_QUEUE_OVERFLOW
+
+
 class TestEnqueueBasics:
     def test_enqueue_dequeue_single(self):
         fq = make()

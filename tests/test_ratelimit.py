@@ -1,16 +1,19 @@
 """Token bucket, windowed counter, and rate-limiter table tests."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import sanitize
 from repro.server.ratelimit import (
     RateLimitAction,
     RateLimitConfig,
     RateLimiter,
     prefix_key,
 )
-from repro.util.tokenbucket import TokenBucket, WindowedCounter
+from repro.util.tokenbucket import _EPSILON, TokenBucket, WindowedCounter
 
 
 class TestTokenBucket:
@@ -83,6 +86,101 @@ class TestTokenBucket:
                 consumed += 1
         horizon = max(times)
         assert consumed <= burst + rate * horizon + 1
+
+
+class _RefillBucket(TokenBucket):
+    """``try_consume`` written over ``_refill``, as it was before the
+    refill was inlined: the oracle for the inlined one."""
+
+    __slots__ = ()
+
+    def try_consume(self, now, amount=1.0):
+        self._refill(now)
+        if self._tokens >= amount - _EPSILON:
+            self._tokens = max(0.0, self._tokens - amount)
+            if sanitize.ENABLED:
+                self._sanitize()
+            return True
+        return False
+
+
+def _consume(bucket, now, amount):
+    """Outcome of one ``try_consume`` and the exact state it leaves
+    (``float.hex`` tells ``-0.0`` from ``0.0``)."""
+    try:
+        outcome = bucket.try_consume(now, amount)
+    except sanitize.SimSanViolation as exc:
+        outcome = str(exc)
+    return outcome, bucket._tokens.hex(), bucket._stamp.hex()
+
+
+def _assert_same_walk(rate, burst, steps):
+    got, want = TokenBucket(rate, burst), _RefillBucket(rate, burst)
+    for index, (now, amount, plant) in enumerate(steps):
+        if plant is not None:
+            got._tokens = want._tokens = plant
+        assert _consume(got, now, amount) == _consume(want, now, amount), (index, now, amount, plant)
+
+
+def _seeded_steps(seed, corrupt):
+    rng = random.Random(seed)
+    burst = 8.0
+    amounts = (1.0, 1.0, 1.0, 0.0, 0.25, 1e-10, burst, burst + 0.5, 3 * burst)
+    now, steps = 0.0, []
+    for _ in range(20_000):
+        roll = rng.random()
+        if roll < 0.25:
+            pass  # the same instant again
+        elif roll < 0.35:
+            now -= rng.random() * 0.2  # a clock that steps backwards
+        elif roll < 0.40:
+            now += 5.0  # long idle: refill clamps at burst
+        else:
+            now += rng.expovariate(40.0)
+        plant = None
+        if rng.random() < 0.01:
+            plant = rng.choice((-0.0, 0.0, burst) + ((-5.0, 1e9, -1e-12, burst + 1e-12) if corrupt else ()))
+        steps.append((now, rng.choice(amounts), plant))
+    return burst, steps
+
+
+class TestInlinedRefill:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_try_consume_matches_the_refill_based_one(self, seed):
+        burst, steps = _seeded_steps(seed, corrupt=False)
+        assert len({now for now, _, _ in steps}) < len(steps)  # repeated instants are in
+        assert any(b[0] < a[0] for a, b in zip(steps, steps[1:]))  # and backward steps
+        _assert_same_walk(40.0, burst, steps)
+
+    def test_range_checks_fire_on_the_same_steps(self, simsan):
+        """Under SimSan a bucket found negative or over-filled fails, at
+        the same call and with the same message as before."""
+        burst, steps = _seeded_steps(3, corrupt=True)
+        _assert_same_walk(40.0, burst, steps)
+        bucket = TokenBucket(10.0, burst=10.0)
+        bucket._tokens = -5.0
+        with pytest.raises(sanitize.SimSanViolation, match="negative"):
+            bucket.try_consume(0.1)  # refills to -4: still negative
+        bucket = TokenBucket(10.0, burst=10.0)
+        bucket._tokens = 1e9
+        with pytest.raises(sanitize.SimSanViolation, match="overfilled"):
+            bucket.try_consume(0.0)  # same instant: no refill to clamp it
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.01, 1e6),
+        st.floats(0.01, 1e4),
+        st.lists(
+            st.tuples(
+                st.floats(-10.0, 1e4),
+                st.one_of(st.sampled_from([0.0, 1.0, 0.5, 1e-9, 2e4]), st.floats(0.0, 2e4)),
+                st.one_of(st.none(), st.sampled_from([-0.0, 0.0])),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_any_stream_of_times_and_amounts(self, rate, burst, steps):
+        _assert_same_walk(rate, burst, steps)
 
 
 class TestWindowedCounter:

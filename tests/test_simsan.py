@@ -6,7 +6,7 @@ from typing import List
 import pytest
 
 from repro import sanitize
-from repro.dcc.mopifq import MopiFq, MopiFqConfig, _PoqState
+from repro.dcc.mopifq import MopiFq, MopiFqConfig
 from repro.netsim.sim import Event, Simulator
 from repro.util.tokenbucket import TokenBucket, WindowedCounter
 
@@ -70,23 +70,36 @@ def test_compaction_ok_on_correct_scheduler():
 
 class _BrokenAccountingFq(MopiFq):
     """Forgets to count one message per source: occupancy drifts from
-    queue depth, which the active-client consistency check must catch."""
+    queue depth, which the active-client consistency check must catch.
+    (``enqueue`` does its source bookkeeping inline, so the bug is planted
+    right after it: the enqueue that plants it has already been checked,
+    the next operation on the queue is the first that can see it.)"""
 
-    def _note_enqueue(self, state: _PoqState, source: str, round_no: int) -> None:
-        super()._note_enqueue(state, source, round_no)
-        state.source_count[source] -= 1
+    def enqueue(self, source, destination, payload, now):
+        result = super().enqueue(source, destination, payload, now)
+        self._poq[destination].source_count[source] -= 1
+        return result
 
 
 def test_mopifq_occupancy_violation_detected():
-    fq = _BrokenAccountingFq(MopiFqConfig(), sanitize=True)
-    with pytest.raises(sanitize.SimSanViolation, match="accounting|depth"):
-        fq.enqueue("client", "dst", "payload", 0.0)
+    for next_op in ("enqueue", "dequeue"):
+        fq = _BrokenAccountingFq(MopiFqConfig(), sanitize=True)
+        MopiFq.enqueue(fq, "other", "dst", "p0", 0.0)  # keeps the queue active past a dequeue
+        fq.enqueue("client", "dst", "p1", 0.0)
+        with pytest.raises(sanitize.SimSanViolation, match="accounting|depth"):
+            # the first operation after the corruption, whichever it is
+            if next_op == "enqueue":
+                fq.enqueue("third", "dst", "p2", 0.1)
+            else:
+                fq.dequeue(0.1)
 
 
 def test_mopifq_occupancy_silent_when_disabled():
     fq = _BrokenAccountingFq(MopiFqConfig(), sanitize=False)
     status, _ = fq.enqueue("client", "dst", "payload", 0.0)
     assert status.name == "SUCCESS"
+    assert fq.enqueue("client", "dst", "payload", 0.1)[0].name == "SUCCESS"
+    assert fq.dequeue(0.2).payload == "payload"
 
 
 def test_mopifq_conservation_violation_detected():

@@ -50,6 +50,27 @@ class TestPerRequestLifecycle:
         assert state.relay_signals == []
 
 
+class TestPerRequestStateShape:
+    def test_relay_signals_is_a_fresh_list_per_request(self):
+        tables = DccStateTables()
+        a = tables.open_request("c1", 1, 0.0)
+        b = tables.open_request("c1", 2, 0.0)
+        a.relay_signals.append("signal")
+        assert b.relay_signals == [] and a.relay_signals is not b.relay_signals
+
+    def test_slotted_with_the_same_defaults_key_and_footprint(self):
+        state = DccStateTables().open_request("c", 9, 1.5)
+        assert not hasattr(state, "__dict__")
+        with pytest.raises(AttributeError):
+            state.unknown_field = 1
+        assert (state.client, state.request_id, state.created_at) == ("c", 9, 1.5)
+        assert state.key == ("c", 9)
+        assert (state.queries_attributed, state.queries_sent) == (0, 0)
+        assert (state.dropped_congestion, state.dropped_policing) == (0, 0)
+        assert state.anomaly is None and state.allocated_rate == 0.0
+        assert PerRequestState.APPROX_BYTES == 96
+
+
 class TestPurge:
     def test_stale_requests_purged(self):
         tables = DccStateTables(request_lifetime=10.0)
