@@ -16,15 +16,14 @@ This is a faithful implementation of the paper's Appendix B pseudocode
   of each queue's head message (or the predicted availability time of a
   congested channel) decides which queue dequeues next -- preserving
   global arrival order up to fair-scheduling reordering and congestion.
-  It is a ``heapq`` of ``(time, seq, destination)`` tuples, one per
-  active output.  ``dequeue`` serves the queue whose tuple *is* the top
-  of the heap and updates it in place: popped when the queue empties,
-  replaced when a new head (or a congested channel's retry time) takes
-  over.  Any other re-key -- an eviction that takes a queue's head, a
-  new head linked in front of the old one; docs/ALGORITHMS.md says why
-  ``enqueue`` reaches neither -- pushes a new tuple and leaves the old
-  one stale, dropped when it surfaces and compacted away once stale
-  tuples outnumber live ones (``O(|O|)`` space whatever the pattern);
+  It is a ``heapq`` of ``(time, seq, destination)`` tuples holding
+  exactly one tuple per active output: pushed with the queue's first
+  message, replaced where it lies -- it is the top of the heap -- when
+  ``dequeue`` installs a new head or parks a congested channel at its
+  retry time, popped with the queue's last message.  Nothing else
+  re-keys a queue: its head is always in its current round, so an
+  arrival never lands in front of it, and an eviction takes the tail
+  of the latest of at least two rounds, never the head;
 - a **token bucket per channel** enforces the channel capacity, defined
   as min(ingress limit of the upstream, egress limit of the resolver).
 
@@ -49,8 +48,8 @@ Per-source shares are supported per Appendix B.1.3: a source with share
 ``w`` may place ``w`` messages in each scheduling round.
 
 Complexities, as analysed in B.1: space ``O(|O| + q)``; enqueue and
-dequeue amortised ``O(log |O|)`` (the logarithm comes solely from
-``out_seq``; the amortisation from its stale-tuple compaction).
+dequeue worst-case ``O(log |O|)`` (the logarithm comes solely from
+``out_seq``).
 """
 
 from __future__ import annotations
@@ -69,8 +68,6 @@ from repro.util.tokenbucket import TokenBucket
 #: (the O(1)/O(sources) checks run on every operation)
 _SAN_FULL_CHECK_EVERY = 256
 
-#: rebuild ``out_seq`` only once it holds at least this many tuples
-_OUT_SEQ_COMPACT_MIN = 64
 #: an ``out_seq`` tuple: (ready time, tie-break sequence, destination)
 _OutKey = Tuple[float, int, str]
 
@@ -154,19 +151,16 @@ class _PoqState:
     __slots__ = (
         "depth",
         "head",
-        "tail",
         "round_tails",
         "current_round",
         "latest_round",
         "source_latest",
         "source_count",
-        "out_key",
     )
 
     def __init__(self, max_round: int) -> None:
         self.depth = 0
         self.head: Optional[_QEntry] = None
-        self.tail: Optional[_QEntry] = None
         #: tail entry of each queued round, slot ``round % max_round``
         self.round_tails: List[Optional[_QEntry]] = [None] * max_round
         self.current_round = 0
@@ -176,8 +170,6 @@ class _PoqState:
         self.source_latest: Dict[str, List[int]] = {}
         #: source -> queued message count (state lifetime per B.1.1)
         self.source_count: Dict[str, int] = {}
-        #: this queue's live out_seq tuple (by identity), or None
-        self.out_key: Optional[_OutKey] = None
 
 
 @dataclass
@@ -226,8 +218,6 @@ class MopiFq:
         self._poq: Dict[str, _PoqState] = {}
         self._rate_lim: Dict[str, TokenBucket] = {}
         self._out_seq: List[_OutKey] = []
-        #: tuples in _out_seq that are no longer any queue's out_key
-        self._out_stale = 0
         self._seq = itertools.count()
         self.stats = MopiFqStats()
         #: observability facade (one enabled-test per op when off)
@@ -263,8 +253,8 @@ class MopiFq:
         config = self.config
         state = self._poq.get(destination)
         if state is None:
+            # joins ``_poq`` (and ``out_seq``) with its first message
             state = _PoqState(config.max_round)
-            self._poq[destination] = state
 
         crt_r = state.current_round
         lat_r = state.latest_round
@@ -279,7 +269,6 @@ class MopiFq:
 
         if src_nxt >= crt_r + config.max_round:
             self.stats.fail_overspeed += 1
-            self._drop_poq_if_empty(destination, state)
             return EnqueueStatus.FAIL_CLIENT_OVERSPEED, None
 
         # An eviction below never takes a message of ``source`` (a source
@@ -291,23 +280,17 @@ class MopiFq:
                 self.stats.fail_congested += 1
                 return EnqueueStatus.FAIL_CHANNEL_CONGESTED, None
             evicted = self._evict_latest(destination, state)
-            # Eviction of the only entry deactivates the queue; revive it
-            # for the insertion about to happen.
-            self._poq[destination] = state
 
         if self.total_depth >= config.pool_capacity:
             if src_nxt >= lat_r or state.depth == 0:
                 self.stats.fail_overflow += 1
-                self._drop_poq_if_empty(destination, state)
                 return EnqueueStatus.FAIL_QUEUE_OVERFLOW, None
             if evicted is None:
                 evicted = self._evict_latest(destination, state)
-                self._poq[destination] = state
 
         entry = self._avail
         if entry is None:  # pool exhausted despite accounting: defensive
             self.stats.fail_overflow += 1
-            self._drop_poq_if_empty(destination, state)
             return EnqueueStatus.FAIL_QUEUE_OVERFLOW, None
         self._avail = entry.next
         entry.next = None
@@ -351,22 +334,20 @@ class MopiFq:
                 probe -= 1
 
         if anchor is None:
-            # New head of the queue.
-            entry.next = state.head
-            if state.head is not None:
-                state.head.prev = entry
+            # No round from the current one up to the entry's holds a
+            # message.  An active queue's head is in its current round,
+            # so this is the first message of an inactive output: the
+            # one point where an output and its tuple come into being.
+            assert state.head is None, "new head in front of a queued one"
             state.head = entry
-            if state.tail is None:
-                state.tail = entry
-            self._reposition_out_key(destination, state)
+            self._poq[destination] = state
+            heapq.heappush(self._out_seq, (entry.arr_time, next(self._seq), destination))
         else:
             entry.next = anchor.next
             entry.prev = anchor
             if anchor.next is not None:
                 anchor.next.prev = entry
             anchor.next = entry
-            if state.tail is anchor:
-                state.tail = entry
 
         tails[round_no % size] = entry
         if round_no > state.latest_round:
@@ -384,32 +365,23 @@ class MopiFq:
         (``FAIL_NO_DATA_OR_ALL_CONGESTED``).
 
         The served queue's tuple is the top of ``out_seq`` from the
-        moment it is found live until the queue's head is gone, so it is
-        popped or replaced where it lies and never left behind as stale.
+        moment it is read until the queue's head is gone, so it is
+        popped or replaced where it lies.
         """
         heap = self._out_seq
         poq = self._poq
         while True:
-            # the smallest live tuple, dropping stale ones above it
-            while heap:
-                key = heap[0]
-                state = poq.get(key[2])
-                if state is not None and state.out_key is key:
-                    break
-                heapq.heappop(heap)
-                self._out_stale -= 1
-            if not heap or key[0] > now:
+            if not heap or heap[0][0] > now:
                 self.stats.dequeue_empty += 1
                 return None
-            destination = key[2]
+            destination = heap[0][2]
             bucket = self.channel_bucket(destination)
             if bucket.try_consume(now):
                 break
             # Skip and retry when the bucket predicts availability.
-            retry = (bucket.next_available(now), next(self._seq), destination)
-            state.out_key = retry
-            heapq.heapreplace(heap, retry)
+            heapq.heapreplace(heap, (bucket.next_available(now), next(self._seq), destination))
 
+        state = poq[destination]
         entry = state.head
         assert entry is not None
         source = entry.source
@@ -439,9 +411,7 @@ class MopiFq:
                 counts[source] = count
             state.depth -= 1
             state.current_round = successor.round
-            key = (successor.arr_time, next(self._seq), destination)
-            state.out_key = key
-            heapq.heapreplace(heap, key)
+            heapq.heapreplace(heap, (successor.arr_time, next(self._seq), destination))
         self.total_depth -= 1
 
         entry.payload = None
@@ -468,109 +438,49 @@ class MopiFq:
         us do better without changing behaviour).
         """
         heap = self._out_seq
-        while heap and not self._is_live(heap[0]):
-            heapq.heappop(heap)
-            self._out_stale -= 1
         return max(heap[0][0], now) if heap else None
 
-    def _is_live(self, key: _OutKey) -> bool:
-        state = self._poq.get(key[2])
-        return state is not None and state.out_key is key
-
     def _evict_latest(self, destination: str, state: _PoqState) -> EvictedMessage:
-        """Displace the tail of the latest round (fairness eviction)."""
-        victim = state.round_tails[state.latest_round % len(state.round_tails)]
-        assert victim is not None, "latest round must be non-empty"
-        evicted = EvictedMessage(
-            source=victim.source, destination=destination, payload=victim.payload
-        )
-        self._unlink(destination, state, victim)
-        self.stats.evicted += 1
-        return evicted
+        """Displace the tail of the latest round (fairness eviction).
 
-    def _unlink(self, destination: str, state: _PoqState, entry: _QEntry) -> None:
-        """Remove ``entry`` from anywhere in its queue, fixing every piece
-        of state (``dequeue`` has its own, shorter, head removal)."""
-        prev_entry, next_entry = entry.prev, entry.next
-        if prev_entry is not None:
-            prev_entry.next = next_entry
-        if next_entry is not None:
-            next_entry.prev = prev_entry
-        head_changed = state.head is entry
-        if head_changed:
-            state.head = next_entry
-        if state.tail is entry:
-            state.tail = prev_entry
-
-        # Round-tail bookkeeping.
+        ``enqueue`` evicts only for a message bound for a round before
+        the latest, so the queue spans at least two rounds: the victim,
+        its last entry, has a predecessor, and the head -- with it
+        ``current_round`` and the queue's ``out_seq`` tuple -- stays.
+        """
         tails = state.round_tails
-        slot = entry.round % len(tails)
-        if tails[slot] is entry:
-            if prev_entry is not None and prev_entry.round == entry.round:
-                tails[slot] = prev_entry
-            else:
-                tails[slot] = None
-                if entry.round == state.latest_round:
-                    state.latest_round = prev_entry.round if prev_entry is not None else -1
+        slot = state.latest_round % len(tails)
+        victim = tails[slot]
+        assert victim is not None, "latest round must be non-empty"
+        before = victim.prev
+        assert before is not None, "eviction would take the queue's head"
+        before.next = None
+        if before.round == victim.round:
+            tails[slot] = before
+        else:
+            tails[slot] = None
+            state.latest_round = before.round
 
         # Source bookkeeping: per B.1.1, per-source state lives exactly
         # as long as the source has messages queued for this output.
-        count = state.source_count.get(entry.source, 0) - 1
+        source = victim.source
+        count = state.source_count.get(source, 0) - 1
         if count <= 0:
-            state.source_count.pop(entry.source, None)
-            state.source_latest.pop(entry.source, None)
+            state.source_count.pop(source, None)
+            state.source_latest.pop(source, None)
         else:
-            state.source_count[entry.source] = count
-
+            state.source_count[source] = count
         state.depth -= 1
         self.total_depth -= 1
 
-        if state.head is None:
-            self._deactivate(destination, state)
-        else:
-            state.current_round = state.head.round
-            if head_changed:
-                self._reposition_out_key(destination, state)
-
-        entry.payload = None
-        entry.source = ""
-        entry.prev = None
-        entry.next = self._avail
-        self._avail = entry
-
-    def _reposition_out_key(self, destination: str, state: _PoqState) -> None:
-        """Re-key the channel in out_seq by its (new) head arrival time."""
-        if state.out_key is not None:
-            self._retire_out_key(state)
-        assert state.head is not None
-        key = (state.head.arr_time, next(self._seq), destination)
-        state.out_key = key
-        heapq.heappush(self._out_seq, key)
-
-    def _retire_out_key(self, state: _PoqState) -> None:
-        """Leave the queue's tuple in out_seq as stale; rebuild the heap
-        from the live tuples once the stale ones outnumber them."""
-        state.out_key = None
-        self._out_stale += 1
-        heap = self._out_seq
-        if self._out_stale * 2 > len(heap) >= _OUT_SEQ_COMPACT_MIN:
-            heap[:] = filter(self._is_live, heap)
-            heapq.heapify(heap)
-            self._out_stale = 0
-
-    def _deactivate(self, destination: str, state: _PoqState) -> None:
-        if state.out_key is not None:
-            self._retire_out_key(state)
-        del self._poq[destination]
-        if self._san:
-            # A later reactivation restarts the round clock at 0; drop
-            # the monotonicity watermark along with the queue state.
-            self._san_last_round.pop(destination, None)
-
-    def _drop_poq_if_empty(self, destination: str, state: _PoqState) -> None:
-        """Undo the speculative poq creation for a failed first enqueue."""
-        if state.depth == 0 and state.out_key is None:
-            self._poq.pop(destination, None)
+        evicted = EvictedMessage(source=source, destination=destination, payload=victim.payload)
+        victim.payload = None
+        victim.source = ""
+        victim.prev = None
+        victim.next = self._avail
+        self._avail = victim
+        self.stats.evicted += 1
+        return evicted
 
     # ------------------------------------------------------------------
     # introspection
@@ -624,14 +534,12 @@ class MopiFq:
                         f"{destination}: source {source} has {cnt} > share {share} "
                         f"messages in round {round_no}"
                     )
-            assert state.out_key is not None and state.out_key[2] == destination
             depth_sum += state.depth
         assert depth_sum == self.total_depth, "total_depth mismatch"
         heap = self._out_seq
         assert all(heap[(i - 1) >> 1] <= heap[i] for i in range(1, len(heap))), "out_seq heap order broken"
-        live = sum(map(self._is_live, heap))
-        assert live == len(self._poq), "out_seq live-entry count mismatch"
-        assert self._out_stale == len(heap) - live, "out_seq stale count mismatch"
+        assert len(heap) == len(self._poq), "out_seq size differs from the active outputs"
+        assert {key[2] for key in heap} == self._poq.keys(), "out_seq does not name each active output once"
 
     # ------------------------------------------------------------------
     # SimSan runtime checks

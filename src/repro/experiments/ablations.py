@@ -14,6 +14,7 @@ Three studies, each isolating one design decision of the DCC framework:
 
 from __future__ import annotations
 
+import argparse
 import heapq
 import random
 from typing import Callable, Dict, List, Optional
@@ -153,12 +154,16 @@ def depth_study(
     return rows
 
 
-def main(seed: int = 1) -> None:
-    """``seed`` feeds the studies' local jitter RNGs (the depth study
+def main(argv: Optional[List[str]] = None) -> int:
+    """``--seed`` feeds the studies' local jitter RNGs (the depth study
     keeps its historical default of ``seed + 6`` so published numbers
     stay reproducible); the process-global RNG is never touched."""
     from repro.analysis.provenance import provenance_header
 
+    parser = argparse.ArgumentParser(
+        prog="repro ablations", description="design-choice ablations (schedulers, depth)")
+    parser.add_argument("--seed", type=int, default=1)
+    seed = parser.parse_args(argv).seed
     print(provenance_header("ablations", seed=seed))
     print("=== Ablation 1: scheduler design space (Figure 7) ===\n")
     print("-- fairness: hog 500 QPS vs 3x meek 20 QPS on a 100-QPS channel --")
@@ -176,7 +181,4 @@ def main(seed: int = 1) -> None:
     ))
     print("\n(ideal water-filling: 283/283/150/283; deviation -> 0 once the "
           "queue accommodates all senders)")
-
-
-if __name__ == "__main__":
-    main()
+    return 0

@@ -546,7 +546,3 @@ def main(argv: Optional[List[str]] = None) -> int:
             fh.write(rendered + "\n")
         print(f"[report written to {args.out}]")
     return status
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

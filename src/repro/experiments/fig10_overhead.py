@@ -21,6 +21,7 @@ Substitutions for the Python reproduction (documented in DESIGN.md):
 
 from __future__ import annotations
 
+import argparse
 import random
 import time
 from dataclasses import dataclass
@@ -164,9 +165,16 @@ def run_client_sweep(
     return [_drive_dcc(n, servers, ops, seed=seed) for n in counts]
 
 
-def main(ops: int = 50_000, quick: bool = False, seed: int = 11) -> None:
+def main(argv: Optional[List[str]] = None) -> int:
     from repro.analysis.provenance import provenance_header
 
+    parser = argparse.ArgumentParser(
+        prog="repro fig10", description="overhead vs tracked entities")
+    parser.add_argument("--quick", action="store_true")
+    parser.add_argument("--ops", type=int, default=50_000)
+    parser.add_argument("--seed", type=int, default=11)
+    args = parser.parse_args(argv)
+    ops, quick, seed = args.ops, args.quick, args.seed
     print(provenance_header(
         "fig10", seed=seed, config={"ops": ops, "quick": quick}
     ))
@@ -196,9 +204,4 @@ def main(ops: int = 50_000, quick: bool = False, seed: int = 11) -> None:
         ])
     print(render_table(
         ["clients", "DCC ops/s", "resolver ops/s", "DCC state", "resolver state"], rows))
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(quick="--quick" in sys.argv)
+    return 0

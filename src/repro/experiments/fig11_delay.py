@@ -20,6 +20,7 @@ Reproduction in two parts:
 
 from __future__ import annotations
 
+import argparse
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -120,9 +121,13 @@ def run_figure11(
     return results
 
 
-def main(quick: bool = False) -> None:
+def main(argv: Optional[List[str]] = None) -> int:
     from repro.analysis.provenance import provenance_header
 
+    parser = argparse.ArgumentParser(
+        prog="repro fig11", description="added processing delay CDFs")
+    parser.add_argument("--quick", action="store_true")
+    quick = parser.parse_args(argv).quick
     print(provenance_header("fig11", config={"quick": quick}))
     combos = [(1000, 1000), (100_000, 100_000)] if quick else None
     requests = 5000 if quick else 20_000
@@ -137,9 +142,4 @@ def main(quick: bool = False) -> None:
     added = percentile(dcc.samples_ms, 50) - percentile(vanilla.samples_ms, 50)
     print(f"\nDCC median added end-to-end delay: {added:.3f} ms "
           f"(paper: marginal, network-dominated)")
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(quick="--quick" in sys.argv)
+    return 0

@@ -18,6 +18,7 @@ validation the paper could not perform.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -114,9 +115,17 @@ def run_figure2(
     return result
 
 
-def main(scale: float = 0.1, resolver_count: Optional[int] = None) -> None:
+def main(argv: Optional[List[str]] = None) -> int:
     from repro.analysis.provenance import provenance_header
 
+    parser = argparse.ArgumentParser(
+        prog="repro fig2", description="rate limits of 45 open resolvers")
+    parser.add_argument("--scale", type=float, default=0.1,
+                        help="probe rate/duration scale (1.0 = paper rates)")
+    parser.add_argument("--resolvers", type=int, default=None,
+                        help="limit the population (default: all 45)")
+    args = parser.parse_args(argv)
+    scale, resolver_count = args.scale, args.resolvers
     print(provenance_header(
         "fig2", scale=scale, config={"resolver_count": resolver_count}
     ))
@@ -136,10 +145,4 @@ def main(scale: float = 0.1, resolver_count: Optional[int] = None) -> None:
     print(render_table(headers, rows))
     print(f"\nIRL-WC bucket accuracy vs hidden ground truth: "
           f"{result.bucket_accuracy():.0%}")
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(scale=float(sys.argv[1]) if len(sys.argv) > 1 else 0.1,
-         resolver_count=int(sys.argv[2]) if len(sys.argv) > 2 else None)
+    return 0

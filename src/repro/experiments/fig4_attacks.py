@@ -28,6 +28,7 @@ compresses the timeline for quick runs.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -201,9 +202,16 @@ def run_figure4(
     }
 
 
-def main(time_scale: float = 1.0, quick: bool = False) -> None:
+def main(argv: Optional[List[str]] = None) -> int:
     from repro.analysis.provenance import provenance_header
 
+    parser = argparse.ArgumentParser(
+        prog="repro fig4", description="attack validation sweeps (setups a-d)")
+    parser.add_argument("--scale", type=float, default=0.15,
+                        help="timeline compression (1.0 = 50-second runs)")
+    parser.add_argument("--quick", action="store_true", help="thin the sweeps")
+    args = parser.parse_args(argv)
+    time_scale, quick = args.scale, args.quick
     print(provenance_header("fig4", scale=time_scale, config={"quick": quick}))
     figure = run_figure4(time_scale=time_scale, quick=quick)
     captions = {
@@ -216,10 +224,4 @@ def main(time_scale: float = 1.0, quick: bool = False) -> None:
         print(f"\n=== {captions[key]} ===")
         rows = [row for sweep in sweeps for row in sweep.as_rows()]
         print(render_table(["variant", "attacker QPS", "benign success ratio"], rows))
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(time_scale=float(sys.argv[1]) if len(sys.argv) > 1 else 1.0,
-         quick="--quick" in sys.argv)
+    return 0

@@ -24,8 +24,9 @@ figure shape is scale-invariant.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass, replace
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.analysis.report import format_series, render_table, sparkline
 from repro.dcc.monitor import AnomalyKind, MonitorConfig
@@ -128,9 +129,15 @@ def summarize(run: Figure8Run, phases: List[tuple]) -> List[List[object]]:
     return rows
 
 
-def main(scale: float = 1.0, seed: int = 42) -> None:
+def main(argv: Optional[List[str]] = None) -> int:
     from repro.analysis.provenance import provenance_header
 
+    parser = argparse.ArgumentParser(
+        prog="repro fig8", description="DCC vs vanilla (Table 2 scenarios)")
+    parser.add_argument("--scale", type=float, default=0.25)
+    parser.add_argument("--seed", type=int, default=42)
+    args = parser.parse_args(argv)
+    scale, seed = args.scale, args.seed
     print(provenance_header("fig8", seed=seed, scale=scale))
     runs = run_figure8(scale=scale, seed=seed)
     duration = 60.0 * scale
@@ -149,9 +156,4 @@ def main(scale: float = 1.0, seed: int = 42) -> None:
             print(render_table(["client"] + [p[0] for p in phases], summarize(run, phases)))
             for client in ("attacker", "heavy", "medium", "light"):
                 print(f"  {client:>9s} |{sparkline(run.series(client))}|")
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(scale=float(sys.argv[1]) if len(sys.argv) > 1 else 1.0)
+    return 0

@@ -22,8 +22,9 @@ its 350 QPS (< 1000/2); the rest goes to the forwarder.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.analysis.report import render_table, sparkline
 from repro.experiments.common import AttackScenario, ScenarioConfig, ScenarioResult
@@ -96,9 +97,15 @@ def collateral_damage(run: Figure9Run, scale: float) -> Dict[str, float]:
     }
 
 
-def main(scale: float = 1.0, seed: int = 42) -> None:
+def main(argv: Optional[List[str]] = None) -> int:
     from repro.analysis.provenance import provenance_header
 
+    parser = argparse.ArgumentParser(
+        prog="repro fig9", description="signaling on/off on a forwarder chain")
+    parser.add_argument("--scale", type=float, default=0.25)
+    parser.add_argument("--seed", type=int, default=42)
+    args = parser.parse_args(argv)
+    scale, seed = args.scale, args.seed
     print(provenance_header("fig9", seed=seed, scale=scale))
     runs = run_figure9(scale=scale, seed=seed)
     for scenario, pair in runs.items():
@@ -119,9 +126,4 @@ def main(scale: float = 1.0, seed: int = 42) -> None:
                   f"heavy={damage['heavy']:.2f} light={damage['light']:.2f}")
             for client in ("attacker", "heavy", "medium", "light"):
                 print(f"  {client:>9s} |{sparkline(run.result.effective_qps[client])}|")
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(scale=float(sys.argv[1]) if len(sys.argv) > 1 else 1.0)
+    return 0

@@ -20,9 +20,10 @@ cross-layer query tree exists -- the same checks CI runs.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
-from typing import Optional
+from typing import List, Optional
 
 from repro.analysis.provenance import provenance_header
 from repro.analysis.report import render_obs_summary
@@ -61,12 +62,21 @@ def build_scenario(scale: float = 0.15, seed: int = 42) -> AttackScenario:
     return scenario
 
 
-def main(
-    scale: float = 0.15,
-    seed: int = 42,
-    out_dir: Optional[str] = "results/obs",
-    top: int = 10,
-) -> int:
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro obs",
+        description="run one observed fig4-style scenario and export "
+        "metrics.jsonl + a Perfetto-loadable Chrome trace",
+    )
+    parser.add_argument("--scale", type=float, default=0.15,
+                        help="timeline compression (1.0 = 50-second runs)")
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--out-dir", type=str, default="results/obs",
+                        help="directory for metrics.jsonl and trace.json")
+    parser.add_argument("--top", type=int, default=10,
+                        help="heavy-hitter table depth")
+    args = parser.parse_args(argv)
+    scale, seed, out_dir, top = args.scale, args.seed, args.out_dir, args.top
     scenario = build_scenario(scale=scale, seed=seed)
     print(provenance_header("obs", seed=seed, scale=scale, config=scenario.config))
     scenario.run()
@@ -113,9 +123,3 @@ def main(
     if dropped:
         print(f"\n({dropped} spans dropped beyond max_spans)")
     return status
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main(scale=float(sys.argv[1]) if len(sys.argv) > 1 else 0.15))

@@ -47,6 +47,7 @@ CLI: ``python -m repro resilience [--scale S] [--seed N] [--out F]``.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -442,9 +443,21 @@ def render_report(plan: Plan, runs: Mapping[str, CellRun]) -> str:
     return "\n".join(lines)
 
 
-def main(scale: float = 0.25, seed: int = 42, out: Optional[str] = None) -> int:
+def main(argv: Optional[List[str]] = None) -> int:
     """Print every plan's table; exit 0 iff ``total-outage``'s challenger
     (hardened) beats its reference (vanilla)."""
+    parser = argparse.ArgumentParser(
+        prog="repro resilience",
+        description="fault matrix under an NX flood: vanilla/hardened/hardened+dcc "
+        "through a total authoritative outage, vanilla/dcc through a "
+        "primary crash + loss ramp",
+    )
+    parser.add_argument("--scale", type=float, default=0.25)
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--out", type=str, default=None,
+                        help="also write the report to this file")
+    args = parser.parse_args(argv)
+    scale, seed, out = args.scale, args.seed, args.out
     if scale <= 0:
         raise SystemExit(f"--scale must be positive, got {scale}")
     from repro.analysis.provenance import provenance_header
@@ -459,9 +472,3 @@ def main(scale: float = 0.25, seed: int = 42, out: Optional[str] = None) -> int:
             fh.write(report + "\n")
         print(f"\n[written to {out}]")
     return 0 if challenger_wins(TOTAL_OUTAGE, results[TOTAL_OUTAGE.name]) else 1
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main(scale=float(sys.argv[1]) if len(sys.argv) > 1 else 0.25))

@@ -479,9 +479,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report + "\n")
     return 0 if ok else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())

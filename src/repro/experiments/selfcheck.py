@@ -23,6 +23,7 @@ CLI: ``repro-experiments selfcheck [--seed N] [--scale S] [--runs K]``.
 
 from __future__ import annotations
 
+import argparse
 from typing import List, Optional
 
 from repro import sanitize
@@ -67,12 +68,23 @@ def run_selfcheck(
         sanitize.ENABLED = previous
 
 
-def main(
-    seed: int = 42, scale: float = 0.05, runs: int = 2, out: Optional[str] = None
-) -> int:
+def main(argv: Optional[List[str]] = None) -> int:
     """Print per-run digests; exit 0 iff all runs hashed identically."""
     from repro.analysis.provenance import provenance_header
 
+    parser = argparse.ArgumentParser(
+        prog="repro selfcheck",
+        description="prove determinism: run a DCC scenario twice under the "
+        "SimSan sanitizer and diff event-trace hashes",
+    )
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--scale", type=float, default=0.05,
+                        help="timeline compression (1.0 = 60-second runs)")
+    parser.add_argument("--runs", type=int, default=2)
+    parser.add_argument("--out", type=str, default=None,
+                        help="also write the report to this file")
+    args = parser.parse_args(argv)
+    seed, scale, runs, out = args.seed, args.scale, args.runs, args.out
     digests = run_selfcheck(seed=seed, scale=scale, runs=runs)
     lines = [
         provenance_header("selfcheck", seed=seed, scale=scale, config={"runs": runs}),
@@ -93,9 +105,3 @@ def main(
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(report + "\n")
     return 0 if identical else 1
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -20,8 +20,9 @@ larger than the resolver's, and concretely smaller.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List, Optional
 
 from repro.analysis.report import render_table
 from repro.dnscore.rdata import RRType
@@ -89,9 +90,12 @@ def run_table1(
     return StateSnapshot(resolver=resolver_state, dcc=dcc_state)
 
 
-def main() -> None:
+def main(argv: Optional[List[str]] = None) -> int:
     from repro.analysis.provenance import provenance_header
 
+    argparse.ArgumentParser(
+        prog="repro table1", description="DCC state vs resolver state"
+    ).parse_args(argv)
     print(provenance_header("table1"))
     snapshot = run_table1()
     print("=== Table 1: live state entries, resolver vs DCC ===\n")
@@ -105,7 +109,4 @@ def main() -> None:
     print(f"\nDCC total {sum(snapshot.dcc.values())} {verdict} "
           f"resolver total {sum(snapshot.resolver.values())} "
           f"(paper: DCC state is no larger)")
-
-
-if __name__ == "__main__":
-    main()
+    return 0

@@ -1,7 +1,7 @@
 """Unit tests for the reprolint per-file rules (R1-R5) and the CLI.
 
-The whole-program rules (R6-R9), engine cache, autofix, SARIF and
-ratchet each have their own test module (``test_reprolint_*.py``).
+The whole-program rules (R6-R9) and the ratchet each have their own
+test module (``test_reprolint_*.py``).
 """
 
 import json
@@ -280,27 +280,17 @@ def test_every_rule_has_id_and_description():
         assert description, rule_id
 
 
-def test_cli_json_and_baseline_roundtrip(tmp_path):
+def test_cli_json_names_the_rule(tmp_path, capsys):
     from tools.reprolint import __main__ as cli
 
     bad = tmp_path / "src" / "repro" / "netsim" / "bad.py"
     bad.parent.mkdir(parents=True)
     bad.write_text("import time\n\ndef f():\n    return time.time()\n")
-    baseline = tmp_path / "baseline.json"
 
-    # Finding present -> exit 1, JSON names the rule.
-    assert cli.main([str(bad), "--no-cache", "--format=json",
-                     "--baseline", str(baseline)]) == 1
-    # Grandfather it, then the same invocation passes.
-    assert cli.main([str(bad), "--no-cache", "--write-baseline",
-                     "--baseline", str(baseline)]) == 0
-    assert cli.main([str(bad), "--no-cache", "--format=json",
-                     "--baseline", str(baseline)]) == 0
-    # --no-baseline resurfaces it.
-    assert cli.main([str(bad), "--no-cache", "--no-baseline"]) == 1
-
-    payload = json.loads(baseline.read_text())
-    assert payload["findings"], "baseline should record the grandfathered finding"
+    assert cli.main([str(bad), "--format=json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["count"] == 1
+    assert [finding["rule"] for finding in payload["findings"]] == ["R1"]
 
 
 def test_clean_file_exits_zero(tmp_path):
@@ -309,7 +299,7 @@ def test_clean_file_exits_zero(tmp_path):
     good = tmp_path / "src" / "repro" / "netsim" / "good.py"
     good.parent.mkdir(parents=True)
     good.write_text("def f(rng):\n    return rng.random()\n")
-    assert cli.main([str(good), "--no-cache", "--no-baseline"]) == 0
+    assert cli.main([str(good)]) == 0
 
 
 def test_nonexistent_path_is_a_hard_error(tmp_path):
@@ -317,18 +307,18 @@ def test_nonexistent_path_is_a_hard_error(tmp_path):
     from tools.reprolint import __main__ as cli
 
     missing = tmp_path / "does-not-exist"
-    assert cli.main([str(missing), "--no-cache"]) == 2
+    assert cli.main([str(missing)]) == 2
     # ...even when mixed with paths that do exist.
     good = tmp_path / "good.py"
     good.write_text("x = 1\n")
-    assert cli.main([str(good), str(missing), "--no-cache"]) == 2
+    assert cli.main([str(good), str(missing)]) == 2
 
 
-def test_repo_source_tree_is_clean(tmp_path):
+def test_repo_source_tree_is_clean():
     """The checked-in tree must lint clean (acceptance criterion)."""
     result = subprocess.run(
         [sys.executable, "-m", "tools.reprolint", "src/", "tests/", "tools/",
-         "--format=json", "--cache", str(tmp_path / "cache.json")],
+         "--format=json"],
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,

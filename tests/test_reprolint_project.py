@@ -24,7 +24,7 @@ def lint_tree(tmp_path, files):
         target = tmp_path / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(textwrap.dedent(src))
-    return engine.run([str(tmp_path)], cache_path=None)
+    return engine.run([str(tmp_path)])
 
 
 def findings_for(result, rule):

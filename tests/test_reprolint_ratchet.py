@@ -17,7 +17,7 @@ def findings_from(tmp_path, source):
     bad = tmp_path / "src" / "repro" / "netsim" / "bad.py"
     bad.parent.mkdir(parents=True, exist_ok=True)
     bad.write_text(textwrap.dedent(source))
-    return engine.run([str(tmp_path)], cache_path=None).findings
+    return engine.run([str(tmp_path)]).findings
 
 
 def test_count_by_rule_covers_every_rule():
@@ -97,12 +97,10 @@ def test_cli_ratchet_is_the_gate(tmp_path):
     budgets = tmp_path / "ratchet.json"
     ratchet.write_ratchet(str(budgets), {"R1": 1})
     # within budget: findings are printed but do not fail the gate
-    assert cli.main([str(tmp_path), "--no-cache", "--no-baseline",
-                     "--ratchet", str(budgets)]) == 0
+    assert cli.main([str(tmp_path), "--ratchet", str(budgets)]) == 0
     # tightened to zero: the same finding now fails
     ratchet.write_ratchet(str(budgets), {})
-    assert cli.main([str(tmp_path), "--no-cache", "--no-baseline",
-                     "--ratchet", str(budgets)]) == 1
+    assert cli.main([str(tmp_path), "--ratchet", str(budgets)]) == 1
 
 
 def test_cli_update_ratchet_writes_current_counts(tmp_path):
@@ -115,6 +113,5 @@ def test_cli_update_ratchet_writes_current_counts(tmp_path):
             return time.time()
         """)
     budgets = tmp_path / "ratchet.json"
-    assert cli.main([str(tmp_path), "--no-cache", "--no-baseline",
-                     "--update-ratchet", "--ratchet", str(budgets)]) == 0
+    assert cli.main([str(tmp_path), "--update-ratchet", "--ratchet", str(budgets)]) == 0
     assert ratchet.load_ratchet(str(budgets))["R1"] == 1

@@ -5,7 +5,7 @@ from repro.experiments import selfcheck
 
 
 def test_selfcheck_digests_identical(capsys):
-    assert selfcheck.main(seed=3, scale=0.02, runs=2) == 0
+    assert selfcheck.main(["--seed", "3", "--scale", "0.02", "--runs", "2"]) == 0
     out = capsys.readouterr().out
     assert "deterministic" in out
     assert "MISMATCH" not in out

@@ -2,8 +2,8 @@
 
 Usage::
 
-    python -m tools.reprolint src/ tests/ tools/ [--format=json]
-        [--sarif out.sarif] [--fix] [--ratchet] [--stats]
+    python -m tools.reprolint [src/ tests/ tools/] [--format=json]
+        [--ratchet] [--stats]
 
 Two kinds of passes:
 
@@ -15,32 +15,23 @@ Two kinds of passes:
   dataflow (:mod:`~tools.reprolint.rngflow`), and callback-escape /
   exception-swallowing checks (:mod:`~tools.reprolint.callbacks`).
 
-The engine (:mod:`tools.reprolint.engine`) adds a content-hash
-incremental cache and a parallel file walk; :mod:`~tools.reprolint.autofix`
-implements ``--fix``; :mod:`~tools.reprolint.sarif` emits SARIF 2.1.0;
-:mod:`~tools.reprolint.ratchet` enforces the only-decreasing per-rule
-budgets CI gates on.
+The engine (:mod:`tools.reprolint.engine`) walks the files and runs the
+passes; :mod:`~tools.reprolint.ratchet` enforces the only-decreasing
+per-rule budgets CI gates on.
 
 Suppression: append ``# reprolint: disable=R1`` (comma-separate several
 rules, or ``disable=all``) to the offending line, ideally with a reason::
 
     entry.payload = None  # reprolint: disable=R2 -- recycling, not in flight
-
-Baseline: findings whose fingerprint (path + rule + source text, line
-numbers excluded so unrelated edits don't invalidate it) appears in the
-baseline file are reported only with ``--no-baseline``.  Regenerate with
-``--write-baseline`` after an intentional grandfathering decision.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from tools.reprolint.engine import (
-    DEFAULT_CACHE,
     LintPathError,
     LintResult,
     LintStats,
@@ -62,16 +53,8 @@ __all__ = [
     "LintPathError",
     "iter_python_files",
     "fingerprint",
-    "load_baseline",
-    "write_baseline",
-    "split_by_baseline",
     "to_json",
-    "DEFAULT_BASELINE",
-    "DEFAULT_CACHE",
 ]
-
-#: the checked-in baseline of grandfathered findings
-DEFAULT_BASELINE = os.path.join(os.path.dirname(__file__), "baseline.json")
 
 
 def lint_source(source: str, posix_path: str) -> List[Finding]:
@@ -93,13 +76,9 @@ def lint_source(source: str, posix_path: str) -> List[Finding]:
 
 def lint_paths(paths: Sequence[str]) -> List[Finding]:
     """All findings (per-file *and* project rules) under ``paths``,
-    suppressions applied, no cache."""
-    return run(paths, cache_path=None).findings
+    suppressions applied."""
+    return run(paths).findings
 
-
-# ----------------------------------------------------------------------
-# baseline
-# ----------------------------------------------------------------------
 
 def fingerprint(finding: Finding) -> str:
     """Stable id for a finding: path + rule + source text, no line number."""
@@ -107,44 +86,7 @@ def fingerprint(finding: Finding) -> str:
     return hashlib.sha1(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def load_baseline(path: Optional[str]) -> frozenset:
-    if path is None or not os.path.exists(path):
-        return frozenset()
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    return frozenset(entry["fingerprint"] for entry in data.get("findings", []))
-
-
-def write_baseline(path: str, findings: Sequence[Finding]) -> None:
-    payload = {
-        "comment": "Grandfathered reprolint findings; regenerate with --write-baseline.",
-        "findings": [
-            {
-                "fingerprint": fingerprint(f),
-                "path": f.path,
-                "rule": f.rule,
-                "text": f.line_text.strip(),
-            }
-            for f in findings
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def split_by_baseline(
-    findings: Sequence[Finding], baseline: frozenset
-) -> Tuple[List[Finding], List[Finding]]:
-    """Partition into (new, grandfathered)."""
-    new: List[Finding] = []
-    old: List[Finding] = []
-    for finding in findings:
-        (old if fingerprint(finding) in baseline else new).append(finding)
-    return new, old
-
-
-def to_json(findings: Sequence[Finding], grandfathered: int = 0) -> str:
+def to_json(findings: Sequence[Finding]) -> str:
     payload: Dict[str, object] = {
         "findings": [
             {
@@ -158,7 +100,6 @@ def to_json(findings: Sequence[Finding], grandfathered: int = 0) -> str:
             for f in findings
         ],
         "count": len(findings),
-        "grandfathered": grandfathered,
         "rules": RULES,
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -4,23 +4,19 @@ project index the R6-R9 passes run over.
 The per-file pass (:class:`extract_facts`) walks one AST and records
 *facts* -- imports (with ``TYPE_CHECKING`` provenance), function
 signatures, RNG draw sites, schedule-callback references, and broad
-exception handlers.  Facts are plain JSON-serializable dataclasses so
-the engine can cache them by content hash; the project passes
+exception handlers.  The project passes
 (:mod:`tools.reprolint.layering`, :mod:`tools.reprolint.rngflow`,
 :mod:`tools.reprolint.callbacks`) then resolve them across files
-through :class:`ProjectIndex` without re-parsing anything.
+through :class:`ProjectIndex` without touching an AST again.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from tools.reprolint.rules import SCHEDULE_CALLBACK_ARG
-
-#: bump to invalidate cached facts when the extraction below changes
-FACTS_VERSION = 3
 
 #: Random methods that consume entropy from the stream
 RNG_DRAW_METHODS = frozenset(
@@ -88,15 +84,6 @@ class ImportFact:
     col: int
     type_only: bool             # inside an `if TYPE_CHECKING:` block
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"module": self.module, "names": self.names, "line": self.line,
-                "col": self.col, "type_only": self.type_only}
-
-    @staticmethod
-    def from_dict(d: Dict[str, Any]) -> "ImportFact":
-        return ImportFact(d["module"], list(d["names"]), d["line"], d["col"],
-                          d["type_only"])
-
 
 @dataclass
 class DrawFact:
@@ -109,14 +96,6 @@ class DrawFact:
     #: "seeded_local", "sim_rng", "call:<name>", "global:<g>", "bound"
     receiver: str
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"line": self.line, "col": self.col, "method": self.method,
-                "receiver": self.receiver}
-
-    @staticmethod
-    def from_dict(d: Dict[str, Any]) -> "DrawFact":
-        return DrawFact(d["line"], d["col"], d["method"], d["receiver"])
-
 
 @dataclass
 class ExceptFact:
@@ -126,14 +105,6 @@ class ExceptFact:
     col: int
     kind: str                   # "bare" | "Exception" | "BaseException"
     reraises: bool              # handler body contains a `raise`
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"line": self.line, "col": self.col, "kind": self.kind,
-                "reraises": self.reraises}
-
-    @staticmethod
-    def from_dict(d: Dict[str, Any]) -> "ExceptFact":
-        return ExceptFact(d["line"], d["col"], d["kind"], d["reraises"])
 
 
 @dataclass
@@ -146,14 +117,6 @@ class CallbackRef:
     #: target descriptor -- "lambda", "nested:<n>", "bound:self.<m>",
     #: "bound:<expr>.<m>", "name:<n>", "partial:<inner>", "opaque"
     target: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"line": self.line, "col": self.col, "call": self.call,
-                "target": self.target}
-
-    @staticmethod
-    def from_dict(d: Dict[str, Any]) -> "CallbackRef":
-        return CallbackRef(d["line"], d["col"], d["call"], d["target"])
 
 
 @dataclass
@@ -174,28 +137,6 @@ class FunctionFact:
     #: (line, col) of unseeded random.Random() constructions
     unseeded: List[Tuple[int, int]] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "qualname": self.qualname, "line": self.line, "params": self.params,
-            "owner_class": self.owner_class,
-            "draws": [d.to_dict() for d in self.draws],
-            "returns_rng": self.returns_rng,
-            "broad_excepts": [e.to_dict() for e in self.broad_excepts],
-            "callback_refs": [c.to_dict() for c in self.callback_refs],
-            "unseeded": [list(t) for t in self.unseeded],
-        }
-
-    @staticmethod
-    def from_dict(d: Dict[str, Any]) -> "FunctionFact":
-        return FunctionFact(
-            d["qualname"], d["line"], list(d["params"]), d["owner_class"],
-            [DrawFact.from_dict(x) for x in d["draws"]],
-            d["returns_rng"],
-            [ExceptFact.from_dict(x) for x in d["broad_excepts"]],
-            [CallbackRef.from_dict(x) for x in d["callback_refs"]],
-            [(t[0], t[1]) for t in d["unseeded"]],
-        )
-
 
 @dataclass
 class ModuleFacts:
@@ -213,29 +154,6 @@ class ModuleFacts:
     defs: List[str] = field(default_factory=list)
     #: class name -> method names
     classes: Dict[str, List[str]] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path, "module": self.module,
-            "imports": [i.to_dict() for i in self.imports],
-            "functions": [f.to_dict() for f in self.functions],
-            "rng_globals": [list(t) for t in self.rng_globals],
-            "lambda_globals": self.lambda_globals,
-            "defs": self.defs,
-            "classes": {k: list(v) for k, v in self.classes.items()},
-        }
-
-    @staticmethod
-    def from_dict(d: Dict[str, Any]) -> "ModuleFacts":
-        return ModuleFacts(
-            d["path"], d["module"],
-            [ImportFact.from_dict(x) for x in d["imports"]],
-            [FunctionFact.from_dict(x) for x in d["functions"]],
-            [(t[0], t[1], t[2]) for t in d["rng_globals"]],
-            list(d["lambda_globals"]),
-            list(d["defs"]),
-            {k: list(v) for k, v in d["classes"].items()},
-        )
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,8 @@
 """The per-rule ratchet: finding counts may only go down.
 
-Unlike the fingerprint baseline (which grandfathers *specific* findings
-and is vulnerable to trading one suppressed finding for a new one of
-the same rule), the ratchet tracks one integer per rule.  CI fails on
-any increase; on a decrease it prints the shrunken table so the
-developer commits the tightened budget with the fix.
+The ratchet tracks one integer per rule.  CI fails on any increase; on
+a decrease it prints the shrunken table so the developer commits the
+tightened budget with the fix.
 """
 
 from __future__ import annotations
