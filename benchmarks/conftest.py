@@ -1,16 +1,8 @@
-"""Benchmark-suite configuration.
+"""Micro-benchmarks of MOPI-FQ, the DCC components and the simulation
+substrate (``pytest benchmarks/ --benchmark-only``); each asserts what
+it times, so CI runs them as plain tests.
 
-Every benchmark regenerates (a scaled version of) one paper table or
-figure and asserts its shape before timing it, so a performance run is
-also a correctness run.  Scales are chosen to keep the full suite in the
-minutes range; the experiment drivers accept larger scales for
-paper-fidelity runs (see EXPERIMENTS.md).
+The paper's figures and the design ablations are not here: each driver
+in ``src/repro/experiments/`` judges its own claims (``failures()``) and
+``repro <figure>`` exits non-zero when one does not hold.
 """
-
-import pytest
-
-
-@pytest.fixture(scope="session")
-def quick_scale() -> float:
-    """Timeline compression used by scenario benchmarks."""
-    return 0.1

@@ -24,7 +24,8 @@ COMMANDS: Dict[str, Tuple[str, str]] = {
     "fig10": ("repro.experiments.fig10_overhead:main", "overhead vs tracked entities"),
     "fig11": ("repro.experiments.fig11_delay:main", "added processing delay CDFs"),
     "table1": ("repro.experiments.table1_state:main", "DCC state vs resolver state"),
-    "ablations": ("repro.experiments.ablations:main", "design-choice ablations (schedulers, depth)"),
+    "ablations": ("repro.experiments.ablations:main",
+                  "design-choice ablations (schedulers, depth, mitigations, countdown, end-to-end schedulers)"),
     "selfcheck": ("repro.experiments.selfcheck:main",
                   "prove determinism: run a DCC scenario twice under the SimSan sanitizer and diff "
                   "event-trace hashes"),
@@ -118,7 +119,7 @@ def _cmd_all(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="repro all", description=COMMANDS["all"][1])
     parser.add_argument("--scale", type=float, default=0.1)
     scale = parser.parse_args(argv).scale
-    for name, row in [
+    return max(_run(name, row) for name, row in [
         ("fig2", ["--scale", repr(scale), "--resolvers", "10"]),
         ("fig4", ["--scale", repr(scale), "--quick"]),
         ("fig8", ["--scale", repr(scale)]),
@@ -126,10 +127,9 @@ def _cmd_all(argv: Optional[List[str]] = None) -> int:
         ("fig10", ["--quick"]),
         ("fig11", ["--quick"]),
         ("table1", []),
+        ("ablations", []),
         ("resilience", ["--scale", repr(max(scale, 0.15))]),
-    ]:
-        _run(name, row)
-    return 0
+    ])
 
 
 def _run(name: str, argv: List[str]) -> int:

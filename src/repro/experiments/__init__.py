@@ -1,9 +1,10 @@
 """Experiment drivers: one module per paper table/figure.
 
-Every module exposes ``run_*`` functions returning structured results
-plus a ``main()`` that prints the same rows/series the paper reports.
-All drivers accept scale knobs so the test/benchmark suites can run them
-quickly; the defaults reproduce the paper's parameters.
+Every module exposes ``run_*`` functions returning structured results,
+a ``failures(result)`` listing the paper's claims the result does not
+show, and a ``main()`` that prints the rows/series the paper reports and
+exits non-zero on any failure.  All drivers accept scale knobs so tests
+can run them quickly; the defaults reproduce the paper's parameters.
 
 ========================  ==========================================
 Module                    Reproduces

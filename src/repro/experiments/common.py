@@ -20,6 +20,7 @@ ratios (the Figure 4 metric).
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
@@ -55,6 +56,18 @@ TARGET_ORIGIN = "target-domain."
 ATTACKER_ORIGIN = "attacker-com."
 ROOT_ADDR = "10.0.0.1"
 ATTACKER_ANS_ADDR = "10.0.0.3"
+
+
+def report_failures(problems: List[str]) -> int:
+    """A driver's ``failures()`` to stderr (stdout is the recorded figure); its exit code."""
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return 1 if problems else 0
+
+
+def not_judged(claim: str, why: str) -> None:
+    """A run too small to judge ``claim`` says so instead of passing silently."""
+    print(f"not judged: {claim} ({why})", file=sys.stderr)
 
 
 class SwitchingPattern(QueryPattern):

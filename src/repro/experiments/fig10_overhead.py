@@ -36,6 +36,7 @@ from repro.dcc.state import DccStateTables
 from repro.dnscore.name import Name
 from repro.dnscore.rdata import AData, RCode, RRType
 from repro.dnscore.rrset import ResourceRecord, RRSet
+from repro.experiments.common import not_judged, report_failures
 from repro.server.cache import ResolverCache
 
 
@@ -165,6 +166,34 @@ def run_client_sweep(
     return [_drive_dcc(n, servers, ops, seed=seed) for n in counts]
 
 
+def failures(figure: Dict[str, List[OverheadPoint]]) -> List[str]:
+    """The Figure 10 claims ``figure`` (``"a"``: a server sweep, ``"b"``: a client sweep) does not show
+    between its smallest and largest point.  The compute clause reads the wall clock, hence its slack."""
+    problems = []
+    for panel, points in figure.items():
+        small, large = points[0], points[-1]
+        if small is large:
+            not_judged(f"Figure 10({panel}): cost flat in, memory growing with, entities tracked", "one-point sweep")
+            continue
+        if not large.dcc_ops_per_sec > small.dcc_ops_per_sec / 3:
+            problems.append(f"Figure 10({panel}): DCC's compute cost should be insensitive to the entities tracked, "
+                            f"but {small.dcc_ops_per_sec:,.0f} ops/s fell to {large.dcc_ops_per_sec:,.0f}")
+        if not small.dcc_state_bytes < large.dcc_state_bytes < large.resolver_state_bytes:
+            problems.append(f"Figure 10({panel}): DCC's state should grow with the entities tracked and stay below "
+                            f"the resolver's {large.resolver_state_bytes} bytes, but went from "
+                            f"{small.dcc_state_bytes} to {large.dcc_state_bytes}")
+        if panel == "a" and not large.dcc_state_bytes - small.dcc_state_bytes > 50 * (large.servers - small.servers):
+            problems.append("Figure 10(a): a tracked server should cost real scheduler state, over 50 bytes each")
+    return problems
+
+
+def _print_sweep(caption: str, entity: str, points: List[OverheadPoint]) -> None:
+    print(caption)
+    rows = [[f"{getattr(p, entity):,}", f"{p.dcc_ops_per_sec:,.0f}", f"{p.resolver_ops_per_sec:,.0f}",
+             f"{p.dcc_state_bytes / 1e6:.1f} MB", f"{p.resolver_state_bytes / 1e6:.1f} MB"] for p in points]
+    print(render_table([entity, "DCC ops/s", "resolver ops/s", "DCC state", "resolver state"], rows))
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.analysis.provenance import provenance_header
 
@@ -179,29 +208,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "fig10", seed=seed, config={"ops": ops, "quick": quick}
     ))
     counts = [10_000, 40_000, 100_000] if quick else None
-    print("=== Figure 10(a): fixed 1K clients, varying servers ===")
-    rows = []
-    for p in run_server_sweep(counts, ops=ops, seed=seed):
-        rows.append([
-            f"{p.servers:,}",
-            f"{p.dcc_ops_per_sec:,.0f}",
-            f"{p.resolver_ops_per_sec:,.0f}",
-            f"{p.dcc_state_bytes / 1e6:.1f} MB",
-            f"{p.resolver_state_bytes / 1e6:.1f} MB",
-        ])
-    print(render_table(
-        ["servers", "DCC ops/s", "resolver ops/s", "DCC state", "resolver state"], rows))
-
-    print("\n=== Figure 10(b): fixed 1K servers, varying clients ===")
-    rows = []
-    for p in run_client_sweep(counts, ops=ops, seed=seed):
-        rows.append([
-            f"{p.clients:,}",
-            f"{p.dcc_ops_per_sec:,.0f}",
-            f"{p.resolver_ops_per_sec:,.0f}",
-            f"{p.dcc_state_bytes / 1e6:.1f} MB",
-            f"{p.resolver_state_bytes / 1e6:.1f} MB",
-        ])
-    print(render_table(
-        ["clients", "DCC ops/s", "resolver ops/s", "DCC state", "resolver state"], rows))
-    return 0
+    figure = {"a": run_server_sweep(counts, ops=ops, seed=seed)}
+    _print_sweep("=== Figure 10(a): fixed 1K clients, varying servers ===", "servers", figure["a"])
+    figure["b"] = run_client_sweep(counts, ops=ops, seed=seed)
+    _print_sweep("\n=== Figure 10(b): fixed 1K servers, varying clients ===", "clients", figure["b"])
+    return report_failures(failures(figure))

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.report import render_table
 from repro.analysis.series import percentile
 from repro.dnscore.rdata import RCode
-from repro.experiments.common import AttackScenario, ScenarioConfig
+from repro.experiments.common import AttackScenario, ScenarioConfig, not_judged, report_failures
 from repro.experiments.fig10_overhead import warm_control_loop
 from repro.workloads.schedule import ClientSpec
 
@@ -121,6 +121,25 @@ def run_figure11(
     return results
 
 
+def failures(results: List[DelaySample]) -> List[str]:
+    """The Figure 11 claims ``results`` (``run_figure11``'s shape, any subset) does not show.  The
+    control-path clause reads the wall clock, hence its slack."""
+    problems = []
+    p90 = {r.label.split()[0]: percentile(r.samples_ms, 90) for r in results if "end-to-end" in r.label}
+    if len(p90) < 2:
+        not_judged("Figure 11: DCC adds marginal end-to-end delay", "no vanilla/DCC pair")
+    elif not p90["DCC"] <= p90["vanilla"] + 1.0:
+        problems.append(f"Figure 11: DCC should add no perceptible end-to-end delay when uncongested, but its p90 "
+                        f"is {p90['DCC']:.3f} ms against vanilla's {p90['vanilla']:.3f}")
+    medians = [percentile(r.samples_ms, 50) for r in results if r.label.startswith("DCC path")]
+    if len(medians) < 2:
+        not_judged("Figure 11: control-path cost flat across state sizes", "fewer than two (C, S) points")
+    if not all(m < 1.0 for m in medians) or (len(medians) >= 2 and not medians[-1] < 5 * medians[0]):
+        problems.append(f"Figure 11: the control path should cost well under a millisecond per request and stay "
+                        f"near-flat across state sizes, but the medians are {medians} ms")
+    return problems
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.analysis.provenance import provenance_header
 
@@ -142,4 +161,4 @@ def main(argv: Optional[List[str]] = None) -> int:
     added = percentile(dcc.samples_ms, 50) - percentile(vanilla.samples_ms, 50)
     print(f"\nDCC median added end-to-end delay: {added:.3f} ms "
           f"(paper: marginal, network-dominated)")
-    return 0
+    return report_failures(failures(results))

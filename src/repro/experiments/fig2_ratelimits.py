@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis.report import render_table
+from repro.experiments.common import not_judged, report_failures
 from repro.measure.population import ResolverProfile, bucket_of, build_population
 from repro.measure.prober import ProbeConfig, RateLimitProber
 
@@ -115,6 +116,16 @@ def run_figure2(
     return result
 
 
+def failures(result: Figure2Result) -> List[str]:
+    """The Figure 2 claims ``result`` does not show."""
+    claim = "Figure 2: the ingress estimate lands in the true bucket for most resolvers"
+    if len(result.measurements) < 8:
+        not_judged(claim, f"{len(result.measurements)} resolvers, fewer than 8")
+    elif not result.bucket_accuracy() >= 0.5:
+        return [f"{claim}, but did for {result.bucket_accuracy():.0%}"]
+    return []
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.analysis.provenance import provenance_header
 
@@ -145,4 +156,4 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(render_table(headers, rows))
     print(f"\nIRL-WC bucket accuracy vs hidden ground truth: "
           f"{result.bucket_accuracy():.0%}")
-    return 0
+    return report_failures(failures(result))

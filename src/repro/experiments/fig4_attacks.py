@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.report import render_table
-from repro.experiments.common import AttackScenario, ScenarioConfig
+from repro.experiments.common import AttackScenario, ScenarioConfig, not_judged, report_failures
 from repro.workloads.schedule import ClientSpec
 
 
@@ -202,6 +202,37 @@ def run_figure4(
     }
 
 
+#: (setup, sweep) -> what holds of benign success at the (lowest, highest) attacker rate run; the claim
+_CLAIMS = {
+    ("a", 0): (lambda low, high: low > 0.9 and high < 0.6, "a few amplified requests a second collapse benign service"),
+    ("b", 0): (lambda low, high: high < min(low, 0.7), "a second resolver barely helps, retries congest it too"),
+    ("c", 0): (lambda low, high: low > 0.9 > high, "success holds below the RR-channel capacity and drops above it"),
+    ("c", 1): (lambda low, high: high < 0.7 and high <= low, "the 60-QPS upstream saturates at the top of the sweep"),
+}
+
+
+def failures(figure: Dict[str, List[SweepResult]]) -> List[str]:
+    """The Figure 4 claims ``figure`` (``run_figure4``'s shape, any subset) does not show."""
+    problems = []
+    for (setup, index), (holds, claim) in _CLAIMS.items():
+        if index >= len(figure.get(setup, [])):
+            continue
+        sweep = figure[setup][index]
+        first, last = sweep.points[0], sweep.points[-1]
+        if first is last:
+            not_judged(f"Figure 4({setup}): {claim}", "one-point sweep")
+        elif not holds(first.benign_success, last.benign_success):
+            problems.append(f"Figure 4({setup}), {sweep.label}: {claim}; benign success is {first.benign_success:.2f} "
+                            f"at {first.attacker_qps} QPS and {last.benign_success:.2f} at {last.attacker_qps} QPS")
+    by_size = figure.get("d", [])
+    if len(by_size) == 1:
+        not_judged("Figure 4(d): impact is inversely proportional to the egress-set size", "one egress-set size")
+    elif by_size and not by_size[-1].points[-1].benign_success >= by_size[0].points[-1].benign_success:
+        problems.append(f"Figure 4(d): impact should be inversely proportional to the egress-set size, but "
+                        f"{by_size[-1].label} fares worse than {by_size[0].label}")
+    return problems
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.analysis.provenance import provenance_header
 
@@ -224,4 +255,4 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"\n=== {captions[key]} ===")
         rows = [row for sweep in sweeps for row in sweep.as_rows()]
         print(render_table(["variant", "attacker QPS", "benign success ratio"], rows))
-    return 0
+    return report_failures(failures(figure))

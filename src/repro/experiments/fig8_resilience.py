@@ -31,8 +31,12 @@ from typing import Dict, List, Optional
 from repro.analysis.report import format_series, render_table, sparkline
 from repro.dcc.monitor import AnomalyKind, MonitorConfig
 from repro.dcc.policing import PolicyKind, PolicyTemplate
-from repro.experiments.common import AttackScenario, ScenarioConfig, ScenarioResult
+from repro.experiments.common import AttackScenario, ScenarioConfig, ScenarioResult, report_failures
 from repro.workloads.schedule import TABLE2_SCENARIOS, table2_clients
+
+#: capacity of the resolver -> authoritative channel (Section 5.1)
+CHANNEL_QPS = 1000.0
+
 
 #: Figure-8 DCC policy configuration (Section 5.1).
 def paper_policy_templates(rate_scale: float = 1.0, time_scale: float = 1.0) -> Dict:
@@ -90,7 +94,7 @@ def run_scenario(
     config = ScenarioConfig(
         seed=seed,
         duration=duration,
-        channel_capacity=1000.0,
+        channel_capacity=CHANNEL_QPS,
         use_dcc=use_dcc,
         monitor=paper_monitor_config(time_scale=scale),
         policy_templates=paper_policy_templates(time_scale=scale),
@@ -129,6 +133,31 @@ def summarize(run: Figure8Run, phases: List[tuple]) -> List[List[object]]:
     return rows
 
 
+def _attack_mean(run: Figure8Run, client: str, until: float = 50.0) -> float:
+    """Mean effective QPS over paper seconds 25..``until``: attack on, every client active."""
+    scale = run.result.duration / 60.0
+    window = run.series(client)[int(25 * scale):int(until * scale)]
+    return sum(window) / max(1, len(window))
+
+
+def failures(runs: Dict[str, Dict[str, Figure8Run]]) -> List[str]:
+    """The Figure 8 claims ``runs`` (``run_figure8``'s shape, any subset) does not show."""
+    problems = []
+    for scenario, pair in runs.items():
+        vanilla, dcc = pair["vanilla"], pair["dcc"]
+        heavy = _attack_mean(vanilla, "heavy")
+        if not heavy < 400:
+            problems.append(f"Figure 8 ({scenario}): vanilla should crush heavy well below 600 QPS, got {heavy:.0f}")
+        medium, light = _attack_mean(dcc, "medium"), _attack_mean(dcc, "light", until=55.0)
+        if not (medium > 250 and light > 100):
+            problems.append(f"Figure 8 ({scenario}): DCC should serve medium and light (near) their full 350 and "
+                            f"150 QPS despite the attack, got {medium:.0f} and {light:.0f}")
+        for client in ("heavy", "medium") if scenario == "wildcard" else ("medium",):
+            if not _attack_mean(dcc, client) > _attack_mean(vanilla, client):
+                problems.append(f"Figure 8 ({scenario}): DCC should protect {client} better than vanilla does")
+    return problems
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.analysis.provenance import provenance_header
 
@@ -156,4 +185,4 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(render_table(["client"] + [p[0] for p in phases], summarize(run, phases)))
             for client in ("attacker", "heavy", "medium", "light"):
                 print(f"  {client:>9s} |{sparkline(run.series(client))}|")
-    return 0
+    return report_failures(failures(runs))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.report import render_table, sparkline
-from repro.experiments.common import AttackScenario, ScenarioConfig, ScenarioResult
+from repro.experiments.common import AttackScenario, ScenarioConfig, ScenarioResult, report_failures
 from repro.experiments.fig8_resilience import paper_monitor_config, paper_policy_templates
 from repro.workloads.schedule import ClientSpec, FIGURE9_ATTACKER_RATES
 
@@ -51,7 +51,9 @@ def _figure9_specs(scenario: str, time_scale: float) -> List[ClientSpec]:
     return [s.scaled(time_scale, 1.0) for s in specs]
 
 
-def run_scenario(scenario: str, signaling: bool, scale: float = 1.0, seed: int = 42) -> Figure9Run:
+def run_scenario(
+    scenario: str, signaling: bool, scale: float = 1.0, seed: int = 42, countdown_threshold: int = 5
+) -> Figure9Run:
     if scenario not in FIGURE9_ATTACKER_RATES:
         raise ValueError(f"scenario must be one of {sorted(FIGURE9_ATTACKER_RATES)}")
     config = ScenarioConfig(
@@ -68,7 +70,7 @@ def run_scenario(scenario: str, signaling: bool, scale: float = 1.0, seed: int =
         forwarded_clients=["heavy", "light", "attacker"],
         monitor=paper_monitor_config(time_scale=scale),
         policy_templates=paper_policy_templates(time_scale=scale),
-        countdown_threshold=5,
+        countdown_threshold=countdown_threshold,
         ff_instances=200,
     )
     scenario_obj = AttackScenario(config)
@@ -95,6 +97,24 @@ def collateral_damage(run: Figure9Run, scale: float) -> Dict[str, float]:
         name: run.result.success_ratio(name, *window)
         for name in ("heavy", "light")
     }
+
+
+def failures(runs: Dict[str, Dict[str, Figure9Run]]) -> List[str]:
+    """The Figure 9 claims ``runs`` (``run_figure9``'s shape, any subset) does not show."""
+    problems = []
+    for scenario, pair in runs.items():
+        scale = pair["on"].result.duration / 60.0
+        off, on = collateral_damage(pair["off"], scale), collateral_damage(pair["on"], scale)
+        if not off["heavy"] < 0.7:
+            problems.append(f"Figure 9 ({scenario}): without signaling the forwarder's benign clients should share "
+                            f"the attacker's fate, heavy still succeeds {off['heavy']:.2f}")
+        if not (on["heavy"] > 0.75 and on["light"] > 0.7 and on["heavy"] > off["heavy"]):
+            problems.append(f"Figure 9 ({scenario}): signaling should save the innocuous clients, heavy="
+                            f"{on['heavy']:.2f} light={on['light']:.2f} (heavy with signaling off: {off['heavy']:.2f})")
+        medium = pair["on"].result.success_ratio("medium", 25 * scale, 45 * scale)
+        if not medium > 0.8:
+            problems.append(f"Figure 9 ({scenario}): the direct medium client should be served, got {medium:.2f}")
+    return problems
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -126,4 +146,4 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"heavy={damage['heavy']:.2f} light={damage['light']:.2f}")
             for client in ("attacker", "heavy", "medium", "light"):
                 print(f"  {client:>9s} |{sparkline(run.result.effective_qps[client])}|")
-    return 0
+    return report_failures(failures(runs))

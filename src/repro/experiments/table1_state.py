@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 
 from repro.analysis.report import render_table
 from repro.dnscore.rdata import RRType
-from repro.experiments.common import AttackScenario, ScenarioConfig
+from repro.experiments.common import AttackScenario, ScenarioConfig, report_failures
 from repro.workloads.schedule import ClientSpec
 
 
@@ -90,6 +90,18 @@ def run_table1(
     return StateSnapshot(resolver=resolver_state, dcc=dcc_state)
 
 
+def failures(snapshot: StateSnapshot) -> List[str]:
+    """The Table 1 claims ``snapshot`` does not show."""
+    problems = []
+    if not snapshot.dcc_not_larger():
+        problems.append(f"Table 1: DCC's state should be no larger than the resolver's, but holds "
+                        f"{sum(snapshot.dcc.values())} entries against {sum(snapshot.resolver.values())}")
+    if not (snapshot.resolver["per-server (NS info, RL, SRTT)"] and snapshot.dcc["per-client (monitoring, policies)"]):
+        problems.append(f"Table 1: a mid-run snapshot should find the resolver's per-server and DCC's per-client "
+                        f"state populated, but reads {snapshot.resolver} / {snapshot.dcc}")
+    return problems
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.analysis.provenance import provenance_header
 
@@ -109,4 +121,4 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"\nDCC total {sum(snapshot.dcc.values())} {verdict} "
           f"resolver total {sum(snapshot.resolver.values())} "
           f"(paper: DCC state is no larger)")
-    return 0
+    return report_failures(failures(snapshot))

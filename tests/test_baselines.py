@@ -104,8 +104,14 @@ class TestIoIsolated:
         for s in range(4):
             for d in range(5):
                 fq.enqueue(f"s{s}", f"d{d}", None, 0.0)
-        # O(|S| * |O|) live queues -- the cost the paper rejects.
+        # O(|S| * |O|) live queues -- the cost the paper rejects -- where
+        # MOPI-FQ under the same load keeps one queue per output.
         assert fq.queue_count() == 20
+        mopi = MopiFq(MopiFqConfig())
+        for s in range(4):
+            for d in range(5):
+                mopi.enqueue(f"s{s}", f"d{d}", None, 0.0)
+        assert mopi.active_outputs() == 5
 
     def test_round_robin_over_sources_per_output(self):
         fq = IoIsolatedFq()

@@ -60,12 +60,27 @@ def test_fig10_quick_small_ops(capsys):
     assert "Figure 10(a)" in out and "Figure 10(b)" in out
 
 
-def test_ablations(capsys):
+def test_ablations(capsys, monkeypatch):
+    """The scheduler-level studies run for real; the three that run
+    whole simulations are left to the results-drift job, which
+    regenerates results/ablations.txt, so tier-1 gains no simulation."""
+    for study in ("mitigation_study", "countdown_study", "e2e_scheduler_study"):
+        monkeypatch.setattr(f"repro.experiments.ablations.{study}", lambda seed: {})
     assert main(["ablations"]) == 0
     out = capsys.readouterr().out
     assert "MOPI-FQ" in out
     assert "MMF deviation" in out
     assert "head-of-line" in out
+    assert "Ablation 5" in out
+
+
+def test_all_runs_every_figure_and_returns_the_worst_exit_code(monkeypatch):
+    from repro import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "_run", lambda name, argv: ran.append(name) or int(name == "fig9"))
+    assert cli._cmd_all([]) == 1
+    assert ran == ["fig2", "fig4", "fig8", "fig9", "fig10", "fig11", "table1", "ablations", "resilience"]
 
 
 def test_resilience_small(capsys, tmp_path):

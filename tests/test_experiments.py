@@ -43,6 +43,7 @@ class TestFig2:
         result = fig2_ratelimits.run_figure2(scale=0.05, resolver_count=3)
         assert len(result.measurements) == 3
         for label in ("IRL WC", "IRL NX", "ERL CQ", "ERL FF"):
+            assert set(result.histogram[label]) == set(fig2_ratelimits.BUCKET_LABELS)
             assert sum(result.histogram[label].values()) == 3
         assert 0.0 <= result.bucket_accuracy() <= 1.0
         truth = result.truth_histogram()
@@ -57,13 +58,11 @@ class TestFig4:
 
     def test_setup_c_shows_capacity_knee(self):
         sweeps = fig4_attacks.run_setup_c(rates=(30, 200), time_scale=0.1)
-        three_up = sweeps[0]
-        assert three_up.points[0].benign_success > three_up.points[1].benign_success
+        assert fig4_attacks.failures({"c": sweeps}) == []
 
     def test_setup_d_egress_scaling(self):
         sweeps = fig4_attacks.run_setup_d(rates=(40,), egress_sizes=(2, 8), time_scale=0.1)
-        small, large = sweeps[0].points[0], sweeps[1].points[0]
-        assert large.benign_success >= small.benign_success
+        assert fig4_attacks.failures({"d": sweeps}) == []
 
 
 class TestFig8:
@@ -87,29 +86,24 @@ class TestFig10:
         assert point.resolver_state_bytes > 0
 
     def test_dcc_compute_insensitive_to_entities(self):
-        small, large = fig10_overhead.run_server_sweep([500, 20_000], clients=100, ops=4000)
         # Within 3x across a 40x entity-count change.
-        assert large.dcc_ops_per_sec > small.dcc_ops_per_sec / 3
+        sweep = fig10_overhead.run_server_sweep([500, 20_000], clients=100, ops=4000)
+        assert fig10_overhead.failures({"a": sweep}) == []
 
 
 class TestFig11:
     def test_end_to_end_dcc_adds_marginal_delay(self):
-        vanilla = fig11_delay.run_end_to_end(False, requests=200)
-        dcc = fig11_delay.run_end_to_end(True, requests=200)
-        from repro.analysis.series import percentile
-
-        assert percentile(dcc.samples_ms, 50) <= percentile(vanilla.samples_ms, 50) + 0.5
+        pair = [fig11_delay.run_end_to_end(False, requests=200), fig11_delay.run_end_to_end(True, requests=200)]
+        assert fig11_delay.failures(pair) == []
 
     def test_control_path_scales_flat(self):
         small = fig11_delay.run_control_path(100, 100, requests=2000)
         large = fig11_delay.run_control_path(10_000, 10_000, requests=2000)
-        from repro.analysis.series import percentile
-
-        assert percentile(large.samples_ms, 50) < percentile(small.samples_ms, 50) * 5
+        assert fig11_delay.failures([small, large]) == []
 
 
 class TestTable1:
     def test_dcc_state_not_larger(self):
         snapshot = table1_state.run_table1(duration=4.0, clients=4, rate=50.0)
-        assert snapshot.dcc_not_larger()
+        assert table1_state.failures(snapshot) == []
         assert snapshot.dcc["per-client (monitoring, policies)"] >= 4

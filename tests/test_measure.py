@@ -85,7 +85,7 @@ class TestProber:
     def test_ingress_estimate_close_to_truth(self):
         prober = RateLimitProber(self._profile(), ProbeConfig(scale=0.1))
         result = prober.probe_ingress("WC")
-        assert not result.uncertain
+        assert not result.uncertain and result.probe_steps >= 1
         assert result.limit == pytest.approx(300.0, rel=0.4)
         assert bucket_of(result.limit) == bucket_of(300.0)
 
