@@ -10,8 +10,10 @@ This is a faithful implementation of the paper's Appendix B pseudocode
   scheduling rounds, with per-round tail pointers (``round_tails``, a
   list of ``MAX_ROUND`` slots used as a ring: only rounds ``current ..
   current + MAX_ROUND - 1`` are ever queued, so slot ``r % MAX_ROUND``
-  is round ``r``'s) and per-source latest-round tracking
-  (``source_latest``);
+  is round ``r``'s) and one record per queued source (``sources``:
+  latest round, quota left in it, messages queued).  A queue whose last
+  message leaves hands its state, reset, to an idle list that the next
+  activation pops -- as free entries go back to the pool;
 - an **ordered output sequence** (``out_seq``) keyed by the arrival time
   of each queue's head message (or the predicted availability time of a
   congested channel) decides which queue dequeues next -- preserving
@@ -57,11 +59,13 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import sanitize as simsan
 from repro.obs import NULL_OBS
+from repro.util.memsize import approx_deep_size
 from repro.util.tokenbucket import TokenBucket
 
 #: SimSan: run the full O(depth) structural check every Nth operation
@@ -154,8 +158,7 @@ class _PoqState:
         "round_tails",
         "current_round",
         "latest_round",
-        "source_latest",
-        "source_count",
+        "sources",
     )
 
     def __init__(self, max_round: int) -> None:
@@ -166,10 +169,9 @@ class _PoqState:
         self.current_round = 0
         #: highest round with a queued message
         self.latest_round = -1
-        #: source -> [latest round enqueued, remaining quota in that round]
-        self.source_latest: Dict[str, List[int]] = {}
-        #: source -> queued message count (state lifetime per B.1.1)
-        self.source_count: Dict[str, int] = {}
+        #: source -> [latest round enqueued, quota left in it, messages queued],
+        #: kept exactly as long as the source has messages queued here (B.1.1)
+        self.sources: Dict[str, List[int]] = {}
 
 
 @dataclass
@@ -181,8 +183,6 @@ class MopiFqStats:
     fail_congested: int = 0
     fail_overflow: int = 0
     dequeue_empty: int = 0
-    #: (source -> messages dequeued) per destination, for fairness checks
-    output_per_source: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
 
 class MopiFq:
@@ -216,6 +216,8 @@ class MopiFq:
         self.total_depth = 0
 
         self._poq: Dict[str, _PoqState] = {}
+        #: reset states of inactive outputs, for the next activation; never more than the peak of ``len(self._poq)``
+        self._idle: List[_PoqState] = []
         self._rate_lim: Dict[str, TokenBucket] = {}
         self._out_seq: List[_OutKey] = []
         self._seq = itertools.count()
@@ -253,17 +255,18 @@ class MopiFq:
         config = self.config
         state = self._poq.get(destination)
         if state is None:
-            # joins ``_poq`` (and ``out_seq``) with its first message
-            state = _PoqState(config.max_round)
+            # joins ``_poq`` and ``out_seq``, and leaves the idle list, with its first message -- if that is admitted
+            idle = self._idle
+            state = idle[-1] if idle else _PoqState(config.max_round)
 
         crt_r = state.current_round
         lat_r = state.latest_round
         # ``get_src_next_round``: where this source's next message goes.
-        latest = state.source_latest.get(source)
-        if latest is None:
+        record = state.sources.get(source)
+        if record is None:
             src_nxt = crt_r
         else:
-            src_nxt = latest[0] if latest[1] > 0 else latest[0] + 1
+            src_nxt = record[0] if record[1] > 0 else record[0] + 1
             if src_nxt < crt_r:
                 src_nxt = crt_r
 
@@ -273,7 +276,7 @@ class MopiFq:
 
         # An eviction below never takes a message of ``source`` (a source
         # with a message in the latest round is rejected, not admitted by
-        # eviction), so ``latest`` stays this source's record throughout.
+        # eviction), so ``record`` stays this source's record throughout.
         evicted: Optional[EvictedMessage] = None
         if state.depth >= config.max_poq_depth:
             if src_nxt >= lat_r:
@@ -301,14 +304,13 @@ class MopiFq:
         self._append_to_round(destination, state, entry)
 
         # Source bookkeeping: one more message, one unit of quota spent.
-        if latest is not None and latest[0] == src_nxt and latest[1] > 0:
-            latest[1] -= 1
+        if record is not None and record[0] == src_nxt and record[1] > 0:
+            record[1] -= 1
+            record[2] += 1
         else:
             share_of = self.share_of
             share = 1 if share_of is None else max(1, int(share_of(source)))
-            state.source_latest[source] = [src_nxt, share - 1]
-        counts = state.source_count
-        counts[source] = counts.get(source, 0) + 1
+            state.sources[source] = [src_nxt, share - 1, 1 if record is None else record[2] + 1]
         self.total_depth += 1
         self.stats.enqueued += 1
         if self.obs.enabled:
@@ -341,6 +343,8 @@ class MopiFq:
             assert state.head is None, "new head in front of a queued one"
             state.head = entry
             self._poq[destination] = state
+            if self._idle:  # ``state`` is the last of them
+                self._idle.pop()
             heapq.heappush(self._out_seq, (entry.arr_time, next(self._seq), destination))
         else:
             entry.next = anchor.next
@@ -387,28 +391,29 @@ class MopiFq:
         source = entry.source
         result = DequeuedMessage(source, destination, entry.payload, entry.arr_time)
         successor = entry.next
+        tails = state.round_tails
+        slot = entry.round % len(tails)
         if successor is None:
-            # The queue's last message: the queue, its tuple and every
-            # piece of per-source state go with it.
+            # The queue's last message: its tuple goes with it, its state --
+            # one tail slot and one source record still set -- to the idle list.
             heapq.heappop(heap)
             del poq[destination]
+            state.head = tails[slot] = None
+            del state.sources[source]
+            state.depth = state.current_round = 0
+            state.latest_round = -1
+            self._idle.append(state)
         else:
             successor.prev = None
             state.head = successor
-            tails = state.round_tails
-            slot = entry.round % len(tails)
             if tails[slot] is entry:
                 # alone in its round; a later round exists (the successor's)
                 tails[slot] = None
-            # Per B.1.1, per-source state lives exactly as long as the
-            # source has messages queued for this output.
-            counts = state.source_count
-            count = counts.get(source, 0) - 1
-            if count <= 0:
-                counts.pop(source, None)
-                state.source_latest.pop(source, None)
+            record = state.sources[source]
+            if record[2] > 1:
+                record[2] -= 1
             else:
-                counts[source] = count
+                del state.sources[source]
             state.depth -= 1
             state.current_round = successor.round
             heapq.heapreplace(heap, (successor.arr_time, next(self._seq), destination))
@@ -419,13 +424,7 @@ class MopiFq:
         entry.next = self._avail
         self._avail = entry
 
-        stats = self.stats
-        stats.dequeued += 1
-        per_dst = stats.output_per_source.get(destination)
-        if per_dst is None:
-            stats.output_per_source[destination] = {source: 1}
-        else:
-            per_dst[source] = per_dst.get(source, 0) + 1
+        self.stats.dequeued += 1
         if self._san:
             self._sanitize_op(destination)
         return result
@@ -461,15 +460,12 @@ class MopiFq:
             tails[slot] = None
             state.latest_round = before.round
 
-        # Source bookkeeping: per B.1.1, per-source state lives exactly
-        # as long as the source has messages queued for this output.
         source = victim.source
-        count = state.source_count.get(source, 0) - 1
-        if count <= 0:
-            state.source_count.pop(source, None)
-            state.source_latest.pop(source, None)
+        record = state.sources[source]
+        if record[2] > 1:
+            record[2] -= 1
         else:
-            state.source_count[source] = count
+            del state.sources[source]
         state.depth -= 1
         self.total_depth -= 1
 
@@ -494,7 +490,7 @@ class MopiFq:
 
     def queued_sources(self, destination: str) -> Dict[str, int]:
         state = self._poq.get(destination)
-        return dict(state.source_count) if state is not None else {}
+        return {source: record[2] for source, record in state.sources.items()} if state is not None else {}
 
     def queue_snapshot(self, destination: str) -> List[Tuple[str, int]]:
         """(source, round) pairs in queue order, for tests/invariants."""
@@ -520,22 +516,19 @@ class MopiFq:
                 assert rounds[0] == state.current_round
                 assert rounds[-1] == state.latest_round
                 assert state.latest_round < state.current_round + self.config.max_round
-            counts: Dict[str, int] = {}
-            per_round: Dict[int, Dict[str, int]] = {}
-            for source, round_no in snapshot:
-                counts[source] = counts.get(source, 0) + 1
-                per_round.setdefault(round_no, {})
-                per_round[round_no][source] = per_round[round_no].get(source, 0) + 1
-            assert counts == state.source_count, f"{destination}: source counts"
-            for round_no, sources in per_round.items():
-                for source, cnt in sources.items():
-                    share = 1 if self.share_of is None else max(1, int(self.share_of(source)))
-                    assert cnt <= share, (
-                        f"{destination}: source {source} has {cnt} > share {share} "
-                        f"messages in round {round_no}"
-                    )
+            counts = Counter(source for source, _ in snapshot)
+            assert counts == self.queued_sources(destination), f"{destination}: source counts"
+            for (source, round_no), cnt in Counter(snapshot).items():
+                share = 1 if self.share_of is None else max(1, int(self.share_of(source)))
+                assert cnt <= share, (
+                    f"{destination}: source {source} has {cnt} > share {share} "
+                    f"messages in round {round_no}"
+                )
             depth_sum += state.depth
         assert depth_sum == self.total_depth, "total_depth mismatch"
+        for state in self._idle:
+            assert (state.depth, state.head, state.current_round, state.latest_round) == (0, None, 0, -1) \
+                and not state.sources and not any(state.round_tails), "idle per-output state not reset"
         heap = self._out_seq
         assert all(heap[(i - 1) >> 1] <= heap[i] for i in range(1, len(heap))), "out_seq heap order broken"
         assert len(heap) == len(self._poq), "out_seq size differs from the active outputs"
@@ -567,11 +560,11 @@ class MopiFq:
         if state is None:
             self._san_last_round.pop(destination, None)
         else:
-            occupancy = sum(state.source_count.values())
+            occupancy = sum(record[2] for record in state.sources.values())
             if occupancy != state.depth:
                 simsan.fail(
                     f"{destination}: active-source accounting ({occupancy} "
-                    f"messages across {len(state.source_count)} sources) "
+                    f"messages across {len(state.sources)} sources) "
                     f"disagrees with queue depth {state.depth}"
                 )
             last = self._san_last_round.get(destination)
@@ -593,5 +586,15 @@ class MopiFq:
     def state_entry_count(self) -> int:
         """Number of live state entries (Table 1 / Figure 10 accounting):
         queued messages + per-output structures + per-source trackers."""
-        per_source = sum(len(state.source_latest) for state in self._poq.values())
+        per_source = sum(len(state.sources) for state in self._poq.values())
         return self.total_depth + len(self._poq) + len(self._rate_lim) + per_source
+
+    def per_output_entries(self) -> int:
+        """Active and idle queue states plus channel buckets (Table 1's per-server row)."""
+        return len(self._poq) + len(self._idle) + len(self._rate_lim)
+
+    def state_bytes(self) -> int:
+        """Resident bytes of everything held but the pool's free entries
+        and what is of fixed size (Figure 10): active and idle per-output
+        states with the entries queued in them, channel buckets, ``out_seq``."""
+        return approx_deep_size((self._poq, self._idle, self._rate_lim, self._out_seq))

@@ -249,9 +249,9 @@ class DccShim:
 
         reqstate: Optional[PerRequestState] = None
         if client != LOCAL_SOURCE:
-            known = self.tables.get_request(client, attribution.request_id)
+            opened = self.tables.created
             reqstate = self.tables.open_request(client, attribution.request_id, now)
-            if known is None:
+            if self.tables.created != opened:
                 # First query for this request: it entered resolution.
                 self.monitor.record_request(client, now)
             reqstate.queries_attributed += 1
@@ -276,7 +276,8 @@ class DccShim:
                 self._synthesize_servfail(query, server)
                 return True
 
-        status, evicted = self.scheduler.enqueue(client, server, (query, server), now)
+        # the request id rides in the payload: the attribution option is decoded once per query
+        status, evicted = self.scheduler.enqueue(client, server, (query, server, attribution.request_id), now)
         if evicted is not None:
             self._handle_eviction(evicted, now)
         if status.ok:
@@ -330,17 +331,17 @@ class DccShim:
 
     def _handle_eviction(self, evicted, now: float) -> None:
         self.stats.queries_evicted += 1
-        query, server = evicted.payload
+        query, server, request_id = evicted.payload
         if self.obs.enabled:
             self.obs.inc("dcc.queries_evicted")
             span = self._obs_wait.pop(query.id, 0)
             self.obs.end(span, now, outcome="evicted")
-        attribution = self._attribution(query)
-        if attribution.client != LOCAL_SOURCE:
-            state = self.tables.get_request(attribution.client, attribution.request_id)
+        client = evicted.source
+        if client != LOCAL_SOURCE:
+            state = self.tables.get_request(client, request_id)
             if state is not None:
                 state.dropped_congestion += 1
-                state.allocated_rate = self._allocated_rate(attribution.client, server)
+                state.allocated_rate = self._allocated_rate(client, server)
         self._synthesize_servfail(query, server)
 
     def _synthesize_servfail(self, query: Message, server: str) -> None:
@@ -359,13 +360,9 @@ class DccShim:
             item = self.scheduler.dequeue(now)
             if item is None:
                 break
-            query, server = item.payload
+            query, server, request_id = item.payload
             if item.source != LOCAL_SOURCE:
-                self._inflight[query.id] = (
-                    item.source,
-                    self._attribution(query).request_id,
-                    server,
-                )
+                self._inflight[query.id] = (item.source, request_id, server)
             self.stats.queries_sent += 1
             if self.obs.enabled:
                 span = self._obs_wait.pop(query.id, 0)

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.memsize import approx_deep_size
+from repro.util.memsize import approx_deep_size
 from repro.analysis.report import render_table
 from repro.dcc.monitor import AnomalyMonitor, MonitorConfig
 from repro.dcc.mopifq import MopiFq, MopiFqConfig
@@ -104,8 +104,7 @@ def _drive_dcc(n_clients: int, n_servers: int, ops: int, seed: int = 11) -> Over
 
     dcc_bytes = (
         monitor.state_bytes()
-        + approx_deep_size(scheduler._poq)
-        + approx_deep_size(scheduler._rate_lim)
+        + scheduler.state_bytes()
         + approx_deep_size(tables._requests)
     )
 

@@ -82,8 +82,7 @@ def run_table1(
     dcc_state = {
         "per-client (monitoring, policies)": shim.monitor.tracked_clients()
         + len(shim.engine.active_policies(scenario.sim.now)),
-        "per-server (queueing state)": shim.tracked_servers()
-        + len(shim.scheduler._rate_lim),
+        "per-server (queueing state)": shim.scheduler.per_output_entries(),
         "per-request (query stats, signals)": shim.tables.open_request_count()
         + shim.scheduler.total_depth,
     }

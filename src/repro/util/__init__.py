@@ -14,6 +14,8 @@ scheduler and the simulation substrate are built on:
 - :func:`repro.util.seeds.derive_seed` -- hash-based sub-seed
   derivation shared by the fuzzer's iteration streams and the fluid
   layer's promotion sub-seeds.
+- :func:`repro.util.memsize.approx_deep_size` -- the deep ``getsizeof``
+  walk behind Figure 10's state columns (``MopiFq.state_bytes``).
 
 :mod:`repro.util.ordmap` (a treap, once MOPI-FQ's ``out_seq``) has no user
 left here; it stays until the perf ledger drops its ``util.ordmap.*`` rows.

@@ -2,7 +2,7 @@
 
 import sys
 
-from repro.analysis.memsize import approx_deep_size
+from repro.util.memsize import approx_deep_size
 
 
 def test_flat_object():

@@ -67,12 +67,13 @@ class ScanFq(MopiFq):
         tails = state.round_tails
         if tails[entry.round % len(tails)] is entry:
             tails[entry.round % len(tails)] = None
-        state.source_count[entry.source] -= 1
-        if not state.source_count[entry.source]:
-            del state.source_count[entry.source], state.source_latest[entry.source]
+        state.sources[entry.source][2] -= 1
+        if not state.sources[entry.source][2]:
+            del state.sources[entry.source]
         state.depth -= 1
         self.total_depth -= 1
         if state.head is None:
+            # the reference recycles nothing: the next activation builds anew
             del self._poq[destination]
         else:
             state.head.prev = None
@@ -81,8 +82,6 @@ class ScanFq(MopiFq):
         entry.payload, entry.source = None, ""
         entry.next, self._avail = self._avail, entry
         self.stats.dequeued += 1
-        per_dst = self.stats.output_per_source.setdefault(destination, {})
-        per_dst[result.source] = per_dst.get(result.source, 0) + 1
         return result
 
 

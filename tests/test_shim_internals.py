@@ -80,6 +80,24 @@ class TestInterception:
         assert state is not None
         assert state.queries_attributed == 1
 
+    def test_attribution_decoded_once_per_query(self, monkeypatch):
+        """Egress hook, eviction and pump all work from the one decode the
+        hook does; only a request's first query counts as a request."""
+        sim, resolver, shim = make_shim(scheduler=MopiFqConfig(max_poq_depth=2, max_round=10))
+        decodes, requests = [], []
+        real_decode = ClientAttribution.decode
+        monkeypatch.setattr(ClientAttribution, "decode",
+                            classmethod(lambda cls, option: decodes.append(option) or real_decode(option)))
+        monkeypatch.setattr(shim.monitor, "record_request", lambda client, now: requests.append(client))
+        shim.set_channel_capacity("srv", rate=10.0, burst=1.0)
+        for client, request_id in (("hog", 1), ("hog", 1), ("hog", 2), ("meek", 9)):  # the last one evicts
+            resolver.egress_query_hook(attributed_query(client=client, request_id=request_id), "srv")
+        sim.run(until=1.0)
+        assert shim.stats.queries_evicted == 1 and len(resolver.sent) == 3
+        assert len(decodes) == 4 and requests == ["hog", "hog", "meek"]
+        assert sorted(shim._inflight.values()) == [("hog", 1, "srv"), ("hog", 1, "srv"), ("meek", 9, "srv")]
+        assert shim.tables.get_request("hog", 2).dropped_congestion == 1
+
 
 class TestPumpArming:
     def test_congested_channel_arms_future_pump(self):

@@ -77,7 +77,7 @@ class _BrokenAccountingFq(MopiFq):
 
     def enqueue(self, source, destination, payload, now):
         result = super().enqueue(source, destination, payload, now)
-        self._poq[destination].source_count[source] -= 1
+        self._poq[destination].sources[source][2] -= 1
         return result
 
 
