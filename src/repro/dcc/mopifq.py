@@ -478,6 +478,15 @@ class MopiFq:
         self.stats.evicted += 1
         return evicted
 
+    def unlink_queued(self) -> None:
+        """Clear every queued entry's back link, for a scheduler being dropped
+        (a crashed host's): the rest is singly linked and dies by refcount."""
+        for state in self._poq.values():
+            entry = state.head
+            while entry is not None:
+                entry.prev = None
+                entry = entry.next
+
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------

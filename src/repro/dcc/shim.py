@@ -186,8 +186,10 @@ class DccShim:
         self.learned_capacities.clear()
         if self.obs.enabled and self._obs_wait:
             for span in self._obs_wait.values():
-                self.obs.end(span, self.now, outcome="crashed")
+                self.obs.end(span, self.resolver.sim.now, outcome="crashed")
             self._obs_wait.clear()
+        if isinstance(self.scheduler, MopiFq):
+            self.scheduler.unlink_queued()
         self.scheduler = self._make_scheduler()
         self.monitor = AnomalyMonitor(self.config.monitor)
         self.engine = PolicyEngine(
@@ -208,10 +210,6 @@ class DccShim:
         config file; signaled/learned ones must be re-learned."""
         for destination, (rate, burst) in self._configured_capacities.items():
             self.scheduler.set_channel_capacity(destination, rate, burst)
-
-    @property
-    def now(self) -> float:
-        return self.resolver.now
 
     def shed_priority(self, client: str) -> int:
         """Suspicion rank for the host's overload controller: clients
@@ -242,7 +240,7 @@ class DccShim:
 
     def _on_egress_query(self, query: Message, server: str) -> bool:
         self._ensure_ticking()
-        now = self.now
+        now = self.resolver.sim.now
         self.stats.queries_intercepted += 1
         attribution = self._attribution(query)
         client = attribution.client
@@ -299,7 +297,7 @@ class DccShim:
                 self.obs.set_gauge(
                     "mopifq.depth", getattr(self.scheduler, "total_depth", 0)
                 )
-            self._pump()
+            self._pump(now)
         else:
             self.stats.queries_dropped_congestion += 1
             if reqstate is not None:
@@ -354,8 +352,7 @@ class DccShim:
     # ------------------------------------------------------------------
     # the dequeue pump (the prototype's dequeue thread, event-driven)
     # ------------------------------------------------------------------
-    def _pump(self) -> None:
-        now = self.now
+    def _pump(self, now: float) -> None:
         while True:
             item = self.scheduler.dequeue(now)
             if item is None:
@@ -368,10 +365,10 @@ class DccShim:
                 span = self._obs_wait.pop(query.id, 0)
                 self.obs.end(span, now, outcome="sent")
             self.resolver.raw_send_query(query, server)
-        self._arm_pump()
+        self._arm_pump(now)
 
-    def _arm_pump(self) -> None:
-        next_time = self.scheduler.next_ready_time(self.now)
+    def _arm_pump(self, now: float) -> None:
+        next_time = self.scheduler.next_ready_time(now)
         if next_time is None:
             return
         if self._pump_event is not None and self._pump_at is not None:
@@ -384,13 +381,13 @@ class DccShim:
     def _pump_fire(self) -> None:
         self._pump_event = None
         self._pump_at = None
-        self._pump()
+        self._pump(self.resolver.sim.now)
 
     # ------------------------------------------------------------------
     # ingress answers: monitoring + signal processing
     # ------------------------------------------------------------------
     def _on_ingress_answer(self, answer: Message, src: str) -> Optional[Message]:
-        now = self.now
+        now = self.resolver.sim.now
         self.stats.answers_seen += 1
         info = self._inflight.pop(answer.id, None)
         client: Optional[str] = None
@@ -467,7 +464,7 @@ class DccShim:
     # egress responses: signal attachment
     # ------------------------------------------------------------------
     def _on_egress_response(self, response: Message, client: str) -> Message:
-        now = self.now
+        now = self.resolver.sim.now
         self._responses_sent += 1
         if (
             self.config.signaling
@@ -545,7 +542,7 @@ class DccShim:
     # periodic work
     # ------------------------------------------------------------------
     def _window_tick(self) -> None:
-        now = self.now
+        now = self.resolver.sim.now
         if getattr(self.resolver, "up", True):  # a crashed host evaluates nothing
             for event in self.monitor.evaluate(now):
                 self._act_on_event(event, now)
@@ -565,7 +562,7 @@ class DccShim:
             self.engine.convict(event.client, event.kind, now)
 
     def _purge_tick(self) -> None:
-        now = self.now
+        now = self.resolver.sim.now
         timeout = self.config.state_idle_timeout
         if getattr(self.resolver, "up", True):
             self.monitor.purge(now, timeout)

@@ -157,6 +157,8 @@ def extract_signals(message: Message, strip: bool = True) -> List[Signal]:
     wrapped resolver never sees them -- the transparency requirement of
     Section 3.3.
     """
+    if not message.edns_options:
+        return []
     signals: List[Signal] = []
     remaining: List[EdnsOption] = []
     for option in message.edns_options:

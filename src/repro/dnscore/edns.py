@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 from repro.dnscore.errors import WireDecodeError
 
@@ -51,6 +51,9 @@ class EdnsOption:
 
     code: int
     payload: bytes
+    #: set by ``ClientAttribution.encode`` to the attribution it encoded, for
+    #: ``decode`` to return; not a field: equality, hash, repr, wire ignore it
+    _attribution: ClassVar[Optional["ClientAttribution"]] = None
 
     def wire_length(self) -> int:
         return 4 + len(self.payload)
@@ -72,10 +75,14 @@ class ClientAttribution:
     def encode(self) -> EdnsOption:
         addr = self.client.encode("ascii")
         payload = struct.pack("!HIB", self.port, self.request_id, len(addr)) + addr
-        return EdnsOption(OptionCode.CLIENT_ATTRIBUTION, payload)
+        option = EdnsOption(OptionCode.CLIENT_ATTRIBUTION, payload)
+        object.__setattr__(option, "_attribution", self)
+        return option
 
     @classmethod
     def decode(cls, option: EdnsOption) -> "ClientAttribution":
+        if option._attribution is not None:
+            return option._attribution
         if len(option.payload) < 7:
             raise WireDecodeError("attribution option payload too short")
         port, request_id, addr_len = struct.unpack("!HIB", option.payload[:7])

@@ -39,7 +39,7 @@ class Name:
     True
     """
 
-    __slots__ = ("_labels", "_hash", "_wire_len", "_parent")
+    __slots__ = ("labels", "_hash", "_wire_len", "_parent")
 
     def __init__(self, labels: Iterable[str]) -> None:
         normalized = tuple(_normalize_label(lbl) for lbl in labels)
@@ -48,7 +48,9 @@ class Name:
     def _set(self, normalized: Tuple[str, ...], wire_len: int) -> None:
         if wire_len > MAX_NAME_LENGTH:
             raise NameTooLong(f"name would be {wire_len} octets on the wire")
-        self._labels = normalized
+        #: a plain slot, written only here; ``hash(name) == hash(name.labels)``,
+        #: so a dict keyed by labels orders and probes like one keyed by names
+        self.labels = normalized
         self._hash = hash(normalized)
         self._wire_len = wire_len
         #: memo of parent(): labels never change, so nothing invalidates it
@@ -82,25 +84,21 @@ class Name:
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
-    @property
-    def labels(self) -> Tuple[str, ...]:
-        return self._labels
-
     def __len__(self) -> int:
         """Number of labels (the root has zero)."""
-        return len(self._labels)
+        return len(self.labels)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._labels)
+        return iter(self.labels)
 
     @property
     def is_root(self) -> bool:
-        return not self._labels
+        return not self.labels
 
     @property
     def is_wildcard(self) -> bool:
         """True when the owner name starts with the ``*`` label (RFC 4592)."""
-        return bool(self._labels) and self._labels[0] == "*"
+        return bool(self.labels) and self.labels[0] == "*"
 
     def parent(self) -> "Name":
         """The name with the most specific label removed.
@@ -111,7 +109,7 @@ class Name:
         """
         parent = self._parent
         if parent is None:
-            labels = self._labels
+            labels = self.labels
             if not labels:
                 raise FormError("the root name has no parent")
             parent = self._parent = Name._derived(labels[1:], self._wire_len - len(labels[0]) - 1)
@@ -124,14 +122,14 @@ class Name:
         shared ancestor once rather than once per descendant.
         """
         label = _normalize_label(label)
-        child = Name._derived((label,) + self._labels, self._wire_len + len(label) + 1)
+        child = Name._derived((label,) + self.labels, self._wire_len + len(label) + 1)
         child._parent = self
         return child
 
     def concat(self, suffix: "Name") -> "Name":
         """Concatenate: ``Name(('a',)).concat(example.com.) == a.example.com.``"""
-        name = Name._derived(self._labels + suffix._labels, self._wire_len + suffix._wire_len - 1)
-        if len(self._labels) == 1:
+        name = Name._derived(self.labels + suffix.labels, self._wire_len + suffix._wire_len - 1)
+        if len(self.labels) == 1:
             # child() by another spelling (zone-relative owners): share
             # the suffix instead of building a private copy on first walk
             name._parent = suffix
@@ -147,21 +145,21 @@ class Name:
         if not self.is_subdomain_of(origin):
             raise FormError(f"{self} is not under {origin}")
         if len(origin) == 0:
-            return self._labels
-        return self._labels[: len(self._labels) - len(origin)]
+            return self.labels
+        return self.labels[: len(self.labels) - len(origin)]
 
     def is_subdomain_of(self, other: "Name") -> bool:
         """True if this name equals ``other`` or is below it."""
-        n = len(other._labels)
-        if n > len(self._labels):
+        n = len(other.labels)
+        if n > len(self.labels):
             return False
-        return n == 0 or self._labels[-n:] == other._labels
+        return n == 0 or self.labels[-n:] == other.labels
 
     def ancestors(self) -> Iterator["Name"]:
         """Yield this name, then each parent up to and including the root."""
         name = self
         yield name
-        while name._labels:
+        while name.labels:
             name = name.parent()
             yield name
 
@@ -175,7 +173,7 @@ class Name:
     def canonical_key(self) -> Tuple[str, ...]:
         """Sort key implementing canonical DNS ordering (RFC 4034 6.1):
         labels compared right-to-left (root side first)."""
-        return tuple(reversed(self._labels))
+        return tuple(reversed(self.labels))
 
     def wire_length(self) -> int:
         """Uncompressed wire-format length in octets."""
@@ -187,7 +185,7 @@ class Name:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Name):
             return NotImplemented
-        return self._labels == other._labels
+        return self.labels == other.labels
 
     def __lt__(self, other: "Name") -> bool:
         return self.canonical_key() < other.canonical_key()
@@ -201,7 +199,7 @@ class Name:
     def __str__(self) -> str:
         if self.is_root:
             return "."
-        return ".".join(self._labels) + "."
+        return ".".join(self.labels) + "."
 
     def __repr__(self) -> str:
         return f"Name({str(self)!r})"

@@ -12,16 +12,14 @@ Tracing is passive: it never alters delivery, ordering, or timing.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.dnscore.message import Message
 from repro.netsim.link import Network
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One delivered message."""
+class TraceRecord(NamedTuple):
+    """One delivered message (a tuple: built once per delivery)."""
 
     time: float
     src: str
@@ -59,17 +57,9 @@ class MessageTrace:
     def _traced_deliver(self, src: str, dst: str, message: Message) -> None:
         if self.predicate is None or self.predicate(src, dst, message):
             if len(self.records) < self.max_records:
-                self.records.append(
-                    TraceRecord(
-                        time=self._network.sim.now,
-                        src=src,
-                        dst=dst,
-                        question=str(message.question),
-                        is_response=message.is_response,
-                        rcode=str(message.rcode),
-                        wire_bytes=message.wire_length(),
-                    )
-                )
+                self.records.append(TraceRecord(
+                    self._network.sim.now, src, dst, str(message.question),
+                    message.is_response, str(message.rcode), message.wire_length()))
             else:
                 self.dropped += 1
         self._original_deliver(src, dst, message)

@@ -111,8 +111,8 @@ class _TreeState:
     def __init__(self, budget: int, deadline: Optional[float], attribution: ClientAttribution) -> None:
         self.queries_budget = budget
         self.queries_sent = 0
-        #: (name, type) pairs in flight anywhere in this tree (loop guard)
-        self.in_progress: Set[Tuple[Name, RRType]] = set()
+        #: (name labels, type) pairs in flight anywhere in this tree (loop guard)
+        self.in_progress: Set[Tuple[Tuple[str, ...], RRType]] = set()
         #: absolute virtual-time budget for the whole tree (the client's
         #: patience, threaded in by overload admission)
         self.deadline = deadline
@@ -177,7 +177,7 @@ class ResolutionTask:
         self._subtasks: List["ResolutionTask"] = []
         self._awaiting_addresses = False
         self._fanout_rounds = 0
-        self._tree.in_progress.add((qname, qtype))
+        self._tree.in_progress.add((qname.labels, qtype))
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -189,7 +189,7 @@ class ResolutionTask:
         if self.finished:
             return
         self.finished = True
-        self._tree.in_progress.discard((self.qname, self.qtype))
+        self._tree.in_progress.discard((self.qname.labels, self.qtype))
         if self._pending is not None:
             self._drop_pending("cancelled")
         outcome.queries_sent = self._tree.queries_sent
@@ -216,10 +216,10 @@ class ResolutionTask:
     def _fail(self, rcode: RCode = RCode.SERVFAIL) -> None:
         self._finish(ResolutionOutcome(rcode=rcode))
 
-    def _deadline_exceeded(self) -> bool:
+    def _deadline_exceeded(self, now: float) -> bool:
         """Has the task tree outlived its client's patience?"""
         deadline = self._tree.deadline
-        if deadline is not None and self.resolver.now >= deadline:
+        if deadline is not None and now >= deadline:
             self.resolver.stats.deadline_exhausted += 1
             return True
         return False
@@ -237,7 +237,7 @@ class ResolutionTask:
             return
         self.finished = True
         self.on_done = None
-        self._tree.in_progress.discard((self.qname, self.qtype))
+        self._tree.in_progress.discard((self.qname.labels, self.qtype))
         if self._pending is not None:
             self._drop_pending("abandoned", release_slot=False)
         if self.span:
@@ -253,7 +253,7 @@ class ResolutionTask:
         if self.finished:
             return
         cache = self.resolver.cache
-        now = self.resolver.now
+        now = self.resolver.sim.now
 
         # 1. Cache fast path for the full current name.
         entry = cache.get(self.current_name, self.qtype, now)
@@ -328,10 +328,11 @@ class ResolutionTask:
             # stays scheduled and fires against the *new* pending state.
             self._drop_pending("superseded")
         tree = self._tree
+        now = self.resolver.sim.now
         if tree.queries_sent >= tree.queries_budget:
             self._fail()
             return
-        if self._deadline_exceeded():
+        if self._deadline_exceeded(now):
             self._fail()
             return
         if not self.resolver.claim_probe(server):
@@ -366,13 +367,13 @@ class ResolutionTask:
             retries_left=self.resolver.config.max_retries,
         )
         pending.via_tcp = via_tcp
-        pending.sent_at = self.resolver.now
+        pending.sent_at = now
         obs = self.resolver.obs
         if obs.enabled:
             pending.span = obs.begin(
                 "upstream",
                 f"resolver:{self.resolver.address}",
-                self.resolver.now,
+                now,
                 parent=self.span,
                 server=server,
                 qname=str(qname),
@@ -393,10 +394,11 @@ class ResolutionTask:
         self.resolver.unregister_query(pending.message_id)
         self.resolver.stats.query_timeouts += 1
         tree = self._tree
+        now = self.resolver.sim.now
         if (
             pending.retries_left > 0
             and tree.queries_sent < tree.queries_budget
-            and not self._deadline_exceeded()
+            and not self._deadline_exceeded(now)
         ):
             # Retry against the same server with a fresh message ID,
             # backing the adaptive RTO off first (RFC 6298 5.5).
@@ -415,7 +417,7 @@ class ResolutionTask:
                 obs.instant(
                     "upstream.retransmit",
                     f"resolver:{self.resolver.address}",
-                    self.resolver.now,
+                    now,
                     server=pending.server,
                 )
                 obs.note_query_span(query.id, pending.span)
@@ -432,7 +434,7 @@ class ResolutionTask:
         obs = self.resolver.obs
         if obs.enabled:
             obs.inc("resolver.upstream_timeouts")
-            obs.end(pending.span, self.resolver.now, outcome="timeout")
+            obs.end(pending.span, now, outcome="timeout")
             obs.forget_query_span(pending.message_id)
         self._tried_servers.add(pending.server)
         self._pending = None
@@ -461,29 +463,29 @@ class ResolutionTask:
         self._pending = None
         self.resolver.unregister_query(response.id)
         self.resolver.release_server_slot(pending.server)
+        now = self.resolver.sim.now
         self.resolver.note_server_rtt(
             pending.server,
-            self.resolver.now - pending.sent_at,
+            now - pending.sent_at,
             retransmitted=pending.retransmitted,
         )
         obs = self.resolver.obs
         if obs.enabled:
-            obs.observe("resolver.upstream_rtt", self.resolver.now - pending.sent_at)
+            obs.observe("resolver.upstream_rtt", now - pending.sent_at)
             obs.end(
                 pending.span,
-                self.resolver.now,
+                now,
                 outcome="answered",
                 rcode=response.rcode.name,
             )
             obs.forget_query_span(response.id)
-        self._process_response(response, pending)
+        self._process_response(response, pending, now)
 
     # ------------------------------------------------------------------
     # response processing
     # ------------------------------------------------------------------
-    def _process_response(self, response: Message, pending: _PendingQuery) -> None:
+    def _process_response(self, response: Message, pending: _PendingQuery, now: float) -> None:
         cache = self.resolver.cache
-        now = self.resolver.now
 
         if response.is_truncated and not response.via_tcp:
             # TC bit: the datagram answer did not fit; retry over a
@@ -543,7 +545,7 @@ class ResolutionTask:
             return
 
         if response.is_referral:
-            self._ingest_referral(response)
+            self._ingest_referral(response, now)
             self._advance()
             return
 
@@ -577,9 +579,8 @@ class ResolutionTask:
                     record.name, record.rdata.next_name, min(ttl, record.ttl), now
                 )
 
-    def _ingest_referral(self, response: Message) -> None:
+    def _ingest_referral(self, response: Message, now: float) -> None:
         cache = self.resolver.cache
-        now = self.resolver.now
         for rrset in response.authority:
             if rrset.rrtype == RRType.NS:
                 cache.put_rrset(rrset, now)
@@ -639,7 +640,7 @@ class ResolutionTask:
         targets = [
             name
             for name in ns_names[: self.resolver.config.max_ns_address_fetches]
-            if (name, RRType.A) not in self._tree.in_progress
+            if (name.labels, RRType.A) not in self._tree.in_progress
         ]
         if not targets:
             self._fail()

@@ -210,8 +210,8 @@ class RecursiveResolver(Node):
         #: installed by the DCC shim: client address -> suspicion rank
         #: (0 normal / 1 suspicious / 2 convicted) for priority shedding
         self.suspicion_probe: Optional[Callable[[str], int]] = None
-        #: (client, request id, qname) -> pending client request
-        self._pending_requests: Dict[Tuple[str, int, Name], _PendingRequest] = {}
+        #: (client, request id, qname labels) -> pending client request
+        self._pending_requests: Dict[Tuple[str, int, Tuple[str, ...]], _PendingRequest] = {}
         #: the "hints file": root hints survive crashes and re-prime the
         #: cache on restart
         self._root_hints: List[Tuple[str, str, int]] = []
@@ -329,16 +329,17 @@ class RecursiveResolver(Node):
     # ------------------------------------------------------------------
     def _receive_request(self, request: Message, client: str) -> None:
         self.stats.requests_received += 1
+        now = self.sim.now
         obs = self.obs
         if obs.enabled:
             obs.inc("resolver.requests")
             obs.client_query(client, request.wire_length())
 
-        if self.ingress_rl is not None and not self.ingress_rl.allow(client, self.now):
+        if self.ingress_rl is not None and not self.ingress_rl.allow(client, now):
             self.stats.ingress_limited += 1
             if obs.enabled:
                 obs.instant(
-                    "resolver.rate_limited", f"resolver:{self.address}", self.now, client=client
+                    "resolver.rate_limited", f"resolver:{self.address}", now, client=client
                 )
             action = self.ingress_rl.config.action
             if action == RateLimitAction.DROP:
@@ -358,24 +359,24 @@ class RecursiveResolver(Node):
         request_span = 0
         if obs.enabled:
             client_span = obs.begin(
-                "query", f"client:{client}", self.now, qname=str(qname), qtype=qtype.name
+                "query", f"client:{client}", now, qname=str(qname), qtype=qtype.name
             )
             request_span = obs.begin(
-                "request", f"resolver:{self.address}", self.now, parent=client_span
+                "request", f"resolver:{self.address}", now, parent=client_span
             )
 
         # Aggressive denial (RFC 8198): a cached NSEC range proves the
         # name does not exist; answer locally, starving NX floods.
-        if self.config.aggressive_nsec and self.cache.covered_by_denial(qname, self.now):
+        if self.config.aggressive_nsec and self.cache.covered_by_denial(qname, now):
             self.stats.aggressive_nsec_responses += 1
             if obs.enabled:
-                obs.end(request_span, self.now, outcome="nsec_denial")
-                obs.end(client_span, self.now, outcome="nsec_denial")
+                obs.end(request_span, now, outcome="nsec_denial")
+                obs.end(client_span, now, outcome="nsec_denial")
             self._respond(client, request.make_response(RCode.NXDOMAIN))
             return
 
         # Fast path: cache hit bypasses everything, including DCC.
-        entry = self.cache.get(qname, qtype, self.now)
+        entry = self.cache.get(qname, qtype, now)
         if entry is not None:
             response = request.make_response(entry.rcode)
             if entry.rrset is not None:
@@ -383,21 +384,21 @@ class RecursiveResolver(Node):
             self.stats.cache_hit_responses += 1
             if obs.enabled:
                 obs.inc("resolver.cache_hits")
-                obs.end(request_span, self.now, outcome="cache_hit")
-                obs.end(client_span, self.now, outcome="cache_hit")
+                obs.end(request_span, now, outcome="cache_hit")
+                obs.end(client_span, now, outcome="cache_hit")
             self._respond(client, response)
             return
         # (A cached CNAME still requires chasing the target -> full path.)
-        key = (client, request.id, qname)
+        key = (client, request.id, qname.labels)
         if key in self._pending_requests:
             if obs.enabled:
-                obs.end(request_span, self.now, outcome="duplicate")
-                obs.end(client_span, self.now, outcome="duplicate")
+                obs.end(request_span, now, outcome="duplicate")
+                obs.end(client_span, now, outcome="duplicate")
             return  # duplicate in-flight request from the same client
 
         deadline: Optional[float] = None
         if self.config.max_resolution_time > 0:
-            deadline = self.now + self.config.max_resolution_time
+            deadline = now + self.config.max_resolution_time
         if self.overload is not None:
             pending_count = len(self._pending_requests)
             saturated = self.overload.pressure(pending_count)
@@ -407,16 +408,16 @@ class RecursiveResolver(Node):
             # arrive after the client gave up (RFC 8767 applied
             # pre-resolution).
             if self.overload.config.serve_stale and (
-                saturated or self.health.any_open(self.now)
+                saturated or self.health.any_open(now)
             ):
-                stale = self.cache.get_stale(qname, qtype, self.now)
+                stale = self.cache.get_stale(qname, qtype, now)
                 if stale is not None and stale.rrset is not None:
                     response = request.make_response(RCode.NOERROR)
                     response.answers.append(stale.rrset)
                     self.stats.stale_fastpath_responses += 1
                     if obs.enabled:
-                        obs.end(request_span, self.now, outcome="stale_fastpath")
-                        obs.end(client_span, self.now, outcome="stale_fastpath")
+                        obs.end(request_span, now, outcome="stale_fastpath")
+                        obs.end(client_span, now, outcome="stale_fastpath")
                     self._respond(client, response)
                     return
             priority = self.suspicion_probe(client) if self.suspicion_probe else 0
@@ -428,17 +429,17 @@ class RecursiveResolver(Node):
                     obs.instant(
                         "overload.shed",
                         f"resolver:{self.address}",
-                        self.now,
+                        now,
                         client=client,
                         priority=priority,
                     )
-                    obs.end(request_span, self.now, outcome="shed")
-                    obs.end(client_span, self.now, outcome="shed")
+                    obs.end(request_span, now, outcome="shed")
+                    obs.end(client_span, now, outcome="shed")
                 if self.overload.config.shed_policy is ShedPolicy.SERVFAIL:
                     self.stats.servfail_responses += 1
                     self._respond(client, request.make_response(RCode.SERVFAIL))
                 return
-            overload_deadline = self.overload.deadline_for(self.now)
+            overload_deadline = self.overload.deadline_for(now)
             if overload_deadline is not None:
                 deadline = (
                     overload_deadline
@@ -446,7 +447,7 @@ class RecursiveResolver(Node):
                     else min(deadline, overload_deadline)
                 )
 
-        pending = _PendingRequest(client=client, request=request, arrived_at=self.now)
+        pending = _PendingRequest(client=client, request=request, arrived_at=now)
         pending.span = request_span
         pending.client_span = client_span
         self._pending_requests[key] = pending
@@ -467,7 +468,7 @@ class RecursiveResolver(Node):
         else:
             task.start()
 
-    def _complete_request(self, key: Tuple[str, int, Name], outcome: ResolutionOutcome) -> None:
+    def _complete_request(self, key: Tuple[str, int, Tuple[str, ...]], outcome: ResolutionOutcome) -> None:
         pending = self._pending_requests.pop(key, None)
         if pending is None:
             return
@@ -554,7 +555,7 @@ class RecursiveResolver(Node):
         explore = (
             1.0 if self.config.server_selection != "srtt" else self.config.srtt_explore
         )
-        return self.health.select(candidates, self.now, rng, explore)
+        return self.health.select(candidates, self.sim.now, rng, explore)
 
     def note_server_rtt(self, server: str, rtt: float, retransmitted: bool = False) -> None:
         """RTT sample from a successful exchange.
@@ -563,7 +564,7 @@ class RecursiveResolver(Node):
         the RFC 6298 estimator and -- per Karn's rule -- rejects samples
         from retransmitted exchanges.
         """
-        self.health.on_success(server, rtt, self.now, retransmitted=retransmitted)
+        self.health.on_success(server, rtt, self.sim.now, retransmitted=retransmitted)
 
     def note_retransmit_timeout(self, server: str) -> None:
         """One transmission timed out but the exchange will be retried:
@@ -589,7 +590,7 @@ class RecursiveResolver(Node):
     def claim_probe(self, server: str) -> bool:
         """Claim the server's single HALF_OPEN probe slot (always True
         for CLOSED breakers)."""
-        return self.health.acquire_probe(server, self.now)
+        return self.health.acquire_probe(server, self.sim.now)
 
     def release_probe(self, server: str) -> None:
         self.health.release_probe(server)
@@ -604,7 +605,7 @@ class RecursiveResolver(Node):
         self.stats.queries_per_server[server] = self.stats.queries_per_server.get(server, 0) + 1
         if self.egress_query_hook is not None and self.egress_query_hook(query, server):
             return
-        if self.egress_rl is not None and not self.egress_rl.allow(server, self.now):
+        if self.egress_rl is not None and not self.egress_rl.allow(server, self.sim.now):
             self.stats.egress_limited += 1
             return  # dropped on the floor; the task's timer will fire
         self.raw_send_query(query, server)

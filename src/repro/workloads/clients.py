@@ -117,19 +117,20 @@ class StubClient(Node):
         self._started = True
         self.sim.schedule_at(max(self.config.start, self.sim.now), self._fire)
 
-    def _current_rate(self) -> float:
+    def _current_rate(self, now: float) -> float:
         if self._rate_penalty <= 0:
             return self.config.rate
-        elapsed = self.now - self._penalty_since
+        elapsed = now - self._penalty_since
         recovered = elapsed / max(self.config.backoff_recovery, 1e-9)
         penalty = self._rate_penalty * max(0.0, 1.0 - recovered)
         return max(self.config.rate * 0.05, self.config.rate - penalty)
 
     def _fire(self) -> None:
-        if self.now >= self.config.stop:
+        now = self.sim.now
+        if now >= self.config.stop:
             return
-        self._send_request()
-        gap = 1.0 / self._current_rate()
+        self._send_request(now)
+        gap = 1.0 / self._current_rate(now)
         if self.config.jitter > 0:
             rng = self._jitter_rng
             if rng is None:
@@ -141,14 +142,14 @@ class StubClient(Node):
         resolvers = self.config.resolvers
         return resolvers[(self._resolver_offset + attempt) % len(resolvers)]
 
-    def _send_request(self) -> None:
+    def _send_request(self, now: float) -> None:
         rng = self._names_rng
         if rng is None:
             rng = self._names_rng = self.sim.rng(f"client.{self.address}.names")
         question = self.pattern.next_question(rng)
         request = Message.query(question.name, question.rrtype)
         resolver = self._resolver_for(0)
-        record = RequestRecord(sent_at=self.now, question=str(question), resolver=resolver)
+        record = RequestRecord(sent_at=now, question=str(question), resolver=resolver)
         self.records.append(record)
         timer = self.sim.schedule(self.config.request_timeout, self._on_timeout, request.id)
         self._pending[request.id] = [record, timer, 0, request]
@@ -184,7 +185,7 @@ class StubClient(Node):
             return  # late response after timeout
         record, timer, _, _ = entry
         timer.cancel()
-        record.completed_at = self.now
+        record.completed_at = self.sim.now
         record.rcode = message.rcode
         if self.config.dcc_aware:
             self._process_signals(message)
@@ -204,7 +205,7 @@ class StubClient(Node):
                 self.signals.congestion.append(signal)
                 # Reduce the request rate; it recovers over time.
                 self._rate_penalty = self.config.rate * (1.0 - self.config.backoff_factor)
-                self._penalty_since = self.now
+                self._penalty_since = self.sim.now
 
     # ------------------------------------------------------------------
     # reporting

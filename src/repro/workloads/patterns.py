@@ -24,8 +24,16 @@ class QueryPattern:
 
 
 def _random_label(rng: random.Random, length: int = 12) -> str:
+    """``length`` characters drawn as ``rng.choice`` over the alphabet draws each
+    (six bits, redrawn while >= 36), minus its frames: same strings, same stream state."""
     alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
-    return "".join(rng.choice(alphabet) for _ in range(length))
+    getrandbits = rng.getrandbits
+    label = ""
+    while len(label) < length:
+        index = getrandbits(6)
+        if index < 36:
+            label += alphabet[index]
+    return label
 
 
 class WildcardPattern(QueryPattern):

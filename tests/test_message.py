@@ -1,5 +1,6 @@
 """DNS message and EDNS option tests."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -95,6 +96,49 @@ class TestClientAttribution:
         option = attr.encode()
         with pytest.raises(WireDecodeError):
             ClientAttribution.decode(EdnsOption(option.code, option.payload[:-2]))
+
+
+class TestAttributionMemo:
+    """``encode()`` remembers the attribution on the option it builds, so
+    the shim's per-query decode is a read; every other option parses."""
+
+    ATTR = ClientAttribution(client="10.1.2.3", port=5353, request_id=987654)
+
+    def test_decoding_the_encoded_option_returns_the_attribution_itself(self):
+        option = self.ATTR.encode()
+        assert ClientAttribution.decode(option) is self.ATTR
+        assert ClientAttribution.decode(option) is self.ATTR  # and keeps doing so
+
+    def test_options_from_bytes_or_the_constructor_parse_their_payload(self):
+        query = Message.query(QNAME, RRType.A)
+        query.edns_options.append(self.ATTR.encode())
+        (from_wire,) = decode_message(encode_message(query)).edns_options
+        built = EdnsOption(OptionCode.CLIENT_ATTRIBUTION, self.ATTR.encode().payload)
+        for option in (from_wire, built):
+            decoded = ClientAttribution.decode(option)
+            assert decoded == self.ATTR and decoded is not self.ATTR
+
+    @pytest.mark.parametrize("kept, message", [(slice(0, 5), "too short"), (slice(0, -2), "truncated address")])
+    def test_short_or_truncated_payloads_from_the_wire_still_raise(self, kept, message):
+        query = Message.query(QNAME, RRType.A)
+        query.edns_options.append(EdnsOption(OptionCode.CLIENT_ATTRIBUTION, self.ATTR.encode().payload[kept]))
+        (option,) = decode_message(encode_message(query)).edns_options
+        with pytest.raises(WireDecodeError, match=message):
+            ClientAttribution.decode(option)
+
+    def test_equality_hash_repr_and_wire_form_ignore_the_memo(self):
+        option = self.ATTR.encode()
+        plain = EdnsOption(option.code, option.payload)
+        assert option == plain and plain == option and hash(option) == hash(plain)
+        assert repr(option) == repr(plain)
+        assert [field.name for field in dataclasses.fields(EdnsOption)] == ["code", "payload"]
+        wires = []
+        for carried in (option, plain):
+            query = Message.query(QNAME, RRType.A)
+            query.id = 4242
+            query.edns_options.append(carried)
+            wires.append(encode_message(query))
+        assert wires[0] == wires[1] and option.wire_length() == plain.wire_length()
 
 
 class TestOptionHelpers:
