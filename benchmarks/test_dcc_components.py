@@ -1,4 +1,4 @@
-"""Component micro-benchmarks: monitor, policing, signaling, capacity.
+"""Component micro-benchmarks: monitor, policing, signaling.
 
 Bounds the cost of every DCC component outside the scheduler, completing
 the Figure 10/11 "constant-time operations" story.
@@ -6,12 +6,8 @@ the Figure 10/11 "constant-time operations" story.
 
 import random
 
-import pytest
-
-from repro.dcc.capacity import CapacityConfig, CapacityEstimator
 from repro.dcc.monitor import AnomalyMonitor, MonitorConfig
 from repro.dcc.policing import PolicyEngine
-from repro.dcc.shares import HistoryBasedShares, RateLimitPeggedShares
 from repro.dcc.signaling import (
     AnomalySignal,
     CongestionSignal,
@@ -82,37 +78,3 @@ def test_signal_attach_extract_roundtrip(benchmark):
 
     assert benchmark(roundtrip) == 10_000
 
-
-def test_capacity_estimator_feedback_loop(benchmark):
-    def converge():
-        estimator = CapacityEstimator(CapacityConfig(initial=1000.0, window=1.0))
-        for w in range(50):
-            now = w * 1.0 + 0.2
-            offered = estimator.estimate("ch")
-            delivered = min(offered, 300.0)
-            lost = max(0.0, offered - 300.0)
-            for i in range(int(delivered / 10)):
-                estimator.record_delivery("ch", now + i * 1e-3)
-            for i in range(int(lost / 10)):
-                estimator.record_loss("ch", now + i * 1e-3)
-            estimator.evaluate(w * 1.0 + 1.0)
-        return estimator.estimate("ch")
-
-    estimate = benchmark(converge)
-    assert 100.0 <= estimate <= 600.0
-
-
-def test_share_strategies_throughput(benchmark):
-    pegged = RateLimitPeggedShares()
-    history = HistoryBasedShares()
-    for i in range(500):
-        pegged.admit(f"isp{i}", 1500.0 * (1 + i % 4))
-        history.observe(f"isp{i}", queries=100.0 * (i % 8))
-
-    def lookup(n=50_000):
-        total = 0
-        for i in range(n):
-            total += pegged(f"isp{i % 1000}") + history(f"isp{i % 1000}")
-        return total
-
-    assert benchmark(lookup) > 0

@@ -1,7 +1,7 @@
 """repro: a reproduction of "DNS Congestion Control in Adversarial
 Settings" (SOSP 2024).
 
-Top-level convenience imports; the subpackages are:
+The package itself exports only ``__version__``; the subpackages are:
 
 - :mod:`repro.dnscore` -- DNS data model (names, records, messages,
   EDNS, wire codec, zones);
@@ -21,27 +21,7 @@ Top-level convenience imports; the subpackages are:
 """
 
 from repro._version import __version__
-from repro.dcc import DccConfig, DccShim, MopiFq, MopiFqConfig
-from repro.netsim import Network, Simulator
-from repro.server import (
-    AuthoritativeServer,
-    Forwarder,
-    ForwarderConfig,
-    RecursiveResolver,
-    ResolverConfig,
-)
 
 __all__ = [
-    "DccConfig",
-    "DccShim",
-    "MopiFq",
-    "MopiFqConfig",
-    "Network",
-    "Simulator",
-    "AuthoritativeServer",
-    "Forwarder",
-    "ForwarderConfig",
-    "RecursiveResolver",
-    "ResolverConfig",
     "__version__",
 ]

@@ -10,22 +10,3 @@
 - :mod:`repro.analysis.report` -- fixed-width table rendering for the
   experiment harnesses.
 """
-
-from repro.analysis.maxmin import water_filling, mmf_allocation, is_max_min_fair
-from repro.analysis.fairness import jain_index, mmf_deviation, normalized_throughput
-from repro.analysis.series import TimeSeries, cdf_points, percentile
-from repro.analysis.report import render_table, format_series
-
-__all__ = [
-    "water_filling",
-    "mmf_allocation",
-    "is_max_min_fair",
-    "jain_index",
-    "mmf_deviation",
-    "normalized_throughput",
-    "TimeSeries",
-    "cdf_points",
-    "percentile",
-    "render_table",
-    "format_series",
-]

@@ -13,28 +13,14 @@ Layering (reprolint R6): chaos sits *above* transport and netsim;
 under test stay chaos-blind.
 """
 
-from repro.chaos.orchestrator import (
-    RAMP_STEP,
-    ChaosExecStats,
-    LiveChaosOrchestrator,
-    SimChaosOrchestrator,
-)
-from repro.chaos.slo import (
-    RecoveryAuditor,
-    SloConfig,
-    WindowCounts,
-    Windows,
-    segment_windows,
-)
+from repro.chaos.orchestrator import RAMP_STEP, LiveChaosOrchestrator, SimChaosOrchestrator
+from repro.chaos.slo import RecoveryAuditor, SloConfig, segment_windows
 
 __all__ = [
     "RAMP_STEP",
-    "ChaosExecStats",
     "LiveChaosOrchestrator",
     "SimChaosOrchestrator",
     "RecoveryAuditor",
     "SloConfig",
-    "WindowCounts",
-    "Windows",
     "segment_windows",
 ]

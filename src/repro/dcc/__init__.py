@@ -20,65 +20,9 @@ Components, mirroring Figure 5:
   resolver or forwarder into a DCC-enabled one.
 """
 
-from repro.dcc.mopifq import (
-    MopiFq,
-    MopiFqConfig,
-    EnqueueStatus,
-    DequeuedMessage,
-)
-from repro.dcc.baselines import (
-    FifoScheduler,
-    InputCentricFq,
-    LeapfrogInputFq,
-    IoIsolatedFq,
-    OutputCentricFq,
-)
-from repro.dcc.monitor import AnomalyMonitor, MonitorConfig, AnomalyKind, ClientVerdict
-from repro.dcc.policing import PolicyEngine, Policy, PolicyKind
-from repro.dcc.signaling import (
-    AnomalySignal,
-    PolicingSignal,
-    CongestionSignal,
-    CapacitySignal,
-    Signal,
-    extract_signals,
-    attach_signal,
-)
-from repro.dcc.state import DccStateTables
 from repro.dcc.shim import DccShim, DccConfig
-from repro.dcc.shares import EqualShares, RateLimitPeggedShares, HistoryBasedShares
-from repro.dcc.capacity import CapacityEstimator, CapacityConfig
 
 __all__ = [
-    "MopiFq",
-    "MopiFqConfig",
-    "EnqueueStatus",
-    "DequeuedMessage",
-    "FifoScheduler",
-    "InputCentricFq",
-    "LeapfrogInputFq",
-    "IoIsolatedFq",
-    "OutputCentricFq",
-    "AnomalyMonitor",
-    "MonitorConfig",
-    "AnomalyKind",
-    "ClientVerdict",
-    "PolicyEngine",
-    "Policy",
-    "PolicyKind",
-    "AnomalySignal",
-    "PolicingSignal",
-    "CongestionSignal",
-    "CapacitySignal",
-    "Signal",
-    "extract_signals",
-    "attach_signal",
-    "DccStateTables",
     "DccShim",
     "DccConfig",
-    "EqualShares",
-    "RateLimitPeggedShares",
-    "HistoryBasedShares",
-    "CapacityEstimator",
-    "CapacityConfig",
 ]

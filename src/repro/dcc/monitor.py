@@ -41,7 +41,6 @@ from typing import Dict, List, Optional
 
 from repro.dnscore.rdata import RCode
 from repro.obs import NULL_OBS
-from repro.obs.sketch import SpaceSaving
 
 
 class AnomalyKind(enum.IntEnum):
@@ -81,9 +80,6 @@ class MonitorConfig:
     request_rate_threshold: Optional[float] = None
     #: ignore windows with fewer observations than this (noise floor)
     min_observations: int = 4
-    #: run O(k)-memory Space-Saving top-talker sketches alongside the
-    #: per-client sliding windows (0 disables; see repro.obs.sketch)
-    heavy_hitter_k: int = 0
 
 
 @dataclass
@@ -159,13 +155,6 @@ class AnomalyMonitor:
         #: observability facade + the owning shim's track (scenario wiring)
         self.obs = NULL_OBS
         self.obs_track = ""
-        #: optional O(k) top-talker sketches (heavy_hitter_k > 0); an
-        #: alternative to walking every slot for rankings
-        self.hh_queries: Optional[SpaceSaving] = None
-        self.hh_nxdomain: Optional[SpaceSaving] = None
-        if self.config.heavy_hitter_k > 0:
-            self.hh_queries = SpaceSaving(self.config.heavy_hitter_k)
-            self.hh_nxdomain = SpaceSaving(self.config.heavy_hitter_k)
 
     def _touch(self, client: str, now: float) -> int:
         """Mark ``client`` seen at ``now`` (tracking it from here on) and
@@ -221,8 +210,6 @@ class AnomalyMonitor:
     def record_query(self, client: str, now: float) -> None:
         """An outgoing query was attributed to ``client``."""
         self._counts[self._touch(client, now) + _QUERIES] += 1
-        if self.hh_queries is not None:
-            self.hh_queries.offer(client)
 
     def record_answer(self, client: str, rcode: RCode, now: float) -> None:
         """An upstream answer for a query attributed to ``client``."""
@@ -230,8 +217,6 @@ class AnomalyMonitor:
         self._counts[newest + _ANSWERS] += 1
         if rcode == RCode.NXDOMAIN:
             self._counts[newest + _NX_ANSWERS] += 1
-            if self.hh_nxdomain is not None:
-                self.hh_nxdomain.offer(client)
 
     def record_anomalous_request(self, client: str, now: float) -> None:
         """One of the client's requests crossed the per-request
@@ -394,17 +379,11 @@ class AnomalyMonitor:
                 state.suspicious_since = self._last_seen[self._slots[client]]
 
     def top_talkers(self, n: int, now: float) -> List[tuple]:
-        """The ``n`` clients issuing the most attributed queries, as
-        ``(client, count)`` pairs.
-
-        With ``heavy_hitter_k`` configured this reads the O(k)
-        Space-Saving sketch (counts are lifetime totals, error bounded
-        by n/k); otherwise it falls back to walking every tracked
-        client's sliding window (exact, but O(clients) time -- the
-        cost the sketch exists to avoid).
+        """The ``n`` clients issuing the most attributed queries in the
+        current window, as ``(client, count)`` pairs: exact, by walking
+        every tracked client's slot (the obs facade's Space-Saving
+        sketches give an O(k) ranking of lifetime totals).
         """
-        if self.hh_queries is not None:
-            return [(hh.key, hh.count) for hh in self.hh_queries.top(n)]
         ranked = []
         for client, slot in self._slots.items():
             self._roll(slot, now)

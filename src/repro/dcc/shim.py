@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.dcc.monitor import AnomalyEvent, AnomalyKind, AnomalyMonitor, ClientVerdict, MonitorConfig
-from repro.dcc.mopifq import EnqueueStatus, MopiFq, MopiFqConfig
+from repro.dcc.mopifq import MopiFq, MopiFqConfig
 from repro.dcc.policing import (
     SIGNAL_TRIGGERED_TEMPLATE,
     PolicyEngine,
@@ -37,7 +37,6 @@ from repro.dcc.policing import (
 )
 from repro.dcc.signaling import (
     AnomalySignal,
-    CapacitySignal,
     CongestionSignal,
     PolicingSignal,
     attach_signal,
@@ -71,12 +70,6 @@ class DccConfig:
     countdown_decrement: int = 0
     #: entity state idle timeout (paper Section 5: 10 seconds)
     state_idle_timeout: float = 10.0
-    #: advertise this host's per-client ingress limit via capacity
-    #: signals (Section 3.2.1 footnote), letting DCC-enabled clients pin
-    #: their channel buckets without probing; None disables
-    advertise_ingress_limit: Optional[float] = None
-    #: attach the capacity signal to every Nth response
-    advertise_every: int = 50
     #: per-client share for MOPI-FQ (Section 3.2.1); default: equal
     share_of: Optional[Callable[[str], int]] = None
     #: alternative scheduler factory, for the Figure 7 ablations
@@ -97,8 +90,6 @@ class DccShimStats:
     signals_attached: int = 0
     signals_relayed: int = 0
     signal_triggered_policings: int = 0
-    capacities_learned: int = 0
-    capacities_advertised: int = 0
     host_crashes: int = 0
 
 
@@ -125,9 +116,6 @@ class DccShim:
 
         #: outgoing query id -> (client, client request id, server)
         self._inflight: Dict[int, Tuple[str, int, str]] = {}
-        self._responses_sent = 0
-        #: upstream capacities learned from capacity signals
-        self.learned_capacities: Dict[str, float] = {}
         #: operator-configured capacities (the config file: survives crashes)
         self._configured_capacities: Dict[str, Tuple[float, Optional[float]]] = {}
         self._pump_event = None
@@ -164,7 +152,7 @@ class DccShim:
     # ------------------------------------------------------------------
     def set_channel_capacity(self, destination: str, rate: float, burst: Optional[float] = None) -> None:
         """Pin a channel's capacity: min(upstream ingress RL, own egress
-        RL), obtained by probing / operator config / DCC signaling."""
+        RL), as the operator configures it."""
         self._configured_capacities[destination] = (rate, burst)
         self.scheduler.set_channel_capacity(destination, rate, burst)
 
@@ -174,16 +162,15 @@ class DccShim:
     def _on_host_crash(self) -> None:
         """Everything in Table 1 is process memory and dies with the
         host: queued queries, in-flight attribution, monitor verdicts and
-        alarm counts, active policies, per-request tables, and capacities
-        learned via signaling.  After a restart DCC must re-detect and
-        re-convict an ongoing attacker from scratch."""
+        alarm counts, active policies and per-request tables.  After a
+        restart DCC must detect and convict an ongoing attacker all over
+        again."""
         self.stats.host_crashes += 1
         if self._pump_event is not None:
             self._pump_event.cancel()
             self._pump_event = None
             self._pump_at = None
         self._inflight.clear()
-        self.learned_capacities.clear()
         if self.obs.enabled and self._obs_wait:
             for span in self._obs_wait.values():
                 self.obs.end(span, self.resolver.sim.now, outcome="crashed")
@@ -207,7 +194,7 @@ class DccShim:
 
     def _on_host_recover(self) -> None:
         """Operator-configured channel capacities come back from the
-        config file; signaled/learned ones must be re-learned."""
+        config file."""
         for destination, (rate, burst) in self._configured_capacities.items():
             self.scheduler.set_channel_capacity(destination, rate, burst)
 
@@ -409,25 +396,8 @@ class DccShim:
                         kind=signal_name(signal),
                         src=src,
                     )
-                if isinstance(signal, CapacitySignal):
-                    self._learn_capacity(src, signal)
-                else:
-                    self._process_upstream_signal(signal, client, request_id, now)
+                self._process_upstream_signal(signal, client, request_id, now)
         return answer
-
-    def _learn_capacity(self, server: str, signal: CapacitySignal) -> None:
-        """Pin the channel bucket at the upstream's advertised ingress
-        limit (Section 3.2.1 footnote: signaled system parameters)."""
-        if not self.config.signaling or signal.ingress_limit <= 0:
-            return
-        previous = self.learned_capacities.get(server)
-        if previous == signal.ingress_limit:
-            return
-        self.learned_capacities[server] = signal.ingress_limit
-        self.scheduler.set_channel_capacity(
-            server, signal.ingress_limit, max(1.0, signal.ingress_limit * 0.1)
-        )
-        self.stats.capacities_learned += 1
 
     def _process_upstream_signal(
         self, signal, client: Optional[str], request_id: int, now: float
@@ -465,17 +435,6 @@ class DccShim:
     # ------------------------------------------------------------------
     def _on_egress_response(self, response: Message, client: str) -> Message:
         now = self.resolver.sim.now
-        self._responses_sent += 1
-        if (
-            self.config.signaling
-            and self.config.advertise_ingress_limit is not None
-            and (self._responses_sent - 1) % max(1, self.config.advertise_every) == 0
-        ):
-            if attach_signal(
-                response, CapacitySignal(self.config.advertise_ingress_limit)
-            ):
-                self.stats.capacities_advertised += 1
-                self._note_attach("capacity", client, now)
         reqstate = self.tables.close_request(client, response.id)
         if reqstate is None or not self.config.signaling:
             return response

@@ -111,40 +111,12 @@ class CongestionSignal:
         return cls(dropped, rate)
 
 
-@dataclass(frozen=True)
-class CapacitySignal:
-    """Advertises the sender's ingress rate limit to DCC-enabled clients.
-
-    Implements the third capacity-learning option of Section 3.2.1's
-    footnote ("leveraging DCC's in-band signal mechanism"): a DCC
-    upstream occasionally attaches its admitted per-client ingress limit
-    to responses, letting the downstream pin its channel bucket exactly
-    at min(advertised limit, own egress limit) without probing.
-    """
-
-    ingress_limit: float
-
-    CODE = OptionCode.DCC_CAPACITY
-    SEVERITY = 0  # informational; processed after the control signals
-
-    def encode(self) -> EdnsOption:
-        return EdnsOption(self.CODE, struct.pack("!f", self.ingress_limit))
-
-    @classmethod
-    def decode(cls, option: EdnsOption) -> "CapacitySignal":
-        if len(option.payload) < 4:
-            raise WireDecodeError("capacity signal payload too short")
-        (limit,) = struct.unpack("!f", option.payload[:4])
-        return cls(limit)
-
-
-Signal = Union[AnomalySignal, PolicingSignal, CongestionSignal, CapacitySignal]
+Signal = Union[AnomalySignal, PolicingSignal, CongestionSignal]
 
 _DECODERS = {
     int(OptionCode.DCC_ANOMALY): AnomalySignal.decode,
     int(OptionCode.DCC_POLICING): PolicingSignal.decode,
     int(OptionCode.DCC_CONGESTION): CongestionSignal.decode,
-    int(OptionCode.DCC_CAPACITY): CapacitySignal.decode,
 }
 
 _SIGNAL_CODES = set(_DECODERS)
@@ -197,7 +169,6 @@ _SIGNAL_NAMES = {
     AnomalySignal: "anomaly",
     PolicingSignal: "policing",
     CongestionSignal: "congestion",
-    CapacitySignal: "capacity",
 }
 
 

@@ -11,74 +11,9 @@ layer shared by the authoritative server, resolvers, DCC, and the
 workload generators.
 """
 
-from repro.dnscore.name import Name, ROOT
-from repro.dnscore.rdata import (
-    RRType,
-    RCode,
-    Opcode,
-    RData,
-    AData,
-    AAAAData,
-    NSData,
-    NSECData,
-    CNAMEData,
-    SOAData,
-    TXTData,
-    PTRData,
-    MXData,
-    OPTData,
-)
-from repro.dnscore.rrset import ResourceRecord, RRSet
-from repro.dnscore.message import Question, Message, Flags
-from repro.dnscore.edns import (
-    EdnsOption,
-    OptionCode,
-    ClientAttribution,
-    EDNS_UDP_SIZE,
-    opaque_client_token,
-)
-from repro.dnscore.zone import Zone, LookupResult, LookupStatus
-from repro.dnscore.errors import (
-    DnsError,
-    FormError,
-    NameTooLong,
-    WireDecodeError,
-    ZoneError,
-)
+from repro.dnscore.rdata import RRType, RCode
 
 __all__ = [
-    "Name",
-    "ROOT",
     "RRType",
     "RCode",
-    "Opcode",
-    "RData",
-    "AData",
-    "AAAAData",
-    "NSData",
-    "NSECData",
-    "CNAMEData",
-    "SOAData",
-    "TXTData",
-    "PTRData",
-    "MXData",
-    "OPTData",
-    "ResourceRecord",
-    "RRSet",
-    "Question",
-    "Message",
-    "Flags",
-    "EdnsOption",
-    "OptionCode",
-    "ClientAttribution",
-    "EDNS_UDP_SIZE",
-    "opaque_client_token",
-    "Zone",
-    "LookupResult",
-    "LookupStatus",
-    "DnsError",
-    "FormError",
-    "NameTooLong",
-    "WireDecodeError",
-    "ZoneError",
 ]

@@ -42,7 +42,6 @@ class OptionCode(enum.IntEnum):
     DCC_ANOMALY = 65101
     DCC_POLICING = 65102
     DCC_CONGESTION = 65103
-    DCC_CAPACITY = 65104
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,3 @@ Module                    Reproduces
 ``table1_state``          Table 1 (DCC state vs resolver state)
 ========================  ==========================================
 """
-
-from repro.experiments.common import AttackScenario, ScenarioConfig, ScenarioResult
-
-__all__ = ["AttackScenario", "ScenarioConfig", "ScenarioResult"]

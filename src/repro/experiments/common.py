@@ -36,7 +36,7 @@ from repro.obs import ObsConfig, Observability
 from repro.analysis.series import TimeSeries
 from repro.server.authoritative import AuthoritativeServer
 from repro.server.forwarder import Forwarder, ForwarderConfig
-from repro.server.ratelimit import RateLimitAction, RateLimitConfig
+from repro.server.ratelimit import RateLimitConfig
 from repro.server.resolver import RecursiveResolver, ResolverConfig
 from repro.workloads.clients import ClientConfig, StubClient
 from repro.workloads.patterns import (
@@ -56,6 +56,9 @@ TARGET_ORIGIN = "target-domain."
 ATTACKER_ORIGIN = "attacker-com."
 ROOT_ADDR = "10.0.0.1"
 ATTACKER_ANS_ADDR = "10.0.0.3"
+#: name-pool size of the "WC_POOL" client pattern (names repeat, so the
+#: traffic is cache-hittable -- and serve-stale-able)
+WC_POOL_SIZE = 512
 
 
 def report_failures(problems: List[str]) -> int:
@@ -127,9 +130,6 @@ class ScenarioConfig:
     qname_minimization: bool = False
     client_timeout: float = 2.0
     client_attempts: int = 1
-    dcc_aware_clients: bool = False
-    #: how the vanilla channel cap is enforced at the target ANS
-    rl_action: RateLimitAction = RateLimitAction.DROP
     #: swap MOPI-FQ for a Figure 7 baseline scheduler (ablations); the
     #: factory is called once per DCC instance
     scheduler_factory: Optional[Callable[[], object]] = None
@@ -141,9 +141,6 @@ class ScenarioConfig:
     #: the resilience matrix); None keeps the vanilla defaults with only
     #: ``qname_minimization`` applied
     resolver_config: Optional[ResolverConfig] = None
-    #: name-pool size for the "WC_POOL" client pattern (names repeat, so
-    #: the traffic is cache-hittable -- and serve-stale-able)
-    wc_pool_size: int = 512
     #: opt into the repro.obs observability subsystem (None = off, the
     #: zero-overhead default; see docs/OBSERVABILITY.md)
     obs: Optional[ObsConfig] = None
@@ -250,11 +247,7 @@ class AttackScenario:
                 zones=[zone],
                 # BIND-RRL-style fixed-window response limiting: first
                 # `capacity` responses per second pass, the rest drop.
-                ingress_limit=RateLimitConfig(
-                    rate=cfg.channel_capacity,
-                    action=cfg.rl_action,
-                    mode="window",
-                ),
+                ingress_limit=RateLimitConfig(rate=cfg.channel_capacity, mode="window"),
             )
             self.target_ans.append(ans)
             self.net.attach(ans)
@@ -351,9 +344,7 @@ class AttackScenario:
                 for resolver in self.resolvers:
                     resolver.ingress_rl = None  # replaced below
                     resolver.config.ingress_limit = RateLimitConfig(
-                        rate=cfg.rr_channel_capacity,
-                        action=cfg.rl_action,
-                        mode="window",
+                        rate=cfg.rr_channel_capacity, mode="window"
                     )
                     from repro.server.ratelimit import RateLimiter
 
@@ -448,7 +439,6 @@ class AttackScenario:
                     resolvers=resolvers,
                     request_timeout=cfg.client_timeout,
                     max_attempts=cfg.client_attempts,
-                    dcc_aware=cfg.dcc_aware_clients and not spec.is_attacker,
                 ),
             )
             self.net.attach(client)
@@ -460,7 +450,7 @@ class AttackScenario:
         if spec.pattern == "WC":
             return WildcardPattern(TARGET_ORIGIN)
         if spec.pattern == "WC_POOL":
-            return WildcardPattern(TARGET_ORIGIN, pool_size=self.config.wc_pool_size)
+            return WildcardPattern(TARGET_ORIGIN, pool_size=WC_POOL_SIZE)
         if spec.pattern == "NX":
             return NxdomainPattern(TARGET_ORIGIN)
         if spec.pattern == "FF":

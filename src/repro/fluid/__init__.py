@@ -12,11 +12,9 @@ cleanly without numpy (specs stay serializable); building runtime
 cohorts raises a clear error instead.
 """
 
-from repro.fluid.bridge import FluidBridge, FluidChannel
+from repro.fluid.bridge import FluidBridge
 from repro.fluid.cohort import (
     HAVE_NUMPY,
-    Cohort,
-    CohortSpec,
     build_cohorts,
     parse_slice_key,
     pool_miss_ratio,
@@ -26,16 +24,13 @@ from repro.fluid.cohort import (
 from repro.fluid.promote import PromotionConfig, PromotionController
 
 __all__ = [
-    "HAVE_NUMPY",
-    "Cohort",
-    "CohortSpec",
     "FluidBridge",
-    "FluidChannel",
-    "PromotionConfig",
-    "PromotionController",
+    "HAVE_NUMPY",
     "build_cohorts",
     "parse_slice_key",
     "pool_miss_ratio",
     "require_numpy",
     "slice_key",
+    "PromotionConfig",
+    "PromotionController",
 ]

@@ -10,20 +10,3 @@ Entry points: :func:`repro.fuzz.engine.fuzz` (the loop),
 :func:`repro.fuzz.corpus.replay` (one corpus file), and the
 ``repro fuzz`` CLI subcommand.
 """
-
-from repro.fuzz.engine import FuzzReport, fuzz, observation_digest
-from repro.fuzz.oracles import ALL_ORACLES, Violation, check_all
-from repro.fuzz.runner import FuzzObservations, run_scenario
-from repro.fuzz.scenario import FuzzScenario
-
-__all__ = [
-    "ALL_ORACLES",
-    "FuzzObservations",
-    "FuzzReport",
-    "FuzzScenario",
-    "Violation",
-    "check_all",
-    "fuzz",
-    "observation_digest",
-    "run_scenario",
-]

@@ -17,15 +17,11 @@ never reads a resolver's hidden configuration: it interacts with the
 simulated resolver purely through DNS traffic.
 """
 
-from repro.measure.population import ResolverProfile, build_population, TABLE3_RESOLVERS
-from repro.measure.prober import ProbeConfig, IngressProbeResult, EgressProbeResult, RateLimitProber
+from repro.measure.population import build_population
+from repro.measure.prober import ProbeConfig, RateLimitProber
 
 __all__ = [
-    "ResolverProfile",
     "build_population",
-    "TABLE3_RESOLVERS",
     "ProbeConfig",
-    "IngressProbeResult",
-    "EgressProbeResult",
     "RateLimitProber",
 ]

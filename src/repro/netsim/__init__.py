@@ -26,24 +26,16 @@ import edge from here to there); :mod:`repro.transport.udp` is the
 real-socket twin that runs the same nodes over localhost datagrams.
 """
 
-from repro.netsim.sim import Simulator, Event
-from repro.netsim.link import Network, LinkSpec
+from repro.netsim.sim import Simulator
+from repro.netsim.link import Network
 from repro.netsim.node import Node
-from repro.netsim.faults import (
-    FaultInjector,
-    LinkDegradation,
-    NodeOutage,
-    Partition,
-)
+from repro.netsim.faults import FaultInjector, NodeOutage, Partition
 
 __all__ = [
     "Simulator",
-    "Event",
     "Network",
-    "LinkSpec",
     "Node",
     "FaultInjector",
-    "LinkDegradation",
     "NodeOutage",
     "Partition",
 ]

@@ -32,14 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Protocol
 
-from repro.obs.metrics import (
-    DEFAULT_SIZE_BOUNDS,
-    DEFAULT_TIME_BOUNDS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import DEFAULT_SIZE_BOUNDS, MetricsRegistry
 from repro.obs.sketch import SpaceSaving
 from repro.obs.spans import NO_PARENT, Tracer
 
@@ -60,15 +53,6 @@ __all__ = [
     "Observability",
     "NullObservability",
     "NULL_OBS",
-    "NO_PARENT",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "SpaceSaving",
-    "Tracer",
-    "DEFAULT_TIME_BOUNDS",
-    "DEFAULT_SIZE_BOUNDS",
 ]
 
 

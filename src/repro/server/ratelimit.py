@@ -1,4 +1,4 @@
-"""Rate-limiter tables keyed by client address or prefix.
+"""Rate-limiter tables keyed by peer address.
 
 Rate limiting (RL) is the measure that *creates* the attack surface the
 paper studies: "RL is an indispensable measure to mitigate DoS attacks in
@@ -25,7 +25,6 @@ __all__ = [
     "RateLimitAction",
     "RateLimitConfig",
     "RateLimiter",
-    "prefix_key",
 ]
 
 
@@ -45,26 +44,11 @@ class RateLimitConfig:
     rate: float  # sustained queries/second per key
     burst: Optional[float] = None  # bucket depth; defaults to one second of rate
     action: RateLimitAction = RateLimitAction.DROP
-    #: 0 -> per-address; 24 -> per-/24-prefix keys (several measured
-    #: resolvers vary limits per prefix, Section 2.2.1).
-    prefix_bits: int = 0
     #: drop state entries idle for this long (seconds)
     idle_timeout: float = 60.0
-    #: "window": BIND-RRL-style fixed windows (first rate*window_size
-    #: messages per window pass, the rest drop); "bucket": token bucket.
+    #: "window": BIND-RRL-style one-second fixed windows (the first
+    #: ``rate`` messages of each pass, the rest drop); "bucket": token bucket.
     mode: str = "bucket"
-    window_size: float = 1.0
-
-
-def prefix_key(address: str, prefix_bits: int) -> str:
-    """Collapse an IPv4-style dotted address to its prefix key."""
-    if prefix_bits <= 0:
-        return address
-    parts = address.split(".")
-    if len(parts) != 4:
-        return address
-    keep = max(1, min(4, prefix_bits // 8))
-    return ".".join(parts[:keep])
 
 
 @dataclass
@@ -76,7 +60,7 @@ class _Entry:
 
 
 class RateLimiter:
-    """A per-key (client or prefix) token-bucket table.
+    """A per-address token-bucket table.
 
     This is the generic building block behind:
 
@@ -96,7 +80,7 @@ class RateLimiter:
         entry = self._entries.get(key)
         if entry is None:
             if self.config.mode == "window":
-                limiter = WindowedCounter(self.config.rate, self.config.window_size)
+                limiter = WindowedCounter(self.config.rate)
             else:
                 limiter = TokenBucket(self.config.rate, self.config.burst)
             entry = _Entry(limiter)
@@ -105,8 +89,7 @@ class RateLimiter:
 
     def allow(self, address: str, now: float, amount: float = 1.0) -> bool:
         """Account one message from/to ``address``; True if under limit."""
-        key = prefix_key(address, self.config.prefix_bits)
-        entry = self._entry(key)
+        entry = self._entry(address)
         entry.last_seen = now
         if entry.bucket.try_consume(now, amount):
             entry.allowed += 1
@@ -118,8 +101,7 @@ class RateLimiter:
 
     def would_allow(self, address: str, now: float, amount: float = 1.0) -> bool:
         """Non-consuming peek."""
-        key = prefix_key(address, self.config.prefix_bits)
-        entry = self._entries.get(key)
+        entry = self._entries.get(address)
         if entry is None:
             return True
         return entry.bucket.available(now, amount)
@@ -139,7 +121,7 @@ class RateLimiter:
         return len(self._entries)
 
     def stats_for(self, address: str) -> Optional[Dict[str, float]]:
-        entry = self._entries.get(prefix_key(address, self.config.prefix_bits))
+        entry = self._entries.get(address)
         if entry is None:
             return None
         return {"allowed": entry.allowed, "limited": entry.limited}

@@ -83,13 +83,10 @@ class ResolverConfig:
     aggressive_nsec: bool = False
     ingress_limit: Optional[RateLimitConfig] = None
     egress_limit: Optional[RateLimitConfig] = None
-    #: upstream server selection: "srtt" prefers the historically
-    #: fastest server with occasional exploration (BIND behaviour --
-    #: concentrates load on one server of a redundant set, which is why
-    #: redundancy does not dilute adversarial congestion, Figure 4a/b);
-    #: "random" spreads queries uniformly.
-    server_selection: str = "srtt"
-    #: exploration probability for srtt selection
+    #: exploration probability of upstream server selection, which
+    #: otherwise prefers the historically fastest server (BIND behaviour
+    #: -- concentrates load on one server of a redundant set, which is
+    #: why redundancy does not dilute adversarial congestion, Figure 4a/b)
     srtt_explore: float = 0.05
     #: consecutive timeouts after which a server enters hold-down (the
     #: BIND lame/bad-server cache analogue); 0 disables
@@ -108,13 +105,8 @@ class ResolverConfig:
     #: front-end admission control (None = unbounded pending table,
     #: matching the paper's vanilla-BIND baseline)
     overload: Optional[OverloadConfig] = None
-    #: local compute cost charged per cache-miss request (seconds)
-    processing_delay: float = 0.0
     #: period of the state-purge sweep (0 disables)
     purge_interval: float = 10.0
-    #: lose the cache on a crash (an in-memory cache dies with the
-    #: process; False models a survivable shared cache tier)
-    crash_cache_wipe: bool = True
 
 
 @dataclass
@@ -272,8 +264,8 @@ class RecursiveResolver(Node):
         every in-flight resolution (clients discover via their own
         timeouts -- no SERVFAIL is sent for abandoned requests), the
         fetch-quota table, all learned server quality (SRTT, timeout
-        streaks, hold-downs), rate-limiter state, and -- unless disabled
-        -- the cache itself."""
+        streaks, hold-downs), rate-limiter state, and the cache itself (an
+        in-memory cache dies with the process)."""
         for pending in list(self._pending_requests.values()):
             if pending.task is not None:
                 pending.task.abandon()
@@ -289,11 +281,10 @@ class RecursiveResolver(Node):
             self.ingress_rl = RateLimiter(self.config.ingress_limit)
         if self.egress_rl is not None:
             self.egress_rl = RateLimiter(self.config.egress_limit)
-        if self.config.crash_cache_wipe:
-            self.cache = ResolverCache(
-                max_entries=self.config.cache_size,
-                stale_window=self.config.serve_stale_window,
-            )
+        self.cache = ResolverCache(
+            max_entries=self.config.cache_size,
+            stale_window=self.config.serve_stale_window,
+        )
 
     def on_recover(self) -> None:
         """Restart: re-prime the root hints from the on-disk hints file
@@ -463,10 +454,7 @@ class RecursiveResolver(Node):
             span_parent=request_span,
         )
         pending.task = task
-        if self.config.processing_delay > 0:
-            self.sim.schedule(self.config.processing_delay, task.start)
-        else:
-            task.start()
+        task.start()
 
     def _complete_request(self, key: Tuple[str, int, Tuple[str, ...]], outcome: ResolutionOutcome) -> None:
         pending = self._pending_requests.pop(key, None)
@@ -552,10 +540,7 @@ class RecursiveResolver(Node):
         rng = self._srtt_rng
         if rng is None:
             rng = self._srtt_rng = self.sim.rng(f"resolver.{self.address}.srtt")
-        explore = (
-            1.0 if self.config.server_selection != "srtt" else self.config.srtt_explore
-        )
-        return self.health.select(candidates, self.sim.now, rng, explore)
+        return self.health.select(candidates, self.sim.now, rng, self.config.srtt_explore)
 
     def note_server_rtt(self, server: str, rtt: float, retransmitted: bool = False) -> None:
         """RTT sample from a successful exchange.

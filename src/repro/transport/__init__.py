@@ -14,27 +14,9 @@ This package names those protocols (:mod:`repro.transport.base`) and
 adds a second implementation of each over real asyncio UDP sockets
 (:mod:`repro.transport.udp`), plus a fault-injecting UDP proxy
 (:mod:`repro.transport.chaosproxy`) and a wire-level DNS query engine
-with RFC 6298 retransmission, pacing, and bounded-in-flight shedding
+with RFC 6298 retransmission and bounded-in-flight shedding
 (:mod:`repro.transport.engine`).  The same server/dcc modules drive both
 backends byte-for-byte -- there is no backend conditional anywhere in
 them, which is the point: the shim architecture is proven on sockets,
 not simulated.
 """
-
-from repro.transport.base import (
-    Clock,
-    Fabric,
-    InflightTable,
-    TimerHandle,
-    TransportBackend,
-)
-from repro.transport.simnet import VirtualBackend
-
-__all__ = [
-    "Clock",
-    "Fabric",
-    "InflightTable",
-    "TimerHandle",
-    "TransportBackend",
-    "VirtualBackend",
-]

@@ -30,7 +30,6 @@ from typing import (
     List,
     Optional,
     Protocol,
-    Tuple,
     TypeVar,
     runtime_checkable,
 )
@@ -146,28 +145,42 @@ class InflightTable(Generic[E]):
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.stats = stats if stats is not None else InflightStats()
-        # dict preserves insertion order => FIFO eviction without a heap
+        # An entry stays under the key it was inserted with, so dict order
+        # is age order across retransmits too: FIFO eviction without a
+        # heap.  A rekeyed entry's current key maps to that first key in
+        # _alias, which stays empty in a table that never rekeys.
         self._entries: Dict[int, InflightEntry[E]] = {}
+        self._alias: Dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, key: int) -> bool:
-        return key in self._entries
+        return self.get(key) is not None
 
     def get(self, key: int) -> Optional[InflightEntry[E]]:
-        return self._entries.get(key)
+        entry = self._entries.get(self._alias.get(key, key) if self._alias else key)
+        # a first key whose entry moved on is no longer a live key
+        return entry if entry is not None and entry.key == key else None
+
+    def _pop(self, first_key: int) -> InflightEntry[E]:
+        entry = self._entries.pop(first_key)
+        if self._alias:
+            self._alias.pop(entry.key, None)
+        return entry
 
     def insert(
         self, key: int, deadline: float, now: float, payload: E
     ) -> List[InflightEntry[E]]:
-        """Add an entry; returns the entries shed to make room (oldest first)."""
-        if key in self._entries:
+        """Add an entry; returns the entries shed to make room (oldest first).
+
+        A rekeyed entry's first key stays taken until the entry leaves.
+        """
+        if key in self._entries or key in self._alias:
             raise KeyError(f"in-flight key {key} already present")
         shed: List[InflightEntry[E]] = []
         while len(self._entries) >= self.capacity:
-            oldest_key = next(iter(self._entries))
-            shed.append(self._entries.pop(oldest_key))
+            shed.append(self._pop(next(iter(self._entries))))
             self.stats.shed_capacity += 1
         self._entries[key] = InflightEntry(key, deadline, now, payload)
         self.stats.inserted += 1
@@ -176,19 +189,25 @@ class InflightTable(Generic[E]):
         return shed
 
     def rekey(self, old_key: int, new_key: int) -> InflightEntry[E]:
-        """Move an entry to a new key (retransmit with a fresh message id)."""
-        entry = self._entries.pop(old_key)
-        if new_key in self._entries:
-            self._entries[old_key] = entry
+        """Give an entry a new key (retransmit with a fresh message id); it
+        keeps its place in the shedding order."""
+        entry = self.get(old_key)
+        if entry is None:
+            raise KeyError(f"in-flight key {old_key} not present")
+        first_key = self._alias.get(old_key, old_key)
+        if new_key != first_key and (new_key in self._entries or new_key in self._alias):
             raise KeyError(f"in-flight key {new_key} already present")
+        self._alias.pop(old_key, None)
+        if new_key != first_key:
+            self._alias[new_key] = first_key
         entry.key = new_key
-        self._entries[new_key] = entry
         return entry
 
     def complete(self, key: int) -> Optional[InflightEntry[E]]:
         """Remove and return the entry, or None if already gone (late answer)."""
-        entry = self._entries.pop(key, None)
+        entry = self.get(key)
         if entry is not None:
+            self._pop(self._alias.get(key, key) if self._alias else key)
             entry.resolved = True
             self.stats.completed += 1
         return entry
@@ -212,7 +231,7 @@ class InflightTable(Generic[E]):
         keys = [k for k, e in self._entries.items() if now > e.deadline + grace]
         reclaimed: List[InflightEntry[E]] = []
         for key in keys:
-            entry = self._entries.pop(key)
+            entry = self._pop(key)
             entry.resolved = True
             self.stats.completed += 1
             reclaimed.append(entry)
@@ -240,8 +259,6 @@ class TransportStats:
     bytes_sent: int = 0
     # socket-path extras
     decode_errors: int = 0
-    paced: int = 0
-    shed_backpressure: int = 0
     tcp_queries: int = 0
     tcp_responses: int = 0
     extra: Dict[str, int] = field(default_factory=dict)

@@ -1,4 +1,4 @@
-"""Backend-neutral wire query engine: RTO, pacing, TC fallback, shedding.
+"""Backend-neutral wire query engine: RTO, TC fallback, shedding.
 
 The robustness stack the tentpole requires at the client edge, written
 against the :class:`~repro.transport.base.Clock` protocol only -- the
@@ -9,7 +9,6 @@ unit tests pin its behaviour deterministically) and on
 - per-query retransmission with RFC 6298 RTO + Karn's rule, reusing
   :class:`repro.server.health.HealthRegistry` verbatim (``adaptive``
   mode) -- no parallel estimator implementation;
-- token-bucket send pacing (:class:`repro.util.tokenbucket.TokenBucket`);
 - EDNS-1232/TC handling: a truncated UDP response triggers one retry
   with ``via_tcp=True``, and TCP mode is preserved across retransmits;
 - graceful degradation: a bounded
@@ -34,7 +33,6 @@ from repro.dnscore.rdata import RRType
 from repro.netsim.node import Node
 from repro.server.health import HealthConfig, HealthRegistry
 from repro.transport.base import Clock, InflightTable, TimerHandle
-from repro.util.tokenbucket import TokenBucket
 
 
 class Verdict(enum.Enum):
@@ -55,11 +53,6 @@ class EngineConfig:
     deadline: float = 4.0
     #: bounded in-flight table capacity (oldest-first shedding)
     inflight_capacity: int = 256
-    #: token-bucket pacing of transmissions; None disables
-    pace_rate: Optional[float] = None
-    pace_burst: Optional[float] = None
-    #: retry once over TCP when a UDP response comes back truncated
-    tcp_fallback: bool = True
     #: periodic overdue-entry audit cadence; entries orphaned past their
     #: deadline (e.g. by a peer crash racing a timer) are reclaimed and
     #: verdicted as timeouts.  0 disables the audit.
@@ -78,7 +71,6 @@ class EngineStats:
     shed: int = 0
     retransmits: int = 0
     tc_fallbacks: int = 0
-    paced: int = 0
     unmatched: int = 0
     #: entries the periodic audit reclaimed past their deadline
     reclaimed_overdue: int = 0
@@ -102,7 +94,7 @@ class _EngineQuery:
     __slots__ = (
         "qname", "qtype", "server", "message_id", "attempts_left", "deadline",
         "sent_at", "retransmitted", "retransmits", "via_tcp", "timer",
-        "pace_timer", "callback", "done",
+        "callback", "done",
     )
 
     def __init__(
@@ -125,7 +117,6 @@ class _EngineQuery:
         self.retransmits = 0
         self.via_tcp = False
         self.timer: Optional[TimerHandle] = None
-        self.pace_timer: Optional[TimerHandle] = None
         self.callback = callback
         self.done = False
 
@@ -147,9 +138,6 @@ class QueryEngine:
         self._inflight: InflightTable[_EngineQuery] = InflightTable(
             self.config.inflight_capacity
         )
-        self._bucket: Optional[TokenBucket] = None
-        if self.config.pace_rate is not None:
-            self._bucket = TokenBucket(self.config.pace_rate, self.config.pace_burst)
         self._audit_timer: Optional[TimerHandle] = None
 
     def _health_rng(self):  # noqa: ANN202 - Callable[[], random.Random]
@@ -211,21 +199,7 @@ class QueryEngine:
         if now >= q.deadline:
             self._finish(q, Verdict.TIMEOUT)
             return
-        if self._bucket is not None and not self._bucket.try_consume(now):
-            self.stats.paced += 1
-            delay = min(
-                self._bucket.next_available(now) - now, q.deadline - now
-            )
-            q.pace_timer = self._clock.schedule(
-                max(delay, 0.0), self._send_attempt, q, message
-            )
-            return
-        self._transmit_now(q, message)
-
-    def _transmit_now(self, q: _EngineQuery, message: Message) -> None:
-        now = self._clock.now
         q.sent_at = now
-        q.pace_timer = None
         delay = max(0.001, min(self.health.timeout_for(q.server), q.deadline - now))
         self._transmit(message, q.server)
         q.timer = self._clock.schedule(delay, self._on_timeout, q)
@@ -266,15 +240,10 @@ class QueryEngine:
             return False
         q = entry.payload
         now = self._clock.now
-        if (
-            response.is_truncated
-            and not response.via_tcp
-            and self.config.tcp_fallback
-            and not q.via_tcp
-        ):
+        if response.is_truncated and not response.via_tcp and not q.via_tcp:
             # EDNS-1232 truncation: retry the same question over TCP
             self.stats.tc_fallbacks += 1
-            self._cancel_timers(q)
+            self._cancel_timer(q)
             q.via_tcp = True
             q.retransmitted = True  # Karn: the eventual RTT sample is tainted
             message = Message.query(q.qname, q.qtype, recursion_desired=True)
@@ -290,13 +259,10 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
-    def _cancel_timers(self, q: _EngineQuery) -> None:
+    def _cancel_timer(self, q: _EngineQuery) -> None:
         if q.timer is not None:
             q.timer.cancel()
             q.timer = None
-        if q.pace_timer is not None:
-            q.pace_timer.cancel()
-            q.pace_timer = None
 
     def _finish(
         self,
@@ -308,7 +274,7 @@ class QueryEngine:
         if q.done:
             return
         q.done = True
-        self._cancel_timers(q)
+        self._cancel_timer(q)
         self._inflight.complete(q.message_id)
         rcode = ""
         if verdict is Verdict.ANSWERED:

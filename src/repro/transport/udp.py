@@ -29,9 +29,6 @@ Design notes:
   length-prefixed stream connection; the response returns on the same
   connection and is delivered with ``via_tcp=True``.  The chaos proxy
   does not interpose on TCP (its fault model is datagram loss).
-- **Pacing / backpressure.**  Optional per-sender token-bucket pacing
-  with a bounded queue; overflow sheds the *oldest* queued datagram
-  (graceful degradation, mirroring the engine's in-flight table).
 """
 
 from __future__ import annotations
@@ -39,14 +36,13 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from functools import partial
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.dnscore.message import Message
 from repro.dnscore.wire import WireDecodeError, decode_message, encode_message
 from repro.transport.base import TransportStats
-from repro.util.tokenbucket import TokenBucket
 
 SockAddr = Tuple[str, int]
 
@@ -168,60 +164,6 @@ class AsyncioClock:
         timer.fn(*timer.args)
 
 
-class _PacedSender:
-    """Token-bucket pacing with a bounded queue; overflow sheds oldest."""
-
-    def __init__(
-        self,
-        clock: AsyncioClock,
-        transmit: Callable[[str, bytes, SockAddr], None],
-        src: str,
-        rate: float,
-        burst: Optional[float],
-        queue_limit: int,
-        stats: TransportStats,
-    ) -> None:
-        self._clock = clock
-        self._transmit = transmit
-        self._src = src
-        self._bucket = TokenBucket(rate, burst)
-        self._queue: Deque[Tuple[bytes, SockAddr]] = deque()
-        self._limit = queue_limit
-        self._stats = stats
-        self._timer: Optional[AsyncioTimer] = None
-
-    def submit(self, data: bytes, dest: SockAddr) -> None:
-        now = self._clock.now
-        if not self._queue and self._bucket.try_consume(now):
-            self._transmit(self._src, data, dest)
-            return
-        self._stats.paced += 1
-        self._queue.append((data, dest))
-        while len(self._queue) > self._limit:
-            self._queue.popleft()
-            self._stats.shed_backpressure += 1
-        self._arm(now)
-
-    def _arm(self, now: float) -> None:
-        if self._timer is not None and not self._timer.fired and not self._timer.cancelled:
-            return
-        delay = max(0.0, self._bucket.next_available(now) - now)
-        self._timer = self._clock.schedule(delay, self._pump)
-
-    def _pump(self) -> None:
-        now = self._clock.now
-        while self._queue and self._bucket.try_consume(now):
-            data, dest = self._queue.popleft()
-            self._transmit(self._src, data, dest)
-        if self._queue:
-            self._arm(now)
-
-    def close(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-        self._queue.clear()
-
-
 class _UdpProtocol(asyncio.DatagramProtocol):
     """Per-node datagram endpoint delivering into the fabric."""
 
@@ -259,7 +201,6 @@ class UdpFabric:
         self._tcp_servers: Dict[str, asyncio.AbstractServer] = {}
         self._peer: Dict[SockAddr, str] = {}
         self._route: Dict[Tuple[str, str], SockAddr] = {}
-        self._pacers: Dict[str, _PacedSender] = {}
         self._tcp_reply: Dict[Tuple[str, int], "asyncio.Future[Message]"] = {}
         self._wire_ids: "OrderedDict[Tuple[str, str, int], int]" = OrderedDict()
         self._tasks: Dict[int, "asyncio.Task[None]"] = {}
@@ -296,11 +237,7 @@ class UdpFabric:
         if dest is None:
             self.stats.messages_unroutable += 1
             return
-        pacer = self._pacers.get(src)
-        if pacer is not None:
-            pacer.submit(data, dest)
-        else:
-            self._transmit_datagram(src, data, dest)
+        self._transmit_datagram(src, data, dest)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -327,8 +264,6 @@ class UdpFabric:
         self._started = True
 
     async def aclose(self) -> None:
-        for address in sorted(self._pacers):
-            self._pacers[address].close()
         for address in sorted(self._udp_transport):
             self._udp_transport[address].close()
         for address in sorted(self._tcp_servers):
@@ -343,7 +278,7 @@ class UdpFabric:
         self._tasks.clear()
 
     # ------------------------------------------------------------------
-    # interposition hooks (chaos proxy) and pacing
+    # interposition hooks (chaos proxy)
     # ------------------------------------------------------------------
     def udp_address(self, address: str) -> SockAddr:
         return self._udp_addr[address]
@@ -365,13 +300,6 @@ class UdpFabric:
     def register_peer(self, sockaddr: SockAddr, address: str) -> None:
         """Teach receivers that packets from ``sockaddr`` mean ``address``."""
         self._peer[sockaddr] = address
-
-    def configure_pacing(
-        self, address: str, rate: float, burst: Optional[float] = None, queue_limit: int = 256
-    ) -> None:
-        self._pacers[address] = _PacedSender(
-            self._clock, self._transmit_datagram, address, rate, burst, queue_limit, self.stats
-        )
 
     # ------------------------------------------------------------------
     # supervised node lifecycle (chaos orchestrator)
@@ -401,9 +329,6 @@ class UdpFabric:
         if server is not None:
             server.close()
         self._tcp_addr.pop(address, None)
-        pacer = self._pacers.get(address)
-        if pacer is not None:
-            pacer.close()
         for key in [k for k in self._tcp_reply if k[0] == address]:
             slot = self._tcp_reply.pop(key)
             if not slot.done():

@@ -1,12 +1,9 @@
 """Generic data structures shared across the repro library.
 
 This package holds the small, self-contained containers that the DCC
-scheduler and the simulation substrate are built on:
+scheduler and the simulation substrate are built on (import them from
+their modules; the package re-exports nothing):
 
-- :class:`repro.util.sliding.SlidingWindowCounter` and
-  :class:`repro.util.sliding.SlidingWindowRatio` -- windowed counters used
-  by DCC's channel-capacity estimation (the anomaly monitor packs the
-  same bucket scheme into its slot table).
 - :class:`repro.util.tokenbucket.TokenBucket` and
   :class:`repro.util.tokenbucket.WindowedCounter` -- rate-limiting
   primitives shared by the server-side limiter tables and DCC's
@@ -18,17 +15,6 @@ scheduler and the simulation substrate are built on:
   walk behind Figure 10's state columns (``MopiFq.state_bytes``).
 
 :mod:`repro.util.ordmap` (a treap, once MOPI-FQ's ``out_seq``) has no user
-left here; it stays until the perf ledger drops its ``util.ordmap.*`` rows.
+left here; only the perf ledger's ``util.ordmap.*`` rows reach it, and it
+goes when they do (reprolint R10 flags it without the ``perf/`` root).
 """
-
-from repro.util.seeds import derive_seed
-from repro.util.sliding import SlidingWindowCounter, SlidingWindowRatio
-from repro.util.tokenbucket import TokenBucket, WindowedCounter
-
-__all__ = [
-    "SlidingWindowCounter",
-    "SlidingWindowRatio",
-    "TokenBucket",
-    "WindowedCounter",
-    "derive_seed",
-]

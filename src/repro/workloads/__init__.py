@@ -17,54 +17,16 @@ retries, optional DCC-awareness) and the Table 2 schedules used by the
 Figure 8/9 evaluation scenarios.
 """
 
-from repro.workloads.patterns import (
-    QueryPattern,
-    WildcardPattern,
-    NxdomainPattern,
-    CnameChainPattern,
-    FanoutPattern,
-)
-from repro.workloads.zonegen import (
-    build_root_zone,
-    build_target_zone,
-    build_ff_attacker_zone,
-    add_cq_instances,
-    DEAD_ADDRESS,
-)
-from repro.workloads.clients import StubClient, ClientConfig, RequestRecord
-from repro.workloads.schedule import ClientSpec, TABLE2_SCENARIOS, table2_clients
-from repro.workloads.realistic import ZipfPattern, TracePattern, zipf_catalogue
-from repro.workloads.cohorts import (
-    CohortSpec,
-    SliceMaterializer,
-    packet_cohort_clients,
-    promoted_address,
-    scale_cohort_specs,
-)
+from repro.workloads.patterns import WildcardPattern
+from repro.workloads.zonegen import build_root_zone, build_target_zone
+from repro.workloads.clients import StubClient, ClientConfig
+from repro.workloads.schedule import ClientSpec
 
 __all__ = [
-    "QueryPattern",
     "WildcardPattern",
-    "NxdomainPattern",
-    "CnameChainPattern",
-    "FanoutPattern",
     "build_root_zone",
     "build_target_zone",
-    "build_ff_attacker_zone",
-    "add_cq_instances",
-    "DEAD_ADDRESS",
     "StubClient",
     "ClientConfig",
-    "RequestRecord",
     "ClientSpec",
-    "TABLE2_SCENARIOS",
-    "table2_clients",
-    "ZipfPattern",
-    "TracePattern",
-    "zipf_catalogue",
-    "CohortSpec",
-    "SliceMaterializer",
-    "packet_cohort_clients",
-    "promoted_address",
-    "scale_cohort_specs",
 ]

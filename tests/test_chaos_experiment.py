@@ -142,8 +142,7 @@ class TestReconvictionAfterCrash:
         scenario.sim.run(until=4.0)
 
         # Config-file state (operator-pinned channel capacity) was
-        # re-applied on restart; learned capacities were dropped.
+        # re-applied on restart.
         assert shim.stats.host_crashes == 1
         bucket = shim.scheduler.channel_bucket(target)
         assert bucket.rate == pytest.approx(800.0)
-        assert shim.learned_capacities == {}

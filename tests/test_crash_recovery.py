@@ -38,15 +38,6 @@ class TestResolverCrash:
         assert response is not None and response.rcode == RCode.NOERROR
         assert topo.root.stats.queries_received == 2
 
-    def test_crash_without_cache_wipe_keeps_answers(self):
-        topo = build_topology(ResolverConfig(crash_cache_wipe=False))
-        topo.resolve("www.target-domain.")
-        topo.resolver.crash()
-        topo.resolver.recover()
-        topo.resolve("www.target-domain.")
-        assert topo.target_ans.stats.queries_received == 1  # served from cache
-        assert topo.resolver.stats.cache_hit_responses == 1
-
     def test_inflight_resolutions_abandoned_silently(self):
         topo = build_topology()
         latency = topo.net.default_link.latency

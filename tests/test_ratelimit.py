@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import sanitize
-from repro.server.ratelimit import (
-    RateLimitAction,
-    RateLimitConfig,
-    RateLimiter,
-    prefix_key,
-)
+from repro.server.ratelimit import RateLimitConfig, RateLimiter
 from repro.util.tokenbucket import _EPSILON, TokenBucket, WindowedCounter
 
 
@@ -218,20 +213,6 @@ class TestWindowedCounter:
             WindowedCounter(0)
 
 
-class TestPrefixKey:
-    def test_no_prefix(self):
-        assert prefix_key("10.1.2.3", 0) == "10.1.2.3"
-
-    def test_slash24(self):
-        assert prefix_key("10.1.2.3", 24) == "10.1.2"
-
-    def test_slash16(self):
-        assert prefix_key("10.1.2.3", 16) == "10.1"
-
-    def test_non_ipv4_passthrough(self):
-        assert prefix_key("host-7", 24) == "host-7"
-
-
 class TestRateLimiter:
     def test_per_key_isolation(self):
         rl = RateLimiter(RateLimitConfig(rate=2, burst=2))
@@ -239,12 +220,6 @@ class TestRateLimiter:
         assert rl.allow("a", 0.0)
         assert not rl.allow("a", 0.0)
         assert rl.allow("b", 0.0)  # different key unaffected
-
-    def test_prefix_grouping(self):
-        rl = RateLimiter(RateLimitConfig(rate=1, burst=1, prefix_bits=24))
-        assert rl.allow("10.1.2.3", 0.0)
-        assert not rl.allow("10.1.2.99", 0.0)  # same /24
-        assert rl.allow("10.1.3.1", 0.0)  # different /24
 
     def test_window_mode(self):
         rl = RateLimiter(RateLimitConfig(rate=3, mode="window"))

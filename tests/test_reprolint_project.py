@@ -1,4 +1,4 @@
-"""Whole-program reprolint rules (R6-R9) over synthetic package trees.
+"""Whole-program reprolint rules (R6-R10) over synthetic package trees.
 
 Each test materialises a small ``src/repro/...`` tree under a tmp dir
 and runs the full engine on it; ``module_name_for_path`` roots module
@@ -14,7 +14,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if REPO_ROOT not in sys.path:
     sys.path.insert(0, REPO_ROOT)
 
-from tools.reprolint import engine  # noqa: E402
+from tools.reprolint import engine, layering  # noqa: E402
 from tools.reprolint.project import module_name_for_path  # noqa: E402
 
 
@@ -125,6 +125,53 @@ def test_r6_suppression_with_justification(tmp_path):
     })
     assert findings_for(result, "R6") == []
     assert result.stats.suppressed == 1
+
+
+# ----------------------------------------------------------------------
+# R10: every src/ module is reached from an entry point
+# ----------------------------------------------------------------------
+
+_ENTRY_POINTS = {
+    "src/repro/cli.py": 'COMMANDS = {"fig": ("repro.experiments.fig:main", "one figure")}\n',
+    "src/repro/__main__.py": "from repro.cli import COMMANDS\n",
+}
+
+
+def test_r10_flags_a_module_nothing_reaches(tmp_path):
+    result = lint_tree(tmp_path, {
+        **_ENTRY_POINTS,
+        "src/repro/experiments/fig.py": """\
+            def main(argv):
+                from repro.util import used
+                return used.X
+            """,
+        "src/repro/util/used.py": "X = 1\n",
+        "src/repro/util/planted.py": "Y = 2\n",
+    })
+    r10 = findings_for(result, "R10")
+    assert [f.path.rpartition("src/")[2] for f in r10] == ["repro/util/planted.py"]
+    assert "repro.util.planted" in r10[0].message
+
+
+def test_r10_a_package_re_export_reaches_nothing(tmp_path):
+    result = lint_tree(tmp_path, {
+        **_ENTRY_POINTS,
+        "src/repro/experiments/fig.py": "from repro.util import helper\n",
+        "src/repro/util/__init__.py": "from repro.util.helper import helper\nfrom repro.util.hidden import Hidden\n",
+        "src/repro/util/helper.py": "def helper():\n    return 1\n",
+        "src/repro/util/hidden.py": "class Hidden:\n    pass\n",
+    })
+    assert [f.message.rpartition(" ")[2] for f in findings_for(result, "R10")] == ["repro.util.hidden"]
+
+
+def test_r10_without_the_perf_root_flags_ordmap():
+    """The checked-in tree is clean only because perf/trace.py imports
+    util/ordmap.py for its ledger rows."""
+    result = engine.run([os.path.join(REPO_ROOT, "src")])
+    index, sources = result.index, result.sources
+    assert layering.check_unreached(index, sources) == []
+    without_perf = layering.check_unreached(index, sources, layering.entry_roots(index, sources, perf=False))
+    assert [f.message.rpartition(" ")[2] for f in without_perf] == ["repro.util.ordmap"]
 
 
 # ----------------------------------------------------------------------

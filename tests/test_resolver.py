@@ -195,11 +195,6 @@ class TestSrttSelection:
         picks = [resolver.pick_server(["fast", "slow"]) for _ in range(50)]
         assert picks.count("fast") > 40
 
-    def test_random_mode_spreads(self):
-        topo = build_topology(ResolverConfig(server_selection="random"))
-        picks = [topo.resolver.pick_server(["a", "b"]) for _ in range(100)]
-        assert 20 < picks.count("a") < 80
-
     def test_timeout_penalty_flips_preference(self):
         topo = build_topology()
         resolver = topo.resolver

@@ -26,7 +26,7 @@ from repro.transport.engine import (
 )
 from repro.transport.simnet import VirtualBackend
 
-from tests.conftest import build_topology
+from tests.conftest import Collector, build_topology
 
 QNAME = Name.from_text("q.example.")
 SERVER = "10.0.0.53"
@@ -81,6 +81,20 @@ class TestInflightTable:
         with pytest.raises(KeyError):
             table.rekey(9, 2)
         assert 9 in table  # restored, not lost
+
+    def test_rekeyed_entry_reserves_its_first_key_until_it_leaves(self):
+        table: InflightTable[str] = InflightTable(4)
+        table.insert(1, 1.0, 0.0, "a")
+        table.rekey(1, 9)
+        table.rekey(9, 10)
+        assert table.get(1) is None and table.get(9) is None
+        with pytest.raises(KeyError):
+            table.insert(1, 1.0, 0.0, "b")
+        assert table.complete(10).payload == "a"
+        assert len(table) == 0
+        table.insert(1, 1.0, 0.0, "b")
+        table.insert(10, 1.0, 0.0, "c")
+        assert [entry.payload for entry in table.entries()] == ["b", "c"]
 
     def test_complete_is_idempotent(self):
         table: InflightTable[str] = InflightTable(4)
@@ -195,16 +209,32 @@ class TestQueryEngine:
         sim.run(until=5.0)
         assert [o.verdict for o in outcomes].count(Verdict.SHED) == 1
 
-    def test_pacing_delays_but_delivers(self):
-        sim, engine, wire, outcomes = _harness(
-            EngineConfig(pace_rate=10.0, pace_burst=1.0)
+    def test_retransmitted_query_keeps_its_place_in_the_shedding_order(self):
+        """A full table sheds its oldest query even when that query has
+        retransmitted under a fresh id, not the younger one behind it."""
+        backend = VirtualBackend(seed=5)
+        client, silent_resolver = Collector("10.1.0.1"), Collector(SERVER)
+        backend.attach(client)
+        backend.attach(silent_resolver)
+        engine = QueryEngine(
+            backend.clock,
+            lambda message, server: client.send(server, message),
+            EngineConfig(retries=1, inflight_capacity=2,
+                         health=HealthConfig(mode="legacy", base_timeout=0.2)),
         )
-        engine.lookup(QNAME, RRType.A, SERVER, outcomes.append)
-        engine.lookup(Name.from_text("q2.example."), RRType.A, SERVER, outcomes.append)
-        assert len(wire) == 1  # second transmission is paced
-        assert engine.stats.paced == 1
-        sim.run(until=0.2)
-        assert len(wire) == 2
+        verdicts = {}
+
+        def lookup(label: str) -> None:
+            engine.lookup(Name.from_text(f"{label}.example."), RRType.A, SERVER,
+                          lambda outcome: verdicts.setdefault(label, outcome.verdict))
+
+        for at, label in ((0.0, "a"), (0.1, "b"), (0.25, "c")):
+            backend.clock.schedule_at(at, lookup, label)
+        backend.run(until=0.3)
+        assert engine.stats.retransmits == 1  # "a" at 0.2, before "c" arrived
+        assert verdicts == {"a": Verdict.SHED}
+        backend.run(until=5.0)
+        assert verdicts == {"a": Verdict.SHED, "b": Verdict.TIMEOUT, "c": Verdict.TIMEOUT}
 
     def test_karn_retransmitted_sample_rejected(self):
         sim, engine, wire, outcomes = _harness(

@@ -237,22 +237,6 @@ class TestUdpFabric:
 
         asyncio.run(run())
 
-    def test_pacing_sheds_oldest_under_backpressure(self):
-        backend, auth, client = _backend()
-        backend.fabric.configure_pacing(CLIENT, rate=5.0, burst=1.0, queue_limit=2)
-
-        async def run():
-            await backend.start()
-            try:
-                for i in range(6):
-                    client.query(AUTH, f"p{i}.wc.target-domain.")
-                await _wait_until(lambda: backend.fabric.stats.shed_backpressure >= 1)
-                assert backend.fabric.stats.paced >= 1
-            finally:
-                await backend.aclose()
-
-        asyncio.run(run())
-
 
 #: a well-formed header and question whose QNAME is five 63-octet labels:
 #: 321 octets where RFC 1035 allows 255 (12 + 321 + 4 bytes of datagram)

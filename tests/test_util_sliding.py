@@ -1,10 +1,10 @@
-"""Sliding-window counter tests."""
+"""Sliding-window counter tests (the reference oracle of test_monitor_packed)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.sliding import SlidingWindowCounter, SlidingWindowRatio
+from tests.reference_sliding import SlidingWindowCounter, SlidingWindowRatio
 
 
 class TestCounter:

@@ -9,10 +9,11 @@ Two kinds of passes:
 
 - **per-file rules R1-R5** (:mod:`tools.reprolint.rules`) -- AST checks
   that need only one file;
-- **whole-program rules R6-R9** -- a project pass builds a symbol table
+- **whole-program rules R6-R10** -- a project pass builds a symbol table
   and import graph (:mod:`tools.reprolint.project`) and runs the
-  layering contract (:mod:`~tools.reprolint.layering`), RNG-taint
-  dataflow (:mod:`~tools.reprolint.rngflow`), and callback-escape /
+  layering contract and entry-point reachability
+  (:mod:`~tools.reprolint.layering`), RNG-taint dataflow
+  (:mod:`~tools.reprolint.rngflow`), and callback-escape /
   exception-swallowing checks (:mod:`~tools.reprolint.callbacks`).
 
 The engine (:mod:`tools.reprolint.engine`) walks the files and runs the

@@ -1,11 +1,12 @@
 """The multi-pass lint engine: serial walk, per-file rules, and the
-whole-program R6-R9 passes.
+whole-program R6-R10 passes.
 
 Pipeline::
 
     collect files -> per-file analysis (parse once, run R1-R5 and fact
       extraction) -> ProjectIndex -> R6 layering, R7 RNG flow,
-      R8/R9 callbacks -> per-line suppressions -> sorted findings
+      R8/R9 callbacks, R10 reachability -> per-line suppressions ->
+      sorted findings
 
 The project passes operate on the extracted facts, not on ASTs.  Files
 are analysed serially: ``ast.parse`` from a thread pool raised
@@ -143,6 +144,7 @@ def run(
         findings.extend(layering_pass.check_layering(index, sources, layer_contract))
         findings.extend(rngflow_pass.check_rng_flow(index, sources))
         findings.extend(callbacks_pass.check_callbacks(index, sources))
+        findings.extend(layering_pass.check_unreached(index, sources))
     t2 = time.perf_counter()
 
     suppressed = 0

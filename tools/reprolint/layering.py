@@ -1,4 +1,4 @@
-"""R6: the module layering contract.
+"""R6: the module layering contract; R10: every module is reached.
 
 The reproduction's packages form an intended DAG (documented in
 ``docs/STATIC_ANALYSIS.md``); refactors like the hybrid fluid/packet
@@ -9,11 +9,18 @@ and flags:
 
 - edges between ``repro`` layers the contract does not allow, and
 - module-level import cycles anywhere in the scanned tree.
+
+R10 walks the same edges from the entry points -- the modules
+named in ``cli.COMMANDS`` and every ``repro`` import of ``perf/*.py``
+-- and flags each ``repro`` module the walk never reaches.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+import ast
+import glob
+import os
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from tools.reprolint.project import ProjectIndex
 from tools.reprolint.rules import Finding
@@ -192,6 +199,120 @@ def _check_cycles(
                         + " <-> ".join(component),
                         _line_text(sources, facts.path, imp.line),
                     ))
+    return findings
+
+
+# ----------------------------------------------------------------------
+# R10: unreached src/ modules
+# ----------------------------------------------------------------------
+
+def _defining_module(index: ProjectIndex, module: str, name: str) -> str:
+    """Where ``from module import name`` leads: the submodule
+    ``module.name``, else -- through a package's re-exports -- the module
+    that defines ``name``, else ``module`` itself.
+
+    :meth:`ProjectIndex.resolve_import_targets` stops at the package,
+    which is right for R6 (importing a package runs its ``__init__``)
+    and wrong here (a re-export is not a use)."""
+    seen: Set[str] = set()
+    while module not in seen:  # a re-export cycle must not hang
+        seen.add(module)
+        if index.is_known(f"{module}.{name}"):
+            return f"{module}.{name}"
+        facts = index.modules.get(module)
+        if facts is None or not facts.path.endswith("__init__.py"):
+            return module
+        source = next((imp.module for imp in facts.imports
+                       if name in imp.names and not imp.type_only), None)
+        if source is None:
+            return module
+        module = source
+    return module
+
+
+def _import_targets(index: ProjectIndex, module: str, names: Sequence[str]) -> List[str]:
+    if not names:
+        return [module]
+    return [_defining_module(index, module, name) for name in names]
+
+
+def entry_roots(index: ProjectIndex, sources: Dict[str, List[str]], perf: bool = True) -> List[str]:
+    """The modules the entry points load: ``repro.cli``, ``repro.__main__``,
+    every module named in ``cli.COMMANDS`` (read from the AST, not
+    imported) and, with ``perf``, every ``repro`` import of
+    ``perf/*.py`` beside the checkout's ``src/``.  Empty when the linted
+    tree has no ``repro.cli``."""
+    cli = index.modules.get("repro.cli")
+    if cli is None:
+        return []
+    roots = {"repro.cli", "repro.__main__"}
+    tree = ast.parse("\n".join(sources.get(cli.path, [])))
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign):
+            targets, table = [node.target], node.value
+        elif isinstance(node, ast.Assign):
+            targets, table = node.targets, node.value
+        else:
+            continue
+        if isinstance(table, ast.Dict) and any(isinstance(t, ast.Name) and t.id == "COMMANDS" for t in targets):
+            for row in table.values:
+                if isinstance(row, ast.Tuple) and row.elts and isinstance(row.elts[0], ast.Constant):
+                    roots.add(str(row.elts[0].value).partition(":")[0])
+    if perf:
+        checkout = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(cli.path))))
+        for path in sorted(glob.glob(os.path.join(checkout, "perf", "*.py"))):
+            with open(path, "rb") as handle:
+                perf_tree = ast.parse(handle.read().decode("utf-8"))
+            for node in ast.walk(perf_tree):
+                if isinstance(node, ast.Import):
+                    roots.update(a.name for a in node.names if a.name.startswith("repro"))
+                elif isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").startswith("repro"):
+                    roots.update(_import_targets(index, node.module or "", [a.name for a in node.names]))
+    return sorted(roots)
+
+
+def reached_modules(index: ProjectIndex, roots: Iterable[str]) -> Set[str]:
+    """Every module reachable from ``roots`` over runtime import edges
+    (function-local ones included, ``TYPE_CHECKING`` ones not).
+    ``from pkg import Name`` reaches the module that defines ``Name``,
+    not ``pkg``: a package re-export alone reaches nothing."""
+    reached: Set[str] = set()
+    stack = [root for root in roots if index.is_known(root)]
+    while stack:
+        module = stack.pop()
+        if module in reached:
+            continue
+        reached.add(module)
+        for imp in index.modules[module].imports:
+            if imp.type_only:
+                continue
+            stack.extend(target for target in _import_targets(index, imp.module, imp.names)
+                         if index.is_known(target) and target not in reached)
+    return reached
+
+
+def check_unreached(
+    index: ProjectIndex,
+    sources: Dict[str, List[str]],
+    roots: Optional[Sequence[str]] = None,
+) -> List[Finding]:
+    """All R10 findings: ``repro`` modules (package ``__init__``s aside)
+    that no entry point reaches.  ``roots`` defaults to :func:`entry_roots`."""
+    if roots is None:
+        roots = entry_roots(index, sources)
+    if not roots:
+        return []
+    reached = reached_modules(index, roots)
+    findings: List[Finding] = []
+    for module in sorted(index.modules):
+        facts = index.modules[module]
+        if not repro_layer(module) or module in reached or facts.path.endswith("__init__.py"):
+            continue
+        findings.append(Finding(
+            facts.path, 1, 0, "R10",
+            f"unreached module: no entry point (cli.COMMANDS, perf/) imports {module}",
+            _line_text(sources, facts.path, 1),
+        ))
     return findings
 
 

@@ -1,5 +1,5 @@
 """Whole-program facts: module naming, per-file fact extraction, and the
-project index the R6-R9 passes run over.
+project index the R6-R10 passes run over.
 
 The per-file pass (:class:`extract_facts`) walks one AST and records
 *facts* -- imports (with ``TYPE_CHECKING`` provenance), function

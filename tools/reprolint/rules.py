@@ -97,6 +97,7 @@ RULES: Dict[str, str] = {
     "R7": "RNG-taint: module-global RNG, global-RNG draw, or unseeded Random()",
     "R8": "schedule callback resolves to a closure through alias/partial/import",
     "R9": "scheduled callback swallows exceptions (broad except, no raise)",
+    "R10": "src/ module that no entry point (cli.COMMANDS, perf/) reaches",
 }
 
 
