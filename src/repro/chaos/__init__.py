@@ -13,13 +13,12 @@ Layering (reprolint R6): chaos sits *above* transport and netsim;
 under test stay chaos-blind.
 """
 
-from repro.chaos.orchestrator import RAMP_STEP, LiveChaosOrchestrator, SimChaosOrchestrator
+from repro.chaos.orchestrator import RAMP_STEP, LiveChaosOrchestrator
 from repro.chaos.slo import RecoveryAuditor, SloConfig, segment_windows
 
 __all__ = [
     "RAMP_STEP",
     "LiveChaosOrchestrator",
-    "SimChaosOrchestrator",
     "RecoveryAuditor",
     "SloConfig",
     "segment_windows",

@@ -3,9 +3,9 @@
 One fault schedule -- the JSON-serializable :mod:`repro.netsim.faults`
 specs -- replays against either transport backend:
 
-- **virtual** (:class:`SimChaosOrchestrator`): delegates to
-  :class:`~repro.netsim.faults.FaultInjector`, which shapes messages
-  inside the fabric itself;
+- **virtual**: the cast's own :class:`~repro.netsim.faults.FaultInjector`
+  (``AttackScenario.injector``) takes the specs as they are and shapes
+  messages inside the fabric itself;
 - **live** (:class:`LiveChaosOrchestrator`): reconstructs the same
   fault semantics over real sockets -- link degradations and partitions
   become per-direction :class:`~repro.transport.chaosproxy.ChaosProxy`
@@ -15,7 +15,7 @@ specs -- replays against either transport backend:
   sockets and clear its in-flight wire state; restart = re-bind on
   fresh ports with state loss).
 
-Both orchestrators consume the *same* spec objects and draw outage flap
+Both executions consume the *same* spec objects and draw outage flap
 jitter from the same ``"faults.outage"`` RNG stream via
 :func:`~repro.netsim.faults.expand_outage`, so a schedule's concrete
 fault instants agree across backends to the limit of wall-clock timer
@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.netsim.faults import (
-    FaultInjector,
     FaultSpec,
     LinkDegradation,
     NodeOutage,
@@ -57,7 +56,7 @@ _LinkFault = Union[LinkDegradation, Partition]
 
 @dataclass
 class ChaosExecStats:
-    """What the orchestrator actually did (either backend)."""
+    """What the live orchestrator actually did."""
 
     crashes: int = 0
     restarts: int = 0
@@ -65,37 +64,6 @@ class ChaosExecStats:
     spec_updates: int = 0
     link_faults: int = 0
     outages: int = 0
-
-
-class SimChaosOrchestrator:
-    """Replay a fault schedule in virtual time.
-
-    Thin by design: the virtual fabric already knows how to shape and
-    sever messages, so this just feeds the schedule to a
-    :class:`~repro.netsim.faults.FaultInjector` and keeps the same
-    stats/timeline surface as the live orchestrator.
-    """
-
-    backend = "sim"
-
-    def __init__(self, net) -> None:  # Network; untyped to stay import-light
-        self.injector = FaultInjector(net)
-        self.stats = ChaosExecStats()
-
-    def apply(self, faults: Iterable[FaultSpec]) -> None:
-        for spec in faults:
-            if isinstance(spec, NodeOutage):
-                self.stats.outages += 1
-            else:
-                self.stats.link_faults += 1
-            self.injector.add(spec)
-
-    @property
-    def timeline(self) -> List[Tuple[float, str]]:
-        return self.injector.timeline
-
-    def close(self) -> None:
-        pass
 
 
 class LiveChaosOrchestrator:

@@ -7,12 +7,14 @@ and the real-socket backend through the same orchestration API
 (:mod:`repro.chaos.slo`) emits deterministic MTTR / goodput-retained /
 time-to-90% metrics either way.
 
-Topology::
+Topology: the Figure 3 cast every figure runs, built by
+:class:`~repro.experiments.common.AttackScenario` on either backend::
 
     pool EngineClient  ──┐                          ┌─> root auth
     fresh EngineClient ──┼─> resolver (+DCC shim) ──┤      [partition]
-    NX attacker        ──┘                          └─> target auth
-                                                           [outage + delay ramp]
+    NX attacker        ──┘                          ├─> target auth (RRL)
+                                                    │      [outage + delay ramp]
+                                                    └─> FF attacker auth (idle)
 
 Two benign workloads separate the hardening layers' contributions: the
 **pool** client re-asks a small set of wildcard names (TTL 1 s -- during
@@ -46,18 +48,18 @@ import asyncio
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.chaos import (
-    LiveChaosOrchestrator,
-    RecoveryAuditor,
-    SimChaosOrchestrator,
-    SloConfig,
-)
-from repro.dcc.mopifq import MopiFqConfig
-from repro.dcc.shim import DccConfig, DccShim
+from repro.chaos import LiveChaosOrchestrator, RecoveryAuditor, SloConfig
 from repro.dnscore.name import Name
-from repro.experiments.common import ROOT_ADDR, TARGET_ORIGIN
+from repro.experiments.common import (
+    RESOLVER_ADDR,
+    ROOT_ADDR,
+    TARGET_ANS_ADDR,
+    TARGET_ORIGIN,
+    AttackScenario,
+    ScenarioConfig,
+)
 from repro.netsim.faults import (
     FaultSpec,
     LinkDegradation,
@@ -69,16 +71,12 @@ from repro.netsim.faults import (
 )
 from repro.obs import Observability
 from repro.obs.export import canonical_json, metrics_jsonl
-from repro.server.authoritative import AuthoritativeServer
 from repro.server.health import HealthConfig
-from repro.server.resolver import RecursiveResolver, ResolverConfig
+from repro.server.resolver import ResolverConfig
+from repro.transport.base import TransportBackend
 from repro.transport.engine import EngineClient, EngineConfig
-from repro.transport.simnet import VirtualBackend
 from repro.transport.udp import UdpBackend
-from repro.workloads.zonegen import build_root_zone, build_target_zone
 
-TARGET_ANS_ADDR = "10.0.3.1"
-RESOLVER_ADDR = "10.0.1.1"
 POOL_ADDR = "10.0.9.1"
 FRESH_ADDR = "10.0.9.2"
 ATTACK_ADDR = "10.0.9.66"
@@ -197,70 +195,44 @@ def _resolver_config() -> ResolverConfig:
     )
 
 
-@dataclass
-class _Cast:
-    root: AuthoritativeServer
-    target: AuthoritativeServer
-    resolver: RecursiveResolver
-    shim: DccShim
-    pool: EngineClient
-    fresh: EngineClient
-    attack: EngineClient
-
-    @property
-    def nodes(self) -> List[Any]:
-        return [self.root, self.target, self.resolver,
-                self.pool, self.fresh, self.attack]
-
-    @property
-    def clients(self) -> List[EngineClient]:
-        return [self.pool, self.fresh, self.attack]
-
-
-def _build_cast(cfg: ChaosConfig) -> _Cast:
-    root_zone = build_root_zone(
-        {TARGET_ORIGIN: ("ns1.target-domain.", TARGET_ANS_ADDR)}
-    )
-    # TTL 1 s: pool entries expire between revisits, so during the
+def _build(
+    cfg: ChaosConfig, backend: Optional[TransportBackend] = None
+) -> Tuple[AttackScenario, List[EngineClient]]:
+    """The Figure 3 cast on ``backend`` (None: the simulator) plus the
+    pool, fresh and attack clients, in that order."""
+    # answer TTL 1 s: pool entries expire between revisits, so during the
     # outage the pool exercises serve-stale rather than plain cache hits
-    target_zone = build_target_zone(
-        TARGET_ORIGIN, "ns1", TARGET_ANS_ADDR, answer_ttl=1, negative_ttl=1
-    )
-    root = AuthoritativeServer(ROOT_ADDR, zones=[root_zone])
-    target = AuthoritativeServer(
-        TARGET_ANS_ADDR, zones=[target_zone], udp_payload_limit=1232
-    )
-    resolver = RecursiveResolver(RESOLVER_ADDR, _resolver_config())
-    resolver.add_root_hint("a.root-servers.net.", ROOT_ADDR)
-    shim = DccShim(
-        resolver,
-        DccConfig(scheduler=MopiFqConfig(default_channel_rate=cfg.channel_capacity * 10)),
-    )
-    shim.set_channel_capacity(
-        TARGET_ANS_ADDR, cfg.channel_capacity, max(1.0, cfg.channel_capacity * 0.1)
+    scenario = AttackScenario(
+        ScenarioConfig(
+            seed=cfg.seed,
+            duration=cfg.duration,
+            channel_capacity=cfg.channel_capacity,
+            use_dcc=True,
+            answer_ttl=1,
+            resolver_config=_resolver_config(),
+        ),
+        backend,
     )
     engine_cfg = _client_engine_config(cfg)
-    pool = EngineClient(
-        POOL_ADDR, RESOLVER_ADDR, _pool_name,
-        rate=cfg.pool_rate, total=max(1, int(cfg.pool_rate * cfg.duration)),
-        config=engine_cfg,
-    )
-    fresh = EngineClient(
-        FRESH_ADDR, RESOLVER_ADDR, _fresh_name,
-        rate=cfg.fresh_rate, total=max(1, int(cfg.fresh_rate * cfg.duration)),
-        config=engine_cfg,
-    )
-    attack = EngineClient(
-        ATTACK_ADDR, RESOLVER_ADDR, _attack_name,
-        rate=cfg.attack_rate, total=max(1, int(cfg.attack_rate * cfg.duration)),
-        config=engine_cfg,
-    )
-    return _Cast(root, target, resolver, shim, pool, fresh, attack)
+    clients = []
+    for address, name_of, rate in (
+        (POOL_ADDR, _pool_name, cfg.pool_rate),
+        (FRESH_ADDR, _fresh_name, cfg.fresh_rate),
+        (ATTACK_ADDR, _attack_name, cfg.attack_rate),
+    ):
+        client = EngineClient(
+            address, RESOLVER_ADDR, name_of,
+            rate=rate, total=max(1, int(rate * cfg.duration)), config=engine_cfg,
+        )
+        scenario.net.attach(client)
+        clients.append(client)
+    return scenario, clients
 
 
 def _harvest(
     cfg: ChaosConfig,
-    cast: _Cast,
+    scenario: AttackScenario,
+    clients: List[EngineClient],
     faults: List[FaultSpec],
     timeline: List[str],
 ) -> ChaosReport:
@@ -269,12 +241,13 @@ def _harvest(
         # no faults: the whole run is "pre"; SLO gating will report the
         # missing recovery window rather than inventing one
         span = (cfg.duration, cfg.duration)
+    pool, fresh, attack = clients
     auditor = RecoveryAuditor(span, cfg.duration, cfg.slo)
-    auditor.add_samples(cast.pool.samples)
-    auditor.add_samples(cast.fresh.samples)
+    auditor.add_samples(pool.samples)
+    auditor.add_samples(fresh.samples)
 
     report = ChaosReport(config=cfg, auditor=auditor, timeline=timeline)
-    for client in cast.clients:
+    for client in clients:
         if client.engine is not None:
             report.liveness.extend(
                 f"{client.address}: {item}"
@@ -290,21 +263,22 @@ def _harvest(
         "seed": cfg.seed,
         "duration": cfg.duration,
         "workload": {
-            "pool_sent": cast.pool.sent,
-            "fresh_sent": cast.fresh.sent,
-            "attack_sent": cast.attack.sent,
+            "pool_sent": pool.sent,
+            "fresh_sent": fresh.sent,
+            "attack_sent": attack.sent,
         },
         "schedule": schedule_to_dicts(faults),
     }
+    resolver_stats = scenario.resolvers[0].stats
     report.info = {
-        "pool_verdicts": dict(sorted(cast.pool.verdicts.items())),
-        "fresh_verdicts": dict(sorted(cast.fresh.verdicts.items())),
-        "resolver_stale_served": cast.resolver.stats.stale_responses
-        + cast.resolver.stats.stale_fastpath_responses,
-        "resolver_breaker_opens": cast.resolver.stats.breaker_opens,
-        "resolver_breaker_closes": cast.resolver.stats.breaker_closes,
-        "dcc_intercepted": cast.shim.stats.queries_intercepted,
-        "auth_queries": cast.target.stats.queries_received,
+        "pool_verdicts": dict(sorted(pool.verdicts.items())),
+        "fresh_verdicts": dict(sorted(fresh.verdicts.items())),
+        "resolver_stale_served": resolver_stats.stale_responses
+        + resolver_stats.stale_fastpath_responses,
+        "resolver_breaker_opens": resolver_stats.breaker_opens,
+        "resolver_breaker_closes": resolver_stats.breaker_closes,
+        "dcc_intercepted": scenario.shims[0].stats.queries_intercepted,
+        "auth_queries": scenario.target_ans[0].stats.queries_received,
     }
     return report
 
@@ -313,30 +287,25 @@ def _harvest(
 # backends
 # ----------------------------------------------------------------------
 def _run_sim(cfg: ChaosConfig, faults: List[FaultSpec]) -> ChaosReport:
-    backend = VirtualBackend(seed=cfg.seed)
-    cast = _build_cast(cfg)
-    for node in cast.nodes:
-        backend.attach(node)
-    orchestrator = SimChaosOrchestrator(backend.net)
-    orchestrator.apply(faults)
-    for client in cast.clients:
+    scenario, clients = _build(cfg)
+    injector = scenario.injector
+    for spec in faults:
+        injector.add(spec)
+    for client in clients:
         client.start()
     horizon = cfg.duration + _NOMINAL_SLACK + cfg.client_deadline + _DRAIN_GRACE
-    backend.run(until=horizon)
-    timeline = [f"{t:8.3f}s  {label}" for t, label in sorted(orchestrator.timeline)]
-    report = _harvest(cfg, cast, faults, timeline)
-    report.info["crashes"] = orchestrator.injector.stats.crashes
-    report.info["recoveries"] = orchestrator.injector.stats.recoveries
-    report.info["partition_cuts"] = orchestrator.injector.stats.partition_cuts
-    orchestrator.close()
+    scenario.sim.run(until=horizon)
+    timeline = [f"{t:8.3f}s  {label}" for t, label in sorted(injector.timeline)]
+    report = _harvest(cfg, scenario, clients, faults, timeline)
+    report.info["crashes"] = injector.stats.crashes
+    report.info["recoveries"] = injector.stats.recoveries
+    report.info["partition_cuts"] = injector.stats.partition_cuts
     return report
 
 
 async def _run_live_async(cfg: ChaosConfig, faults: List[FaultSpec]) -> ChaosReport:
     backend = UdpBackend(seed=cfg.seed)
-    cast = _build_cast(cfg)
-    for node in cast.nodes:
-        backend.attach(node)
+    scenario, clients = _build(cfg, backend)
     await backend.start()
 
     orchestrator = LiveChaosOrchestrator(backend.fabric, backend.clock, cfg.seed)
@@ -350,17 +319,17 @@ async def _run_live_async(cfg: ChaosConfig, faults: List[FaultSpec]) -> ChaosRep
         )
     )
 
-    for client in cast.clients:
+    for client in clients:
         client.start()
     clock = backend.clock
     hard_stop = cfg.duration + _NOMINAL_SLACK + cfg.client_deadline + _DRAIN_GRACE
     while clock.now < hard_stop:
         await asyncio.sleep(0.05)
-        if all(client.finished for client in cast.clients):
+        if all(client.finished for client in clients):
             break
 
     timeline = [f"{t:8.3f}s  {label}" for t, label in sorted(orchestrator.timeline)]
-    report = _harvest(cfg, cast, faults, timeline)
+    report = _harvest(cfg, scenario, clients, faults, timeline)
     report.loop_errors = loop_errors
     report.liveness.extend(f"tcp error: {err}" for err in backend.fabric.tcp_errors)
     report.info["crashes"] = orchestrator.stats.crashes

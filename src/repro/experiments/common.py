@@ -1,6 +1,7 @@
 """Shared scenario machinery for the attack/defense experiments.
 
-Builds the Figure 3 topologies in a simulator:
+Builds the Figure 3 topologies on either transport backend (the
+simulator by default, or real sockets):
 
 - a root authoritative server delegating the experiment domains;
 - one or more **target** authoritative servers (the congested RA
@@ -22,7 +23,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.dcc.monitor import MonitorConfig
 from repro.dcc.mopifq import MopiFqConfig
@@ -31,13 +32,14 @@ from repro.dnscore.edns import ClientAttribution, OptionCode
 from repro.dnscore.message import Message, Question
 from repro.netsim.faults import FaultInjector
 from repro.netsim.link import Network
-from repro.netsim.sim import Simulator
 from repro.obs import ObsConfig, Observability
 from repro.analysis.series import TimeSeries
 from repro.server.authoritative import AuthoritativeServer
 from repro.server.forwarder import Forwarder, ForwarderConfig
 from repro.server.ratelimit import RateLimitConfig
 from repro.server.resolver import RecursiveResolver, ResolverConfig
+from repro.transport.base import TransportBackend
+from repro.transport.simnet import VirtualBackend
 from repro.workloads.clients import ClientConfig, StubClient
 from repro.workloads.patterns import (
     FanoutPattern,
@@ -56,6 +58,23 @@ TARGET_ORIGIN = "target-domain."
 ATTACKER_ORIGIN = "attacker-com."
 ROOT_ADDR = "10.0.0.1"
 ATTACKER_ANS_ADDR = "10.0.0.3"
+
+
+def target_ans_addr(i: int) -> str:
+    """Address of target authoritative ``i`` (10.0.0.2, 10.0.0.12, ...)."""
+    return f"10.0.0.{2 + 10 * i}"
+
+
+def resolver_addr(i: int) -> str:
+    """Address of recursive resolver ``i`` (10.0.1.1, 10.0.1.2, ...)."""
+    return f"10.0.1.{i + 1}"
+
+
+#: the first target authoritative and the first resolver: in every cast
+TARGET_ANS_ADDR = target_ans_addr(0)
+RESOLVER_ADDR = resolver_addr(0)
+#: stub-client request timeout, also the forwarder's upstream timeout
+CLIENT_TIMEOUT = 2.0
 #: name-pool size of the "WC_POOL" client pattern (names repeat, so the
 #: traffic is cache-hittable -- and serve-stale-able)
 WC_POOL_SIZE = 512
@@ -109,7 +128,6 @@ class ScenarioConfig:
     dcc_on_forwarder: bool = False
     max_poq_depth: int = 100
     max_round: int = 75
-    pool_capacity: int = 100_000
     monitor: MonitorConfig = field(default_factory=MonitorConfig)
     #: anomaly-kind -> PolicyTemplate overrides (None = paper defaults)
     policy_templates: Optional[Dict] = None
@@ -126,9 +144,6 @@ class ScenarioConfig:
     forwarded_clients: Optional[List[str]] = None
     ff_fanout: int = 7
     ff_instances: int = 200
-    #: resolver-side knobs
-    qname_minimization: bool = False
-    client_timeout: float = 2.0
     client_attempts: int = 1
     #: swap MOPI-FQ for a Figure 7 baseline scheduler (ablations); the
     #: factory is called once per DCC instance
@@ -138,8 +153,8 @@ class ScenarioConfig:
     #: wildcard answer TTLs (1 s: cache-bypassing, as in the attacks)
     answer_ttl: int = 1
     #: full resolver configuration override (hardened-resolver cells of
-    #: the resilience matrix); None keeps the vanilla defaults with only
-    #: ``qname_minimization`` applied
+    #: the resilience matrix, the chaos cast); None keeps the vanilla
+    #: defaults
     resolver_config: Optional[ResolverConfig] = None
     #: opt into the repro.obs observability subsystem (None = off, the
     #: zero-overhead default; see docs/OBSERVABILITY.md)
@@ -188,15 +203,29 @@ class ScenarioResult:
 
 
 class AttackScenario:
-    """Builds and runs one Figure 3/Table 2 style scenario."""
+    """Builds one Figure 3/Table 2 style scenario on either backend.
 
-    def __init__(self, config: ScenarioConfig) -> None:
+    ``backend`` is the clock/fabric pair the cast lives on.  The default
+    :class:`~repro.transport.simnet.VirtualBackend` is the simulator every
+    figure runs on, and :meth:`run` drives it in virtual time.  A
+    :class:`~repro.transport.udp.UdpBackend` puts the same nodes on real
+    sockets; its caller starts the fabric and runs its own loop (``repro
+    chaos --backend live``).
+    """
+
+    def __init__(self, config: ScenarioConfig, backend: Optional[TransportBackend] = None) -> None:
         self.config = config
-        self.sim = Simulator(seed=config.seed)
-        self.net = Network(self.sim)
-        #: fault-injection surface: chaos experiments schedule outages,
-        #: partitions, and degradation ramps here before run()
-        self.injector = FaultInjector(self.net)
+        if backend is None:
+            backend = VirtualBackend(config.seed)
+        self.sim = backend.clock
+        self.net = backend.fabric
+        #: fault-injection surface of the virtual fabric: chaos experiments
+        #: schedule outages, partitions, and degradation ramps here before
+        #: run().  None on real sockets, where the live chaos orchestrator
+        #: plays this role.
+        self.injector: Optional[FaultInjector] = (
+            FaultInjector(self.net) if isinstance(self.net, Network) else None
+        )
         self.clients: Dict[str, StubClient] = {}
         self.shims: List[DccShim] = []
         self._client_addr: Dict[str, str] = {}
@@ -216,8 +245,7 @@ class AttackScenario:
     def _build(self) -> None:
         cfg = self.config
 
-        self.target_ans_addrs = [f"10.0.0.{2 + 10 * i}" for i in range(cfg.target_ans_count)]
-        delegations = {ATTACKER_ORIGIN: ("ns1.attacker-com.", ATTACKER_ANS_ADDR)}
+        self.target_ans_addrs = [target_ans_addr(i) for i in range(cfg.target_ans_count)]
         root_zone = build_root_zone({TARGET_ORIGIN: ("ns1.target-domain.", self.target_ans_addrs[0])})
         # Redundant target servers: one NS record + glue per server.
         for i, addr in enumerate(self.target_ans_addrs[1:], start=2):
@@ -264,41 +292,21 @@ class AttackScenario:
         self.net.attach(self.attacker_ans)
 
         # Recursive resolvers.
+        resolver_cfg = cfg.resolver_config or ResolverConfig()
+        if cfg.with_forwarder and cfg.rr_channel_capacity is not None and not cfg.use_dcc:
+            # Vanilla RR channel cap: ingress RL at the resolvers.
+            resolver_cfg = replace(
+                resolver_cfg,
+                ingress_limit=RateLimitConfig(rate=cfg.rr_channel_capacity, mode="window"),
+            )
         self.resolvers: List[RecursiveResolver] = []
         for i in range(cfg.resolver_count):
-            if cfg.resolver_config is not None:
-                # Fresh copy per resolver: the rr-channel branch below
-                # mutates resolver.config in place.
-                resolver_cfg = replace(cfg.resolver_config)
-            else:
-                resolver_cfg = ResolverConfig(qname_minimization=cfg.qname_minimization)
-            resolver = RecursiveResolver(f"10.0.1.{i + 1}", resolver_cfg)
+            resolver = RecursiveResolver(resolver_addr(i), resolver_cfg)
             resolver.add_root_hint("a.root-servers.net.", ROOT_ADDR)
             resolver.egress_tap = self._make_tap()
             self.net.attach(resolver)
             if cfg.use_dcc:
-                shim = DccShim(
-                    resolver,
-                    DccConfig(
-                        scheduler=MopiFqConfig(
-                            max_poq_depth=cfg.max_poq_depth,
-                            max_round=cfg.max_round,
-                            pool_capacity=cfg.pool_capacity,
-                            default_channel_rate=cfg.channel_capacity * 10,
-                        ),
-                        monitor=cfg.monitor,
-                        policy_templates=cfg.policy_templates,
-                        signaling=cfg.dcc_signaling,
-                        countdown_threshold=cfg.countdown_threshold,
-                        scheduler_factory=cfg.scheduler_factory,
-                        share_of=cfg.share_of,
-                    ),
-                )
-                for addr in self.target_ans_addrs:
-                    shim.set_channel_capacity(
-                        addr, cfg.channel_capacity, max(1.0, cfg.channel_capacity * 0.1)
-                    )
-                self.shims.append(shim)
+                self._deploy_dcc(resolver, cfg.channel_capacity, self.target_ans_addrs, cfg.share_of)
             self.resolvers.append(resolver)
 
         # Optional forwarder in front of the resolvers.
@@ -308,47 +316,49 @@ class AttackScenario:
                 "10.0.2.1",
                 ForwarderConfig(
                     upstreams=[r.address for r in self.resolvers],
-                    query_timeout=cfg.client_timeout,
+                    query_timeout=CLIENT_TIMEOUT,
                     rotate=cfg.forwarder_rotate,
                 ),
             )
             self.forwarder.egress_tap = self._make_tap()
             self.net.attach(self.forwarder)
             if cfg.use_dcc and cfg.dcc_on_forwarder:
-                shim = DccShim(
+                rr_capacity = cfg.rr_channel_capacity
+                self._deploy_dcc(
                     self.forwarder,
-                    DccConfig(
-                        scheduler=MopiFqConfig(
-                            max_poq_depth=cfg.max_poq_depth,
-                            max_round=cfg.max_round,
-                            pool_capacity=cfg.pool_capacity,
-                            default_channel_rate=(cfg.rr_channel_capacity or cfg.channel_capacity) * 10,
-                        ),
-                        monitor=cfg.monitor,
-                        policy_templates=cfg.policy_templates,
-                        signaling=cfg.dcc_signaling,
-                        countdown_threshold=cfg.countdown_threshold,
-                        scheduler_factory=cfg.scheduler_factory,
-                    ),
+                    rr_capacity or cfg.channel_capacity,
+                    [r.address for r in self.resolvers] if rr_capacity is not None else [],
+                    share_of=None,
                 )
-                if cfg.rr_channel_capacity is not None:
-                    for resolver in self.resolvers:
-                        shim.set_channel_capacity(
-                            resolver.address,
-                            cfg.rr_channel_capacity,
-                            max(1.0, cfg.rr_channel_capacity * 0.1),
-                        )
-                self.shims.append(shim)
-            if cfg.rr_channel_capacity is not None and not cfg.use_dcc:
-                # Vanilla RR channel cap: ingress RL at the resolvers.
-                for resolver in self.resolvers:
-                    resolver.ingress_rl = None  # replaced below
-                    resolver.config.ingress_limit = RateLimitConfig(
-                        rate=cfg.rr_channel_capacity, mode="window"
-                    )
-                    from repro.server.ratelimit import RateLimiter
 
-                    resolver.ingress_rl = RateLimiter(resolver.config.ingress_limit)
+    def _deploy_dcc(
+        self,
+        node: Union[RecursiveResolver, Forwarder],
+        capacity: float,
+        channels: List[str],
+        share_of: Optional[Callable[[str], int]],
+    ) -> None:
+        """Wrap ``node`` in a DCC shim; each of ``channels`` runs at ``capacity`` QPS."""
+        cfg = self.config
+        shim = DccShim(
+            node,
+            DccConfig(
+                scheduler=MopiFqConfig(
+                    max_poq_depth=cfg.max_poq_depth,
+                    max_round=cfg.max_round,
+                    default_channel_rate=capacity * 10,
+                ),
+                monitor=cfg.monitor,
+                policy_templates=cfg.policy_templates,
+                signaling=cfg.dcc_signaling,
+                countdown_threshold=cfg.countdown_threshold,
+                scheduler_factory=cfg.scheduler_factory,
+                share_of=share_of,
+            ),
+        )
+        for addr in channels:
+            shim.set_channel_capacity(addr, capacity, max(1.0, capacity * 0.1))
+        self.shims.append(shim)
 
     def _wire_obs(self) -> None:
         """Hand the live facade to every instrumented component.
@@ -437,7 +447,7 @@ class AttackScenario:
                     start=spec.start,
                     stop=min(spec.stop, cfg.duration),
                     resolvers=resolvers,
-                    request_timeout=cfg.client_timeout,
+                    request_timeout=CLIENT_TIMEOUT,
                     max_attempts=cfg.client_attempts,
                 ),
             )

@@ -57,7 +57,13 @@ from repro.analysis.report import (
     resilience_counters,
     sparkline,
 )
-from repro.experiments.common import AttackScenario, ScenarioConfig, ScenarioResult
+from repro.experiments.common import (
+    RESOLVER_ADDR,
+    AttackScenario,
+    ScenarioConfig,
+    ScenarioResult,
+    target_ans_addr,
+)
 from repro.experiments.fig8_resilience import (
     paper_monitor_config,
     paper_policy_templates,
@@ -81,9 +87,9 @@ BENIGN_CLIENTS = ("heavy", "medium", "light")
 #: as recovered
 RECOVERY_THRESHOLD = 0.95
 
-#: addresses AttackScenario gives the two target nameservers and the
-#: resolver (``target_ans_count=2``, ``resolver_count=1``)
-PRIMARY_ANS, REPLICA_ANS, RESOLVER = "10.0.0.2", "10.0.0.12", "10.0.1.1"
+#: the cast's two target nameservers and its resolver
+#: (``target_ans_count=2``, ``resolver_count=1``)
+PRIMARY_ANS, REPLICA_ANS, RESOLVER = target_ans_addr(0), target_ans_addr(1), RESOLVER_ADDR
 
 
 def hardened_resolver_config() -> ResolverConfig:

@@ -39,19 +39,14 @@ from typing import Dict, List, Optional
 
 from repro.dcc.monitor import MonitorConfig
 from repro.experiments.common import TARGET_ORIGIN, AttackScenario, ScenarioConfig
-from repro.fluid import (
-    HAVE_NUMPY,
-    FluidBridge,
-    PromotionConfig,
-    PromotionController,
-    build_cohorts,
-)
+from repro.fluid import HAVE_NUMPY, FluidBridge, PromotionConfig, PromotionController
 from repro.fluid.cohort import CohortSpec, pool_miss_ratio
 from repro.netsim.trace import MessageTrace
 from repro.server.overload import OverloadConfig
 from repro.server.resolver import ResolverConfig
 from repro.workloads.cohorts import (
     SliceMaterializer,
+    mount_fluid,
     packet_cohort_clients,
     scale_cohort_specs,
 )
@@ -218,17 +213,13 @@ class ScaleScenario:
     def _build_fluid(self, promotion: bool) -> None:
         sim = self.scenario.sim
         horizon = self.config.duration + self.config.grace
-        self.bridge = FluidBridge(sim, tick=self.config.tick, stop_at=horizon)
         # The coupling point: fluid misses drain the DCC scheduler's own
         # channel bucket, so packet flows and fluid load contend for the
         # same tokens.
-        self.bridge.add_channel(
-            self.target_addr, self.shim.scheduler.channel_bucket(self.target_addr)
+        self.bridge = mount_fluid(
+            sim, self.specs, self.config.seed, self.resolver, self.shim,
+            self.scenario.config.channel_capacity, stop_at=horizon, tick=self.config.tick,
         )
-        for cohort in build_cohorts(self.specs, self.config.seed):
-            self.bridge.add_cohort(cohort)
-        if self.resolver.overload is not None:
-            self.bridge.pressure_sinks.append(self._fluid_pressure)
         self.bridge.start()
         if not promotion:
             return
@@ -249,11 +240,6 @@ class ScaleScenario:
     # ------------------------------------------------------------------
     # tick hooks (bound methods: reprolint R4 hygiene)
     # ------------------------------------------------------------------
-    def _fluid_pressure(self, now: float, backlog: float) -> None:
-        """Fluid backlog -> resolver overload watermarks (pending-request
-        equivalents; each backlogged query would occupy one table slot)."""
-        self.resolver.overload.external_pressure = backlog
-
     def _refresh_flags(self) -> None:
         """The DCC-monitor promotion trigger: while the monitor holds a
         promoted client in suspicion or conviction, keep its slice

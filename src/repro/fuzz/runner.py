@@ -41,6 +41,7 @@ from repro.server.overload import OverloadConfig
 from repro.server.ratelimit import RateLimitAction, RateLimitConfig
 from repro.server.resolver import RecursiveResolver, ResolverConfig
 from repro.workloads.clients import ClientConfig, StubClient
+from repro.workloads.cohorts import mount_fluid
 from repro.workloads.patterns import (
     FanoutPattern,
     FixedPattern,
@@ -359,50 +360,14 @@ def _build(scenario: FuzzScenario, inject_bug: Optional[str]) -> _Harness:
         h.clients["__adversary__"] = attacker
 
     if scenario.fluid_cohorts:
-        _build_fluid(scenario, h)
+        # Raises (-> the no-crash oracle) when numpy is missing; the
+        # default generator never draws cohorts, so only explicitly-fluid
+        # scenarios ever take this path.
+        h.bridge = mount_fluid(
+            h.sim, scenario.fluid_cohorts, scenario.seed, h.resolver, h.shim,
+            scenario.dcc.channel_capacity, stop_at=scenario.duration + scenario.grace,
+        )
     return h
-
-
-def _build_fluid(scenario: FuzzScenario, h: _Harness) -> None:
-    """Mount the scenario's fluid cohorts on the hybrid core.
-
-    Channel buckets come from the DCC scheduler when the shim is on
-    (fluid load then contends with packet flows for the same tokens),
-    otherwise each destination gets a private bucket at the scenario's
-    channel capacity.  Raises (-> the no-crash oracle) when numpy is
-    missing; the default generator never draws cohorts, so only
-    explicitly-fluid scenarios ever take this path.
-    """
-    from repro.fluid import FluidBridge, build_cohorts, require_numpy
-    from repro.util.tokenbucket import TokenBucket
-
-    require_numpy()
-    bridge = FluidBridge(h.sim, stop_at=scenario.duration + scenario.grace)
-    capacity = scenario.dcc.channel_capacity
-    for spec in scenario.fluid_cohorts:
-        if spec.destination not in bridge.channels:
-            if h.shim is not None:
-                bucket = h.shim.scheduler.channel_bucket(spec.destination)
-            else:
-                bucket = TokenBucket(rate=capacity, burst=max(1.0, capacity * 0.1))
-            bridge.add_channel(spec.destination, bucket)
-    for cohort in build_cohorts(scenario.fluid_cohorts, scenario.seed):
-        bridge.add_cohort(cohort)
-    if h.resolver.overload is not None:
-        bridge.pressure_sinks.append(_FluidPressure(h.resolver).push)
-    h.bridge = bridge
-
-
-class _FluidPressure:
-    """Bound-method pressure sink (reprolint R4: no closures on ticks)."""
-
-    __slots__ = ("resolver",)
-
-    def __init__(self, resolver: RecursiveResolver) -> None:
-        self.resolver = resolver
-
-    def push(self, now: float, backlog: float) -> None:
-        self.resolver.overload.external_pressure = backlog
 
 
 def _build_resolver(scenario: FuzzScenario) -> RecursiveResolver:

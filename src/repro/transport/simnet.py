@@ -4,6 +4,8 @@ This is deliberately a *thin* bundle, not a wrapper: the simulator and
 network objects are exposed as-is, so every experiment that predates
 the transport package keeps byte-identical behaviour (the selfcheck
 digest is part of the acceptance criteria for any change here).
+The simulator reads SimSan's switch (``REPRO_SIMSAN``) as every other
+``Simulator`` does.
 """
 
 from __future__ import annotations
@@ -17,14 +19,9 @@ from repro.netsim.sim import Simulator
 class VirtualBackend:
     """The (Simulator, Network) pair behind every figure in the repo."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        network: Optional[Network] = None,
-        sanitize: bool = False,
-    ) -> None:
-        self.sim = Simulator(seed=seed, sanitize=sanitize)
-        self.net = network if network is not None else Network(self.sim)
+    def __init__(self, seed: int = 0) -> None:
+        self.sim = Simulator(seed=seed)
+        self.net = Network(self.sim)
 
     @property
     def clock(self) -> Simulator:

@@ -4,8 +4,8 @@ This module is where the fluid layer meets the traffic sources: a
 :class:`~repro.fluid.cohort.CohortSpec` describes a population once,
 and from that single description the harness can
 
-- build the numpy-backed fluid runtime (:func:`repro.fluid.cohort.
-  build_cohorts`),
+- mount the numpy-backed fluid runtime on the packet path
+  (:func:`mount_fluid`: shared channel buckets, overload pressure),
 - materialize *slices* of it as real :class:`StubClient` objects when
   the promotion controller flags them (:class:`SliceMaterializer`), or
 - instantiate the *whole* cohort packet-level
@@ -24,18 +24,27 @@ so the comparison is apples-to-apples.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
+from repro.fluid import FluidBridge, build_cohorts, require_numpy
 from repro.fluid.cohort import Cohort, CohortSpec, slice_key
 from repro.netsim.link import Network
+from repro.util.tokenbucket import TokenBucket
 from repro.workloads.clients import ClientConfig, StubClient
 from repro.workloads.patterns import NxdomainPattern, QueryPattern, WildcardPattern
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.dcc.shim import DccShim
+    from repro.netsim.sim import Simulator
+    from repro.server.resolver import RecursiveResolver
+
 __all__ = [
     "CohortSpec",
+    "FluidPressure",
     "PromotedHandle",
     "SliceMaterializer",
     "cohort_pattern",
+    "mount_fluid",
     "packet_cohort_clients",
     "promoted_address",
     "scale_cohort_specs",
@@ -178,6 +187,57 @@ def packet_cohort_clients(
             network.attach(client)
             clients.append(client)
     return clients
+
+
+def mount_fluid(
+    sim: Simulator,
+    specs: List[CohortSpec],
+    seed: int,
+    resolver: RecursiveResolver,
+    shim: Optional[DccShim],
+    capacity: float,
+    stop_at: float,
+    tick: float = 0.1,
+) -> FluidBridge:
+    """Couple fluid cohorts to the packet path; the caller starts the bridge.
+
+    Each destination drains the DCC scheduler's own channel bucket when
+    a shim fronts the resolver, so fluid load and packet flows contend
+    for the same tokens; without one it gets a private bucket at
+    ``capacity`` QPS.  The aggregate backlog presses on the resolver's
+    overload watermarks.  When :meth:`FluidBridge.start` runs relative to
+    the packet clients fixes the event order, so it stays with the
+    caller.
+    """
+    require_numpy()
+    bridge = FluidBridge(sim, tick=tick, stop_at=stop_at)
+    for spec in specs:
+        if spec.destination not in bridge.channels:
+            if shim is not None:
+                bucket = shim.scheduler.channel_bucket(spec.destination)
+            else:
+                bucket = TokenBucket(rate=capacity, burst=max(1.0, capacity * 0.1))
+            bridge.add_channel(spec.destination, bucket)
+    for cohort in build_cohorts(specs, seed):
+        bridge.add_cohort(cohort)
+    if resolver.overload is not None:
+        bridge.pressure_sinks.append(FluidPressure(resolver).push)
+    return bridge
+
+
+class FluidPressure:
+    """Fluid backlog -> the resolver's overload watermarks, in
+    pending-request equivalents (each backlogged query would occupy one
+    table slot).  A bound-method sink: reprolint R4 keeps closures off
+    the tick chain."""
+
+    __slots__ = ("resolver",)
+
+    def __init__(self, resolver: RecursiveResolver) -> None:
+        self.resolver = resolver
+
+    def push(self, now: float, backlog: float) -> None:
+        self.resolver.overload.external_pressure = backlog
 
 
 def scale_cohort_specs(

@@ -1,27 +1,22 @@
-"""Backend-neutral chaos orchestration: spec composition + lifecycle.
+"""Live chaos orchestration: spec composition + lifecycle.
 
 ``compose_spec`` is tested as the pure function it must be (live-path
-determinism depends on it never reading the clock); the sim orchestrator
-is tested as a thin delegate to :class:`FaultInjector`; the live
-orchestrator is exercised over real localhost sockets end to end.
+determinism depends on it never reading the clock), and the live
+orchestrator is exercised over real localhost sockets end to end.  The
+virtual backend needs no orchestrator: the schedule goes straight to a
+:class:`FaultInjector` (tests/test_faults.py).
 """
 
 import asyncio
 
 import pytest
 
-from repro.chaos import (
-    RAMP_STEP,
-    LiveChaosOrchestrator,
-    SimChaosOrchestrator,
-)
+from repro.chaos import RAMP_STEP, LiveChaosOrchestrator
 from repro.dnscore.message import Message
 from repro.dnscore.name import Name
 from repro.dnscore.rdata import RRType
 from repro.netsim.faults import LinkDegradation, NodeOutage, Partition
-from repro.netsim.link import Network
 from repro.netsim.node import Node
-from repro.netsim.sim import Simulator
 from repro.transport.udp import UdpBackend
 
 A_ADDR = "10.0.0.1"
@@ -117,37 +112,6 @@ class Sink(Node):
 
 def q():
     return Message.query(Name.from_text("x.example."), RRType.A)
-
-
-class TestSimOrchestrator:
-    def schedule(self):
-        return [
-            NodeOutage(address=B_ADDR, at=1.0, duration=0.5),
-            Partition(a=A_ADDR, b=B_ADDR, start=2.0, end=3.0),
-            LinkDegradation(src=A_ADDR, dst=B_ADDR, start=4.0, end=5.0,
-                            latency=0.05),
-        ]
-
-    def test_delegates_schedule_to_injector(self):
-        sim = Simulator(seed=1)
-        net = Network(sim)
-        a, b = Sink(A_ADDR), Sink(B_ADDR)
-        net.attach(a)
-        net.attach(b)
-        orch = SimChaosOrchestrator(net)
-        orch.apply(self.schedule())
-        sim.schedule_at(2.5, a.send, B_ADDR, q())   # severed
-        sim.schedule_at(4.9, a.send, B_ADDR, q())   # delayed
-        sim.run()
-        assert orch.stats.outages == 1
-        assert orch.stats.link_faults == 2
-        assert orch.injector.stats.crashes == 1
-        assert orch.injector.stats.recoveries == 1
-        assert orch.injector.stats.partition_cuts == 1
-        assert orch.injector.stats.degraded_messages == 1
-        labels = [label for _, label in orch.timeline]
-        assert f"crash {B_ADDR}" in labels and f"recover {B_ADDR}" in labels
-        orch.close()  # no-op, mirrors the live surface
 
 
 class TestLiveOrchestrator:

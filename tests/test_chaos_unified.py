@@ -3,8 +3,9 @@
 Mostly on the virtual backend, which pins the backend-neutral parts:
 schedule loading, window accounting, canonical metrics determinism, SLO
 and goodput gating, and the CLI dispatch.  ``TestLiveSmoke`` runs the
-fault-free cast over real 127.0.0.1 sockets for two seconds; the faulted
-live schedules (real seconds of outage) stay in CI's ``chaos-live`` and
+fault-free cast over real 127.0.0.1 sockets for two seconds and checks
+that the simulator writes the same metrics document; the faulted live
+schedules (real seconds of outage) stay in CI's ``chaos-live`` and
 ``live-smoke`` jobs.
 """
 
@@ -17,13 +18,22 @@ from repro.experiments.chaos_unified import (
     render_report,
     run_chaos,
 )
+from repro.experiments.common import RESOLVER_ADDR, TARGET_ANS_ADDR
 from repro.netsim.faults import schedule_to_dicts
+from repro.transport.udp import UdpBackend
 
 QUICK = dict(pool_rate=6.0, fresh_rate=6.0, attack_rate=10.0)
 
 
 def quick_config(**overrides):
     return ChaosConfig(backend="sim", seed=7, **QUICK, **overrides)
+
+
+def without_backend(report):
+    """A run's canonical metrics document minus its backend tag."""
+    doc = json.loads(report.canonical_metrics())
+    assert doc.pop("backend") == report.config.backend
+    return doc
 
 
 class TestSimChaosRun:
@@ -96,6 +106,31 @@ class TestLiveSmoke:
             assert sum(report.info["fresh_verdicts"].values()) == sent["fresh_sent"]
             assert sent["pool_sent"] > 0 and sent["attack_sent"] > 0
         assert reports[0].canonical_metrics() == reports[1].canonical_metrics()
+        # one cast, two backends: the simulator writes the same document
+        sim = run_chaos(ChaosConfig(backend="sim", seed=1, duration=2.0), [])
+        assert without_backend(sim) == without_backend(reports[0])
+
+
+class TestOneCast:
+    def test_attack_scenario_builds_the_cast_on_real_sockets(self):
+        backend = UdpBackend(seed=1)
+        scenario, clients = chaos_unified._build(ChaosConfig(backend="live"), backend)
+        assert scenario.sim is backend.clock and scenario.net is backend.fabric
+        nodes = [scenario.root, *scenario.target_ans, scenario.attacker_ans,
+                 *scenario.resolvers, *clients]
+        for node in nodes:
+            assert backend.fabric.node(node.address) is node
+            assert node.sim is backend.clock
+        # the live orchestrator, not an in-fabric injector, plays faults
+        assert scenario.injector is None
+        assert scenario.target_ans_addrs == [TARGET_ANS_ADDR]
+        assert [r.address for r in scenario.resolvers] == [RESOLVER_ADDR]
+        assert len(scenario.shims) == 1
+
+    def test_the_simulator_cast_carries_the_injector(self):
+        scenario, _ = chaos_unified._build(quick_config())
+        assert scenario.injector is not None
+        assert scenario.injector.net is scenario.net
 
 
 class TestScheduleLoading:
@@ -109,7 +144,7 @@ class TestScheduleLoading:
     def test_smoke_schedules_load(self):
         assert chaos_unified._load_schedule("examples/chaos_none.json") == []
         (loss,) = chaos_unified._load_schedule("examples/chaos_loss30.json")
-        assert loss.matches(chaos_unified.RESOLVER_ADDR, chaos_unified.TARGET_ANS_ADDR)
+        assert loss.matches(RESOLVER_ADDR, TARGET_ANS_ADDR)
         assert (loss.start, loss.end, loss.loss, loss.ramp) == (2.0, 8.0, 0.3, 0.0)
         assert loss.latency == 0.0 and loss.jitter == 0.0
 

@@ -10,6 +10,7 @@ from typing import List, Tuple
 
 import pytest
 
+from repro import sanitize
 from repro.dnscore.message import Message
 from repro.dnscore.name import Name
 from repro.dnscore.rdata import RCode, RRType
@@ -50,6 +51,14 @@ class TestProtocolConformance:
         backend.clock.schedule(0.5, fired.append, 1)
         assert backend.run() == 1
         assert fired == [1]
+
+    @pytest.mark.parametrize("switch", [True, False])
+    def test_virtual_backend_follows_the_simsan_switch(self, monkeypatch, switch):
+        # REPRO_SIMSAN=1 sets sanitize.ENABLED at import; the backend's
+        # simulator must heap-check exactly when a bare Simulator does
+        monkeypatch.setattr(sanitize, "ENABLED", switch)
+        assert VirtualBackend(seed=1).sim.sanitize is switch
+        assert Simulator(seed=1).sanitize is switch
 
 
 class TestInflightTable:
