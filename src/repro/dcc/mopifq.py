@@ -3,8 +3,11 @@
 This is a faithful implementation of the paper's Appendix B pseudocode
 (Figure 13) and the surrounding prose:
 
-- a single **entry pool** of fixed capacity backs all per-output queues;
-  free entries form a linked free list (``avail_slots``);
+- a single **entry pool** of fixed capacity (``pool_capacity``) backs
+  all per-output queues; freed entries form a linked free list
+  (``avail_slots``) that ``enqueue`` takes from first, building an entry
+  only when the list is empty, so the pool holds as many entries as
+  were ever queued at once, never more than its capacity;
 - each active output channel has a **flattened calendar queue**
   (Figure 7c): a doubly-linked run of entries logically divided into
   scheduling rounds, with per-round tail pointers (``round_tails``, a
@@ -208,11 +211,9 @@ class MopiFq:
         self._san = simsan.ENABLED if sanitize is None else bool(sanitize)
         self._san_last_round: Dict[str, int] = {}
         self._san_ops = 0
-        # Pre-allocated entry pool with an intrusive free list.
-        self._pool = [_QEntry() for _ in range(self.config.pool_capacity)]
-        for i in range(self.config.pool_capacity - 1):
-            self._pool[i].next = self._pool[i + 1]
-        self._avail: Optional[_QEntry] = self._pool[0] if self._pool else None
+        #: intrusive free list of entries built so far and not queued; with the
+        #: queued ones never more than ``pool_capacity`` (``enqueue`` checks it)
+        self._avail: Optional[_QEntry] = None
         self.total_depth = 0
 
         self._poq: Dict[str, _PoqState] = {}
@@ -292,11 +293,11 @@ class MopiFq:
                 evicted = self._evict_latest(destination, state)
 
         entry = self._avail
-        if entry is None:  # pool exhausted despite accounting: defensive
-            self.stats.fail_overflow += 1
-            return EnqueueStatus.FAIL_QUEUE_OVERFLOW, None
-        self._avail = entry.next
-        entry.next = None
+        if entry is None:  # built on first need
+            entry = _QEntry()
+        else:
+            self._avail = entry.next
+            entry.next = None
         entry.source = source
         entry.payload = payload
         entry.arr_time = now
@@ -603,7 +604,7 @@ class MopiFq:
         return len(self._poq) + len(self._idle) + len(self._rate_lim)
 
     def state_bytes(self) -> int:
-        """Resident bytes of everything held but the pool's free entries
+        """Resident bytes of everything held but the free list's entries
         and what is of fixed size (Figure 10): active and idle per-output
         states with the entries queued in them, channel buckets, ``out_seq``."""
         return approx_deep_size((self._poq, self._idle, self._rate_lim, self._out_seq))

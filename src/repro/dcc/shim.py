@@ -114,8 +114,8 @@ class DccShim:
         self.tables = DccStateTables()
         self.stats = DccShimStats()
 
-        #: outgoing query id -> (client, client request id, server)
-        self._inflight: Dict[int, Tuple[str, int, str]] = {}
+        #: outgoing query id -> (client, client request id, server, send time)
+        self._inflight: Dict[int, Tuple[str, int, str, float]] = {}
         #: operator-configured capacities (the config file: survives crashes)
         self._configured_capacities: Dict[str, Tuple[float, Optional[float]]] = {}
         self._pump_event = None
@@ -346,7 +346,7 @@ class DccShim:
                 break
             query, server, request_id = item.payload
             if item.source != LOCAL_SOURCE:
-                self._inflight[query.id] = (item.source, request_id, server)
+                self._inflight[query.id] = (item.source, request_id, server, now)
             self.stats.queries_sent += 1
             if self.obs.enabled:
                 span = self._obs_wait.pop(query.id, 0)
@@ -380,7 +380,7 @@ class DccShim:
         client: Optional[str] = None
         request_id = 0
         if info is not None:
-            client, request_id, _ = info
+            client, request_id, _, _ = info
             self.monitor.record_answer(client, answer.rcode, now)
 
         signals = extract_signals(answer, strip=True)
@@ -527,6 +527,8 @@ class DccShim:
             self.monitor.purge(now, timeout)
             self.tables.purge(now)
             self.engine.sweep(now)
+            # a query whose answer never came (lost, dropped upstream)
+            self._inflight = {qid: info for qid, info in self._inflight.items() if now - info[3] <= timeout}
         self.resolver.sim.schedule(timeout, self._purge_tick)
 
     # ------------------------------------------------------------------

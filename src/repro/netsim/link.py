@@ -41,7 +41,6 @@ class NetworkStats:
     messages_dropped_down: int = 0
     #: severed mid-air by an active partition fault
     messages_cut: int = 0
-    bytes_sent: int = 0
 
 
 class Network:
@@ -95,7 +94,6 @@ class Network:
     def send(self, src: str, dst: str, message: "Message") -> None:
         """Fire-and-forget datagram semantics."""
         self.stats.messages_sent += 1
-        self.stats.bytes_sent += message.wire_length()
         spec = self.link(src, dst)
         if self.fault_shaper is not None:
             spec = self.fault_shaper(src, dst, spec)

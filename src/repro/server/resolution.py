@@ -270,6 +270,11 @@ class ResolutionTask:
 
         # 2. Locate the deepest known zone cut.
         cut = cache.deepest_known_cut(self.current_name, now)
+        if cut is None or not (cut[0].labels or any(cache.addresses_for(ns, now) for ns in cut[1].ns_targets)):
+            # The walk reached the root without an address: a full cache
+            # evicted the hints' NS or glue, which reads never refresh.
+            self.resolver.on_recover()
+            cut = cache.deepest_known_cut(self.current_name, now)
         if cut is None:
             # No root hints -> nothing to iterate from.
             self._fail()

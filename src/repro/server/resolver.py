@@ -313,6 +313,7 @@ class RecursiveResolver(Node):
             self.ingress_rl.purge(self.now)
         if self.egress_rl is not None:
             self.egress_rl.purge(self.now)
+        self.cache.flush_expired(self.now)
         self.sim.schedule(self.config.purge_interval, self._purge_tick)
 
     # ------------------------------------------------------------------

@@ -243,7 +243,7 @@ class InflightTable(Generic[E]):
 
 @dataclass
 class TransportStats:
-    """Fabric counters, field-compatible with netsim's ``NetworkStats``.
+    """Fabric counters: netsim's ``NetworkStats`` fields, then extras.
 
     The shared fields let report code read either backend's stats
     object without caring which it got; the extra fields only exist on
@@ -256,8 +256,9 @@ class TransportStats:
     messages_unroutable: int = 0
     messages_dropped_down: int = 0
     messages_cut: int = 0
-    bytes_sent: int = 0
     # socket-path extras
+    #: octets this fabric wrote to its sockets (TCP frames count their 2-octet prefix)
+    bytes_sent: int = 0
     decode_errors: int = 0
     tcp_queries: int = 0
     tcp_responses: int = 0

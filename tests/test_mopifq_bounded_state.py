@@ -7,7 +7,8 @@ record dies with its last queued message, and no table is keyed by every
 (destination, source) pair ever served.  A recycled per-output state must
 behave exactly as a newly built one, and what ``state_bytes()`` reports
 (Figure 10's DCC state column) must be everything the scheduler reaches
-but its pre-allocated pool.
+but its free list of entries.  Entries are built on first need, so the
+scheduler never holds more of them than it ever had queued at once.
 """
 
 import random
@@ -26,9 +27,17 @@ INT_SLACK = 16 * 28
 
 
 def held(fq, *less):
-    """Everything the scheduler reaches, but the pre-allocated pool (an
-    entry of it is reached while it is queued) and the attributes ``less``."""
-    return {name: value for name, value in vars(fq).items() if name not in ("_pool", "_avail", *less)}
+    """Everything the scheduler reaches, but the free list of entries (an
+    entry is reached while it is queued) and the attributes ``less``."""
+    return {name: value for name, value in vars(fq).items() if name not in ("_avail", *less)}
+
+
+def entries_built(fq):
+    """Entries the scheduler holds: the queued ones and the free list."""
+    free, entry = 0, fq._avail
+    while entry is not None:
+        free, entry = free + 1, entry.next
+    return fq.total_depth + free
 
 
 def containers_and_instances(root):
@@ -61,23 +70,36 @@ def control_loop(operations, entities=10_000, burst=64, seed=5):
     destinations = [f"172.16.{i >> 8}.{i & 255}" for i in range(entities)]
     for destination in destinations:
         fq.channel_bucket(destination)
-    now, peak_active = 0.0, 0
+    now, peak_active, peak_depth = 0.0, 0, 0
     for _ in range(operations // burst):
         for _ in range(burst):
             now += 0.0005
             assert fq.enqueue(rng.choice(sources), rng.choice(destinations), None, now)[0].ok
         peak_active = max(peak_active, fq.active_outputs())
+        peak_depth = max(peak_depth, fq.total_depth)  # dequeues only lower it
         for _ in range(burst):
             fq.dequeue(now)
     while fq.dequeue(now + 1.0) is not None:
         pass
     assert fq.total_depth == 0 and fq.active_outputs() == 0
     fq.check_invariants()
-    return fq, peak_active
+    return fq, peak_active, peak_depth
+
+
+def test_a_new_scheduler_holds_no_entry():
+    fq = MopiFq()
+    assert fq.config.pool_capacity == 100_000 and entries_built(fq) == 0
+
+
+def test_entries_built_are_the_peak_queued_not_the_capacity():
+    for operations in (10_000, 100_000):
+        fq, _, peak_depth = control_loop(operations)
+        assert 0 < peak_depth < fq.config.pool_capacity
+        assert entries_built(fq) == peak_depth, operations
 
 
 def test_drained_state_does_not_depend_on_messages_served():
-    (short, short_peak), (long, long_peak) = control_loop(10_000), control_loop(100_000)
+    (short, short_peak, _), (long, long_peak, _) = control_loop(10_000), control_loop(100_000)
     assert long.stats.dequeued > 9 * short.stats.dequeued
     for fq, peak_active in ((short, short_peak), (long, long_peak)):
         assert 0 < len(fq._idle) <= peak_active
@@ -140,6 +162,16 @@ def run_step(fq, op, step):
 def drive(fq, steps):
     for op, step in enumerate(mixed_stream(steps)):
         run_step(fq, op, step)
+
+
+def test_entries_never_exceed_the_pool_capacity():
+    fq = make_mixed()
+    capacity, full = fq.config.pool_capacity, 0
+    for op, step in enumerate(mixed_stream(20_000)):
+        run_step(fq, op, step)
+        assert entries_built(fq) <= capacity, op
+        full += fq.total_depth == capacity
+    assert full > 100 and entries_built(fq) == capacity
 
 
 def test_recycled_state_is_indistinguishable_from_a_new_one():

@@ -136,11 +136,3 @@ def test_jitter_spreads_arrivals():
     times = [t for t, _, _ in b.inbox]
     assert len(set(times)) > 1
     assert all(0.001 <= t <= 0.006 + 1e-9 for t in times)
-
-
-def test_bytes_accounting():
-    sim, net, a, b = make_net()
-    msg = q()
-    a.send("10.0.0.2", msg)
-    sim.run()
-    assert net.stats.bytes_sent == msg.wire_length()

@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.dnscore.name import ROOT, Name
 from repro.dnscore.rdata import RCode, RRType
 from repro.server.ratelimit import RateLimitAction, RateLimitConfig
 from repro.server.resolver import ResolverConfig
 
-from tests.conftest import build_topology
+from tests.conftest import ROOT_ADDR, build_topology
 
 
 class TestBasicResolution:
@@ -204,3 +205,41 @@ class TestSrttSelection:
             resolver.note_server_timeout("a")
         picks = [resolver.pick_server(["a", "b"]) for _ in range(50)]
         assert picks.count("b") > 40
+
+
+class TestCacheUpkeep:
+    def test_purge_tick_sweeps_dead_entries(self):
+        """Unique 1 s-TTL names asked across three purge ticks: what is
+        left is younger than the last tick, not the whole run."""
+        topo = build_topology(answer_ttl=1)
+        assert topo.resolver.config.purge_interval == 10.0
+        for i in range(340):  # ticks at 10, 20 and 30 s after the first request
+            topo.sim.schedule_at(i * 0.1, topo.client.query, "10.0.1.1", f"u{i}.wc.target-domain.")
+        topo.sim.run(until=35.0)
+        cache = topo.resolver.cache
+        assert [r.rcode for r in topo.client.responses] == [RCode.NOERROR] * 340
+        assert all(entry.expires > 30.0 for entry in cache._entries.values())
+        assert len(cache) < 60 and cache.expirations > 280
+
+    def test_full_cache_that_evicted_the_root_hints_still_resolves(self):
+        """Dead entries fill a small cache before any purge tick; LRU takes
+        the root NS first, then its glue, then the target's delegation --
+        reads never refresh them."""
+        topo = build_topology(ResolverConfig(cache_size=50), negative_ttl=1)
+        for i in range(60):
+            topo.sim.schedule_at(i * 0.05, topo.client.query, "10.0.1.1", f"g{i}.nx.target-domain.")
+        topo.sim.run(until=4.0)
+        assert topo.resolver.cache.evictions > 2
+        assert [r.rcode for r in topo.client.responses] == [RCode.NXDOMAIN] * 60
+        response = topo.resolve("fresh.wc.target-domain.")
+        assert response.rcode == RCode.NOERROR
+
+    @pytest.mark.parametrize("evicted", ["NS", "glue"])
+    def test_walk_that_reaches_the_root_without_an_address_reprimes(self, evicted):
+        topo = build_topology()
+        cache, hint = topo.resolver.cache, Name.from_text("a.root-servers.net.")
+        del cache._entries[(ROOT.labels, RRType.NS) if evicted == "NS" else (hint.labels, RRType.A)]
+        response = topo.resolve("x.wc.target-domain.")
+        assert response.rcode == RCode.NOERROR
+        assert topo.root.stats.queries_received == 1
+        assert cache.addresses_for(hint, topo.sim.now) == [ROOT_ADDR]

@@ -95,7 +95,8 @@ class TestInterception:
         sim.run(until=1.0)
         assert shim.stats.queries_evicted == 1 and len(resolver.sent) == 3
         assert len(decodes) == 4 and requests == ["hog", "hog", "meek"]
-        assert sorted(shim._inflight.values()) == [("hog", 1, "srv"), ("hog", 1, "srv"), ("meek", 9, "srv")]
+        assert sorted(info[:3] for info in shim._inflight.values()) == [("hog", 1, "srv"), ("hog", 1, "srv"),
+                                                                         ("meek", 9, "srv")]
         assert shim.tables.get_request("hog", 2).dropped_congestion == 1
 
 
@@ -189,6 +190,18 @@ class TestAnswerPath:
         assert returned is answer
         assert query.id not in shim._inflight
         assert shim.monitor.tracked_clients() == 1
+
+    def test_unanswered_queries_leave_inflight_on_the_purge_tick(self):
+        """An upstream that answers nothing (lost, RRL-dropped, partitioned)
+        leaves no entry older than ``state_idle_timeout`` after a purge tick."""
+        sim, resolver, shim = make_shim(state_idle_timeout=10.0)
+        shim.set_channel_capacity("srv", 100.0)
+        for i in range(60):
+            sim.schedule_at(i + 0.5, resolver.egress_query_hook, attributed_query(request_id=i), "srv")
+        sim.run(until=60.0)  # ticks at 10.5, 20.5, ..., 50.5
+        assert len(resolver.sent) == 60 and not resolver.delivered
+        assert min(info[3] for info in shim._inflight.values()) >= 50.5 - 10.0
+        assert len(shim._inflight) == 20  # sent at 40.5 .. 59.5
 
     def test_unmatched_answer_passes_through(self):
         sim, resolver, shim = make_shim()
