@@ -11,7 +11,7 @@ Run:  python examples/measure_rate_limits.py [count]
 import sys
 
 from repro.analysis.report import render_table
-from repro.measure import ProbeConfig, RateLimitProber, build_population
+from repro.measure import RateLimitProber, build_population
 from repro.measure.population import bucket_of
 
 
@@ -26,7 +26,7 @@ def main(count: int = 6):
 
     rows = []
     for profile in population:
-        prober = RateLimitProber(profile, ProbeConfig(scale=0.1))
+        prober = RateLimitProber(profile, scale=0.1)
         wc = prober.probe_ingress("WC")
         nx = prober.probe_ingress("NX")
         ff = prober.probe_egress("FF", wc.limit)

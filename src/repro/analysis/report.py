@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Sequence
 
 #: resilience-layer counters a stats block may carry (ResolverStats has
-#: all of them, ForwarderStats the health/stale subset); reports pick up
-#: whichever are present
+#: all of them, ForwarderStats none); reports pick up whichever are
+#: present
 RESILIENCE_COUNTERS = (
     "shed_requests",
     "shed_suspected",

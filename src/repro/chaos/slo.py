@@ -8,8 +8,8 @@ per-query verdicts into the three numbers those claims need:
 - **goodput retained** -- recovery-window goodput as a fraction of the
   pre-fault window's;
 - **MTTR** -- time from fault end until bucketed goodput first returns
-  to ``mttr_fraction`` of the pre-fault level;
-- **time-to-90%-restoration** -- the same scan at ``restore_fraction``.
+  to :data:`MTTR_FRACTION` of the pre-fault level;
+- **time-to-90%-restoration** -- the same scan at :data:`RESTORE_FRACTION`.
 
 **Determinism.**  Every sample is classified by the query's *nominal*
 send time -- the cumulative seeded-gap timestamp recorded by
@@ -37,28 +37,29 @@ from repro.obs.export import canonical_json
 #: verdict/rcode combination counted as goodput
 _GOOD_RCODE = "NOERROR"
 
+#: MTTR threshold: goodput back to this fraction of pre-fault
+MTTR_FRACTION = 0.5
+#: restoration threshold (the "time to 90%" metric)
+RESTORE_FRACTION = 0.9
+#: goodput-series bucket width, seconds of nominal time
+BUCKET = 0.5
+#: exclusion band on both sides of the fault-start boundary
+GUARD = 0.5
+#: exclusion band *before* fault end (resolver retry ladders started
+#: here may cross the heal and resolve either way)
+LADDER_GUARD = 1.5
+#: exclusion band *after* fault end (breaker re-close, RTO recovery)
+HEAL_GUARD = 2.5
+
 
 @dataclass(frozen=True)
 class SloConfig:
-    """Window geometry and gate thresholds for one audit."""
+    """Gate thresholds for one audit."""
 
     #: recovery goodput must reach this fraction of pre-fault goodput
     min_recovery_fraction: float = 0.8
-    #: MTTR threshold: goodput back to this fraction of pre-fault
-    mttr_fraction: float = 0.5
-    #: restoration threshold (the "time to 90%" metric)
-    restore_fraction: float = 0.9
     #: optional hard MTTR ceiling for --slo gating (None = no ceiling)
     max_mttr: Optional[float] = None
-    #: goodput-series bucket width, seconds of nominal time
-    bucket: float = 0.5
-    #: exclusion band on both sides of the fault-start boundary
-    guard: float = 0.5
-    #: exclusion band *before* fault end (resolver retry ladders started
-    #: here may cross the heal and resolve either way)
-    ladder_guard: float = 1.5
-    #: exclusion band *after* fault end (breaker re-close, RTO recovery)
-    heal_guard: float = 2.5
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,7 @@ class Windows:
         return [("pre", self.pre), ("fault", self.fault), ("recovery", self.recovery)]
 
 
-def segment_windows(
-    span: Tuple[float, float], duration: float, config: SloConfig
-) -> Windows:
+def segment_windows(span: Tuple[float, float], duration: float) -> Windows:
     """Carve ``[0, duration)`` into pre / fault / recovery windows.
 
     ``span`` is the schedule's fault envelope (:func:`~repro.netsim.faults.fault_span`).
@@ -83,10 +82,10 @@ def segment_windows(
     than overlapping ones.
     """
     fault_start, fault_end = span
-    pre_hi = max(0.0, min(fault_start - config.guard, duration))
-    fault_lo = min(fault_start + config.guard, duration)
-    fault_hi = max(fault_lo, min(fault_end - config.ladder_guard, duration))
-    rec_lo = min(fault_end + config.heal_guard, duration)
+    pre_hi = max(0.0, min(fault_start - GUARD, duration))
+    fault_lo = min(fault_start + GUARD, duration)
+    fault_hi = max(fault_lo, min(fault_end - LADDER_GUARD, duration))
+    rec_lo = min(fault_end + HEAL_GUARD, duration)
     return Windows(
         pre=(0.0, pre_hi),
         fault=(fault_lo, fault_hi),
@@ -138,7 +137,7 @@ class RecoveryAuditor:
         self.config = config if config is not None else SloConfig()
         self.span = span
         self.duration = duration
-        self.windows = segment_windows(span, duration, self.config)
+        self.windows = segment_windows(span, duration)
         self.counts: Dict[str, WindowCounts] = {
             name: WindowCounts() for name, _ in self.windows.items()
         }
@@ -172,7 +171,7 @@ class RecoveryAuditor:
             counts.timeout += 1
         elif verdict == "shed":
             counts.shed += 1
-        bucket = self._buckets.setdefault(int(nominal // self.config.bucket), [0, 0])
+        bucket = self._buckets.setdefault(int(nominal // BUCKET), [0, 0])
         bucket[0] += 1
         if verdict == "answered" and rcode == _GOOD_RCODE:
             bucket[1] += 1
@@ -199,7 +198,7 @@ class RecoveryAuditor:
 
     def goodput_series(self) -> List[List[float]]:
         """``[bucket_start, sent, noerror]`` rows over non-guarded samples."""
-        width = self.config.bucket
+        width = BUCKET
         return [
             [round(index * width, 6), self._buckets[index][0], self._buckets[index][1]]
             for index in sorted(self._buckets)
@@ -209,7 +208,7 @@ class RecoveryAuditor:
         """Nominal seconds from fault end until bucketed goodput first
         reaches ``fraction * pre_goodput``; None if it never does.
 
-        Resolution is bounded below by ``heal_guard`` (guarded buckets
+        Resolution is bounded below by :data:`HEAL_GUARD` (guarded buckets
         are empty and skipped) plus the bucket width -- by construction,
         not measurement noise.
         """
@@ -217,7 +216,7 @@ class RecoveryAuditor:
         if target <= 0.0:
             return None
         _, fault_end = self.span
-        width = self.config.bucket
+        width = BUCKET
         for index in sorted(self._buckets):
             if (index + 1) * width <= fault_end:
                 continue
@@ -229,10 +228,10 @@ class RecoveryAuditor:
         return None
 
     def mttr(self) -> Optional[float]:
-        return self._restoration_time(self.config.mttr_fraction)
+        return self._restoration_time(MTTR_FRACTION)
 
     def time_to_restore(self) -> Optional[float]:
-        return self._restoration_time(self.config.restore_fraction)
+        return self._restoration_time(RESTORE_FRACTION)
 
     def metrics(self) -> Dict[str, Any]:
         """The deterministic metrics document (everything seed-pure)."""
@@ -252,10 +251,10 @@ class RecoveryAuditor:
             "guard_excluded": self.guard_excluded,
             "fault_span": [round(self.span[0], 6), round(self.span[1], 6)],
             "geometry": {
-                "bucket": self.config.bucket,
-                "guard": self.config.guard,
-                "ladder_guard": self.config.ladder_guard,
-                "heal_guard": self.config.heal_guard,
+                "bucket": BUCKET,
+                "guard": GUARD,
+                "ladder_guard": LADDER_GUARD,
+                "heal_guard": HEAL_GUARD,
             },
         }
 
@@ -293,7 +292,7 @@ class RecoveryAuditor:
             mttr = self.mttr()
             if mttr is None:
                 out.append(
-                    f"goodput never returned to {self.config.mttr_fraction:.0%} "
+                    f"goodput never returned to {MTTR_FRACTION:.0%} "
                     "of the pre-fault level (MTTR undefined)"
                 )
             elif mttr > ceiling:

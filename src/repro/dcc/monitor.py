@@ -60,6 +60,12 @@ class ClientVerdict(enum.Enum):
     CONVICTED = "convicted"
 
 
+#: amplification-anomalous requests per window that raise an alarm
+AMPLIFICATION_REQUEST_THRESHOLD = 4.0
+#: client request rate (QPS) that raises an alarm; None disables
+REQUEST_RATE_THRESHOLD: Optional[float] = None
+
+
 @dataclass
 class MonitorConfig:
     """Thresholds (defaults mirror the paper's evaluation, Section 5.1)."""
@@ -74,10 +80,6 @@ class MonitorConfig:
     #: counts as an amplification anomaly (per-request, so a forwarder's
     #: mixed traffic cannot dilute an attacker hiding behind it)
     amplification_threshold: float = 5.0
-    #: amplification-anomalous requests per window that raise an alarm
-    amplification_request_threshold: float = 4.0
-    #: client request rate (QPS) that raises an alarm; None disables
-    request_rate_threshold: Optional[float] = None
     #: ignore windows with fewer observations than this (noise floor)
     min_observations: int = 4
 
@@ -150,7 +152,7 @@ class AnomalyMonitor:
         #: raise_sensitivity is in effect (the config itself is shared
         #: between shims and never written)
         self._nx_threshold = self.config.nxdomain_ratio_threshold
-        self._amp_threshold = self.config.amplification_request_threshold
+        self._amp_threshold = AMPLIFICATION_REQUEST_THRESHOLD
         self._sensitivity_until = 0.0
         #: observability facade + the owning shim's track (scenario wiring)
         self.obs = NULL_OBS
@@ -231,14 +233,14 @@ class AnomalyMonitor:
         if self._sensitivity_until <= now:
             self._nx_threshold = self.config.nxdomain_ratio_threshold * factor
             self._amp_threshold = max(
-                1.0, self.config.amplification_request_threshold * factor
+                1.0, AMPLIFICATION_REQUEST_THRESHOLD * factor
             )
         self._sensitivity_until = now + duration
 
     def _maybe_restore_sensitivity(self, now: float) -> None:
         if self._sensitivity_until and now > self._sensitivity_until:
             self._nx_threshold = self.config.nxdomain_ratio_threshold
-            self._amp_threshold = self.config.amplification_request_threshold
+            self._amp_threshold = AMPLIFICATION_REQUEST_THRESHOLD
             self._sensitivity_until = 0.0
 
     def external_alarm(self, client: str, kind: AnomalyKind, now: float, weight: int = 1) -> Optional[AnomalyEvent]:
@@ -286,8 +288,8 @@ class AnomalyMonitor:
         ):
             return AnomalyKind.NXDOMAIN
         if (
-            config.request_rate_threshold is not None
-            and self._total(slot, _REQUESTS) / self._window > config.request_rate_threshold
+            REQUEST_RATE_THRESHOLD is not None
+            and self._total(slot, _REQUESTS) / self._window > REQUEST_RATE_THRESHOLD
         ):
             return AnomalyKind.RATE
         return None

@@ -98,10 +98,10 @@ class MopiFqConfig:
     max_poq_depth: int = 100
     max_round: int = 75
     pool_capacity: int = 100_000
-    #: default capacity (queries/second) for channels without an explicit
-    #: entry; the shim overrides per destination.
+    #: default capacity (queries/second, burst equal to one second of
+    #: it) for channels without an explicit entry; the shim overrides
+    #: per destination.
     default_channel_rate: float = 1000.0
-    default_channel_burst: Optional[float] = None
 
 
 class DequeuedMessage:
@@ -240,9 +240,7 @@ class MopiFq:
     def channel_bucket(self, destination: str) -> TokenBucket:
         bucket = self._rate_lim.get(destination)
         if bucket is None:
-            bucket = TokenBucket(
-                self.config.default_channel_rate, self.config.default_channel_burst
-            )
+            bucket = TokenBucket(self.config.default_channel_rate)
             self._rate_lim[destination] = bucket
         return bucket
 

@@ -52,6 +52,8 @@ from repro.obs import NULL_OBS
 #: attribution used for a resolver's own housekeeping queries (priming
 #: etc.) that no client is responsible for
 LOCAL_SOURCE = "__local__"
+#: entity state idle timeout (paper Section 5: 10 seconds)
+STATE_IDLE_TIMEOUT = 10.0
 
 
 @dataclass
@@ -67,11 +69,7 @@ class DccConfig:
     countdown_threshold: int = 5
     #: how much a relaying resolver lowers the countdown (F1 in Figure 6
     #: uses 5, F2 uses 0)
-    countdown_decrement: int = 0
-    #: entity state idle timeout (paper Section 5: 10 seconds)
-    state_idle_timeout: float = 10.0
-    #: per-client share for MOPI-FQ (Section 3.2.1); default: equal
-    share_of: Optional[Callable[[str], int]] = None
+    countdown_decrement: int = 0  # reprolint: disable=R11 -- paper Section 3.3 countdown relay (Figure 6)
     #: alternative scheduler factory, for the Figure 7 ablations
     scheduler_factory: Optional[Callable[[], Any]] = None
 
@@ -145,7 +143,7 @@ class DccShim:
     def _make_scheduler(self):
         if self.config.scheduler_factory is not None:
             return self.config.scheduler_factory()
-        return MopiFq(self.config.scheduler, share_of=self.config.share_of)
+        return MopiFq(self.config.scheduler)
 
     # ------------------------------------------------------------------
     # configuration passthrough
@@ -214,7 +212,7 @@ class DccShim:
             return
         self._ticking = True
         self.resolver.sim.schedule(self.config.monitor.window, self._window_tick)
-        self.resolver.sim.schedule(self.config.state_idle_timeout, self._purge_tick)
+        self.resolver.sim.schedule(STATE_IDLE_TIMEOUT, self._purge_tick)
 
     # ------------------------------------------------------------------
     # egress queries: policing + scheduling
@@ -289,7 +287,7 @@ class DccShim:
             self.stats.queries_dropped_congestion += 1
             if reqstate is not None:
                 reqstate.dropped_congestion += 1
-                reqstate.allocated_rate = self._allocated_rate(client, server)
+                reqstate.allocated_rate = self._allocated_rate(server)
             if self.obs.enabled:
                 self.obs.inc(f"dcc.enqueue_{status.name.lower()}")
                 self.obs.instant(
@@ -303,16 +301,13 @@ class DccShim:
             self._synthesize_servfail(query, server)
         return True
 
-    def _allocated_rate(self, client: str, server: str) -> float:
+    def _allocated_rate(self, server: str) -> float:
         bucket = self.scheduler.channel_bucket(server)
         # Baseline schedulers (ablations) do not track per-channel
         # source sets; fall back to "sole user" for the advisory rate.
         queued_sources = getattr(self.scheduler, "queued_sources", None)
         active = max(1, len(queued_sources(server))) if queued_sources else 1
-        share = 1
-        if self.config.share_of is not None:
-            share = max(1, int(self.config.share_of(client)))
-        return bucket.rate * share / active
+        return bucket.rate / active
 
     def _handle_eviction(self, evicted, now: float) -> None:
         self.stats.queries_evicted += 1
@@ -326,7 +321,7 @@ class DccShim:
             state = self.tables.get_request(client, request_id)
             if state is not None:
                 state.dropped_congestion += 1
-                state.allocated_rate = self._allocated_rate(client, server)
+                state.allocated_rate = self._allocated_rate(server)
         self._synthesize_servfail(query, server)
 
     def _synthesize_servfail(self, query: Message, server: str) -> None:
@@ -522,7 +517,7 @@ class DccShim:
 
     def _purge_tick(self) -> None:
         now = self.resolver.sim.now
-        timeout = self.config.state_idle_timeout
+        timeout = STATE_IDLE_TIMEOUT
         if getattr(self.resolver, "up", True):
             self.monitor.purge(now, timeout)
             self.tables.purge(now)

@@ -83,6 +83,14 @@ ATTACK_ADDR = "10.0.9.66"
 
 #: names the pool client cycles through (each stays cached + goes stale)
 POOL_SIZE = 8
+#: open-loop send rates of the pool, fresh and attack clients (QPS)
+POOL_RATE = 15.0
+FRESH_RATE = 15.0
+ATTACK_RATE = 40.0
+#: DCC channel capacity towards the target authoritative (QPS)
+CHANNEL_CAPACITY = 300.0
+#: how long a client waits for one query's verdict (seconds)
+CLIENT_DEADLINE = 4.0
 
 #: extra real/virtual time after the send phase for verdict tails
 _DRAIN_GRACE = 1.0
@@ -115,11 +123,6 @@ class ChaosConfig:
     backend: str = "sim"
     seed: int = 1
     duration: float = 10.0
-    pool_rate: float = 15.0
-    fresh_rate: float = 15.0
-    attack_rate: float = 40.0
-    channel_capacity: float = 300.0
-    client_deadline: float = 4.0
     slo: SloConfig = field(default_factory=SloConfig)
     #: gate the exit status on the SLO floors (otherwise report-only)
     enforce_slo: bool = False
@@ -162,13 +165,13 @@ def _attack_name(i: int) -> Name:
     return Name.from_text(f"x{i:05d}.nx.{TARGET_ORIGIN}")
 
 
-def _client_engine_config(cfg: ChaosConfig) -> EngineConfig:
+def _client_engine_config() -> EngineConfig:
     # rto_min above the resolver's worst-case answer latency, so a
     # client verdict depends only on *whether* the resolver answers (a
     # seeded-fault function), never on wall-clock answer timing
     return EngineConfig(
         retries=1,
-        deadline=cfg.client_deadline,
+        deadline=CLIENT_DEADLINE,
         inflight_capacity=512,
         health=HealthConfig(
             mode="adaptive", base_timeout=3.0, rto_min=3.0, rto_max=3.5,
@@ -206,19 +209,19 @@ def _build(
         ScenarioConfig(
             seed=cfg.seed,
             duration=cfg.duration,
-            channel_capacity=cfg.channel_capacity,
+            channel_capacity=CHANNEL_CAPACITY,
             use_dcc=True,
             answer_ttl=1,
             resolver_config=_resolver_config(),
         ),
         backend,
     )
-    engine_cfg = _client_engine_config(cfg)
+    engine_cfg = _client_engine_config()
     clients = []
     for address, name_of, rate in (
-        (POOL_ADDR, _pool_name, cfg.pool_rate),
-        (FRESH_ADDR, _fresh_name, cfg.fresh_rate),
-        (ATTACK_ADDR, _attack_name, cfg.attack_rate),
+        (POOL_ADDR, _pool_name, POOL_RATE),
+        (FRESH_ADDR, _fresh_name, FRESH_RATE),
+        (ATTACK_ADDR, _attack_name, ATTACK_RATE),
     ):
         client = EngineClient(
             address, RESOLVER_ADDR, name_of,
@@ -293,7 +296,7 @@ def _run_sim(cfg: ChaosConfig, faults: List[FaultSpec]) -> ChaosReport:
         injector.add(spec)
     for client in clients:
         client.start()
-    horizon = cfg.duration + _NOMINAL_SLACK + cfg.client_deadline + _DRAIN_GRACE
+    horizon = cfg.duration + _NOMINAL_SLACK + CLIENT_DEADLINE + _DRAIN_GRACE
     scenario.sim.run(until=horizon)
     timeline = [f"{t:8.3f}s  {label}" for t, label in sorted(injector.timeline)]
     report = _harvest(cfg, scenario, clients, faults, timeline)
@@ -322,7 +325,7 @@ async def _run_live_async(cfg: ChaosConfig, faults: List[FaultSpec]) -> ChaosRep
     for client in clients:
         client.start()
     clock = backend.clock
-    hard_stop = cfg.duration + _NOMINAL_SLACK + cfg.client_deadline + _DRAIN_GRACE
+    hard_stop = cfg.duration + _NOMINAL_SLACK + CLIENT_DEADLINE + _DRAIN_GRACE
     while clock.now < hard_stop:
         await asyncio.sleep(0.05)
         if all(client.finished for client in clients):

@@ -148,8 +148,6 @@ class ScenarioConfig:
     #: swap MOPI-FQ for a Figure 7 baseline scheduler (ablations); the
     #: factory is called once per DCC instance
     scheduler_factory: Optional[Callable[[], object]] = None
-    #: per-client MOPI-FQ shares (Section 3.2.1); maps *addresses*
-    share_of: Optional[Callable[[str], int]] = None
     #: wildcard answer TTLs (1 s: cache-bypassing, as in the attacks)
     answer_ttl: int = 1
     #: full resolver configuration override (hardened-resolver cells of
@@ -159,31 +157,6 @@ class ScenarioConfig:
     #: opt into the repro.obs observability subsystem (None = off, the
     #: zero-overhead default; see docs/OBSERVABILITY.md)
     obs: Optional[ObsConfig] = None
-
-    # -- round-trip serialization (fuzz counterexamples, saved sweeps) --
-    def to_dict(self) -> Dict:
-        """JSON-safe form; raises on callable fields (``share_of``,
-        ``scheduler_factory``, ``policy_templates``), which cannot ride
-        in a checked-in counterexample."""
-        from repro.fuzz.serialize import encode_dataclass, require_serializable
-
-        require_serializable(
-            self,
-            {
-                "scheduler_factory": self.scheduler_factory,
-                "share_of": self.share_of,
-                "policy_templates": self.policy_templates,
-            },
-        )
-        return encode_dataclass(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ScenarioConfig":
-        """Rebuild a config (enums, nested resolver/monitor/health/
-        overload dataclasses included) bit-for-bit from :meth:`to_dict`."""
-        from repro.fuzz.serialize import decode_dataclass
-
-        return decode_dataclass(cls, data)
 
 
 @dataclass
@@ -306,7 +279,7 @@ class AttackScenario:
             resolver.egress_tap = self._make_tap()
             self.net.attach(resolver)
             if cfg.use_dcc:
-                self._deploy_dcc(resolver, cfg.channel_capacity, self.target_ans_addrs, cfg.share_of)
+                self._deploy_dcc(resolver, cfg.channel_capacity, self.target_ans_addrs)
             self.resolvers.append(resolver)
 
         # Optional forwarder in front of the resolvers.
@@ -328,7 +301,6 @@ class AttackScenario:
                     self.forwarder,
                     rr_capacity or cfg.channel_capacity,
                     [r.address for r in self.resolvers] if rr_capacity is not None else [],
-                    share_of=None,
                 )
 
     def _deploy_dcc(
@@ -336,7 +308,6 @@ class AttackScenario:
         node: Union[RecursiveResolver, Forwarder],
         capacity: float,
         channels: List[str],
-        share_of: Optional[Callable[[str], int]],
     ) -> None:
         """Wrap ``node`` in a DCC shim; each of ``channels`` runs at ``capacity`` QPS."""
         cfg = self.config
@@ -353,7 +324,6 @@ class AttackScenario:
                 signaling=cfg.dcc_signaling,
                 countdown_threshold=cfg.countdown_threshold,
                 scheduler_factory=cfg.scheduler_factory,
-                share_of=share_of,
             ),
         )
         for addr in channels:
@@ -380,9 +350,6 @@ class AttackScenario:
             resolver.health.obs_track = f"resolver:{resolver.address}"
             if resolver.overload is not None:
                 resolver.overload.obs = obs
-        if self.forwarder is not None:
-            self.forwarder.health.obs = obs
-            self.forwarder.health.obs_track = f"forwarder:{self.forwarder.address}"
         for shim in self.shims:
             shim.obs = obs
             shim.monitor.obs = obs

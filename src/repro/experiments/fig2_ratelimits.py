@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 from repro.analysis.report import render_table
 from repro.experiments.common import not_judged, report_failures
 from repro.measure.population import ResolverProfile, bucket_of, build_population
-from repro.measure.prober import ProbeConfig, RateLimitProber
+from repro.measure.prober import RateLimitProber
 
 BUCKET_LABELS = ["1-100", "101-500", "501-1500", "1501-5000", "Uncertain"]
 
@@ -71,7 +71,6 @@ def run_figure2(
     scale: float = 0.1,
     resolver_count: Optional[int] = None,
     seed: int = 2024,
-    probe_config: Optional[ProbeConfig] = None,
 ) -> Figure2Result:
     """Probe the population and build the Figure 2 histogram.
 
@@ -85,8 +84,7 @@ def run_figure2(
 
     measurements: List[ResolverMeasurement] = []
     for profile in population:
-        config = probe_config or ProbeConfig(scale=scale)
-        prober = RateLimitProber(profile, config, seed=seed)
+        prober = RateLimitProber(profile, scale, seed=seed)
         irl_wc = prober.probe_ingress("WC")
         irl_nx = prober.probe_ingress("NX")
         erl_cq = prober.probe_egress("CQ", irl_wc.limit)

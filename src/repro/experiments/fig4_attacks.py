@@ -29,7 +29,7 @@ compresses the timeline for quick runs.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.report import render_table
@@ -62,20 +62,12 @@ def _validation_specs(attacker_qps: float, pattern: str, time_scale: float) -> L
     ]
 
 
-def _run_point(
-    attacker_qps: float,
-    pattern: str,
-    time_scale: float,
-    seed: int,
-    **config_overrides,
-) -> float:
-    config_overrides.setdefault("channel_capacity", 100.0)
-    config_overrides.setdefault("client_attempts", 1)
-    config = ScenarioConfig(
-        seed=seed,
-        duration=50.0 * time_scale,
-        **config_overrides,
-    )
+def _base_config(time_scale: float, seed: int) -> ScenarioConfig:
+    """What every setup shares: the 50 s timeline and 100-QPS channels."""
+    return ScenarioConfig(seed=seed, duration=50.0 * time_scale, channel_capacity=100.0)
+
+
+def _run_point(attacker_qps: float, pattern: str, time_scale: float, config: ScenarioConfig) -> float:
     scenario = AttackScenario(config)
     scenario.add_clients(_validation_specs(attacker_qps, pattern, time_scale))
     scenario.run()
@@ -98,16 +90,12 @@ def run_setup_a(
     seed: int = 42,
 ) -> List[SweepResult]:
     """Redundant authoritative servers, FF amplification attacker."""
+    base = _base_config(time_scale, seed)
     results = []
     for fanout in fanouts:
         label = f"fanout={fanout} (MAF~{fanout * fanout})"
-        points = [
-            SweepPoint(rate, _run_point(
-                rate, "FF", time_scale, seed,
-                target_ans_count=2, ff_fanout=fanout,
-            ))
-            for rate in rates
-        ]
+        config = replace(base, target_ans_count=2, ff_fanout=fanout)
+        points = [SweepPoint(rate, _run_point(rate, "FF", time_scale, config)) for rate in rates]
         results.append(SweepResult(label, points))
     return results
 
@@ -118,13 +106,8 @@ def run_setup_b(
     seed: int = 42,
 ) -> List[SweepResult]:
     """Redundant resolvers: retries spread congestion to both."""
-    points = [
-        SweepPoint(rate, _run_point(
-            rate, "FF", time_scale, seed,
-            target_ans_count=2, resolver_count=2, client_attempts=2,
-        ))
-        for rate in rates
-    ]
+    config = replace(_base_config(time_scale, seed), target_ans_count=2, resolver_count=2, client_attempts=2)
+    points = [SweepPoint(rate, _run_point(rate, "FF", time_scale, config)) for rate in rates]
     return [SweepResult("2 resolvers (retry failover)", points)]
 
 
@@ -139,23 +122,21 @@ def run_setup_c(
     QPS; with failover, the effective capacity degrades gracefully, and
     the benign success ratio declines past the channel capacity.
     """
+    base = _base_config(time_scale, seed)
     results = []
     for label, rr_cap, resolver_count in (
         ("3 upstreams (cap 100)", 100.0, 3),
         ("single upstream (cap 60)", 60.0, 1),
         ("single upstream (cap 100)", 100.0, 1),
     ):
-        points = [
-            SweepPoint(rate, _run_point(
-                rate, "WC", time_scale, seed,
-                with_forwarder=True,
-                resolver_count=resolver_count,
-                rr_channel_capacity=rr_cap,
-                channel_capacity=100_000.0,  # RA channels uncongested here
-                client_attempts=1,
-            ))
-            for rate in rates
-        ]
+        config = replace(
+            base,
+            with_forwarder=True,
+            resolver_count=resolver_count,
+            rr_channel_capacity=rr_cap,
+            channel_capacity=100_000.0,  # RA channels uncongested here
+        )
+        points = [SweepPoint(rate, _run_point(rate, "WC", time_scale, config)) for rate in rates]
         results.append(SweepResult(label, points))
     return results
 
@@ -168,18 +149,11 @@ def run_setup_d(
 ) -> List[SweepResult]:
     """Large resolver system: impact vs egress-set size (FF attacker)."""
     labels = {4: "UltraDNS-like (4)", 16: "Quad9-like (16)", 25: "OpenDNS-like (25)", 60: "Google-like (60)"}
+    base = _base_config(time_scale, seed)
     results = []
     for size in egress_sizes:
-        points = [
-            SweepPoint(rate, _run_point(
-                rate, "FF", time_scale, seed,
-                with_forwarder=True,
-                forwarder_rotate=True,
-                resolver_count=size,
-                channel_capacity=100.0,
-            ))
-            for rate in rates
-        ]
+        config = replace(base, with_forwarder=True, forwarder_rotate=True, resolver_count=size)
+        points = [SweepPoint(rate, _run_point(rate, "FF", time_scale, config)) for rate in rates]
         results.append(SweepResult(labels.get(size, f"{size} egresses"), points))
     return results
 

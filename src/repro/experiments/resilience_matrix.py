@@ -203,8 +203,9 @@ CRASH_RAMP = Plan(
 
 PLANS = (TOTAL_OUTAGE, CRASH_RAMP)
 
-#: every seconds-valued field of a fault spec (``loss`` is a probability)
-_TIME_FIELDS = ("at", "duration", "start", "end", "latency", "ramp")
+#: every timeline field of a fault spec (``loss`` is a probability;
+#: ``latency`` and ``jitter`` are RTT-tied and stay at paper values)
+_TIME_FIELDS = ("at", "duration", "start", "end", "ramp")
 
 
 def _compressed(spec: FaultSpec, scale: float) -> FaultSpec:
@@ -306,9 +307,10 @@ def recovery_time(
     series: List[float], bucket: float, fault_end: float, baseline: float
 ) -> Optional[float]:
     """Seconds from ``fault_end`` until smoothed goodput regains
-    ``RECOVERY_THRESHOLD * baseline``; None if it never does in-series."""
+    ``RECOVERY_THRESHOLD * baseline``; None if it never does in-series
+    or there is no positive baseline to regain."""
     if baseline <= 0:
-        return 0.0
+        return None
     target = RECOVERY_THRESHOLD * baseline
     for i, value in enumerate(_smooth(series)):
         at = i * bucket

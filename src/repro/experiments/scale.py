@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import argparse
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.dcc.monitor import MonitorConfig
@@ -54,6 +54,15 @@ from repro.workloads.schedule import ClientSpec
 
 MODES = ("fluid", "hybrid", "packet")
 
+#: channel headroom above the estimated benign miss rate (QPS); the
+#: attacker exists to overwhelm exactly this margin
+HEADROOM = 400.0
+ATTACKER_START_FRAC = 0.1
+SUSPECT_CLIENTS = 8
+SUSPECT_RATE = 40.0
+#: virtual seconds between promotion decisions (and monitor-flag refreshes)
+DECIDE_INTERVAL = 0.5
+
 
 @dataclass
 class ScaleConfig:
@@ -64,22 +73,7 @@ class ScaleConfig:
     duration: float = 20.0
     grace: float = 2.0
     tick: float = 0.1
-    #: channel headroom above the estimated benign miss rate (QPS); the
-    #: attacker exists to overwhelm exactly this margin
-    headroom: float = 400.0
     attacker_rate: float = 1200.0
-    attacker_start_frac: float = 0.1
-    suspect_clients: int = 8
-    suspect_rate: float = 40.0
-    promotion: PromotionConfig = field(
-        default_factory=lambda: PromotionConfig(
-            decide_interval=0.5,
-            threshold_qps=20.0,
-            promote_per_flag=2,
-            max_promoted=32,
-            quiet_period=4.0,
-        )
-    )
 
     def cohort_specs(self) -> List[CohortSpec]:
         return scale_cohort_specs(
@@ -87,8 +81,8 @@ class ScaleConfig:
             self.duration,
             TARGET_ORIGIN,
             destination="",  # filled per-scenario with the target address
-            suspect_clients=self.suspect_clients,
-            suspect_rate=self.suspect_rate,
+            suspect_clients=SUSPECT_CLIENTS,
+            suspect_rate=SUSPECT_RATE,
         )
 
     def estimated_miss_qps(self, specs: List[CohortSpec]) -> float:
@@ -145,7 +139,7 @@ class ScaleScenario:
         self.config = config
         self.mode = mode
         self.specs = config.cohort_specs()
-        capacity = config.estimated_miss_qps(self.specs) + config.headroom
+        capacity = config.estimated_miss_qps(self.specs) + HEADROOM
         self.scenario = AttackScenario(
             ScenarioConfig(
                 seed=config.seed,
@@ -178,7 +172,7 @@ class ScaleScenario:
             [
                 ClientSpec(
                     name="attacker",
-                    start=config.attacker_start_frac * config.duration,
+                    start=ATTACKER_START_FRAC * config.duration,
                     stop=config.duration,
                     rate=config.attacker_rate,
                     pattern="NX",
@@ -229,13 +223,22 @@ class ScaleScenario:
             stop=self.config.duration,
         )
         self.controller = PromotionController(
-            sim, self.bridge, self.config.promotion, seed=self.config.seed
+            sim,
+            self.bridge,
+            PromotionConfig(
+                decide_interval=DECIDE_INTERVAL,
+                threshold_qps=20.0,
+                promote_per_flag=2,
+                max_promoted=32,
+                quiet_period=4.0,
+                stop_at=horizon,
+            ),
+            seed=self.config.seed,
         )
-        self.controller.config.stop_at = horizon
         self.controller.materialize = self.materializer.materialize
         self.controller.dematerialize = self.materializer.dematerialize
         self.controller.start()
-        sim.schedule(self.config.promotion.decide_interval * 0.5, self._refresh_flags)
+        sim.schedule(DECIDE_INTERVAL * 0.5, self._refresh_flags)
 
     # ------------------------------------------------------------------
     # tick hooks (bound methods: reprolint R4 hygiene)
@@ -252,7 +255,7 @@ class ScaleScenario:
                     self.controller.flag(key, now)
                     break
         horizon = self.config.duration + self.config.grace
-        interval = self.config.promotion.decide_interval
+        interval = DECIDE_INTERVAL
         if now + interval <= horizon + 1e-9:
             self.scenario.sim.schedule(interval, self._refresh_flags)
 

@@ -42,6 +42,10 @@ from repro.netsim.sim import Simulator
 from repro.util.seeds import derive_seed
 
 
+#: sketch entries examined per decision
+TOP_K = 8
+
+
 @dataclass
 class PromotionConfig:
     """Knobs of the promotion/demotion state machine."""
@@ -58,8 +62,6 @@ class PromotionConfig:
     max_promoted: int = 64
     #: demote a slice this long after its last flag refresh
     quiet_period: float = 5.0
-    #: sketch entries examined per decision
-    top_k: int = 8
     #: stop the decision chain at this virtual time (None = run on)
     stop_at: Optional[float] = None
 
@@ -133,7 +135,7 @@ class PromotionController:
     def _sample_sketch(self, now: float) -> None:
         """Flag slices whose NX rate over the last interval is heavy."""
         cfg = self.config
-        for hitter in self.bridge.nx_sketch.top(cfg.top_k):
+        for hitter in self.bridge.nx_sketch.top(TOP_K):
             last = self._sampled.get(hitter.key, 0.0)
             self._sampled[hitter.key] = hitter.count
             rate = (hitter.count - last) / cfg.decide_interval

@@ -374,7 +374,6 @@ def _build_resolver(scenario: FuzzScenario) -> RecursiveResolver:
     rk = scenario.resolver
     config = ResolverConfig(
         qname_minimization=rk.qname_minimization,
-        query_timeout=rk.query_timeout,
         serve_stale_window=rk.serve_stale_window,
         health=HealthConfig(
             mode=rk.health_mode,

@@ -2,10 +2,9 @@
 
 The fuzzer's whole value rests on counterexamples being *portable*: a
 shrunk scenario must serialize to JSON, survive a check-in, and replay
-bit-for-bit (ISSUE 6 satellite).  The configs involved -- fault specs,
-:class:`~repro.experiments.common.ScenarioConfig`, resolver/health/
-overload knobs -- are plain dataclasses plus enums, so one generic
-codec covers them all:
+bit-for-bit.  The configs involved -- fault specs, zone, client and
+adversary specs, resolver and DCC knobs -- are plain dataclasses plus
+enums, so one generic codec covers them all:
 
 - :func:`encode` maps dataclasses to dicts, enums to their values,
   containers recursively; anything else (callables, arbitrary objects)
@@ -24,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import typing
-from typing import Any, Dict, List, Optional, Tuple, Type, TypeVar, Union
+from typing import Any, Dict, List, Tuple, Type, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -136,16 +135,3 @@ def _decode_value(hint: Any, value: Any, context: str) -> Any:
             return float(value)
     return value
 
-
-def require_serializable(obj: Any, forbidden: Dict[str, Optional[Any]]) -> None:
-    """Raise when any named field is set (callable/ad-hoc config).
-
-    ``forbidden`` maps field names to their current values; fields that
-    are ``None`` are fine (unset), anything else cannot ride in JSON.
-    """
-    offenders = [name for name, value in forbidden.items() if value is not None]
-    if offenders:
-        raise SerializationError(
-            f"{type(obj).__name__} fields {offenders} hold callables or ad-hoc "
-            "objects and cannot be serialized; clear them before to_dict()"
-        )

@@ -18,10 +18,9 @@ simulated resolver purely through DNS traffic.
 """
 
 from repro.measure.population import build_population
-from repro.measure.prober import ProbeConfig, RateLimitProber
+from repro.measure.prober import RateLimitProber
 
 __all__ = [
     "build_population",
-    "ProbeConfig",
     "RateLimitProber",
 ]

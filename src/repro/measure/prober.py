@@ -23,7 +23,7 @@ unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.dnscore.message import Message
@@ -50,33 +50,26 @@ from repro.workloads.zonegen import (
 )
 
 
-@dataclass
-class ProbeConfig:
-    """Probing parameters (paper values at ``scale=1.0``)."""
-
-    #: global scale applied to rates and bounds (0.1 -> 10x faster runs)
-    scale: float = 1.0
-    ingress_start: float = 100.0
-    ingress_bound: float = 5000.0
-    egress_start: float = 10.0
-    egress_bound: float = 1000.0
-    #: measurement duration per probe step (paper: 30 s, 15 s for egress)
-    ingress_duration: float = 2.0
-    egress_duration: float = 2.0
-    cooldown: float = 0.5
-    #: a step is saturated when achieved < ratio * offered
-    saturation_ratio: float = 0.85
-    #: egress plateau: step-over-step growth below this ratio
-    plateau_ratio: float = 1.15
-    binary_search_steps: int = 3
-    #: amplification pattern parameters
-    ff_fanout: int = 5
-    cq_chain: int = 6
-    cq_labels: int = 8
-    pattern_instances: int = 64
-
-    def rate(self, qps: float) -> float:
-        return qps * self.scale
+# Probing parameters: paper values, rates and bounds multiplied by the
+# prober's ``scale``.
+INGRESS_START = 100.0
+INGRESS_BOUND = 5000.0
+EGRESS_START = 10.0
+EGRESS_BOUND = 1000.0
+#: measurement duration per probe step (paper: 30 s, 15 s for egress)
+INGRESS_DURATION = 2.0
+EGRESS_DURATION = 2.0
+COOLDOWN = 0.5
+#: a step is saturated when achieved < ratio * offered
+SATURATION_RATIO = 0.85
+#: egress plateau: step-over-step growth below this ratio
+PLATEAU_RATIO = 1.15
+BINARY_SEARCH_STEPS = 3
+#: amplification pattern parameters
+FF_FANOUT = 5
+CQ_CHAIN = 6
+CQ_LABELS = 8
+PATTERN_INSTANCES = 64
 
 
 @dataclass
@@ -193,9 +186,10 @@ class RateLimitProber:
     TARGET_ORIGIN = "target-domain."
     ATTACKER_ORIGIN = "attacker-com."
 
-    def __init__(self, profile: ResolverProfile, config: Optional[ProbeConfig] = None, seed: int = 7) -> None:
+    def __init__(self, profile: ResolverProfile, scale: float = 1.0, seed: int = 7) -> None:
         self.profile = profile
-        self.config = config or ProbeConfig()
+        #: global scale applied to rates and bounds (0.1 -> 10x faster runs)
+        self.scale = scale
         self.seed = seed
         self._build_topology()
 
@@ -203,7 +197,6 @@ class RateLimitProber:
     # topology
     # ------------------------------------------------------------------
     def _build_topology(self) -> None:
-        cfg = self.config
         self.sim = Simulator(seed=self.seed)
         self.net = Network(self.sim)
         root_zone = build_root_zone(
@@ -219,15 +212,15 @@ class RateLimitProber:
             self.TARGET_ORIGIN, "ns1", "10.0.0.2", answer_ttl=600, negative_ttl=600, ff_ttl=1
         )
         add_cq_instances(
-            target_zone, cfg.pattern_instances, chain_len=cfg.cq_chain, labels=cfg.cq_labels, ttl=1
+            target_zone, PATTERN_INSTANCES, chain_len=CQ_CHAIN, labels=CQ_LABELS, ttl=1
         )
         attacker_zone = build_ff_attacker_zone(
             self.ATTACKER_ORIGIN,
             self.TARGET_ORIGIN,
             "ns1",
             "10.0.0.3",
-            instances=cfg.pattern_instances,
-            fanout=cfg.ff_fanout,
+            instances=PATTERN_INSTANCES,
+            fanout=FF_FANOUT,
         )
         self.root = AuthoritativeServer("10.0.0.1", zones=[root_zone])
         self.target_ans = AuthoritativeServer("10.0.0.2", zones=[target_zone])
@@ -235,14 +228,14 @@ class RateLimitProber:
 
         egress_rl = None
         if self.profile.egress_limit is not None:
-            rate = self.profile.egress_limit * cfg.scale
+            rate = self.profile.egress_limit * self.scale
             egress_rl = RateLimitConfig(rate=rate, burst=max(1.0, rate * 0.1))
         resolver_config = ResolverConfig(
             qname_minimization=True,
             egress_limit=egress_rl,
         )
         self.resolver = _ProfiledResolver(
-            self.profile.address, self.profile, resolver_config, cfg.scale
+            self.profile.address, self.profile, resolver_config, self.scale
         )
         self.resolver.add_root_hint("a.root-servers.net.", "10.0.0.1")
         self.probe = _ProbeSource("198.51.100.10", self.profile.address)
@@ -261,7 +254,7 @@ class RateLimitProber:
         achieved = self.probe.successes / duration
         egress = (self.target_ans.stats.queries_received - egress_before) / duration
         # Cooldown between measurements (paper waits 60 s).
-        self.sim.run(until=self.sim.now + self.config.cooldown)
+        self.sim.run(until=self.sim.now + COOLDOWN)
         return achieved, egress
 
     # ------------------------------------------------------------------
@@ -269,7 +262,6 @@ class RateLimitProber:
     # ------------------------------------------------------------------
     def probe_ingress(self, pattern_tag: str) -> IngressProbeResult:
         """Binary-search the ingress limit with the WC or NX pattern."""
-        cfg = self.config
         pattern: QueryPattern
         if pattern_tag == "WC":
             pattern = WildcardPattern(self.TARGET_ORIGIN)
@@ -279,8 +271,8 @@ class RateLimitProber:
             raise ValueError(f"ingress probing uses WC or NX, not {pattern_tag}")
 
         steps = 0
-        rate = cfg.rate(cfg.ingress_start)
-        bound = cfg.rate(cfg.ingress_bound)
+        rate = INGRESS_START * self.scale
+        bound = INGRESS_BOUND * self.scale
         last_good = 0.0
         saturated_rate: Optional[float] = None
         saturated_achieved = 0.0
@@ -289,9 +281,9 @@ class RateLimitProber:
             # Bound the name pool to the probing QPS: most requests hit
             # the resolver cache, isolating ingress RL from egress RL.
             pattern.pool_size = max(8, int(rate))
-            achieved, _ = self._measure(pattern, rate, cfg.ingress_duration)
+            achieved, _ = self._measure(pattern, rate, INGRESS_DURATION)
             steps += 1
-            if achieved < rate * cfg.saturation_ratio:
+            if achieved < rate * SATURATION_RATIO:
                 saturated_rate = rate
                 saturated_achieved = achieved
                 break
@@ -306,21 +298,21 @@ class RateLimitProber:
         # Refine between last_good and saturated_rate.
         lo, hi = max(last_good, 1.0), saturated_rate
         estimate = max(saturated_achieved, lo)
-        for _ in range(cfg.binary_search_steps):
+        for _ in range(BINARY_SEARCH_STEPS):
             mid = (lo + hi) / 2
             if mid <= lo * 1.05:
                 break
             pattern.pool_size = max(8, int(mid))
-            achieved, _ = self._measure(pattern, mid, cfg.ingress_duration)
+            achieved, _ = self._measure(pattern, mid, INGRESS_DURATION)
             steps += 1
-            if achieved < mid * cfg.saturation_ratio:
+            if achieved < mid * SATURATION_RATIO:
                 hi = mid
                 estimate = max(achieved, lo)
             else:
                 lo = mid
                 estimate = max(estimate, achieved)
         return IngressProbeResult(
-            self.profile.name, pattern_tag, estimate / cfg.scale, steps
+            self.profile.name, pattern_tag, estimate / self.scale, steps
         )
 
     # ------------------------------------------------------------------
@@ -328,31 +320,28 @@ class RateLimitProber:
     # ------------------------------------------------------------------
     def probe_egress(self, pattern_tag: str, ingress_limit: Optional[float]) -> EgressProbeResult:
         """Ramp amplification traffic; detect the egress QPS plateau."""
-        cfg = self.config
         pattern: QueryPattern
         if pattern_tag == "CQ":
-            pattern = CnameChainPattern(
-                self.TARGET_ORIGIN, cfg.pattern_instances, labels=cfg.cq_labels
-            )
+            pattern = CnameChainPattern(self.TARGET_ORIGIN, PATTERN_INSTANCES, labels=CQ_LABELS)
         elif pattern_tag == "FF":
-            pattern = FanoutPattern(self.ATTACKER_ORIGIN, cfg.pattern_instances)
+            pattern = FanoutPattern(self.ATTACKER_ORIGIN, PATTERN_INSTANCES)
         else:
             raise ValueError(f"egress probing uses CQ or FF, not {pattern_tag}")
 
-        bound = cfg.rate(cfg.egress_bound)
+        bound = EGRESS_BOUND * self.scale
         if ingress_limit is not None:
-            bound = min(bound, ingress_limit * cfg.scale)
+            bound = min(bound, ingress_limit * self.scale)
 
         steps = 0
-        rate = cfg.rate(cfg.egress_start)
+        rate = EGRESS_START * self.scale
         prev_egress = 0.0
         peak = 0.0
         plateau: Optional[float] = None
         while rate <= bound:
-            _, egress = self._measure(pattern, rate, cfg.egress_duration)
+            _, egress = self._measure(pattern, rate, EGRESS_DURATION)
             steps += 1
             peak = max(peak, egress)
-            if prev_egress > 0 and egress < prev_egress * cfg.plateau_ratio:
+            if prev_egress > 0 and egress < prev_egress * PLATEAU_RATIO:
                 plateau = max(egress, prev_egress)
                 break
             prev_egress = egress
@@ -360,7 +349,7 @@ class RateLimitProber:
                 break
             rate = min(rate * 2, bound)
 
-        limit = plateau / cfg.scale if plateau is not None else None
+        limit = plateau / self.scale if plateau is not None else None
         return EgressProbeResult(
-            self.profile.name, pattern_tag, limit, steps, peak_egress=peak / cfg.scale
+            self.profile.name, pattern_tag, limit, steps, peak_egress=peak / self.scale
         )

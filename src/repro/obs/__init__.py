@@ -56,18 +56,20 @@ __all__ = [
 ]
 
 
+#: record per-query trace spans (the dominant memory cost)
+TRACE_SPANS = True
+#: counters per heavy-hitter sketch
+HEAVY_HITTER_K = 32
+#: span/instant memory cap (overflow is dropped and counted)
+MAX_SPANS = 200_000
+
+
 @dataclass(frozen=True)
 class ObsConfig:
     """Knobs for one scenario's observability session."""
 
     #: virtual seconds between time-series snapshots
     sample_interval: float = 1.0
-    #: record per-query trace spans (the dominant memory cost)
-    trace_spans: bool = True
-    #: counters per heavy-hitter sketch
-    heavy_hitter_k: int = 32
-    #: span/instant memory cap (overflow is dropped and counted)
-    max_spans: int = 200_000
 
 
 class NullObservability:
@@ -139,12 +141,11 @@ class Observability(NullObservability):
     def __init__(self, config: Optional[ObsConfig] = None) -> None:
         self.config = config if config is not None else ObsConfig()
         self.metrics = MetricsRegistry(sample_interval=self.config.sample_interval)
-        self.tracer = Tracer(max_spans=self.config.max_spans)
-        self._trace_spans = self.config.trace_spans
-        k = self.config.heavy_hitter_k
-        self.hh_queries = SpaceSaving(k)
-        self.hh_nxdomain = SpaceSaving(k)
-        self.hh_bytes = SpaceSaving(k)
+        self.tracer = Tracer(max_spans=MAX_SPANS)
+        self._trace_spans = TRACE_SPANS
+        self.hh_queries = SpaceSaving(HEAVY_HITTER_K)
+        self.hh_nxdomain = SpaceSaving(HEAVY_HITTER_K)
+        self.hh_bytes = SpaceSaving(HEAVY_HITTER_K)
         #: upstream-query message id -> span handle, linking the layers
         #: a query crosses (resolution -> MOPI-FQ -> authoritative)
         self._query_spans: Dict[int, int] = {}

@@ -10,12 +10,10 @@ the forwarder loses service (the DoS vector DCC's signaling closes).
 The forwarder keeps its own cache, fails over across its configured
 upstreams (hosts typically list 2-3, cf. resolv.conf), and retries on
 timeout -- the retry duplication is part of why redundant resolution
-paths do not save the day in Figure 4b.  With a
-:class:`~repro.server.health.HealthConfig` installed, the blind
-rotation becomes real upstream selection: per-upstream RTO estimation
-drives the per-attempt timer, circuit breakers take dead upstreams out
-of rotation, and -- with a ``stale_window`` -- expired cache entries
-answer clients when every upstream attempt is exhausted (RFC 8767).
+paths do not save the day in Figure 4b.  Upstream choice is blind: a
+fixed per-attempt timer and plain rotation or priority order, with no
+RTT estimate and no breaker, as in the home routers and gateways it
+stands for.
 """
 
 from __future__ import annotations
@@ -29,31 +27,26 @@ from repro.dnscore.name import Name
 from repro.dnscore.rdata import RCode, RRType
 from repro.netsim.node import Node
 from repro.server.cache import ResolverCache
-from repro.server.health import HealthConfig, HealthRegistry
 from repro.server.ratelimit import RateLimitAction, RateLimitConfig, RateLimiter
+
+
+#: total upstream attempts per client request (first try + failovers)
+MAX_ATTEMPTS = 3
+CACHE_SIZE = 50_000
 
 
 @dataclass
 class ForwarderConfig:
     upstreams: List[str] = field(default_factory=list)
+    #: fixed per-attempt timer (seconds)
     query_timeout: float = 1.0
-    #: total upstream attempts per client request (first try + failovers)
-    max_attempts: int = 3
-    cache_size: int = 50_000
     ingress_limit: Optional[RateLimitConfig] = None
     #: rotate upstreams round-robin (False: strict priority order)
     rotate: bool = False
-    #: RFC 8767 serve-stale: when every upstream attempt is exhausted,
-    #: answer from an expired cache entry retained up to this many
-    #: seconds before falling back to SERVFAIL (0 = off)
-    stale_window: float = 0.0
-    #: per-upstream health tracking (None = legacy: fixed timer, no
-    #: breakers -- the seed's blind rotation, byte-for-byte)
-    health: Optional[HealthConfig] = None
     #: oblivious-proxy mode (paper Section 6): attribute queries with a
     #: salted one-way token instead of the client's real address, so the
     #: local DCC instance can police fairly without leaking identities
-    oblivious_salt: Optional[str] = None
+    oblivious_salt: Optional[str] = None  # reprolint: disable=R11 -- paper Section 6 oblivious proxy, exercised by examples/oblivious_and_stale.py
 
 
 @dataclass
@@ -66,18 +59,6 @@ class ForwarderStats:
     upstream_timeouts: int = 0
     failovers: int = 0
     servfail_responses: int = 0
-    #: stale answers served after all upstream attempts failed
-    stale_responses: int = 0
-    #: attempts steered away from a breaker-open upstream
-    breaker_avoidances: int = 0
-    # -- health-registry sinks (see repro.server.health.HealthStats) --
-    rtt_samples: int = 0
-    karn_rejections: int = 0
-    failure_events: int = 0
-    breaker_opens: int = 0
-    breaker_half_opens: int = 0
-    breaker_closes: int = 0
-    probe_failures: int = 0
 
 
 @dataclass
@@ -89,8 +70,6 @@ class _PendingForward:
     upstream: Optional[str] = None
     upstream_query_id: int = 0
     timer: object = None
-    #: when the current attempt went out (for upstream RTT samples)
-    sent_at: float = 0.0
     #: observability span covering the whole client request (0 = none)
     span: int = 0
 
@@ -103,25 +82,10 @@ class Forwarder(Node):
         if not config.upstreams:
             raise ValueError("a forwarder needs at least one upstream resolver")
         self.config = config
-        self.cache = ResolverCache(
-            max_entries=config.cache_size, stale_window=config.stale_window
-        )
+        self.cache = ResolverCache(max_entries=CACHE_SIZE)
         self.stats = ForwarderStats()
         self.ingress_rl = RateLimiter(config.ingress_limit) if config.ingress_limit else None
         self._rr_index = 0
-        #: per-upstream RTO estimation + circuit breakers; the legacy
-        #: default (no breaker, fixed timer) reproduces the seed exactly
-        self.health = HealthRegistry(
-            config.health
-            or HealthConfig(
-                mode="legacy", base_timeout=config.query_timeout, failure_threshold=0
-            ),
-            self._health_rng,
-            stats=self.stats,
-        )
-        #: installed by the DCC shim for priority shedding parity with
-        #: the recursive resolver (unused without an overload layer)
-        self.suspicion_probe = None
         #: upstream query id -> pending client request
         self._pending: Dict[int, _PendingForward] = {}
 
@@ -135,26 +99,19 @@ class Forwarder(Node):
     # ------------------------------------------------------------------
     # crash / recovery lifecycle
     # ------------------------------------------------------------------
-    def _health_rng(self):
-        """Dedicated seeded stream for breaker backoff jitter."""
-        return self.sim.rng(f"forwarder.{self.address}.health")
-
     def on_crash(self) -> None:
         """A forwarder crash loses its cache, its pending-forward table
-        (clients discover via their own timeouts), learned upstream
-        health, and limiter state."""
+        (clients discover via their own timeouts), its rotation position
+        and limiter state."""
         for pending in self._pending.values():
             if pending.timer is not None:
                 pending.timer.cancel()
                 pending.timer = None  # timer <-> event.args is a cycle
         self._pending.clear()
         self._rr_index = 0
-        self.health.clear()
         if self.ingress_rl is not None:
             self.ingress_rl = RateLimiter(self.config.ingress_limit)
-        self.cache = ResolverCache(
-            max_entries=self.config.cache_size, stale_window=self.config.stale_window
-        )
+        self.cache = ResolverCache(max_entries=CACHE_SIZE)
 
     # ------------------------------------------------------------------
     # dispatch
@@ -217,55 +174,23 @@ class Forwarder(Node):
         self._forward(pending)
 
     def _pick_upstream(self, pending: _PendingForward) -> str:
-        """Health-aware upstream selection.
-
-        Breaker-open upstreams are taken out of the candidate set (the
-        seed rotated blindly); when every upstream is gated off, the
-        full set is used as a last resort -- refusing to try anything
-        would turn a transient upstream outage into a local one.  In
-        adaptive mode the candidate with the lowest smoothed RTT wins;
-        legacy mode keeps the seed's rotation arithmetic exactly.
-        """
+        """Round-robin across requests with ``rotate``, else strict
+        priority order; each failover moves one upstream along."""
         upstreams = self.config.upstreams
-        candidates = [u for u in upstreams if self.health.available(u, self.now)]
-        if not candidates:
-            candidates = upstreams
-        elif len(candidates) < len(upstreams):
-            self.stats.breaker_avoidances += 1
-        if self.health.config.mode == "adaptive":
-            return min(candidates, key=self.health.selection_rtt)
         if self.config.rotate:
-            choice = candidates[(self._rr_index + pending.attempts) % len(candidates)]
+            choice = upstreams[(self._rr_index + pending.attempts) % len(upstreams)]
             if pending.attempts == 0:
-                self._rr_index = (self._rr_index + 1) % len(candidates)
+                self._rr_index = (self._rr_index + 1) % len(upstreams)
             return choice
-        return candidates[pending.attempts % len(candidates)]
-
-    def _serve_stale_or_servfail(self, pending: _PendingForward) -> None:
-        """Every upstream attempt failed: stale beats SERVFAIL (RFC 8767)."""
-        if self.config.stale_window > 0:
-            stale = self.cache.get_stale(
-                pending.request.question.name,
-                pending.request.question.rrtype,
-                self.now,
-            )
-            if stale is not None and stale.rrset is not None:
-                response = pending.request.make_response(RCode.NOERROR)
-                response.answers.append(stale.rrset)
-                self.stats.stale_responses += 1
-                self.obs.end(pending.span, self.now, outcome="stale")
-                self._respond(pending.client, response)
-                return
-        self.stats.servfail_responses += 1
-        self.obs.end(pending.span, self.now, outcome="servfail")
-        self._respond(pending.client, pending.request.make_response(RCode.SERVFAIL))
+        return upstreams[pending.attempts % len(upstreams)]
 
     def _forward(self, pending: _PendingForward) -> None:
-        if pending.attempts >= self.config.max_attempts:
-            self._serve_stale_or_servfail(pending)
+        if pending.attempts >= MAX_ATTEMPTS:
+            self.stats.servfail_responses += 1
+            self.obs.end(pending.span, self.now, outcome="servfail")
+            self._respond(pending.client, pending.request.make_response(RCode.SERVFAIL))
             return
         upstream = self._pick_upstream(pending)
-        self.health.acquire_probe(upstream, self.now)
         if pending.attempts > 0:
             self.stats.failovers += 1
         pending.attempts += 1
@@ -288,7 +213,6 @@ class Forwarder(Node):
         )
         query.edns_options.append(attribution.encode())
         pending.upstream_query_id = query.id
-        pending.sent_at = self.now
         if self.obs.enabled:
             self.obs.inc("forwarder.queries_forwarded")
             self.obs.instant(
@@ -298,9 +222,7 @@ class Forwarder(Node):
                 upstream=upstream,
                 attempt=pending.attempts,
             )
-        pending.timer = self.sim.schedule(
-            self.health.timeout_for(upstream), self._on_timeout, pending
-        )
+        pending.timer = self.sim.schedule(self.config.query_timeout, self._on_timeout, pending)
         self._pending[query.id] = pending
 
         self.stats.queries_forwarded += 1
@@ -329,8 +251,6 @@ class Forwarder(Node):
                 self.now,
                 upstream=pending.upstream,
             )
-        if pending.upstream is not None:
-            self.health.on_failure(pending.upstream, self.now)
         self._forward(pending)
 
     # ------------------------------------------------------------------
@@ -355,14 +275,8 @@ class Forwarder(Node):
         if answer.rcode in (RCode.SERVFAIL, RCode.REFUSED):
             # Failed upstream: try the next one (retries against the
             # remaining paths are what spread congestion in Fig. 4b).
-            # The error still counts against the upstream's breaker.
-            if pending.upstream is not None:
-                self.health.on_failure(pending.upstream, self.now)
             self._forward(pending)
             return
-
-        if pending.upstream is not None:
-            self.health.on_success(pending.upstream, self.now - pending.sent_at, self.now)
 
         now = self.now
         for rrset in answer.answers:

@@ -7,7 +7,7 @@ resolver reacted to that regime with three ad-hoc pieces of state -- an
 SRTT EWMA, a consecutive-timeout streak, and a blind hold-down deadline
 -- and a fixed 0.8 s query timeout.  This module replaces the trio with
 one explicit :class:`UpstreamHealth` state machine per upstream server,
-shared by the recursive resolver and the forwarder:
+shared by the recursive resolver and the transport engine:
 
 - **RTT estimation** (``mode="adaptive"``): RFC 6298 SRTT/RTTVAR with
   Karn's rule -- samples from retransmitted queries are rejected, since
@@ -37,6 +37,20 @@ from typing import Callable, Dict, List, Optional
 from repro.obs import NULL_OBS
 
 
+#: legacy hold-down duration (seconds)
+HOLD_DOWN = 2.0
+
+# RFC 6298 estimator gains (adaptive mode)
+#: SRTT gain (RFC 6298 alpha = 1/8)
+ALPHA = 0.125
+#: RTTVAR gain (RFC 6298 beta = 1/4)
+BETA = 0.25
+#: RTTVAR multiplier in the RTO formula (RFC 6298 K)
+K = 4.0
+#: clock granularity G: lower bound on the K*RTTVAR term
+GRANULARITY = 0.01
+
+
 class BreakerState(enum.Enum):
     """Circuit-breaker states for one upstream server."""
 
@@ -62,17 +76,7 @@ class HealthConfig:
     base_timeout: float = 0.8
     #: consecutive failures that trip the breaker (0 disables)
     failure_threshold: int = 5
-    #: legacy hold-down duration (seconds)
-    hold_down: float = 2.0
-    # -- RFC 6298 estimator (adaptive mode) ---------------------------
-    #: SRTT gain (RFC 6298 alpha = 1/8)
-    alpha: float = 0.125
-    #: RTTVAR gain (RFC 6298 beta = 1/4)
-    beta: float = 0.25
-    #: RTTVAR multiplier in the RTO formula (RFC 6298 K)
-    k: float = 4.0
-    #: clock granularity G: lower bound on the K*RTTVAR term
-    granularity: float = 0.01
+    # -- RFC 6298 RTO bounds (adaptive mode) ---------------------------
     rto_min: float = 0.1
     rto_max: float = 10.0
     # -- decorrelated-jitter breaker backoff (adaptive mode) -----------
@@ -91,8 +95,8 @@ class HealthStats:
     """Aggregate transition counters across one registry's upstreams.
 
     A registry can be pointed at any object carrying these attributes
-    (e.g. a ``ResolverStats``/``ForwarderStats`` instance), so the
-    owner's stats block is the single source of truth for reports.
+    (the resolver passes its ``ResolverStats``), so the owner's stats
+    block is the single source of truth for reports.
     """
 
     rtt_samples: int = 0
@@ -196,9 +200,9 @@ class UpstreamHealth:
             self.rttvar = rtt / 2.0
         else:
             # Subsequent samples (RFC 6298 2.3): RTTVAR before SRTT.
-            self.rttvar = (1.0 - cfg.beta) * self.rttvar + cfg.beta * abs(self.srtt - rtt)
-            self.srtt = (1.0 - cfg.alpha) * self.srtt + cfg.alpha * rtt
-        rto = self.srtt + max(cfg.granularity, cfg.k * self.rttvar)
+            self.rttvar = (1.0 - BETA) * self.rttvar + BETA * abs(self.srtt - rtt)
+            self.srtt = (1.0 - ALPHA) * self.srtt + ALPHA * rtt
+        rto = self.srtt + max(GRANULARITY, K * self.rttvar)
         self._rto = min(max(rto, cfg.rto_min), cfg.rto_max)
 
     def on_failure(self, now: float, rng: random.Random) -> bool:
@@ -254,7 +258,7 @@ class UpstreamHealth:
     def _open(self, now: float, rng: random.Random) -> None:
         self._transition(BreakerState.OPEN, now)
         if self.config.mode == "legacy":
-            interval = self.config.hold_down
+            interval = HOLD_DOWN
         else:
             # Decorrelated jitter: sleep = min(cap, U(base, 3 * prev)).
             # Spreads reprobe instants so a fleet of resolvers does not

@@ -37,6 +37,10 @@ class RateLimitAction(enum.Enum):
     REFUSED = "refused"  # answer with RCODE=REFUSED
 
 
+#: drop state entries idle for this long (seconds)
+IDLE_TIMEOUT = 60.0
+
+
 @dataclass
 class RateLimitConfig:
     """Configuration of one rate-limiter table."""
@@ -44,8 +48,6 @@ class RateLimitConfig:
     rate: float  # sustained queries/second per key
     burst: Optional[float] = None  # bucket depth; defaults to one second of rate
     action: RateLimitAction = RateLimitAction.DROP
-    #: drop state entries idle for this long (seconds)
-    idle_timeout: float = 60.0
     #: "window": BIND-RRL-style one-second fixed windows (the first
     #: ``rate`` messages of each pass, the rest drop); "bucket": token bucket.
     mode: str = "bucket"
@@ -107,11 +109,11 @@ class RateLimiter:
         return entry.bucket.available(now, amount)
 
     def purge(self, now: float) -> int:
-        """Drop entries idle longer than ``idle_timeout``; returns count."""
+        """Drop entries idle longer than :data:`IDLE_TIMEOUT`; returns count."""
         stale = [
             key
             for key, entry in self._entries.items()
-            if now - entry.last_seen > self.config.idle_timeout
+            if now - entry.last_seen > IDLE_TIMEOUT
         ]
         for key in stale:
             del self._entries[key]

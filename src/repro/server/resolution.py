@@ -40,6 +40,21 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _task_ids = itertools.count(1)
 
+# BIND-analogue budgets of one resolution.
+#: record type used for minimised probes (RFC 9156 allows NS or A)
+QMIN_PROBE_TYPE = RRType.A
+MAX_SERVERS_PER_STEP = 3
+MAX_CNAME_CHAIN = 17
+#: address lookups launched per glue-less delegation (all of them,
+#: like the BIND version the paper measures at MAF ~50)
+MAX_NS_ADDRESS_FETCHES = 20
+MAX_FANOUT_DEPTH = 6
+#: glue-less NS address fan-outs allowed per resolution step (BIND's
+#: max-fetches analogue; >1 lets re-expired glue multiply the work)
+MAX_FANOUT_ROUNDS = 1
+#: hard per-request query budget (BIND max-fetches analogue)
+MAX_QUERIES_PER_REQUEST = 400
+
 
 @dataclass
 class ResolutionOutcome:
@@ -125,8 +140,8 @@ class ResolutionTask:
     """Resolve (qname, qtype), reporting through ``on_done(outcome)``.
 
     Subtasks (NS-address lookups) share the root task's attribution and
-    query budget (``_TreeState``); the budget is the resolver's
-    ``max_queries_per_request`` guard (BIND's max-fetches analogue),
+    query budget (``_TreeState``); the budget is
+    :data:`MAX_QUERIES_PER_REQUEST` (BIND's max-fetches analogue),
     generous by default so that the amplification behaviours the paper
     measures are reproduced.
     """
@@ -154,7 +169,7 @@ class ResolutionTask:
         self.depth = depth
         #: ``deadline`` is the root's; subtasks are handed the tree
         self._tree = tree if tree is not None else _TreeState(
-            resolver.config.max_queries_per_request, deadline, attribution
+            MAX_QUERIES_PER_REQUEST, deadline, attribution
         )
         self.finished = False
         self.span = 0
@@ -320,7 +335,7 @@ class ResolutionTask:
         if exposed >= total:
             return self.current_name, self.qtype
         minimized = Name(self.current_name.labels[total - exposed :])
-        return minimized, self.resolver.config.qmin_probe_type
+        return minimized, QMIN_PROBE_TYPE
 
     # ------------------------------------------------------------------
     # upstream I/O
@@ -345,7 +360,7 @@ class ResolutionTask:
             # between selection and transmission: treat like a dead
             # server for this step.
             self._tried_servers.add(server)
-            if len(self._tried_servers) >= self.resolver.config.max_servers_per_step:
+            if len(self._tried_servers) >= MAX_SERVERS_PER_STEP:
                 self._fail()
             else:
                 self._advance()
@@ -355,7 +370,7 @@ class ResolutionTask:
             # answers SERVFAIL when the per-server quota spills).
             self.resolver.release_probe(server)
             self._tried_servers.add(server)
-            if len(self._tried_servers) >= self.resolver.config.max_servers_per_step:
+            if len(self._tried_servers) >= MAX_SERVERS_PER_STEP:
                 self._fail()
             else:
                 self._advance()
@@ -443,7 +458,7 @@ class ResolutionTask:
             obs.forget_query_span(pending.message_id)
         self._tried_servers.add(pending.server)
         self._pending = None
-        if len(self._tried_servers) >= self.resolver.config.max_servers_per_step:
+        if len(self._tried_servers) >= MAX_SERVERS_PER_STEP:
             self._fail()
             return
         self._advance()
@@ -502,7 +517,7 @@ class ResolutionTask:
         if response.rcode in (RCode.SERVFAIL, RCode.REFUSED, RCode.NOTIMP, RCode.FORMERR):
             self.resolver.stats.upstream_errors += 1
             self._tried_servers.add(pending.server)
-            if len(self._tried_servers) >= self.resolver.config.max_servers_per_step:
+            if len(self._tried_servers) >= MAX_SERVERS_PER_STEP:
                 self._fail()
             else:
                 self._advance()
@@ -597,7 +612,7 @@ class ResolutionTask:
 
     def _follow_cname(self, cname_rrset: RRSet) -> None:
         self.cname_chain.append(cname_rrset)
-        if len(self.cname_chain) > self.resolver.config.max_cname_chain:
+        if len(self.cname_chain) > MAX_CNAME_CHAIN:
             self.resolver.stats.cname_chain_overflows += 1
             self._fail()
             return
@@ -631,20 +646,20 @@ class ResolutionTask:
             # nothing came of it: give up rather than loop.
             self._fail()
             return
-        if self._fanout_rounds >= self.resolver.config.max_fanout_rounds:
+        if self._fanout_rounds >= MAX_FANOUT_ROUNDS:
             # Re-fanning out after the fetched glue expired would let an
             # attacker multiply amplification unboundedly; real resolvers
             # bound fetches per delegation (BIND max-fetches).
             self._fail()
             return
-        if self.depth >= self.resolver.config.max_fanout_depth:
+        if self.depth >= MAX_FANOUT_DEPTH:
             self._fail()
             return
         self._fanout_rounds += 1
 
         targets = [
             name
-            for name in ns_names[: self.resolver.config.max_ns_address_fetches]
+            for name in ns_names[: MAX_NS_ADDRESS_FETCHES]
             if (name.labels, RRType.A) not in self._tree.in_progress
         ]
         if not targets:

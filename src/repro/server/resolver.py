@@ -37,39 +37,34 @@ from repro.server.ratelimit import RateLimitAction, RateLimitConfig, RateLimiter
 from repro.server.resolution import ResolutionOutcome, ResolutionTask  # reprolint: disable=R6 -- cycle is type-only in the reverse direction
 
 
+#: hard wall on one request's total resolution time in seconds (the
+#: BIND ``resolve-timeout`` analogue); 0 disables.  Without it, RTO backoff
+#: compounding across a dead-server chase can keep a single request's
+#: task tree alive long after every client gave up.
+MAX_RESOLUTION_TIME = 10.0
+#: outstanding (unanswered) queries allowed per upstream server, the
+#: BIND fetches-per-server analogue.  Under adversarial congestion,
+#: dropped queries hold their slots until timeout, exhausting the
+#: quota and failing *everyone's* queries to that server -- a key
+#: ingredient of the paper's vanilla-resolver collapse (Figure 8).
+MAX_OUTSTANDING_PER_SERVER = 200
+CACHE_SIZE = 200_000
+#: exploration probability of upstream server selection, which
+#: otherwise prefers the historically fastest server (BIND behaviour
+#: -- concentrates load on one server of a redundant set, which is
+#: why redundancy does not dilute adversarial congestion, Figure 4a/b)
+SRTT_EXPLORE = 0.05
+#: period of the state-purge sweep (seconds)
+PURGE_INTERVAL = 10.0
+
+
 @dataclass
 class ResolverConfig:
     """Tunable behaviour of the recursive resolver."""
 
     #: follow RFC 9156 and expose one label at a time
     qname_minimization: bool = False
-    #: record type used for minimised probes (RFC 9156 allows NS or A)
-    qmin_probe_type: RRType = RRType.A
-    query_timeout: float = 0.8
     max_retries: int = 1
-    max_servers_per_step: int = 3
-    max_cname_chain: int = 17
-    #: address lookups launched per glue-less delegation (all of them,
-    #: like the BIND version the paper measures at MAF ~50)
-    max_ns_address_fetches: int = 20
-    max_fanout_depth: int = 6
-    #: glue-less NS address fan-outs allowed per resolution step (BIND's
-    #: max-fetches analogue; >1 lets re-expired glue multiply the work)
-    max_fanout_rounds: int = 1
-    #: hard per-request query budget (BIND max-fetches analogue)
-    max_queries_per_request: int = 400
-    #: hard wall on one request's total resolution time in seconds (the
-    #: BIND ``resolve-timeout`` analogue); 0 disables.  Without it, RTO
-    #: backoff compounding across a dead-server chase can keep a single
-    #: request's task tree alive long after every client gave up.
-    max_resolution_time: float = 10.0
-    #: outstanding (unanswered) queries allowed per upstream server, the
-    #: BIND fetches-per-server analogue.  Under adversarial congestion,
-    #: dropped queries hold their slots until timeout, exhausting the
-    #: quota and failing *everyone's* queries to that server -- a key
-    #: ingredient of the paper's vanilla-resolver collapse (Figure 8).
-    max_outstanding_per_server: int = 200
-    cache_size: int = 200_000
     #: RFC 8767 serve-stale: when fresh resolution fails, answer from an
     #: expired cache entry retained up to this many seconds (0 = off).
     #: Softens adversarial congestion for popular names; the evaluation
@@ -83,30 +78,15 @@ class ResolverConfig:
     aggressive_nsec: bool = False
     ingress_limit: Optional[RateLimitConfig] = None
     egress_limit: Optional[RateLimitConfig] = None
-    #: exploration probability of upstream server selection, which
-    #: otherwise prefers the historically fastest server (BIND behaviour
-    #: -- concentrates load on one server of a redundant set, which is
-    #: why redundancy does not dilute adversarial congestion, Figure 4a/b)
-    srtt_explore: float = 0.05
-    #: consecutive timeouts after which a server enters hold-down (the
-    #: BIND lame/bad-server cache analogue); 0 disables
-    server_backoff_threshold: int = 5
-    #: how long a held-down server is skipped entirely (seconds).
-    #: While *every* server of a zone is held down, lookups fail
-    #: immediately -- the mechanism that collapses benign service once
-    #: adversarial congestion keeps the inter-server channel saturated.
-    server_backoff_duration: float = 2.0
-    #: per-upstream health tracking (None = legacy mode derived from
-    #: ``query_timeout`` / ``server_backoff_*``, reproducing the seed's
-    #: EWMA + fixed-timeout + blind-hold-down behaviour exactly);
-    #: ``HealthConfig(mode="adaptive")`` turns on the RFC 6298 RTO
-    #: estimator and the three-state circuit breaker
-    health: Optional[HealthConfig] = None
+    #: per-upstream query timer, hold-down and server selection.  The
+    #: default legacy mode is the vanilla-BIND baseline: a fixed 0.8 s
+    #: timeout, 0.7/0.3 SRTT EWMA, and a blind 2 s hold-down after five
+    #: consecutive timeouts; ``HealthConfig(mode="adaptive")`` turns on
+    #: the RFC 6298 RTO estimator and the three-state circuit breaker
+    health: HealthConfig = field(default_factory=HealthConfig)
     #: front-end admission control (None = unbounded pending table,
     #: matching the paper's vanilla-BIND baseline)
     overload: Optional[OverloadConfig] = None
-    #: period of the state-purge sweep (0 disables)
-    purge_interval: float = 10.0
 
 
 @dataclass
@@ -167,7 +147,7 @@ class RecursiveResolver(Node):
         super().__init__(address)
         self.config = config or ResolverConfig()
         self.cache = ResolverCache(
-            max_entries=self.config.cache_size,
+            max_entries=CACHE_SIZE,
             stale_window=self.config.serve_stale_window,
         )
         self.stats = ResolverStats()
@@ -184,17 +164,7 @@ class RecursiveResolver(Node):
         #: per-upstream RTO estimation + circuit breakers (replaces the
         #: seed's _srtt/_timeout_streak/_backoff_until trio); counters
         #: land directly in ``self.stats``
-        self.health = HealthRegistry(
-            self.config.health
-            or HealthConfig(
-                mode="legacy",
-                base_timeout=self.config.query_timeout,
-                failure_threshold=self.config.server_backoff_threshold,
-                hold_down=self.config.server_backoff_duration,
-            ),
-            self._health_rng,
-            stats=self.stats,
-        )
+        self.health = HealthRegistry(self.config.health, self._health_rng, stats=self.stats)
         #: front-end admission control (None = vanilla, unbounded)
         self.overload = (
             OverloadController(self.config.overload) if self.config.overload else None
@@ -282,7 +252,7 @@ class RecursiveResolver(Node):
         if self.egress_rl is not None:
             self.egress_rl = RateLimiter(self.config.egress_limit)
         self.cache = ResolverCache(
-            max_entries=self.config.cache_size,
+            max_entries=CACHE_SIZE,
             stale_window=self.config.serve_stale_window,
         )
 
@@ -303,10 +273,10 @@ class RecursiveResolver(Node):
             self._receive_request(message, src)
 
     def _ensure_purge_loop(self) -> None:
-        if self._purge_scheduled or self.config.purge_interval <= 0 or self.sim is None:
+        if self._purge_scheduled or self.sim is None:
             return
         self._purge_scheduled = True
-        self.sim.schedule(self.config.purge_interval, self._purge_tick)
+        self.sim.schedule(PURGE_INTERVAL, self._purge_tick)
 
     def _purge_tick(self) -> None:
         if self.ingress_rl is not None:
@@ -314,7 +284,7 @@ class RecursiveResolver(Node):
         if self.egress_rl is not None:
             self.egress_rl.purge(self.now)
         self.cache.flush_expired(self.now)
-        self.sim.schedule(self.config.purge_interval, self._purge_tick)
+        self.sim.schedule(PURGE_INTERVAL, self._purge_tick)
 
     # ------------------------------------------------------------------
     # client-facing side
@@ -389,8 +359,8 @@ class RecursiveResolver(Node):
             return  # duplicate in-flight request from the same client
 
         deadline: Optional[float] = None
-        if self.config.max_resolution_time > 0:
-            deadline = now + self.config.max_resolution_time
+        if MAX_RESOLUTION_TIME > 0:
+            deadline = now + MAX_RESOLUTION_TIME
         if self.overload is not None:
             pending_count = len(self._pending_requests)
             saturated = self.overload.pressure(pending_count)
@@ -511,7 +481,7 @@ class RecursiveResolver(Node):
         then fail over or give up (BIND answers SERVFAIL in this case).
         """
         count = self._outstanding.get(server, 0)
-        if count >= self.config.max_outstanding_per_server:
+        if count >= MAX_OUTSTANDING_PER_SERVER:
             self.stats.quota_rejections += 1
             return False
         self._outstanding[server] = count + 1
@@ -541,7 +511,7 @@ class RecursiveResolver(Node):
         rng = self._srtt_rng
         if rng is None:
             rng = self._srtt_rng = self.sim.rng(f"resolver.{self.address}.srtt")
-        return self.health.select(candidates, self.sim.now, rng, self.config.srtt_explore)
+        return self.health.select(candidates, self.sim.now, rng, SRTT_EXPLORE)
 
     def note_server_rtt(self, server: str, rtt: float, retransmitted: bool = False) -> None:
         """RTT sample from a successful exchange.

@@ -41,6 +41,15 @@ class Verdict(enum.Enum):
     SHED = "shed"
 
 
+#: periodic overdue-entry audit cadence; entries orphaned past their
+#: deadline (e.g. by a peer crash racing a timer) are reclaimed and
+#: verdicted as timeouts.  0 disables the audit.
+AUDIT_INTERVAL = 1.0
+#: slack past the deadline before the audit reclaims an entry (the
+#: per-query timer normally finishes first; the audit is a backstop)
+AUDIT_GRACE = 0.25
+
+
 def _default_health() -> HealthConfig:
     return HealthConfig(mode="adaptive")
 
@@ -53,13 +62,6 @@ class EngineConfig:
     deadline: float = 4.0
     #: bounded in-flight table capacity (oldest-first shedding)
     inflight_capacity: int = 256
-    #: periodic overdue-entry audit cadence; entries orphaned past their
-    #: deadline (e.g. by a peer crash racing a timer) are reclaimed and
-    #: verdicted as timeouts.  0 disables the audit.
-    audit_interval: float = 1.0
-    #: slack past the deadline before the audit reclaims an entry (the
-    #: per-query timer normally finishes first; the audit is a backstop)
-    audit_grace: float = 0.25
     health: HealthConfig = field(default_factory=_default_health)
 
 
@@ -174,9 +176,9 @@ class QueryEngine:
         return message.id
 
     def _arm_audit(self) -> None:
-        if self.config.audit_interval <= 0 or self._audit_timer is not None:
+        if AUDIT_INTERVAL <= 0 or self._audit_timer is not None:
             return
-        self._audit_timer = self._clock.schedule(self.config.audit_interval, self._audit)
+        self._audit_timer = self._clock.schedule(AUDIT_INTERVAL, self._audit)
 
     def _audit(self) -> None:
         """Reclaim entries orphaned past their deadline (timer lost to a
@@ -184,9 +186,7 @@ class QueryEngine:
         timer re-arms only while work is outstanding, so an idle engine
         holds no live timers and the event loop can drain."""
         self._audit_timer = None
-        for entry in self._inflight.pop_overdue(
-            self._clock.now, self.config.audit_grace
-        ):
+        for entry in self._inflight.pop_overdue(self._clock.now, AUDIT_GRACE):
             self.stats.reclaimed_overdue += 1
             self._finish(entry.payload, Verdict.TIMEOUT)
         if len(self._inflight):

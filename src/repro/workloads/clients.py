@@ -26,6 +26,10 @@ from repro.netsim.node import Node
 from repro.workloads.patterns import QueryPattern
 
 
+#: relative jitter of inter-request gaps, against phase-locking across clients
+JITTER = 0.1
+
+
 @dataclass
 class ClientConfig:
     """Behaviour of one traffic source."""
@@ -39,13 +43,11 @@ class ClientConfig:
     #: total attempts per logical request (1 = no retry)
     max_attempts: int = 1
     #: process DCC signals on responses
-    dcc_aware: bool = False
+    dcc_aware: bool = False  # reprolint: disable=R11 -- paper Section 3.3 DCC-aware clients
     #: multiplicative backoff applied to the rate on congestion signals
     #: (DCC-aware clients only); rate recovers linearly afterwards
-    backoff_factor: float = 0.5
-    backoff_recovery: float = 10.0  # seconds to recover to full rate
-    #: jitter inter-request gaps to avoid phase-locking across clients
-    jitter: float = 0.1
+    backoff_factor: float = 0.5  # reprolint: disable=R11 -- paper Section 3.3 client backoff
+    backoff_recovery: float = 10.0  # reprolint: disable=R11 -- paper Section 3.3 backoff recovery (seconds)
 
 
 @dataclass
@@ -131,11 +133,10 @@ class StubClient(Node):
             return
         self._send_request(now)
         gap = 1.0 / self._current_rate(now)
-        if self.config.jitter > 0:
-            rng = self._jitter_rng
-            if rng is None:
-                rng = self._jitter_rng = self.sim.rng(f"client.{self.address}.jitter")
-            gap *= 1.0 + rng.uniform(-self.config.jitter, self.config.jitter)
+        rng = self._jitter_rng
+        if rng is None:
+            rng = self._jitter_rng = self.sim.rng(f"client.{self.address}.jitter")
+        gap *= 1.0 + rng.uniform(-JITTER, JITTER)
         self.sim.schedule(gap, self._fire)
 
     def _resolver_for(self, attempt: int) -> str:

@@ -21,6 +21,7 @@ from repro.experiments.common import AttackScenario, ScenarioConfig
 from repro.experiments.fig8_resilience import paper_monitor_config, paper_policy_templates
 from repro.netsim.faults import NodeOutage, Partition
 from repro.server import resolution
+from repro.server.health import HealthConfig
 from repro.server.resolver import ResolverConfig
 from repro.workloads.schedule import ClientSpec, table2_clients
 from repro.workloads.zonegen import DEAD_ADDRESS
@@ -116,12 +117,13 @@ def test_a_run_leaves_nothing_for_the_cyclic_collector(build):
 # ----------------------------------------------------------------------
 # the tree state: budget, loop guard and deadline outlive the root task
 # ----------------------------------------------------------------------
-def _background_subtask_world(budget):
+def _background_subtask_world(monkeypatch, budget):
     """``www.bg.attacker-com.`` sits behind a glue-less delegation with two
     nameservers: ``ns1.target-domain.`` resolves at once, so the root
     task resumes and finishes; ``ns.dead-zone.``'s own zone is served by
     a dead address, so its subtask keeps retrying in the background."""
-    topo = build_topology(ResolverConfig(max_queries_per_request=budget))
+    monkeypatch.setattr(resolution, "MAX_QUERIES_PER_REQUEST", budget)
+    topo = build_topology()
     attacker_zone = topo.attacker_ans.zone_for(Name.from_text("attacker-com."))
     attacker_zone.add_ns("bg", "ns1.target-domain.")
     attacker_zone.add_ns("bg", "ns.dead-zone.")
@@ -148,7 +150,7 @@ def _background_subtask_world(budget):
 
 
 def test_background_subtasks_charge_the_shared_budget_after_the_root_finished(monkeypatch):
-    topo, tasks, outcomes, spy = _background_subtask_world(budget=400)
+    topo, tasks, outcomes, spy = _background_subtask_world(monkeypatch, budget=400)
     monkeypatch.setattr(resolution.ResolutionTask, "__init__", spy)
     query = topo.client.query(RESOLVER_ADDR, "www.bg.attacker-com.")
     topo.sim.run(until=0.1)
@@ -171,12 +173,12 @@ def test_background_subtasks_charge_the_shared_budget_after_the_root_finished(mo
 
 
 def test_the_budget_still_trips_for_a_subtask_that_outlives_its_root(monkeypatch):
-    unbounded, *_ = _background_subtask_world(budget=400)
+    unbounded, *_ = _background_subtask_world(monkeypatch, budget=400)
     unbounded.client.query(RESOLVER_ADDR, "www.bg.attacker-com.")
     unbounded.sim.run(until=5.0)
     needed = unbounded.resolver.stats.queries_sent
 
-    topo, tasks, _outcomes, spy = _background_subtask_world(budget=needed - 1)
+    topo, tasks, _outcomes, spy = _background_subtask_world(monkeypatch, budget=needed - 1)
     monkeypatch.setattr(resolution.ResolutionTask, "__init__", spy)
     query = topo.client.query(RESOLVER_ADDR, "www.bg.attacker-com.")
     topo.sim.run(until=5.0)
@@ -220,7 +222,7 @@ def test_every_query_of_a_tree_carries_the_one_encoded_attribution():
 
 
 def test_timers_are_unlinked_when_cancelled_or_fired():
-    topo = build_topology(ResolverConfig(max_retries=1, query_timeout=0.2))
+    topo = build_topology(ResolverConfig(max_retries=1, health=HealthConfig(base_timeout=0.2)))
     pendings = []
     spied = resolution._PendingQuery.__init__
 
@@ -240,12 +242,13 @@ def test_timers_are_unlinked_when_cancelled_or_fired():
     assert all(pending.timer is None for pending in pendings)
 
 
-def test_forwarder_timers_are_unlinked_when_cancelled_fired_or_lost_in_a_crash():
+def test_forwarder_timers_are_unlinked_when_cancelled_fired_or_lost_in_a_crash(monkeypatch):
     from repro.server import forwarder as forwarder_module
 
+    monkeypatch.setattr(forwarder_module, "MAX_ATTEMPTS", 2)
     topo = build_topology()
     forwarder = forwarder_module.Forwarder("10.0.2.1", forwarder_module.ForwarderConfig(
-        upstreams=["10.9.9.9", RESOLVER_ADDR], query_timeout=0.3, max_attempts=2))  # the first is dead
+        upstreams=["10.9.9.9", RESOLVER_ADDR], query_timeout=0.3))  # the first is dead
     topo.net.attach(forwarder)
     pendings = []
     spied = forwarder_module._PendingForward.__init__

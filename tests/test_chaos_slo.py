@@ -25,24 +25,24 @@ def fill(auditor, lo, hi, step=0.25, verdict="answered", rcode="NOERROR"):
 
 class TestSegmentWindows:
     def test_default_geometry(self):
-        w = segment_windows(SPAN, DURATION, SloConfig())
+        w = segment_windows(SPAN, DURATION)
         assert w.pre == (0.0, 2.5)            # fault_start - guard
         assert w.fault == (3.5, 4.5)          # +guard .. end - ladder_guard
         assert w.recovery == (8.5, 12.0)      # end + heal_guard .. duration
 
     def test_short_run_degrades_to_empty_not_overlapping(self):
-        w = segment_windows((3.0, 6.0), 4.0, SloConfig())
+        w = segment_windows((3.0, 6.0), 4.0)
         assert w.recovery == (4.0, 4.0)       # clamped empty, not inverted
         assert w.fault[0] <= w.fault[1]
         for _, (lo, hi) in w.items():
             assert lo <= hi
 
     def test_fault_window_never_inverts_when_guards_overlap(self):
-        w = segment_windows((3.0, 3.5), DURATION, SloConfig())
+        w = segment_windows((3.0, 3.5), DURATION)
         assert w.fault[0] == w.fault[1]       # guards swallow the window
 
     def test_items_order_is_stable(self):
-        w = segment_windows(SPAN, DURATION, SloConfig())
+        w = segment_windows(SPAN, DURATION)
         assert [name for name, _ in w.items()] == ["pre", "fault", "recovery"]
 
 

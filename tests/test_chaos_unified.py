@@ -11,6 +11,8 @@ schedules (real seconds of outage) stay in CI's ``chaos-live`` and
 
 import json
 
+import pytest
+
 from repro.experiments import chaos_unified
 from repro.experiments.chaos_unified import (
     ChaosConfig,
@@ -22,11 +24,18 @@ from repro.experiments.common import RESOLVER_ADDR, TARGET_ANS_ADDR
 from repro.netsim.faults import schedule_to_dicts
 from repro.transport.udp import UdpBackend
 
-QUICK = dict(pool_rate=6.0, fresh_rate=6.0, attack_rate=10.0)
+QUICK = dict(POOL_RATE=6.0, FRESH_RATE=6.0, ATTACK_RATE=10.0)
+
+
+@pytest.fixture
+def quick(monkeypatch):
+    """Lower client rates: a short run that still crosses every window."""
+    for name, rate in QUICK.items():
+        monkeypatch.setattr(chaos_unified, name, rate)
 
 
 def quick_config(**overrides):
-    return ChaosConfig(backend="sim", seed=7, **QUICK, **overrides)
+    return ChaosConfig(backend="sim", seed=7, **overrides)
 
 
 def without_backend(report):
@@ -36,6 +45,7 @@ def without_backend(report):
     return doc
 
 
+@pytest.mark.usefixtures("quick")
 class TestSimChaosRun:
     def test_default_schedule_meets_the_slo_gate(self):
         report = run_chaos(quick_config(enforce_slo=True), default_schedule())
@@ -61,7 +71,7 @@ class TestSimChaosRun:
 
     def test_different_seeds_differ(self):
         a = run_chaos(quick_config(), default_schedule())
-        b = run_chaos(ChaosConfig(backend="sim", seed=8, **QUICK), default_schedule())
+        b = run_chaos(ChaosConfig(backend="sim", seed=8), default_schedule())
         assert a.canonical_metrics() != b.canonical_metrics()
 
     def test_schedule_embedded_in_metrics_document(self):
@@ -127,6 +137,7 @@ class TestOneCast:
         assert [r.address for r in scenario.resolvers] == [RESOLVER_ADDR]
         assert len(scenario.shims) == 1
 
+    @pytest.mark.usefixtures("quick")
     def test_the_simulator_cast_carries_the_injector(self):
         scenario, _ = chaos_unified._build(quick_config())
         assert scenario.injector is not None

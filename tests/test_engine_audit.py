@@ -8,22 +8,28 @@ as timeouts, (b) re-arms only while work is outstanding, so an idle
 engine holds no live timers.
 """
 
+import pytest
+
 from repro.dnscore.name import Name
 from repro.dnscore.rdata import RRType
 from repro.netsim.sim import Simulator
 from repro.server.health import HealthConfig
+from repro.transport import engine as engine_module
 from repro.transport.base import InflightTable
 from repro.transport.engine import EngineConfig, QueryEngine, Verdict
 
 
-def make_engine(sim, **overrides):
+@pytest.fixture(autouse=True)
+def fast_audit(monkeypatch):
+    """Audit twice per deadline, so an orphan is reclaimed quickly."""
+    monkeypatch.setattr(engine_module, "AUDIT_INTERVAL", 0.5)
+
+
+def make_engine(sim):
     config = EngineConfig(
         retries=0,
         deadline=1.0,
-        audit_interval=overrides.pop("audit_interval", 0.5),
-        audit_grace=overrides.pop("audit_grace", 0.25),
         health=HealthConfig(mode="adaptive", base_timeout=0.4),
-        **overrides,
     )
     sent = []
     engine = QueryEngine(sim, lambda message, server: sent.append(message), config)
@@ -98,9 +104,10 @@ class TestEngineAudit:
         assert engine._audit_timer is None
         assert engine.inflight_depth == 0
 
-    def test_audit_disabled_by_zero_interval(self):
+    def test_audit_disabled_by_zero_interval(self, monkeypatch):
         sim = Simulator(seed=3)
-        engine, _ = make_engine(sim, audit_interval=0.0)
+        monkeypatch.setattr(engine_module, "AUDIT_INTERVAL", 0.0)
+        engine, _ = make_engine(sim)
         mid = engine.lookup(Name.from_text("stuck.example."), RRType.A, "10.0.0.2")
         orphan(engine, mid)
         sim.run(until=10.0)

@@ -10,6 +10,7 @@ clients (the P parallelogram in the figure).
 
 import pytest
 
+from repro.dcc import monitor as monitor_module
 from repro.dcc.monitor import MonitorConfig
 from repro.dcc.shim import DccConfig, DccShim
 from repro.server.forwarder import Forwarder, ForwarderConfig
@@ -19,6 +20,13 @@ from repro.workloads.patterns import NxdomainPattern
 from tests.conftest import RESOLVER_ADDR, build_topology
 
 FWD_ADDR = "10.0.2.1"
+
+
+@pytest.fixture(autouse=True)
+def no_amplification_alarms(monkeypatch):
+    """The suspect's NX flood never amplifies; with the amplification
+    alarm off, an impossible NX ratio silences a monitor entirely."""
+    monkeypatch.setattr(monitor_module, "AMPLIFICATION_REQUEST_THRESHOLD", 1e9)
 
 
 def build_chain(countdown_decrement, countdown_threshold, alarm_threshold=12):
@@ -37,8 +45,7 @@ def build_chain(countdown_decrement, countdown_threshold, alarm_threshold=12):
     forwarder_shim = DccShim(forwarder, DccConfig(
         monitor=MonitorConfig(window=0.5, alarm_threshold=alarm_threshold,
                               suspicion_period=60.0,
-                              nxdomain_ratio_threshold=2.0,
-                              amplification_request_threshold=1e9),
+                              nxdomain_ratio_threshold=2.0),
         countdown_decrement=countdown_decrement,
         countdown_threshold=countdown_threshold,
     ))

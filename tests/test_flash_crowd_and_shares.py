@@ -71,10 +71,10 @@ class TestWeightedSharesEndToEnd:
             duration=duration,
             channel_capacity=200.0,
             use_dcc=True,
-            share_of=share_of,
             monitor=paper_monitor_config(time_scale=duration / 60.0),
         )
         scenario = AttackScenario(config)
+        scenario.shims[0].scheduler.share_of = share_of  # MOPI-FQ shares map addresses
         scenario.add_clients([
             ClientSpec("isp", 0.0, duration, 400.0, "WC"),
             ClientSpec("home1", 0.0, duration, 400.0, "WC"),

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dnscore.rdata import RCode, RRType
+from repro.server import forwarder as forwarder_module
 from repro.server.forwarder import Forwarder, ForwarderConfig
 from repro.server.ratelimit import RateLimitAction, RateLimitConfig
 
@@ -49,11 +50,14 @@ class TestForwarding:
 
 
 class TestFailover:
+    @pytest.fixture(autouse=True)
+    def two_attempts(self, monkeypatch):
+        monkeypatch.setattr(forwarder_module, "MAX_ATTEMPTS", 2)
+
     def test_timeout_fails_over_to_next_upstream(self):
         config = ForwarderConfig(
             upstreams=["10.9.9.9", RESOLVER_ADDR],  # first is dead
             query_timeout=0.5,
-            max_attempts=2,
         )
         topo, forwarder = build_forwarded(config)
         response = ask(topo, "y.wc.target-domain.")
@@ -63,7 +67,7 @@ class TestFailover:
 
     def test_all_upstreams_dead_servfails(self):
         config = ForwarderConfig(
-            upstreams=["10.9.9.8", "10.9.9.9"], query_timeout=0.3, max_attempts=2
+            upstreams=["10.9.9.8", "10.9.9.9"], query_timeout=0.3
         )
         topo, forwarder = build_forwarded(config)
         response = ask(topo, "z.wc.target-domain.")
@@ -76,7 +80,7 @@ class TestFailover:
         topo = build_topology()
         topo.net.detach("10.0.0.2")  # resolver will SERVFAIL eventually
         forwarder = Forwarder(FWD_ADDR, ForwarderConfig(
-            upstreams=[RESOLVER_ADDR, RESOLVER_ADDR], query_timeout=8.0, max_attempts=2
+            upstreams=[RESOLVER_ADDR, RESOLVER_ADDR], query_timeout=8.0
         ))
         topo.net.attach(forwarder)
         query = topo.client.query(FWD_ADDR, "f.wc.target-domain.")

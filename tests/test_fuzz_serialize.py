@@ -5,14 +5,12 @@ import random
 
 import pytest
 
-from repro.experiments.common import ScenarioConfig
 from repro.fuzz.generate import generate_scenario, scenario_for
 from repro.fuzz.scenario import AdversarySpec, FuzzScenario
 from repro.fuzz.serialize import (
     SerializationError,
     decode_dataclass,
     encode,
-    encode_dataclass,
 )
 from repro.netsim.faults import LinkDegradation, NodeOutage, Partition
 from repro.server.ratelimit import RateLimitAction
@@ -71,14 +69,3 @@ class TestFuzzScenarioRoundTrip:
         b.duration += 1
         assert a.scenario_id != b.scenario_id
 
-
-class TestScenarioConfigRoundTrip:
-    def test_round_trip(self):
-        config = ScenarioConfig(duration=12.0, channel_capacity=150.0, use_dcc=True)
-        restored = ScenarioConfig.from_dict(json.loads(json.dumps(config.to_dict())))
-        assert encode_dataclass(restored) == encode_dataclass(config)
-
-    def test_callable_fields_refuse_to_serialize(self):
-        config = ScenarioConfig(scheduler_factory=lambda: None)
-        with pytest.raises(SerializationError, match="scheduler_factory"):
-            config.to_dict()

@@ -57,7 +57,7 @@ class TestLegacyParity:
         assert h.stats.karn_rejections == 0
 
     def test_hold_down_expiry_reenters_closed_without_probe(self):
-        h = make(mode="legacy", failure_threshold=2, hold_down=2.0)
+        h = make(mode="legacy", failure_threshold=2)  # HOLD_DOWN = 2.0
         assert h.on_failure(0.0, rng()) is False
         assert h.on_failure(0.1, rng()) is True
         assert h.state is BreakerState.OPEN
@@ -71,7 +71,7 @@ class TestLegacyParity:
     def test_streak_keeps_counting_through_hold_down(self):
         """Seed semantics: stragglers timing out during a hold-down keep
         feeding the streak, and re-crossing the threshold *extends* it."""
-        h = make(mode="legacy", failure_threshold=2, hold_down=2.0)
+        h = make(mode="legacy", failure_threshold=2)  # HOLD_DOWN = 2.0
         h.on_failure(0.0, rng())
         assert h.on_failure(0.1, rng()) is True  # open until 2.1
         h.on_failure(0.5, rng())

@@ -8,7 +8,7 @@ from repro.measure.population import (
     bucket_of,
     build_population,
 )
-from repro.measure.prober import ProbeConfig, RateLimitProber
+from repro.measure.prober import RateLimitProber
 
 
 class TestPopulation:
@@ -83,7 +83,7 @@ class TestProber:
         return ResolverProfile(**defaults)
 
     def test_ingress_estimate_close_to_truth(self):
-        prober = RateLimitProber(self._profile(), ProbeConfig(scale=0.1))
+        prober = RateLimitProber(self._profile(), scale=0.1)
         result = prober.probe_ingress("WC")
         assert not result.uncertain and result.probe_steps >= 1
         assert result.limit == pytest.approx(300.0, rel=0.4)
@@ -91,21 +91,21 @@ class TestProber:
 
     def test_unlimited_resolver_reported_uncertain(self):
         prober = RateLimitProber(
-            self._profile(ingress_limit=None), ProbeConfig(scale=0.1)
+            self._profile(ingress_limit=None), scale=0.1
         )
         result = prober.probe_ingress("WC")
         assert result.uncertain
 
     def test_nx_specific_limit_detected_lower(self):
         profile = self._profile(ingress_limit=800.0, ingress_limit_nx=100.0)
-        prober = RateLimitProber(profile, ProbeConfig(scale=0.1))
+        prober = RateLimitProber(profile, scale=0.1)
         wc = prober.probe_ingress("WC")
         nx = prober.probe_ingress("NX")
         assert nx.limit < wc.limit
 
     def test_servfail_action_still_measurable(self):
         prober = RateLimitProber(
-            self._profile(action="servfail"), ProbeConfig(scale=0.1)
+            self._profile(action="servfail"), scale=0.1
         )
         result = prober.probe_ingress("WC")
         assert not result.uncertain
@@ -113,14 +113,14 @@ class TestProber:
 
     def test_egress_limit_detected_via_amplification(self):
         profile = self._profile(ingress_limit=2000.0, egress_limit=500.0)
-        prober = RateLimitProber(profile, ProbeConfig(scale=0.1))
+        prober = RateLimitProber(profile, scale=0.1)
         result = prober.probe_egress("FF", ingress_limit=2000.0)
         assert not result.uncertain
         # Best-effort estimate (the paper flags the same caveat).
         assert result.limit == pytest.approx(500.0, rel=0.7)
 
     def test_invalid_pattern_tags(self):
-        prober = RateLimitProber(self._profile(), ProbeConfig(scale=0.1))
+        prober = RateLimitProber(self._profile(), scale=0.1)
         with pytest.raises(ValueError):
             prober.probe_ingress("FF")
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dcc import monitor as monitor_module
 from repro.dcc.monitor import (
     AnomalyKind,
     AnomalyMonitor,
@@ -51,10 +52,9 @@ class TestDetection:
         events = monitor.evaluate(1.0)
         assert events and events[0].kind == AnomalyKind.AMPLIFICATION
 
-    def test_rate_alarm_optional(self):
-        cfg = config()
-        cfg.request_rate_threshold = 10.0
-        monitor = AnomalyMonitor(cfg)
+    def test_rate_alarm_optional(self, monkeypatch):
+        monkeypatch.setattr(monitor_module, "REQUEST_RATE_THRESHOLD", 10.0)
+        monitor = AnomalyMonitor(config())
         for i in range(50):
             monitor.record_request("fast", i * 0.01)
         events = monitor.evaluate(1.0)

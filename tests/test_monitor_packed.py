@@ -13,6 +13,7 @@ from typing import Dict, List, Optional
 
 import pytest
 
+from repro.dcc import monitor as monitor_module
 from repro.dcc.monitor import (
     AnomalyEvent,
     AnomalyKind,
@@ -56,7 +57,7 @@ class _ReferenceMonitor:
         self.stats = MonitorStats()
         self._sensitivity_until = 0.0
         self._nx_threshold = config.nxdomain_ratio_threshold
-        self._amp_threshold = config.amplification_request_threshold
+        self._amp_threshold = monitor_module.AMPLIFICATION_REQUEST_THRESHOLD
 
     def _state(self, client: str, now: float) -> _ClientState:
         state = self._clients.get(client)
@@ -80,7 +81,7 @@ class _ReferenceMonitor:
     def raise_sensitivity(self, now: float, factor: float = 0.5, duration: float = 30.0) -> None:
         if self._sensitivity_until <= now:
             self._nx_threshold = self.config.nxdomain_ratio_threshold * factor
-            self._amp_threshold = max(1.0, self.config.amplification_request_threshold * factor)
+            self._amp_threshold = max(1.0, monitor_module.AMPLIFICATION_REQUEST_THRESHOLD * factor)
         self._sensitivity_until = now + duration
 
     def external_alarm(self, client, kind, now, weight=1) -> Optional[AnomalyEvent]:
@@ -91,7 +92,7 @@ class _ReferenceMonitor:
     def evaluate(self, now: float) -> List[AnomalyEvent]:
         if self._sensitivity_until and now > self._sensitivity_until:
             self._nx_threshold = self.config.nxdomain_ratio_threshold
-            self._amp_threshold = self.config.amplification_request_threshold
+            self._amp_threshold = monitor_module.AMPLIFICATION_REQUEST_THRESHOLD
             self._sensitivity_until = 0.0
         events = []
         for client, state in list(self._clients.items()):
@@ -122,10 +123,8 @@ class _ReferenceMonitor:
             and state.nx_ratio.ratio(now) > self._nx_threshold
         ):
             return AnomalyKind.NXDOMAIN
-        if (
-            config.request_rate_threshold is not None
-            and state.requests.rate(now) > config.request_rate_threshold
-        ):
+        rate_threshold = monitor_module.REQUEST_RATE_THRESHOLD
+        if rate_threshold is not None and state.requests.rate(now) > rate_threshold:
             return AnomalyKind.RATE
         return None
 
@@ -199,10 +198,11 @@ CLIENTS = [f"10.0.{i >> 8}.{i & 255}" for i in range(200)]
 KINDS = list(AnomalyKind)
 STREAM_CONFIGS = {
     # suspicion shorter than the run (releases), purge horizon shorter
-    # still (slots recycle), low bar (convictions)
-    "nx+amp": MonitorConfig(window=2.0, alarm_threshold=4, suspicion_period=20.0),
-    "rate": MonitorConfig(window=1.0, alarm_threshold=3, suspicion_period=12.0,
-                          request_rate_threshold=6.0, min_observations=2),
+    # still (slots recycle), low bar (convictions); then the request-
+    # rate threshold (None: the rate alarm is off)
+    "nx+amp": (MonitorConfig(window=2.0, alarm_threshold=4, suspicion_period=20.0), None),
+    "rate": (MonitorConfig(window=1.0, alarm_threshold=3, suspicion_period=12.0,
+                           min_observations=2), 6.0),
 }
 
 
@@ -270,8 +270,10 @@ def _run_stream(seed: int, config: MonitorConfig, ops: int) -> MonitorStats:
 
 
 @pytest.mark.parametrize("seed, name", [(1, "nx+amp"), (2, "rate")])
-def test_packed_monitor_matches_reference_on_seeded_streams(seed, name):
-    stats = _run_stream(seed, STREAM_CONFIGS[name], ops=50_000)
+def test_packed_monitor_matches_reference_on_seeded_streams(seed, name, monkeypatch):
+    config, rate_threshold = STREAM_CONFIGS[name]
+    monkeypatch.setattr(monitor_module, "REQUEST_RATE_THRESHOLD", rate_threshold)
+    stats = _run_stream(seed, config, ops=50_000)
     # the stream went through the whole state machine, not just NORMAL
     assert stats.alarms_raised > 100
     assert stats.convictions > 5

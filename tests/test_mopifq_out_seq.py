@@ -180,11 +180,14 @@ def test_public_operations_keep_exactly_one_tuple_per_active_output():
             max_round=grid.choice((1, 2, 3, 8, 30, 75)),
             pool_capacity=grid.choice((0, 1, 4, 30, 1000)),
             default_channel_rate=grid.choice((1.0, 50.0, 1e6)),
-            default_channel_burst=grid.choice((None, 1.0)),
         )
+        burst = grid.choice((None, 1.0))
         shares = grid.choice((None, lambda source: 1 + int(source[1:]) % 4))
         fq = MopiFq(config, share_of=shares)  # sanitize=None: under REPRO_SIMSAN=1 SimSan checks every op too
         destinations = [f"d{i}" for i in range(grid.choice((1, 3, 12, 150)))]
+        if burst is not None:
+            for destination in destinations:
+                fq.set_channel_capacity(destination, config.default_channel_rate, burst)
         sources = [f"s{i}" for i in range(grid.choice((1, 2, 9)))]
         rng = random.Random(case)
         now = 0.0

@@ -15,6 +15,7 @@ import pytest
 
 from repro.experiments import obs_demo, selfcheck
 from repro.netsim.trace import MessageTrace
+import repro.obs as obs_module
 from repro.obs import ObsConfig
 from repro.obs.export import chrome_trace, find_full_query_root, validate_chrome_trace
 from repro.obs.spans import validate_span_tree
@@ -34,11 +35,11 @@ def test_obs_does_not_perturb_event_trace_digest():
     assert observed == baseline
 
 
-def test_obs_digest_stable_across_obs_configs():
+def test_obs_digest_stable_across_obs_configs(monkeypatch):
     a = selfcheck.trace_digest(seed=5, scale=0.02, obs=ObsConfig(sample_interval=0.1))
-    b = selfcheck.trace_digest(
-        seed=5, scale=0.02, obs=ObsConfig(trace_spans=False, heavy_hitter_k=4)
-    )
+    monkeypatch.setattr(obs_module, "TRACE_SPANS", False)
+    monkeypatch.setattr(obs_module, "HEAVY_HITTER_K", 4)
+    b = selfcheck.trace_digest(seed=5, scale=0.02, obs=ObsConfig())
     assert a == b
 
 

@@ -1,5 +1,6 @@
 """Tracer span trees: well-formedness, handles, overflow behaviour."""
 
+import repro.obs as obs_module
 from repro.obs import NULL_OBS, Observability, ObsConfig
 from repro.obs.spans import NO_PARENT, OPEN, Tracer, validate_span_tree
 
@@ -148,8 +149,9 @@ def test_facade_span_linkage_lifecycle():
     assert obs.query_span(42) == NO_PARENT
 
 
-def test_facade_trace_spans_off_disables_tracer_only():
-    obs = Observability(ObsConfig(trace_spans=False))
+def test_facade_trace_spans_off_disables_tracer_only(monkeypatch):
+    monkeypatch.setattr(obs_module, "TRACE_SPANS", False)
+    obs = Observability(ObsConfig())
     assert obs.begin("x", "t:1", 0.0) == NO_PARENT
     obs.instant("i", "t:1", 0.0)
     assert obs.tracer.spans == []

@@ -32,7 +32,6 @@ BACKOFF_CAP = 0.8
 
 def hardened_config():
     return ResolverConfig(
-        query_timeout=0.3,
         max_retries=1,
         serve_stale_window=60.0,
         health=HealthConfig(

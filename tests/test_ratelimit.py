@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import sanitize
+from repro.server import ratelimit
 from repro.server.ratelimit import RateLimitConfig, RateLimiter
 from repro.util.tokenbucket import _EPSILON, TokenBucket, WindowedCounter
 
@@ -242,8 +243,9 @@ class TestRateLimiter:
         assert rl.stats_for("a") == {"allowed": 1, "limited": 1}
         assert rl.stats_for("zzz") is None
 
-    def test_purge_idle_entries(self):
-        rl = RateLimiter(RateLimitConfig(rate=1, idle_timeout=10.0))
+    def test_purge_idle_entries(self, monkeypatch):
+        monkeypatch.setattr(ratelimit, "IDLE_TIMEOUT", 10.0)
+        rl = RateLimiter(RateLimitConfig(rate=1))
         rl.allow("a", 0.0)
         rl.allow("b", 8.0)
         assert rl.purge(15.0) == 1  # "a" idle > 10s

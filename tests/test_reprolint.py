@@ -1,6 +1,6 @@
 """Unit tests for the reprolint per-file rules (R1-R5) and the CLI.
 
-The whole-program rules (R6-R10) and the ratchet each have their own
+The whole-program rules (R6-R11) and the ratchet each have their own
 test module (``test_reprolint_*.py``).
 """
 
@@ -274,7 +274,7 @@ def test_fingerprint_is_line_number_independent():
 
 def test_every_rule_has_id_and_description():
     assert set(rules.RULES) == {
-        "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10",
+        "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "R11",
     }
     for rule_id, description in rules.RULES.items():
         assert description, rule_id

@@ -1,4 +1,4 @@
-"""Whole-program reprolint rules (R6-R10) over synthetic package trees.
+"""Whole-program reprolint rules (R6-R11) over synthetic package trees.
 
 Each test materialises a small ``src/repro/...`` tree under a tmp dir
 and runs the full engine on it; ``module_name_for_path`` roots module
@@ -172,6 +172,53 @@ def test_r10_without_the_perf_root_flags_ordmap():
     assert layering.check_unreached(index, sources) == []
     without_perf = layering.check_unreached(index, sources, layering.entry_roots(index, sources, perf=False))
     assert [f.message.rpartition(" ")[2] for f in without_perf] == ["repro.util.ordmap"]
+
+
+# ----------------------------------------------------------------------
+# R11: every *Config field is set by a driver
+# ----------------------------------------------------------------------
+
+_KNOBS = """\
+    from dataclasses import dataclass
+
+    @dataclass
+    class KnobConfig:
+        rate: float = 1.0
+        burst: float = 2.0
+        idle: float = 3.0
+        planted: int = 4  # SUPPRESS
+    """
+
+
+def r11_unset(tmp_path, driver, suppress="", **extra):
+    """Names R11 flags when ``driver`` is the figure ``cli.COMMANDS`` runs."""
+    result = lint_tree(tmp_path, {
+        **_ENTRY_POINTS, **extra,
+        "src/repro/util/knobs.py": _KNOBS.replace("# SUPPRESS", suppress),
+        "src/repro/experiments/fig.py": "from repro.util.knobs import KnobConfig\n" + textwrap.dedent(driver),
+    })
+    return [f.message.split(": ")[1].split(" ")[0] for f in findings_for(result, "R11")]
+
+
+def test_r11_flags_planted_and_test_only_fields(tmp_path):
+    assert r11_unset(tmp_path, "X = KnobConfig(5.0, burst=6.0)\n", **{
+        "tests/test_knobs.py": "from repro.util.knobs import KnobConfig\nY = KnobConfig(idle=9.0)\n",
+    }) == ["KnobConfig.idle", "KnobConfig.planted"]
+
+
+def test_r11_replace_and_config_attribute_writes_count_as_set(tmp_path):
+    assert r11_unset(tmp_path, """\
+        from dataclasses import replace
+
+        def main(node):
+            node.config.idle = 1.0
+            return replace(KnobConfig(), rate=2.0, burst=3.0)
+        """) == ["KnobConfig.planted"]
+
+
+def test_r11_suppressed_line_is_not_flagged(tmp_path):
+    driver = "X = KnobConfig(rate=1.0, burst=2.0, idle=3.0)\n"
+    assert r11_unset(tmp_path, driver, suppress="# reprolint: disable=R11 -- paper mechanism") == []
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Integration tests: the resilience layer wired through the resolver
-and forwarder (adaptive RTO, breakers, shedding, serve-stale,
-deadlines)."""
+(adaptive RTO, breakers, shedding, serve-stale, deadlines) and the
+forwarder's blind failover."""
 
 from repro.dnscore.rdata import RCode
+from repro.server import forwarder as forwarder_module
+from repro.server import health as health_module
+from repro.server import resolver as resolver_module
 from repro.server.forwarder import Forwarder, ForwarderConfig
-from repro.server.health import BreakerState, HealthConfig
+from repro.server.health import HealthConfig
 from repro.server.overload import OverloadConfig, ShedPolicy
 from repro.server.resolver import ResolverConfig
 
@@ -25,7 +28,7 @@ class TestPickServer:
     def test_excludes_held_down_servers(self):
         topo = build_topology()
         resolver = topo.resolver
-        for _ in range(resolver.config.server_backoff_threshold):
+        for _ in range(resolver.config.health.failure_threshold):
             resolver.note_server_timeout(TARGET_ANS_ADDR)
         assert not resolver.server_available(TARGET_ANS_ADDR)
         assert resolver.pick_server([TARGET_ANS_ADDR]) is None
@@ -34,9 +37,9 @@ class TestPickServer:
     def test_held_down_server_readmitted_after_expiry(self):
         topo = build_topology()
         resolver = topo.resolver
-        for _ in range(resolver.config.server_backoff_threshold):
+        for _ in range(resolver.config.health.failure_threshold):
             resolver.note_server_timeout(TARGET_ANS_ADDR)
-        topo.sim.run(until=resolver.config.server_backoff_duration + 0.1)
+        topo.sim.run(until=health_module.HOLD_DOWN + 0.1)
         assert resolver.pick_server([TARGET_ANS_ADDR]) == TARGET_ANS_ADDR
 
     def test_excludes_open_breaker_and_claimed_probe(self):
@@ -72,7 +75,7 @@ class TestAdaptiveTimeouts:
 class TestDeadlineBudget:
     def test_deadline_cuts_retries_short(self):
         topo = build_topology(ResolverConfig(
-            query_timeout=0.4,
+            health=HealthConfig(base_timeout=0.4),
             max_retries=3,
             overload=OverloadConfig(
                 high_watermark=100, low_watermark=50, request_deadline=0.5
@@ -86,17 +89,16 @@ class TestDeadlineBudget:
         # most -- nowhere near the 4 transmissions the retry budget allows.
         assert topo.resolver.stats.query_timeouts <= 2
 
-    def test_max_resolution_time_bounds_requests_without_overload(self):
+    def test_max_resolution_time_bounds_requests_without_overload(self, monkeypatch):
         # Regression (ce-a463651009f01cfb): with no overload controller,
         # requests used to carry no deadline at all, so RTO backoff
         # against dead servers could keep one task tree alive for tens
         # of seconds.  The config-level wall must arm the deadline even
         # in a vanilla (overload=None) resolver.
+        monkeypatch.setattr(resolver_module, "MAX_RESOLUTION_TIME", 1.0)
         topo = build_topology(ResolverConfig(
-            query_timeout=0.4,
+            health=HealthConfig(base_timeout=0.4, failure_threshold=0),
             max_retries=5,
-            max_resolution_time=1.0,
-            server_backoff_threshold=0,
         ))
         topo.net.detach(TARGET_ANS_ADDR)
         # bounded by deadline + one in-flight timer, not by the retry
@@ -106,11 +108,11 @@ class TestDeadlineBudget:
         assert response.rcode == RCode.SERVFAIL
         assert topo.resolver.stats.deadline_exhausted >= 1
 
-    def test_shorter_overload_deadline_still_wins(self):
+    def test_shorter_overload_deadline_still_wins(self, monkeypatch):
+        monkeypatch.setattr(resolver_module, "MAX_RESOLUTION_TIME", 30.0)
         topo = build_topology(ResolverConfig(
-            query_timeout=0.4,
+            health=HealthConfig(base_timeout=0.4),
             max_retries=3,
-            max_resolution_time=30.0,
             overload=OverloadConfig(
                 high_watermark=100, low_watermark=50, request_deadline=0.5
             ),
@@ -120,12 +122,11 @@ class TestDeadlineBudget:
         assert response.rcode == RCode.SERVFAIL
         assert topo.resolver.stats.query_timeouts <= 2
 
-    def test_zero_disables_the_wall(self):
+    def test_zero_disables_the_wall(self, monkeypatch):
+        monkeypatch.setattr(resolver_module, "MAX_RESOLUTION_TIME", 0.0)
         topo = build_topology(ResolverConfig(
-            query_timeout=0.4,
+            health=HealthConfig(base_timeout=0.4, failure_threshold=0),
             max_retries=2,
-            max_resolution_time=0.0,
-            server_backoff_threshold=0,
         ))
         topo.net.detach(TARGET_ANS_ADDR)
         response = topo.resolve("d.wc.target-domain.", wait=5.0)
@@ -228,32 +229,10 @@ class TestForwarderResilience:
         topo.sim.run(until=topo.sim.now + wait)
         return topo.client.response_to(query)
 
-    def test_serve_stale_after_all_attempts_exhausted(self):
+    def test_servfail_without_stale_window(self, monkeypatch):
+        monkeypatch.setattr(forwarder_module, "MAX_ATTEMPTS", 2)
         topo, forwarder = self.build_forwarded(
-            ForwarderConfig(
-                upstreams=[RESOLVER_ADDR],
-                query_timeout=0.3,
-                max_attempts=2,
-                stale_window=30.0,
-            ),
-            answer_ttl=1,
-        )
-        fresh = self.ask(topo, "f.wc.target-domain.")
-        assert fresh.rcode == RCode.NOERROR
-        # Kill the authoritative backend: the resolver can no longer
-        # answer, so every forwarder attempt times out.
-        topo.net.detach(TARGET_ANS_ADDR)
-        topo.sim.run(until=topo.sim.now + 1.5)  # let the entry expire
-        again = self.ask(topo, "f.wc.target-domain.")
-        assert again.rcode == RCode.NOERROR
-        assert forwarder.stats.stale_responses == 1
-        assert forwarder.stats.upstream_timeouts == 2
-
-    def test_servfail_without_stale_window(self):
-        topo, forwarder = self.build_forwarded(
-            ForwarderConfig(
-                upstreams=[RESOLVER_ADDR], query_timeout=0.3, max_attempts=2
-            ),
+            ForwarderConfig(upstreams=[RESOLVER_ADDR], query_timeout=0.3),
             answer_ttl=1,
         )
         self.ask(topo, "f.wc.target-domain.")
@@ -261,39 +240,5 @@ class TestForwarderResilience:
         topo.sim.run(until=topo.sim.now + 1.5)
         again = self.ask(topo, "f.wc.target-domain.")
         assert again.rcode == RCode.SERVFAIL
-        assert forwarder.stats.stale_responses == 0
-
-    def test_breaker_steers_attempts_away_from_dead_upstream(self):
-        topo, forwarder = self.build_forwarded(
-            ForwarderConfig(
-                upstreams=["10.9.9.9", RESOLVER_ADDR],
-                query_timeout=0.5,
-                max_attempts=2,
-                # Long breaker interval so the dead upstream is still
-                # OPEN (not yet half-open-probing) at the second request.
-                health=adaptive(base_timeout=0.5, backoff_base=5.0, backoff_cap=15.0),
-            ),
-        )
-        first = self.ask(topo, "g0.wc.target-domain.")
-        assert first.rcode == RCode.NOERROR  # failed over after one timeout
-        assert forwarder.stats.failovers == 1
-        # The dead upstream's breaker is now open: the next request goes
-        # straight to the live one.
-        second = self.ask(topo, "g1.wc.target-domain.", wait=0.4)
-        assert second is not None and second.rcode == RCode.NOERROR
-        assert forwarder.stats.breaker_avoidances >= 1
-        assert forwarder.stats.upstream_timeouts == 1
-
-    def test_forwarder_crash_resets_health(self):
-        topo, forwarder = self.build_forwarded(
-            ForwarderConfig(
-                upstreams=["10.9.9.9", RESOLVER_ADDR],
-                query_timeout=0.5,
-                max_attempts=2,
-                health=adaptive(base_timeout=0.5),
-            ),
-        )
-        self.ask(topo, "h.wc.target-domain.")
-        assert forwarder.health.peek("10.9.9.9").state is BreakerState.OPEN
-        forwarder.on_crash()
-        assert forwarder.health.peek("10.9.9.9") is None
+        assert forwarder.stats.servfail_responses == 1
+        assert forwarder.stats.upstream_timeouts == 2

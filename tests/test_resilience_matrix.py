@@ -76,14 +76,18 @@ class TestReportHelpers:
     def test_table_unions_mixed_stats_blocks(self):
         resolver, forwarder = ResolverStats(), ForwarderStats()
         resolver.shed_requests = 5
-        forwarder.stale_responses = 1
+        forwarder.servfail_responses = 1  # not a resilience counter
         table = render_resilience_table(
             {"resolver": resolver, "forwarder": forwarder}
         )
         assert "shed_requests" in table
-        assert "stale_responses" in table
-        # ForwarderStats has no shedding counter: rendered as a dash.
-        assert "-" in table.splitlines()[-1]
+        assert "servfail_responses" not in table
+        # ForwarderStats carries no resilience counter: a row of dashes.
+        assert set(table.splitlines()[-1].split()[1:]) == {"-"}
+
+    def test_recovery_time_without_a_baseline_is_never(self):
+        # nothing to regain: "never", not an instant recovery
+        assert rm.recovery_time([0.0, 0.0, 0.0], bucket=1.0, fault_end=1.0, baseline=0.0) is None
 
 
 class TestPlumbing:
@@ -108,6 +112,7 @@ class TestPlumbing:
         assert (outage.at, outage.duration) == (12.5, 7.5)
         assert (ramp.start, ramp.end, ramp.ramp) == (12.5, 22.5, 2.5)
         assert ramp.loss == 0.35  # a probability, not a time
+        assert ramp.latency == 0.020  # RTT-tied, stays at the paper value
 
     def test_report_renders(self):
         plan = rm.TOTAL_OUTAGE

@@ -6,7 +6,9 @@ from repro.dnscore.name import Name
 from repro.dnscore.rdata import RCode, RRType
 from repro.netsim.link import LinkSpec, Network
 from repro.netsim.sim import Simulator
+from repro.server import resolution
 from repro.server.authoritative import AuthoritativeServer
+from repro.server.health import HealthConfig
 from repro.server.resolver import RecursiveResolver, ResolverConfig
 from repro.workloads.zonegen import build_target_zone, build_tld_hierarchy
 
@@ -71,7 +73,7 @@ class TestCrossZoneCname:
 class TestLossResilience:
     def test_retries_recover_from_moderate_loss(self):
         sim, net, servers, resolver, client = hierarchy_world(
-            ResolverConfig(max_retries=3, query_timeout=0.3), loss=0.2
+            ResolverConfig(max_retries=3, health=HealthConfig(base_timeout=0.3)), loss=0.2
         )
         answered = 0
         for i in range(20):
@@ -109,10 +111,9 @@ class TestMiscBehaviours:
         topology.resolver.receive(bogus, "10.0.0.2")
         assert topology.resolver.stats.mismatched_responses == 1
 
-    def test_query_budget_bounds_work(self):
-        from repro.server.resolver import ResolverConfig
-
-        topo = build_topology(ResolverConfig(max_queries_per_request=3), ff_fanout=3)
+    def test_query_budget_bounds_work(self, monkeypatch):
+        monkeypatch.setattr(resolution, "MAX_QUERIES_PER_REQUEST", 3)
+        topo = build_topology(ff_fanout=3)
         response = topo.resolve("q-0.attacker-com.", wait=20.0)
         assert response.rcode == RCode.SERVFAIL
         # Budget capped the amplification: far fewer than fanout^2.

@@ -4,6 +4,9 @@ import pytest
 
 from repro.dnscore.name import ROOT, Name
 from repro.dnscore.rdata import RCode, RRType
+from repro.server import health as health_module
+from repro.server import resolver as resolver_module
+from repro.server.health import HealthConfig
 from repro.server.ratelimit import RateLimitAction, RateLimitConfig
 from repro.server.resolver import ResolverConfig
 
@@ -154,8 +157,9 @@ class TestFailureHandling:
         topo.sim.run(until=1.0)
         assert topo.resolver.stats.egress_limited > 0
 
-    def test_fetch_quota_rejects_excess_outstanding(self):
-        topo = build_topology(ResolverConfig(max_outstanding_per_server=2))
+    def test_fetch_quota_rejects_excess_outstanding(self, monkeypatch):
+        monkeypatch.setattr(resolver_module, "MAX_OUTSTANDING_PER_SERVER", 2)
+        topo = build_topology()
         topo.net.detach("10.0.0.2")  # queries will hang until timeout
         for i in range(6):
             topo.client.query("10.0.1.1", f"h{i}.wc.target-domain.")
@@ -163,10 +167,10 @@ class TestFailureHandling:
         assert topo.resolver.stats.quota_rejections > 0
         assert topo.resolver.outstanding_to("10.0.0.2") <= 2
 
-    def test_server_backoff_after_timeout_streak(self):
+    def test_server_backoff_after_timeout_streak(self, monkeypatch):
+        monkeypatch.setattr(health_module, "HOLD_DOWN", 5.0)
         topo = build_topology(ResolverConfig(
-            server_backoff_threshold=2, server_backoff_duration=5.0,
-            query_timeout=0.3, max_retries=0,
+            health=HealthConfig(base_timeout=0.3, failure_threshold=2), max_retries=0,
         ))
         topo.net.detach("10.0.0.2")
         for i in range(4):
@@ -212,7 +216,7 @@ class TestCacheUpkeep:
         """Unique 1 s-TTL names asked across three purge ticks: what is
         left is younger than the last tick, not the whole run."""
         topo = build_topology(answer_ttl=1)
-        assert topo.resolver.config.purge_interval == 10.0
+        assert resolver_module.PURGE_INTERVAL == 10.0
         for i in range(340):  # ticks at 10, 20 and 30 s after the first request
             topo.sim.schedule_at(i * 0.1, topo.client.query, "10.0.1.1", f"u{i}.wc.target-domain.")
         topo.sim.run(until=35.0)
@@ -221,11 +225,12 @@ class TestCacheUpkeep:
         assert all(entry.expires > 30.0 for entry in cache._entries.values())
         assert len(cache) < 60 and cache.expirations > 280
 
-    def test_full_cache_that_evicted_the_root_hints_still_resolves(self):
+    def test_full_cache_that_evicted_the_root_hints_still_resolves(self, monkeypatch):
         """Dead entries fill a small cache before any purge tick; LRU takes
         the root NS first, then its glue, then the target's delegation --
         reads never refresh them."""
-        topo = build_topology(ResolverConfig(cache_size=50), negative_ttl=1)
+        monkeypatch.setattr(resolver_module, "CACHE_SIZE", 50)
+        topo = build_topology(negative_ttl=1)
         for i in range(60):
             topo.sim.schedule_at(i * 0.05, topo.client.query, "10.0.1.1", f"g{i}.nx.target-domain.")
         topo.sim.run(until=4.0)

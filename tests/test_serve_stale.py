@@ -1,6 +1,7 @@
 """RFC 8767 serve-stale resilience tests."""
 
 from repro.dnscore.rdata import RCode
+from repro.server import resolver as resolver_module
 from repro.server.resolver import ResolverConfig
 
 from tests.conftest import build_topology
@@ -60,14 +61,12 @@ class TestServeStale:
         assert topo.target_ans.stats.queries_received == before  # fresh hit
         assert topo.resolver.stats.stale_responses == 0
 
-    def test_stale_softens_adversarial_congestion_for_popular_names(self):
+    def test_stale_softens_adversarial_congestion_for_popular_names(self, monkeypatch):
         """The mitigation in action: during congestion, clients of
         *popular* (previously cached) names survive on stale data while
         cache-bypassing attack names still fail."""
-        topo = build_topology(
-            ResolverConfig(serve_stale_window=60.0, max_outstanding_per_server=10),
-            answer_ttl=2,
-        )
+        monkeypatch.setattr(resolver_module, "MAX_OUTSTANDING_PER_SERVER", 10)
+        topo = build_topology(ResolverConfig(serve_stale_window=60.0), answer_ttl=2)
         topo.resolve("www.target-domain.")
         # Congest: the ANS disappears (worst case channel collapse).
         topo.net.detach("10.0.0.2")

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.dcc import monitor as monitor_module
+from repro.dcc import shim as shim_module
 from repro.dcc.monitor import AnomalyKind, ClientVerdict, MonitorConfig
 from repro.dcc.mopifq import MopiFqConfig
 from repro.dcc.policing import PolicyKind, PolicyTemplate
@@ -120,11 +122,12 @@ class TestAnomalyAndPolicing:
         assert shim.engine.is_policed(topo.client.address, topo.sim.now)
         assert shim.stats.queries_policed > 0
 
-    def test_amplification_attacker_blocked(self):
+    def test_amplification_attacker_blocked(self, monkeypatch):
+        monkeypatch.setattr(monitor_module, "AMPLIFICATION_REQUEST_THRESHOLD", 2.0)
         config = DccConfig(
             monitor=MonitorConfig(
                 window=0.5, alarm_threshold=2, suspicion_period=30.0,
-                amplification_threshold=4.0, amplification_request_threshold=2.0,
+                amplification_threshold=4.0,
             ),
         )
         topo, shim = shimmed(config)
@@ -215,8 +218,9 @@ class TestAccounting:
         assert shim.approx_state_bytes() > 0
         assert shim.tracked_clients() == 1
 
-    def test_purge_tick_cleans_idle_state(self):
-        topo, shim = shimmed(DccConfig(state_idle_timeout=1.0))
+    def test_purge_tick_cleans_idle_state(self, monkeypatch):
+        monkeypatch.setattr(shim_module, "STATE_IDLE_TIMEOUT", 1.0)
+        topo, shim = shimmed(DccConfig())
         topo.client.query(RESOLVER_ADDR, "idle.wc.target-domain.")
         topo.sim.run(until=topo.sim.now + 0.2)
         assert shim.tracked_clients() == 1

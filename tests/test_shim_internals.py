@@ -193,8 +193,8 @@ class TestAnswerPath:
 
     def test_unanswered_queries_leave_inflight_on_the_purge_tick(self):
         """An upstream that answers nothing (lost, RRL-dropped, partitioned)
-        leaves no entry older than ``state_idle_timeout`` after a purge tick."""
-        sim, resolver, shim = make_shim(state_idle_timeout=10.0)
+        leaves no entry older than ``STATE_IDLE_TIMEOUT`` after a purge tick."""
+        sim, resolver, shim = make_shim()
         shim.set_channel_capacity("srv", 100.0)
         for i in range(60):
             sim.schedule_at(i + 0.5, resolver.egress_query_hook, attributed_query(request_id=i), "srv")

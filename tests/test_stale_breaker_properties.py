@@ -15,10 +15,13 @@ holding them at the unit level localises a future violation.
 
 import random
 
+import pytest
+
 from repro.dnscore.name import Name
 from repro.dnscore.rdata import AData, RRType
 from repro.dnscore.rrset import ResourceRecord, RRSet
 from repro.fuzz.oracles import LEGAL_TRANSITIONS
+from repro.server import health as health_module
 from repro.server.cache import ResolverCache
 from repro.server.health import HealthConfig, HealthRegistry
 
@@ -66,6 +69,10 @@ class TestServeStaleBound:
 
 
 class TestBreakerTransitionLegality:
+    @pytest.fixture(autouse=True)
+    def short_hold_down(self, monkeypatch):
+        monkeypatch.setattr(health_module, "HOLD_DOWN", 1.0)
+
     def random_walk(self, mode, seed, steps=400):
         """Random success/failure/availability-check walks; returns the
         transitions the probe recorded."""
@@ -75,7 +82,6 @@ class TestBreakerTransitionLegality:
                 mode=mode,
                 base_timeout=0.5,
                 failure_threshold=rng.choice((1, 2, 3)),
-                hold_down=1.0,
                 backoff_base=0.2,
                 backoff_cap=2.0,
             ),

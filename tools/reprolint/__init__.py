@@ -9,9 +9,9 @@ Two kinds of passes:
 
 - **per-file rules R1-R5** (:mod:`tools.reprolint.rules`) -- AST checks
   that need only one file;
-- **whole-program rules R6-R10** -- a project pass builds a symbol table
+- **whole-program rules R6-R11** -- a project pass builds a symbol table
   and import graph (:mod:`tools.reprolint.project`) and runs the
-  layering contract and entry-point reachability
+  layering contract, entry-point reachability of modules and options
   (:mod:`~tools.reprolint.layering`), RNG-taint dataflow
   (:mod:`~tools.reprolint.rngflow`), and callback-escape /
   exception-swallowing checks (:mod:`~tools.reprolint.callbacks`).

@@ -21,7 +21,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reprolint",
         description="Simulation-purity static analysis for the repro codebase "
-                    "(per-file rules R1-R5, whole-program rules R6-R10).",
+                    "(per-file rules R1-R5, whole-program rules R6-R11).",
     )
     parser.add_argument(
         "paths", nargs="*",
@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--no-project", action="store_true",
-        help="per-file rules only (skip the R6-R10 whole-program passes)",
+        help="per-file rules only (skip the R6-R11 whole-program passes)",
     )
     parser.add_argument(
         "--stats", action="store_true",

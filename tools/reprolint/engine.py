@@ -1,11 +1,12 @@
 """The multi-pass lint engine: serial walk, per-file rules, and the
-whole-program R6-R10 passes.
+whole-program R6-R11 passes.
 
 Pipeline::
 
     collect files -> per-file analysis (parse once, run R1-R5 and fact
       extraction) -> ProjectIndex -> R6 layering, R7 RNG flow,
-      R8/R9 callbacks, R10 reachability -> per-line suppressions ->
+      R8/R9 callbacks, R10 reachability, R11 options -> per-line
+      suppressions ->
       sorted findings
 
 The project passes operate on the extracted facts, not on ASTs.  Files
@@ -145,6 +146,7 @@ def run(
         findings.extend(rngflow_pass.check_rng_flow(index, sources))
         findings.extend(callbacks_pass.check_callbacks(index, sources))
         findings.extend(layering_pass.check_unreached(index, sources))
+        findings.extend(layering_pass.check_unset_options(index, sources))
     t2 = time.perf_counter()
 
     suppressed = 0

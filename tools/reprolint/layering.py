@@ -1,4 +1,5 @@
-"""R6: the module layering contract; R10: every module is reached.
+"""R6: the module layering contract; R10: every module is reached;
+R11: every option is set.
 
 The reproduction's packages form an intended DAG (documented in
 ``docs/STATIC_ANALYSIS.md``); refactors like the hybrid fluid/packet
@@ -12,7 +13,14 @@ and flags:
 
 R10 walks the same edges from the entry points -- the modules
 named in ``cli.COMMANDS`` and every ``repro`` import of ``perf/*.py``
--- and flags each ``repro`` module the walk never reaches.
+-- and flags each ``repro`` module the walk never reaches.  R11 holds
+options to the same rule: a field of a ``repro`` class named
+``*Config`` counts as set where a reached module, or a ``perf/*.py``
+file, passes it as a keyword or positional argument to its class, as
+a keyword of ``replace(...)``, or assigns it through
+``<...>config.<field> = ...`` (the last two by field name alone).
+Tests and examples do not count: a field only they set is a
+configuration no figure, result or ledger row runs.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import glob
 import os
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from tools.reprolint.project import ProjectIndex
+from tools.reprolint.project import ProjectIndex, extract_facts
 from tools.reprolint.rules import Finding
 
 #: every layer name; TOP layers may import anything
@@ -236,6 +244,20 @@ def _import_targets(index: ProjectIndex, module: str, names: Sequence[str]) -> L
     return [_defining_module(index, module, name) for name in names]
 
 
+def perf_trees(index: ProjectIndex) -> List[ast.Module]:
+    """The parsed ``perf/*.py`` files beside the checkout's ``src/``
+    (none when the linted tree has no ``repro.cli``)."""
+    cli = index.modules.get("repro.cli")
+    if cli is None:
+        return []
+    checkout = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(cli.path))))
+    trees = []
+    for path in sorted(glob.glob(os.path.join(checkout, "perf", "*.py"))):
+        with open(path, "rb") as handle:
+            trees.append(ast.parse(handle.read().decode("utf-8")))
+    return trees
+
+
 def entry_roots(index: ProjectIndex, sources: Dict[str, List[str]], perf: bool = True) -> List[str]:
     """The modules the entry points load: ``repro.cli``, ``repro.__main__``,
     every module named in ``cli.COMMANDS`` (read from the AST, not
@@ -259,10 +281,7 @@ def entry_roots(index: ProjectIndex, sources: Dict[str, List[str]], perf: bool =
                 if isinstance(row, ast.Tuple) and row.elts and isinstance(row.elts[0], ast.Constant):
                     roots.add(str(row.elts[0].value).partition(":")[0])
     if perf:
-        checkout = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(cli.path))))
-        for path in sorted(glob.glob(os.path.join(checkout, "perf", "*.py"))):
-            with open(path, "rb") as handle:
-                perf_tree = ast.parse(handle.read().decode("utf-8"))
+        for perf_tree in perf_trees(index):
             for node in ast.walk(perf_tree):
                 if isinstance(node, ast.Import):
                     roots.update(a.name for a in node.names if a.name.startswith("repro"))
@@ -314,6 +333,42 @@ def check_unreached(
             _line_text(sources, facts.path, 1),
         ))
     return findings
+
+
+# ----------------------------------------------------------------------
+# R11: options no driver sets
+# ----------------------------------------------------------------------
+
+def check_unset_options(
+    index: ProjectIndex,
+    sources: Dict[str, List[str]],
+    roots: Optional[Sequence[str]] = None,
+) -> List[Finding]:
+    """All R11 findings, one per unset field at its declaration.
+    ``roots`` defaults to :func:`entry_roots`; silent when there are none."""
+    if roots is None:
+        roots = entry_roots(index, sources)
+    if not roots:
+        return []
+    declared = [(facts, cls, spec) for module, facts in sorted(index.modules.items())
+                if repro_layer(module) for cls, spec in sorted(facts.config_fields.items())]
+    fields = {cls: [name for name, _, _ in spec] for _, cls, spec in declared}
+    drivers = [index.modules[m] for m in sorted(reached_modules(index, roots))]
+    drivers += [extract_facts(tree, "perf/driver.py") for tree in perf_trees(index)]
+    written: Set[Tuple[str, str]] = set()
+    for facts in drivers:
+        for cls, positional, keywords in facts.config_calls:
+            names = fields.get(cls, [])
+            written.update((cls, name) for name in names[:positional] + [k for k in keywords if k in names])
+        written.update((cls, name) for cls, names in fields.items()
+                       for name in names if name in facts.option_writes)
+    return [
+        Finding(facts.path, line, col, "R11",
+                f"option no driver sets: {cls}.{name} (make it a module constant)",
+                _line_text(sources, facts.path, line))
+        for facts, cls, spec in declared for name, line, col in spec
+        if (cls, name) not in written
+    ]
 
 
 def render_contract(contract: Dict[str, FrozenSet[str]] = DEFAULT_CONTRACT) -> str:

@@ -1,5 +1,5 @@
 """Whole-program facts: module naming, per-file fact extraction, and the
-project index the R6-R10 passes run over.
+project index the R6-R11 passes run over.
 
 The per-file pass (:class:`extract_facts`) walks one AST and records
 *facts* -- imports (with ``TYPE_CHECKING`` provenance), function
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from tools.reprolint.rules import SCHEDULE_CALLBACK_ARG
 
@@ -154,6 +154,14 @@ class ModuleFacts:
     defs: List[str] = field(default_factory=list)
     #: class name -> method names
     classes: Dict[str, List[str]] = field(default_factory=dict)
+    #: ``*Config`` class name -> its annotated, non-``ClassVar`` fields:
+    #: (name, line, col)
+    config_fields: Dict[str, List[Tuple[str, int, int]]] = field(default_factory=dict)
+    #: calls to a ``*Config`` name: (callee, positional count, keywords)
+    config_calls: List[Tuple[str, int, Tuple[str, ...]]] = field(default_factory=list)
+    #: keywords of ``replace(...)`` calls and ``<...>config.<attr> = ...``
+    #: targets: option names written without naming their class
+    option_writes: Set[str] = field(default_factory=set)
 
 
 # ----------------------------------------------------------------------
@@ -233,6 +241,13 @@ class _FactVisitor(ast.NodeVisitor):
                 child.name for child in node.body
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             ]
+            if node.name.endswith("Config"):
+                self.facts.config_fields[node.name] = [
+                    (child.target.id, child.lineno, child.col_offset)
+                    for child in node.body
+                    if isinstance(child, ast.AnnAssign) and isinstance(child.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(child.annotation)
+                ]
         self._class_stack.append(node.name)
         self.generic_visit(node)
         self._class_stack.pop()
@@ -318,9 +333,20 @@ class _FactVisitor(ast.NodeVisitor):
             return f"call:{func.id}"
         return "opaque"
 
+    def _record_option_write(self, target: ast.expr) -> None:
+        """``<...>config.<attr> = ...`` writes option ``attr``."""
+        if not isinstance(target, ast.Attribute):
+            return
+        receiver = target.value
+        name = receiver.attr if isinstance(receiver, ast.Attribute) else (
+            receiver.id if isinstance(receiver, ast.Name) else "")
+        if name.lower().endswith("config"):
+            self.facts.option_writes.add(target.attr)
+
     def visit_Assign(self, node: ast.Assign) -> None:
         desc = self._describe_value(node.value)
         for target in node.targets:
+            self._record_option_write(target)
             if not isinstance(target, ast.Name):
                 continue
             if self._func_stack:
@@ -334,6 +360,7 @@ class _FactVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._record_option_write(node.target)
         if node.value is not None and isinstance(node.target, ast.Name):
             desc = self._describe_value(node.value)
             if self._func_stack:
@@ -396,6 +423,13 @@ class _FactVisitor(ast.NodeVisitor):
             self._record_draw(node, func)
         name = func.attr if isinstance(func, ast.Attribute) else (
             func.id if isinstance(func, ast.Name) else None)
+        if name == "replace":
+            self.facts.option_writes.update(k.arg for k in node.keywords if k.arg)
+        elif name is not None and name.endswith("Config"):
+            positional = next((i for i, a in enumerate(node.args)
+                               if isinstance(a, ast.Starred)), len(node.args))
+            self.facts.config_calls.append(
+                (name, positional, tuple(k.arg for k in node.keywords if k.arg)))
         if name in SCHEDULE_CALLBACK_ARG and self._func_stack:
             index = SCHEDULE_CALLBACK_ARG[name]
             if index < len(node.args):

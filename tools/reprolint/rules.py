@@ -98,6 +98,7 @@ RULES: Dict[str, str] = {
     "R8": "schedule callback resolves to a closure through alias/partial/import",
     "R9": "scheduled callback swallows exceptions (broad except, no raise)",
     "R10": "src/ module that no entry point (cli.COMMANDS, perf/) reaches",
+    "R11": "*Config field that no driver (cli.COMMANDS, perf/) sets",
 }
 
 
