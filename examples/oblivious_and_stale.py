@@ -10,7 +10,8 @@ and the wider DNS-operations toolbox:
    popular names from expired cache entries -- an availability mitigation
    that composes with DCC.
 
-The message trace shows what the upstream actually observes.
+Counting delivered messages per channel shows what the upstream
+actually observes.
 
 Run:  python examples/oblivious_and_stale.py
 """
@@ -20,7 +21,6 @@ from repro.dnscore.message import Message
 from repro.dnscore.name import Name
 from repro.dnscore.rdata import RCode, RRType
 from repro.netsim import Network, Node, Simulator
-from repro.netsim.trace import MessageTrace
 from repro.server import (
     AuthoritativeServer,
     Forwarder,
@@ -81,7 +81,16 @@ def main():
         original(query, upstream)
 
     proxy.raw_send_query = spy
-    trace = MessageTrace(net)
+
+    # Count every delivered message per directed (src, dst) channel.
+    channels = {}
+    deliver = net._deliver
+
+    def counting_deliver(src, dst, message):
+        channels[(src, dst)] = channels.get((src, dst), 0) + 1
+        deliver(src, dst, message)
+
+    net._deliver = counting_deliver
 
     # --- Part 1: oblivious attribution -----------------------------
     q1 = alice.ask("10.0.2.1", "www.target-domain.")
@@ -106,8 +115,9 @@ def main():
     print(f"  fresh random name:    {a4.rcode}   <- nothing cached, nothing to serve")
     print(f"  resolver stale responses: {resolver.stats.stale_responses}")
 
-    print("\nbusiest channels in the trace:")
-    print(trace.summary(top=5))
+    print("\nbusiest channels:")
+    for (src, dst), count in sorted(channels.items(), key=lambda kv: -kv[1])[:5]:
+        print(f"{src:>15s} -> {dst:<15s} {count:8d} msgs")
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ COMMANDS: Dict[str, Tuple[str, str]] = {
               "million-client hybrid fluid/packet scenario with double-run digests per mode and a "
               "hybrid-vs-packet verdict gate"),
     "lint": ("repro.cli:_cmd_lint",
-             "run the reprolint static analyzer (rules R1-R10) over src/ tests/ tools/, or the given paths"),
+             "run the reprolint static analyzer (rules R1-R11) over src/ tests/ tools/, or the given paths"),
     "all": ("repro.cli:_cmd_all", "run every experiment (quick settings)"),
 }
 

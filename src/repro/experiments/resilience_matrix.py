@@ -378,7 +378,7 @@ def cell_digest(cell: str, scale: float = 0.05, seed: int = 42) -> str:
     trace).
     """
     scenario = build_cell(cell, TOTAL_OUTAGE, scale, seed)
-    trace = MessageTrace(scenario.net, max_records=1_000_000)
+    trace = MessageTrace(scenario.net)
     result = scenario.run()
     return trace.sha256(result.events_processed).hexdigest()
 

@@ -167,7 +167,7 @@ class ScaleScenario:
             spec.destination = self.target_addr
         self.shim = self.scenario.shims[0]
         self.resolver = self.scenario.resolvers[0]
-        self.trace = MessageTrace(self.scenario.net, max_records=1_000_000)
+        self.trace = MessageTrace(self.scenario.net)
         self.scenario.add_clients(
             [
                 ClientSpec(
@@ -272,7 +272,7 @@ class ScaleScenario:
             mode=self.mode,
             digest=self._digest(result.events_processed),
             events_processed=result.events_processed,
-            packet_messages=len(self.trace.records),
+            packet_messages=len(self.trace),
             wall_seconds=wall,
             verdicts=self._verdicts(),
             ledger=self.bridge.ledger() if self.bridge is not None else {},

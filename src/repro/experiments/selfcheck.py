@@ -49,7 +49,7 @@ def trace_digest(seed: int = 42, scale: float = 0.05, obs=None) -> str:
         obs=obs,
     )
     scenario = AttackScenario(config)
-    trace = MessageTrace(scenario.net, max_records=1_000_000)
+    trace = MessageTrace(scenario.net)
     scenario.add_clients(specs)
     result = scenario.run()
 

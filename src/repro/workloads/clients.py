@@ -55,7 +55,6 @@ class RequestRecord:
     """Ground truth about one logical client request."""
 
     sent_at: float
-    question: str
     resolver: str
     attempts: int = 1
     completed_at: Optional[float] = None
@@ -150,7 +149,7 @@ class StubClient(Node):
         question = self.pattern.next_question(rng)
         request = Message.query(question.name, question.rrtype)
         resolver = self._resolver_for(0)
-        record = RequestRecord(sent_at=now, question=str(question), resolver=resolver)
+        record = RequestRecord(sent_at=now, resolver=resolver)
         self.records.append(record)
         timer = self.sim.schedule(self.config.request_timeout, self._on_timeout, request.id)
         self._pending[request.id] = [record, timer, 0, request]

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from repro.experiments import obs_demo, selfcheck
-from repro.netsim.trace import MessageTrace
+from tests.reference_trace import MessageTrace
 import repro.obs as obs_module
 from repro.obs import ObsConfig
 from repro.obs.export import chrome_trace, find_full_query_root, validate_chrome_trace

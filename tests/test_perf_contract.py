@@ -81,7 +81,7 @@ def _run(use_dcc: bool):
         seed=11, duration=VIRTUAL_SECONDS, channel_capacity=1000.0,
         use_dcc=use_dcc, ff_instances=20,
     ))
-    trace = MessageTrace(scenario.net, max_records=1_000_000)
+    trace = MessageTrace(scenario.net)
     scenario.add_clients(table2_clients("amplification", time_scale=scale))
     result = scenario.run(grace=2.5)
     return result.events_processed, trace.sha256(result.events_processed).hexdigest()

@@ -180,7 +180,7 @@ class TestStubClient:
     def test_request_record_success_criteria(self):
         from repro.dnscore.rdata import RCode
 
-        record = RequestRecord(sent_at=0.0, question="q", resolver="r")
+        record = RequestRecord(sent_at=0.0, resolver="r")
         assert not record.success
         record.rcode = RCode.NXDOMAIN
         assert record.success  # NXDOMAIN counts as resolved
@@ -188,7 +188,7 @@ class TestStubClient:
         assert not record.success
 
     def test_latency(self):
-        record = RequestRecord(sent_at=1.0, question="q", resolver="r")
+        record = RequestRecord(sent_at=1.0, resolver="r")
         assert record.latency is None
         record.completed_at = 1.5
         assert record.latency == pytest.approx(0.5)
@@ -198,10 +198,10 @@ class TestStubClient:
 
         client = StubClient.__new__(StubClient)
         client.records = [
-            RequestRecord(sent_at=1.0, question="a", resolver="r", rcode=RCode.NOERROR,
+            RequestRecord(sent_at=1.0, resolver="r", rcode=RCode.NOERROR,
                           completed_at=1.1),
-            RequestRecord(sent_at=2.0, question="b", resolver="r", timed_out=True),
-            RequestRecord(sent_at=9.0, question="c", resolver="r", rcode=RCode.NOERROR,
+            RequestRecord(sent_at=2.0, resolver="r", timed_out=True),
+            RequestRecord(sent_at=9.0, resolver="r", rcode=RCode.NOERROR,
                           completed_at=9.1),
         ]
         assert StubClient.success_ratio(client, 0.0, 5.0) == 0.5
@@ -213,11 +213,11 @@ class TestStubClient:
 
         client = StubClient.__new__(StubClient)
         client.records = [
-            RequestRecord(sent_at=0.0, question="a", resolver="r", rcode=RCode.NOERROR,
+            RequestRecord(sent_at=0.0, resolver="r", rcode=RCode.NOERROR,
                           completed_at=0.5),
-            RequestRecord(sent_at=0.1, question="b", resolver="r", rcode=RCode.NOERROR,
+            RequestRecord(sent_at=0.1, resolver="r", rcode=RCode.NOERROR,
                           completed_at=0.6),
-            RequestRecord(sent_at=0.2, question="c", resolver="r", rcode=RCode.SERVFAIL,
+            RequestRecord(sent_at=0.2, resolver="r", rcode=RCode.SERVFAIL,
                           completed_at=0.7),
         ]
         series = StubClient.effective_qps_series(client, duration=2.0)
