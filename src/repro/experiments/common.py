@@ -49,6 +49,7 @@ from repro.workloads.patterns import (
 )
 from repro.workloads.schedule import ClientSpec
 from repro.workloads.zonegen import (
+    add_ff_delegations,
     build_ff_attacker_zone,
     build_root_zone,
     build_target_zone,
@@ -253,15 +254,13 @@ class AttackScenario:
             self.target_ans.append(ans)
             self.net.attach(ans)
 
-        attacker_zone = build_ff_attacker_zone(
-            ATTACKER_ORIGIN,
-            TARGET_ORIGIN,
-            "ns1",
-            ATTACKER_ANS_ADDR,
-            instances=cfg.ff_instances,
-            fanout=cfg.ff_fanout,
+        # The apex only: only an FF client queries this zone, so the
+        # first one added installs the fan-out (_pattern_for).
+        self._attacker_zone = build_ff_attacker_zone(
+            ATTACKER_ORIGIN, TARGET_ORIGIN, "ns1", ATTACKER_ANS_ADDR, instances=0
         )
-        self.attacker_ans = AuthoritativeServer(ATTACKER_ANS_ADDR, zones=[attacker_zone])
+        self._ff_delegated = False
+        self.attacker_ans = AuthoritativeServer(ATTACKER_ANS_ADDR, zones=[self._attacker_zone])
         self.net.attach(self.attacker_ans)
 
         # Recursive resolvers.
@@ -431,7 +430,12 @@ class AttackScenario:
         if spec.pattern == "NX":
             return NxdomainPattern(TARGET_ORIGIN)
         if spec.pattern == "FF":
-            return FanoutPattern(ATTACKER_ORIGIN, self.config.ff_instances)
+            cfg = self.config
+            if not self._ff_delegated:
+                zone = self._attacker_zone
+                add_ff_delegations(zone, TARGET_ORIGIN, cfg.ff_instances, cfg.ff_fanout, zone.default_ttl)
+                self._ff_delegated = True
+            return FanoutPattern(ATTACKER_ORIGIN, cfg.ff_instances)
         if spec.pattern == "NX_THEN_WC":
             switch_at = spec.start + (20.0 / 60.0) * (spec.stop - spec.start)
             return SwitchingPattern(

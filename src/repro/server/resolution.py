@@ -312,16 +312,22 @@ class ResolutionTask:
             self._fetch_ns_addresses(ns_names)
             return
 
-        # Hold-down / breaker filtering happens inside pick_server;
-        # None means every untried server is currently gated off.
-        server = self.resolver.pick_server(candidates)
-        if server is None:
-            self._fail()
-            return
-
-        # 4. Decide the query name (QNAME minimisation) and send.
+        # 4. Decide the query name (QNAME minimisation) and send.  A
+        # server that declines (probe slot taken, fetch quota full) joins
+        # the tried set and the next candidate of the same walk gets the
+        # query: nothing in the cache changed in between.
         qname, qtype = self._next_query(cut_name)
-        self._send_query(qname, qtype, server)
+        while True:
+            # Hold-down / breaker filtering happens inside pick_server;
+            # None means no untried server is left or every one is
+            # currently gated off.
+            server = self.resolver.pick_server(candidates)
+            if server is None:
+                self._fail()
+                return
+            if self._send_query(qname, qtype, server):
+                return
+            candidates = [addr for addr in addressed if addr not in tried]
 
     def _next_query(self, cut_name: Name) -> Tuple[Name, RRType]:
         """Choose the (name, type) to expose to the upstream server."""
@@ -340,7 +346,13 @@ class ResolutionTask:
     # ------------------------------------------------------------------
     # upstream I/O
     # ------------------------------------------------------------------
-    def _send_query(self, qname: Name, qtype: RRType, server: str, via_tcp: bool = False) -> None:
+    def _send_query(self, qname: Name, qtype: RRType, server: str, via_tcp: bool = False) -> bool:
+        """Send one upstream query, or fail the task; True either way.
+
+        False means ``server`` declined (its HALF_OPEN probe slot is
+        taken or its fetch quota is full) and joined the tried set with
+        room left for another: the caller fails over.
+        """
         if self._pending is not None:
             # Failing over while an exchange is still armed (e.g. a TC
             # fallback issued from a response handler) must first tear
@@ -351,30 +363,20 @@ class ResolutionTask:
         now = self.resolver.sim.now
         if tree.queries_sent >= tree.queries_budget:
             self._fail()
-            return
+            return True
         if self._deadline_exceeded(now):
             self._fail()
-            return
+            return True
         if not self.resolver.claim_probe(server):
             # The server's HALF_OPEN probe slot went to another task
             # between selection and transmission: treat like a dead
             # server for this step.
-            self._tried_servers.add(server)
-            if len(self._tried_servers) >= MAX_SERVERS_PER_STEP:
-                self._fail()
-            else:
-                self._advance()
-            return
+            return self._mark_tried(server)
         if not self.resolver.acquire_server_slot(server):
             # Fetch quota exhausted: fail over like a SERVFAIL (BIND
             # answers SERVFAIL when the per-server quota spills).
             self.resolver.release_probe(server)
-            self._tried_servers.add(server)
-            if len(self._tried_servers) >= MAX_SERVERS_PER_STEP:
-                self._fail()
-            else:
-                self._advance()
-            return
+            return self._mark_tried(server)
         tree.queries_sent += 1
         query = Message.query(qname, qtype, recursion_desired=False)
         query.via_tcp = via_tcp
@@ -406,6 +408,16 @@ class ResolutionTask:
         self._pending = pending
         self.resolver.register_query(query.id, self)
         self.resolver.transmit_query(query, server)
+        return True
+
+    def _mark_tried(self, server: str) -> bool:
+        """Rule ``server`` out for this step; True when that used up the
+        step's servers and failed the task."""
+        self._tried_servers.add(server)
+        if len(self._tried_servers) >= MAX_SERVERS_PER_STEP:
+            self._fail()
+            return True
+        return False
 
     def _on_timeout(self, pending: _PendingQuery) -> None:
         if self.finished or self._pending is not pending:
@@ -456,12 +468,9 @@ class ResolutionTask:
             obs.inc("resolver.upstream_timeouts")
             obs.end(pending.span, now, outcome="timeout")
             obs.forget_query_span(pending.message_id)
-        self._tried_servers.add(pending.server)
         self._pending = None
-        if len(self._tried_servers) >= MAX_SERVERS_PER_STEP:
-            self._fail()
-            return
-        self._advance()
+        if not self._mark_tried(pending.server):
+            self._advance()
 
     def handle_response(self, response: Message, src: str) -> None:
         """Called by the resolver when an upstream response matches our
@@ -511,15 +520,13 @@ class ResolutionTask:
             # TC bit: the datagram answer did not fit; retry over a
             # reliable stream (RFC 7766 TCP fallback).
             self.resolver.stats.tcp_fallbacks += 1
-            self._send_query(pending.qname, pending.qtype, pending.server, via_tcp=True)
+            if not self._send_query(pending.qname, pending.qtype, pending.server, via_tcp=True):
+                self._advance()
             return
 
         if response.rcode in (RCode.SERVFAIL, RCode.REFUSED, RCode.NOTIMP, RCode.FORMERR):
             self.resolver.stats.upstream_errors += 1
-            self._tried_servers.add(pending.server)
-            if len(self._tried_servers) >= MAX_SERVERS_PER_STEP:
-                self._fail()
-            else:
+            if not self._mark_tried(pending.server):
                 self._advance()
             return
 

@@ -50,16 +50,29 @@ class ClientConfig:
     backoff_recovery: float = 10.0  # reprolint: disable=R11 -- paper Section 3.3 backoff recovery (seconds)
 
 
-@dataclass
 class RequestRecord:
-    """Ground truth about one logical client request."""
+    """Ground truth about one logical client request.
 
-    sent_at: float
-    resolver: str
-    attempts: int = 1
-    completed_at: Optional[float] = None
-    rcode: Optional[RCode] = None
-    timed_out: bool = False
+    One per simulated request, so slotted: no per-instance ``__dict__``.
+    """
+
+    __slots__ = ("sent_at", "resolver", "attempts", "completed_at", "rcode", "timed_out")
+
+    def __init__(
+        self,
+        sent_at: float,
+        resolver: str,
+        attempts: int = 1,
+        completed_at: Optional[float] = None,
+        rcode: Optional[RCode] = None,
+        timed_out: bool = False,
+    ) -> None:
+        self.sent_at = sent_at
+        self.resolver = resolver
+        self.attempts = attempts
+        self.completed_at = completed_at
+        self.rcode = rcode
+        self.timed_out = timed_out
 
     @property
     def success(self) -> bool:

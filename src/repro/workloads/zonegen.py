@@ -118,29 +118,38 @@ def build_ff_attacker_zone(
 ) -> Zone:
     """The attacker-controlled zone with nested NS fan-out (Figure 12b).
 
-    - ``q-{i}`` is delegated (glue-less) to ``ns-a{j}-{i}`` for
-      ``j in [1, fanout]``;
-    - each ``ns-a{j}-{i}`` is in turn delegated (glue-less) to ``fanout``
-      names under ``ff.<target zone>``.
-
-    Resolving ``q-{i}`` therefore costs the resolver ~fanout^2 address
-    lookups against the *target's* authoritative server -- amplification
-    directed at a channel the attacker does not own.
+    The apex (SOA, NS and glue A) plus :func:`add_ff_delegations`.
+    Resolving ``q-{i}`` costs the resolver ~fanout^2 address lookups
+    against the *target's* authoritative server -- amplification directed
+    at a channel the attacker does not own.
     """
     zone = Zone(origin, default_ttl=ttl)
     zone.add_soa(negative_ttl=ttl, ttl=ttl)
     zone.add_ns("@", ns_name, ttl=3600)
     zone.add_a(ns_name, ns_address, ttl=3600)
+    add_ff_delegations(zone, target_origin, instances, fanout, ttl)
+    return zone
+
+
+def add_ff_delegations(zone: Zone, target_origin: NameLike, instances: int, fanout: int, ttl: int) -> None:
+    """Install the FF fan-out under ``zone``: ``instances * fanout * (fanout + 1)`` NS records.
+
+    - ``q-{i}`` is delegated (glue-less) to ``ns-a{j}-{i}`` for
+      ``j in [1, fanout]``;
+    - each ``ns-a{j}-{i}`` is in turn delegated (glue-less) to ``fanout``
+      names under ``ff.<target zone>``.
+
+    Each name is built once and serves as both owner and NS target.
+    """
+    origin = zone.origin
     ff = as_name(target_origin).child("ff")  # one parent shared by every leaf
     for instance in range(instances):
-        q_owner = f"q-{instance}"
+        q_owner = origin.child(f"q-{instance}")
         for j in range(1, fanout + 1):
-            mid = f"ns-a{j}-{instance}"
+            mid = origin.child(f"ns-a{j}-{instance}")
             zone.add_ns(q_owner, mid, ttl=ttl)
             for k in range(1, fanout + 1):
-                leaf = ff.child(f"ns-t{j}{k}-{instance}")
-                zone.add_ns(mid, leaf, ttl=ttl)
-    return zone
+                zone.add_ns(mid, ff.child(f"ns-t{j}{k}-{instance}"), ttl=ttl)
 
 
 def expected_ff_maf(fanout: int) -> int:

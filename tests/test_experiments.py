@@ -1,12 +1,17 @@
 """Smoke tests for every experiment driver (tiny configurations)."""
 
+import tracemalloc
+
 import pytest
 
+from repro.dnscore.name import Name
 from repro.dnscore.rdata import RCode
 from repro.experiments import fig2_ratelimits, fig4_attacks, fig8_resilience
 from repro.experiments import fig10_overhead, fig11_delay, table1_state
+from repro.experiments import common
 from repro.experiments.common import AttackScenario, ScenarioConfig
 from repro.workloads.schedule import ClientSpec
+from repro.workloads.zonegen import build_ff_attacker_zone
 
 
 class TestCommonScenario:
@@ -38,6 +43,66 @@ class TestCommonScenario:
         scenario = AttackScenario(ScenarioConfig(duration=1.0))
         with pytest.raises(ValueError):
             scenario.add_clients([ClientSpec("x", 0.0, 1.0, 1.0, "BOGUS")])
+
+
+def _zone_records(zone):
+    """Every record of ``zone`` in insertion order: owner, type, TTL, rdata."""
+    return [
+        (str(owner), record.rrtype, record.ttl, record.rdata)
+        for owner in zone.owners()
+        for rrset in zone.rrsets_at(owner).values()
+        for record in rrset
+    ]
+
+
+class TestFfZoneOnDemand:
+    """The attacker zone holds its FF fan-out only once an FF client exists."""
+
+    @staticmethod
+    def _attacker_zone(scenario):
+        return scenario.attacker_ans.zone_for(Name.from_text(common.ATTACKER_ORIGIN))
+
+    def test_nx_scenario_holds_only_the_apex(self):
+        scenario = AttackScenario(ScenarioConfig(duration=2.0))
+        scenario.add_clients([ClientSpec("nx", 0.0, 2.0, 20.0, "NX")])
+        assert self._attacker_zone(scenario).record_count() == 3
+        scenario.run()
+        assert scenario.clients["nx"].request_count() > 0
+        assert scenario.attacker_ans.stats.queries_received == 0
+
+    def test_building_a_scenario_allocates_under_one_mib(self):
+        AttackScenario(ScenarioConfig(seed=1))  # imports and one-time caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scenario = AttackScenario(ScenarioConfig(seed=1))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        del scenario  # alive through the measurement
+        assert held < 1 << 20, f"{held} B"
+
+    def test_ff_clients_install_the_builders_zone_once(self, monkeypatch):
+        calls = []
+        add = common.add_ff_delegations
+
+        def counted_add(*args):
+            calls.append(args)
+            add(*args)
+
+        monkeypatch.setattr(common, "add_ff_delegations", counted_add)
+        config = ScenarioConfig(duration=1.0)
+        scenario = AttackScenario(config)
+        scenario.add_clients([ClientSpec("ff", 0.0, 1.0, 5.0, "FF", is_attacker=True)])
+        expected = _zone_records(build_ff_attacker_zone(
+            common.ATTACKER_ORIGIN, common.TARGET_ORIGIN, "ns1", common.ATTACKER_ANS_ADDR,
+            instances=config.ff_instances, fanout=config.ff_fanout,
+        ))
+        assert len(expected) == 3 + config.ff_instances * config.ff_fanout * (config.ff_fanout + 1)
+        assert _zone_records(self._attacker_zone(scenario)) == expected
+        scenario.add_clients([ClientSpec("ff2", 0.0, 1.0, 5.0, "FF")])  # a second FF client adds nothing
+        assert len(calls) == 1
+        assert _zone_records(self._attacker_zone(scenario)) == expected
 
 
 class TestFig2:

@@ -4,13 +4,14 @@ import pytest
 
 from repro.dnscore.name import ROOT, Name
 from repro.dnscore.rdata import RCode, RRType
+from repro.experiments.common import AttackScenario, ScenarioConfig
 from repro.server import health as health_module
 from repro.server import resolver as resolver_module
 from repro.server.health import HealthConfig
 from repro.server.ratelimit import RateLimitAction, RateLimitConfig
 from repro.server.resolver import ResolverConfig
 
-from tests.conftest import ROOT_ADDR, build_topology
+from tests.conftest import ROOT_ADDR, Collector, build_topology
 
 
 class TestBasicResolution:
@@ -166,6 +167,38 @@ class TestFailureHandling:
         topo.sim.run(until=0.5)  # before the first timeout fires
         assert topo.resolver.stats.quota_rejections > 0
         assert topo.resolver.outstanding_to("10.0.0.2") <= 2
+
+    def test_quota_decline_fails_over_within_the_step(self, monkeypatch):
+        """A server at its fetch quota hands the query to the step's next
+        server without walking the cache again."""
+        scenario = AttackScenario(ScenarioConfig(target_ans_count=2))
+        resolver = scenario.resolvers[0]
+        client = Collector()
+        scenario.net.attach(client)
+        client.query(resolver.address, "warm.wc.target-domain.")
+        scenario.sim.run(until=1.0)  # caches the two-server delegation
+        busy, spare = scenario.target_ans_addrs
+        for _ in range(resolver_module.MAX_OUTSTANDING_PER_SERVER):
+            assert resolver.acquire_server_slot(busy)
+
+        steps = []
+        walk, transmit = resolver.cache.deepest_known_cut, resolver.transmit_query
+
+        def counted_walk(name, now):
+            steps.append("walk")
+            return walk(name, now)
+
+        def recorded_transmit(query, server):
+            steps.append(server)
+            transmit(query, server)
+
+        monkeypatch.setattr(resolver.cache, "deepest_known_cut", counted_walk)
+        monkeypatch.setattr(resolver, "transmit_query", recorded_transmit)
+        monkeypatch.setattr(resolver, "pick_server", lambda candidates: busy if busy in candidates else candidates[0])
+        client.query(resolver.address, "x.wc.target-domain.")
+        scenario.sim.run(until=1.5)
+        assert steps[:2] == ["walk", spare]
+        assert resolver.stats.quota_rejections == 1
 
     def test_server_backoff_after_timeout_streak(self, monkeypatch):
         monkeypatch.setattr(health_module, "HOLD_DOWN", 5.0)

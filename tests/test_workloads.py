@@ -187,6 +187,14 @@ class TestStubClient:
         record.rcode = RCode.SERVFAIL
         assert not record.success
 
+    def test_request_record_is_slotted(self):
+        from repro.dnscore.rdata import RCode
+
+        record = RequestRecord(1.0, "r", 2, 1.5, RCode.NOERROR, False)
+        assert not hasattr(record, "__dict__")
+        assert (record.attempts, record.completed_at, record.rcode) == (2, 1.5, RCode.NOERROR)
+        assert record.success and not record.timed_out
+
     def test_latency(self):
         record = RequestRecord(sent_at=1.0, resolver="r")
         assert record.latency is None
