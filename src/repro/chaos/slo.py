@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs import NullObservability
-from repro.obs.export import canonical_json
 
 #: verdict/rcode combination counted as goodput
 _GOOD_RCODE = "NOERROR"
@@ -125,7 +124,7 @@ class RecoveryAuditor:
 
     Feed it every benign client's :attr:`~repro.transport.engine.EngineClient.samples`
     (arrival order is irrelevant -- everything aggregates), then read
-    :meth:`metrics` / :meth:`canonical` and gate with :meth:`failures`.
+    :meth:`metrics` and gate with :meth:`failures`.
     """
 
     def __init__(
@@ -257,13 +256,6 @@ class RecoveryAuditor:
                 "heal_guard": HEAL_GUARD,
             },
         }
-
-    def canonical(self, extra: Optional[Dict[str, Any]] = None) -> str:
-        """Byte-stable JSON of :meth:`metrics` (+ driver-supplied keys)."""
-        doc = self.metrics()
-        if extra:
-            doc.update(extra)
-        return canonical_json(doc)
 
     # ------------------------------------------------------------------
     # gating + emission

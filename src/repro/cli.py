@@ -31,15 +31,13 @@ COMMANDS: Dict[str, Tuple[str, str]] = {
                   "event-trace hashes"),
     "obs": ("repro.experiments.obs_demo:main",
             "run one observed fig4-style scenario and export metrics.jsonl + a Perfetto-loadable Chrome trace"),
-    "resilience": ("repro.experiments.resilience_matrix:main",
-                   "fault matrix under an NX flood: vanilla/hardened/hardened+dcc through a total "
-                   "authoritative outage, vanilla/dcc through a primary crash + loss ramp"),
     "fuzz": ("repro.cli:_cmd_fuzz",
              "property-based scenario fuzzing with invariant oracles (deterministic: same seed -> same "
              "verdict log and digest)"),
     "chaos": ("repro.experiments.chaos_unified:main",
-              "replay a fault schedule on the sim or live (real UDP socket) backend and audit recovery "
-              "SLOs; --backend live with examples/chaos_none.json is the real-socket smoke"),
+              "replay a fault plan on the sim or live (real UDP socket) backend, one run per resolver "
+              "configuration, and audit recovery SLOs; --plan total-outage / crash-ramp is the fault "
+              "matrix, --backend live with examples/chaos_none.json the real-socket smoke"),
     "scale": ("repro.experiments.scale:main",
               "million-client hybrid fluid/packet scenario with double-run digests per mode and a "
               "hybrid-vs-packet verdict gate"),
@@ -128,7 +126,8 @@ def _cmd_all(argv: Optional[List[str]] = None) -> int:
         ("fig11", ["--quick"]),
         ("table1", []),
         ("ablations", []),
-        ("resilience", ["--scale", repr(max(scale, 0.15))]),
+        ("chaos", ["--plan", "total-outage", "--seed", "42", "--metrics-out", os.devnull]),
+        ("chaos", ["--plan", "crash-ramp", "--seed", "42", "--metrics-out", os.devnull]),
     ])
 
 

@@ -1,4 +1,4 @@
-"""Chaos-resilience tests: the resilience matrix's ``crash-ramp`` plan.
+"""Chaos-resilience tests: the fault matrix's ``crash-ramp`` plan.
 
 Covers the three acceptance properties: determinism of a full chaos run,
 DCC-on benign service dominating DCC-off under the identical fault
@@ -10,10 +10,19 @@ import pytest
 
 from repro.dcc.monitor import AnomalyKind, ClientVerdict, MonitorConfig
 from repro.dcc.policing import PolicyKind, PolicyTemplate
-from repro.experiments import resilience_matrix as rm
+from repro.experiments import chaos_unified as cu
+from repro.experiments.chaos_unified import ChaosConfig, run_chaos
 from repro.experiments.common import AttackScenario, ScenarioConfig
 from repro.netsim.faults import NodeOutage
 from repro.workloads.schedule import ClientSpec
+from tests.test_resilience_matrix import SCALE, whole_run_goodput
+
+PLAN = cu.matrix_plans(SCALE)["crash-ramp"]
+
+
+@pytest.fixture(scope="module")
+def runs():
+    return run_chaos(ChaosConfig(seed=42), PLAN)
 
 
 class TestChaosExperiment:
@@ -21,47 +30,47 @@ class TestChaosExperiment:
     executes, goodput dips, and DCC-on benign service dominates DCC-off
     under the identical timeline."""
 
-    SCALE = 0.1
+    def test_run_is_deterministic(self, runs):
+        again = run_chaos(ChaosConfig(seed=42), dict(PLAN, cells=["vanilla"], compare=None))
+        assert cu.canonical_metrics(again) == cu.canonical_metrics({"vanilla": runs["vanilla"]})
+        assert again["vanilla"].info == runs["vanilla"].info
+        assert again["vanilla"].timeline == runs["vanilla"].timeline
 
-    def test_run_is_deterministic(self):
-        a = rm.run_cell("dcc", rm.CRASH_RAMP, scale=self.SCALE, seed=7)
-        b = rm.run_cell("dcc", rm.CRASH_RAMP, scale=self.SCALE, seed=7)
-        assert a.metrics() == b.metrics()
-        assert a.goodput_series == b.goodput_series
-        assert a.timeline == b.timeline
+    def test_fault_schedule_executes(self, runs):
+        vanilla = runs["vanilla"]
+        assert vanilla.info["crashes"] == 1
+        assert vanilla.info["recoveries"] == 1
+        assert vanilla.info["degraded_messages"] > 0
+        timeline = "\n".join(vanilla.timeline)
+        assert "crash" in timeline and "recover" in timeline
 
-    @pytest.fixture(scope="class")
-    def vanilla(self):
-        return rm.run_cell("vanilla", rm.CRASH_RAMP, scale=self.SCALE, seed=42)
+    def test_goodput_dips_during_fault(self, runs):
+        counts = runs["vanilla"].auditor.counts
+        assert counts["fault"].sent > 0
+        assert counts["fault"].goodput < counts["pre"].goodput
 
-    def test_fault_schedule_executes(self, vanilla):
-        assert vanilla.fault_stats.crashes == 1
-        assert vanilla.fault_stats.recoveries == 1
-        assert vanilla.fault_stats.degraded_messages > 0
-        assert "crash" in vanilla.timeline and "recover" in vanilla.timeline
-
-    def test_goodput_dips_during_fault(self, vanilla):
-        assert vanilla.fault_goodput < vanilla.baseline_goodput
-
-    def test_dcc_dominates_vanilla_under_identical_faults(self):
-        runs = rm.run_plan(rm.CRASH_RAMP, scale=0.15, seed=42)
+    def test_dcc_dominates_vanilla_under_identical_faults(self, runs):
         dcc, vanilla = runs["dcc"], runs["vanilla"]
         # Both cells saw the exact same fault schedule...
         assert dcc.timeline == vanilla.timeline
         # ...and DCC kept benign clients better served throughout.
-        assert dcc.fault_goodput >= vanilla.fault_goodput
-        assert dcc.availability >= vanilla.availability
+        assert dcc.auditor.counts["fault"].goodput >= vanilla.auditor.counts["fault"].goodput
+        assert whole_run_goodput(dcc) >= whole_run_goodput(vanilla)
+        assert cu.failures(PLAN, runs) == []
 
-    def test_report_renders(self, vanilla):
-        runs = {
-            "vanilla": vanilla,
-            "dcc": rm.run_cell("dcc", rm.CRASH_RAMP, scale=self.SCALE, seed=42),
-        }
-        report = rm.render_report(rm.CRASH_RAMP, runs)
-        assert "crash-ramp" in report
+    def test_dcc_polices_the_attacker(self, runs):
+        # the monitor and policies follow the plan's compressed timeline,
+        # so the NX attacker is convicted and policed inside the run
+        assert runs["dcc"].info["dcc_policed"] > 0
+        assert "dcc_policed" not in runs["vanilla"].info
+
+    def test_report_renders(self, runs):
+        report = cu.render_report(ChaosConfig(seed=42), "crash-ramp", PLAN, runs)
+        assert "plan crash-ramp" in report
         assert "recovery" in report
-        assert "avail(fault)" in report
+        assert "fault [" in report
         assert "degradation start" in report
+        assert "dcc beats vanilla on fault-window goodput" in report
 
 
 class TestReconvictionAfterCrash:

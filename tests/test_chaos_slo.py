@@ -5,7 +5,10 @@ import json
 import pytest
 
 from repro.chaos import RecoveryAuditor, SloConfig, segment_windows
+from repro.experiments.chaos_unified import ChaosConfig, ChaosReport, canonical_metrics
 from repro.obs import Observability
+from repro.obs.export import canonical_json
+from repro.server.resolver import ResolverStats
 
 SPAN = (3.0, 6.0)
 DURATION = 12.0
@@ -171,12 +174,13 @@ class TestCanonicalOutput:
         shuffled = make_auditor()
         fill(shuffled, 8.5, 12.0)     # ingestion order must not matter
         fill(shuffled, 0.0, 2.5)
-        assert forward.canonical() == shuffled.canonical()
-        assert forward.canonical().endswith("\n")
+        assert canonical_json(forward.metrics()) == canonical_json(shuffled.metrics())
+        assert canonical_json(forward.metrics()).endswith("\n")
 
     def test_extra_keys_merge_into_the_document(self):
-        auditor = make_auditor()
-        doc = json.loads(auditor.canonical(extra={"backend": "sim", "seed": 7}))
+        report = ChaosReport(ChaosConfig(), make_auditor(), ResolverStats(),
+                             extra={"backend": "sim", "seed": 7})
+        doc = json.loads(canonical_metrics({"cell": report}))["cell"]
         assert doc["backend"] == "sim" and doc["seed"] == 7
         assert doc["fault_span"] == [3.0, 6.0]
         assert set(doc["windows"]) == {"pre", "fault", "recovery"}

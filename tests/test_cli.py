@@ -21,11 +21,10 @@ DEFAULTS = {
     "ablations": {"seed": 1},
     "selfcheck": {"seed": 42, "scale": 0.05, "runs": 2, "out": None},
     "obs": {"scale": 0.15, "seed": 42, "out_dir": "results/obs", "top": 10},
-    "resilience": {"scale": 0.25, "seed": 42, "out": None},
     "fuzz": {"seed": 42, "iterations": 25, "time_budget": None, "log": None,
              "corpus_dir": "results/fuzz-corpus", "shrink_budget": 150, "inject_bug": None,
              "replay": None, "replay_with_bug": False, "quiet": False},
-    "chaos": {"backend": "sim", "seed": 1, "duration": 10.0, "schedule": None, "out": None,
+    "chaos": {"backend": "sim", "seed": 1, "plan": "default", "out": None,
               "metrics_out": None, "obs_out": None, "check_against": None, "slo": False,
               "min_recovery": 0.8, "max_mttr": None, "min_goodput": None},
     "scale": {"clients": 1_000_000, "seed": 42, "duration": 20.0, "tick": 0.1, "mode": "all", "runs": 2,
@@ -78,20 +77,13 @@ def test_all_runs_every_figure_and_returns_the_worst_exit_code(monkeypatch):
     from repro import cli
 
     ran = []
-    monkeypatch.setattr(cli, "_run", lambda name, argv: ran.append(name) or int(name == "fig9"))
+    monkeypatch.setattr(cli, "_run", lambda name, argv: ran.append((name, argv)) or int(name == "fig9"))
     assert cli._cmd_all([]) == 1
-    assert ran == ["fig2", "fig4", "fig8", "fig9", "fig10", "fig11", "table1", "ablations", "resilience"]
-
-
-def test_resilience_small(capsys, tmp_path):
-    out_file = tmp_path / "matrix.txt"
-    assert main(["resilience", "--scale", "0.05", "--out", str(out_file)]) == 0
-    out = capsys.readouterr().out
-    assert "Resilience matrix" in out
-    assert "hardened retains benign service" in out
-    assert "plan total-outage" in out and "plan crash-ramp" in out
-    assert "hardened+dcc" in out and "degradation start" in out
-    assert "Resilience matrix" in out_file.read_text()
+    assert [name for name, _ in ran] == [
+        "fig2", "fig4", "fig8", "fig9", "fig10", "fig11", "table1", "ablations", "chaos", "chaos"]
+    # the matrix plans run at the seed their results files and CI use
+    assert [argv[:4] for name, argv in ran if name == "chaos"] == [
+        ["--plan", "total-outage", "--seed", "42"], ["--plan", "crash-ramp", "--seed", "42"]]
 
 
 def test_lint_subcommand_forwards_to_reprolint(capsys, tmp_path):
@@ -126,7 +118,7 @@ def test_help_lists_exactly_the_readme_cli_table(capsys):
         table = fh.read().split("All `repro` subcommands:")[1].split("\n\nSee ")[0]
     documented = re.findall(r"^\| `([a-z0-9-]+)` \|", table, re.MULTILINE)
     assert sorted(documented) == sorted(listed.split(","))
-    assert "chaos" in documented and len(documented) == 16
+    assert "chaos" in documented and len(documented) == 15
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

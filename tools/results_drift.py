@@ -33,8 +33,13 @@ TABLE: List[Tuple[str, List[str], Optional[str]]] = [
     ("fig10.txt", ["fig10", "--quick"], r"[\d,]+ +[\d,]+ +(?=[\d.]+ MB +[\d.]+ MB)"),  # both ops/s columns
     ("table1.txt", ["table1"], None),
     ("ablations.txt", ["ablations"], None),
-    ("resilience_matrix.txt", ["resilience", "--scale", "0.25", "--out", "{out}"], None),
     ("chaos_sim.txt", ["chaos", "--backend", "sim", "--seed", "7", "--slo", "--out", "{out}"], None),
+    ("chaos_total_outage.txt", ["chaos", "--plan", "total-outage", "--seed", "42", "--metrics-out", os.devnull,
+                                "--out", "{out}"], None),
+    ("chaos_crash_ramp.txt", ["chaos", "--plan", "crash-ramp", "--seed", "42", "--metrics-out", os.devnull,
+                              "--out", "{out}"], None),
+    ("chaos_resolver_crash.txt", ["chaos", "--plan", "resolver-crash", "--seed", "42", "--slo", "--metrics-out",
+                                  os.devnull, "--out", "{out}"], None),
     ("scale.txt", ["scale", "--clients", "1000000", "--out", "{out}"], r"wall=[\d.]+s|\([\d,]+ client-seconds/wall"),
 ]
 
