@@ -4,8 +4,6 @@ Not tied to a specific paper figure; they bound the cost of the
 simulation substrate so scenario benchmarks are interpretable.
 """
 
-import pytest
-
 from repro.dnscore.message import Message
 from repro.dnscore.name import Name
 from repro.dnscore.rdata import AData, RRType

@@ -21,7 +21,7 @@ Run:  python examples/chaos_resilience.py
 
 from repro.dnscore.message import Message
 from repro.dnscore.name import Name
-from repro.dnscore.rdata import RCode, RRType
+from repro.dnscore.rdata import RRType
 from repro.netsim import (
     FaultInjector,
     Network,

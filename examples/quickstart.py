@@ -80,8 +80,7 @@ def main():
     print("\nresolver sent", resolver.stats.queries_sent, "upstream queries;")
     print("DCC intercepted", shim.stats.queries_intercepted,
           "and scheduled", shim.stats.queries_scheduled, "of them")
-    print("DCC is tracking", shim.tracked_clients(), "client and",
-          shim.tracked_servers(), "active output channel(s)")
+    print("DCC is tracking", shim.monitor.tracked_clients(), "client(s)")
 
     assert a1.rcode == RCode.NOERROR
     assert a2.rcode == RCode.NXDOMAIN

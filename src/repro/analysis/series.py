@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 class TimeSeries:

@@ -35,8 +35,8 @@ deterministic -- see docs/CHAOS.md for the workload caveat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Tuple, Union
 
 from repro.netsim.faults import (
     FaultSpec,

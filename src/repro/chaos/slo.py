@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs import NullObservability
 
 #: verdict/rcode combination counted as goodput
 _GOOD_RCODE = "NOERROR"
@@ -290,20 +289,3 @@ class RecoveryAuditor:
             elif mttr > ceiling:
                 out.append(f"MTTR {mttr:.3f}s exceeds ceiling {ceiling:.3f}s")
         return out
-
-    def emit(self, obs: NullObservability) -> None:
-        """Publish the audit through an observability facade."""
-        for name, counts in self.counts.items():
-            obs.inc(f"chaos.slo.{name}.sent", counts.sent)
-            obs.inc(f"chaos.slo.{name}.noerror", counts.noerror)
-            obs.set_gauge(f"chaos.slo.{name}.goodput", counts.goodput)
-        obs.inc("chaos.slo.guard_excluded", self.guard_excluded)
-        retained = self.goodput_retained
-        if retained is not None:
-            obs.set_gauge("chaos.slo.goodput_retained", retained)
-        mttr = self.mttr()
-        if mttr is not None:
-            obs.set_gauge("chaos.slo.mttr", mttr)
-        t90 = self.time_to_restore()
-        if t90 is not None:
-            obs.set_gauge("chaos.slo.time_to_90pct", t90)

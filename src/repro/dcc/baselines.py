@@ -83,9 +83,6 @@ class FifoScheduler(_ChannelMixin):
         destination = self._queue[0][1]
         return max(now, self.channel_bucket(destination).next_available(now))
 
-    def total_queued(self) -> int:
-        return len(self._queue)
-
 
 class InputCentricFq(_ChannelMixin):
     """Nagle's FQ: per-source FIFOs, round-robin service (Figure 7a top).
@@ -150,9 +147,6 @@ class InputCentricFq(_ChannelMixin):
             if queue
         ]
         return max(now, min(times)) if times else None
-
-    def total_queued(self) -> int:
-        return sum(len(queue) for queue in self._queues.values())
 
 
 class LeapfrogInputFq(InputCentricFq):
@@ -263,15 +257,6 @@ class IoIsolatedFq(_ChannelMixin):
         ]
         return max(now, min(times)) if times else None
 
-    def total_queued(self) -> int:
-        return sum(
-            len(queue) for per_dst in self._queues.values() for queue in per_dst.values()
-        )
-
-    def queue_count(self) -> int:
-        """Number of live (source, output) FIFOs -- the state blow-up."""
-        return sum(len(per_dst) for per_dst in self._queues.values())
-
 
 class OutputCentricFq(_ChannelMixin):
     """Per-output calendar queues served round-robin (Figure 7c without
@@ -351,6 +336,3 @@ class OutputCentricFq(_ChannelMixin):
             if queue
         ]
         return max(now, min(times)) if times else None
-
-    def total_queued(self) -> int:
-        return sum(len(queue) for queue in self._queues.values())

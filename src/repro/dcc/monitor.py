@@ -50,9 +50,6 @@ class AnomalyKind(enum.IntEnum):
     AMPLIFICATION = 2  # disproportionate queries per request
     RATE = 3  # raw request-rate excess
 
-    def __str__(self) -> str:
-        return self.name
-
 
 class ClientVerdict(enum.Enum):
     NORMAL = "normal"

@@ -116,18 +116,6 @@ class DequeuedMessage:
         self.payload = payload
         self.arr_time = arr_time
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DequeuedMessage):
-            return NotImplemented
-        return (self.source, self.destination, self.payload, self.arr_time) == (
-            other.source, other.destination, other.payload, other.arr_time)
-
-    def __repr__(self) -> str:
-        return (
-            f"DequeuedMessage(source={self.source!r}, destination={self.destination!r}, "
-            f"payload={self.payload!r}, arr_time={self.arr_time!r})"
-        )
-
 
 @dataclass
 class EvictedMessage:

@@ -15,8 +15,8 @@ Policies used in the paper's evaluation (Section 5.1):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 from repro import sanitize as simsan
 from repro.dcc.monitor import AnomalyKind
@@ -27,9 +27,6 @@ from repro.util.tokenbucket import TokenBucket
 class PolicyKind(enum.IntEnum):
     RATE_LIMIT = 1
     BLOCK = 2
-
-    def __str__(self) -> str:
-        return self.name
 
 
 @dataclass
@@ -193,9 +190,6 @@ class PolicyEngine:
             self._expire(client)
             return None
         return policy
-
-    def is_policed(self, client: str, now: float) -> bool:
-        return self.policy_for(client, now) is not None
 
     def active_policies(self, now: float) -> Dict[str, Policy]:
         return {

@@ -525,22 +525,3 @@ class DccShim:
             # a query whose answer never came (lost, dropped upstream)
             self._inflight = {qid: info for qid, info in self._inflight.items() if now - info[3] <= timeout}
         self.resolver.sim.schedule(timeout, self._purge_tick)
-
-    # ------------------------------------------------------------------
-    # accounting (Table 1 / Figure 10)
-    # ------------------------------------------------------------------
-    def tracked_clients(self) -> int:
-        return self.monitor.tracked_clients()
-
-    def tracked_servers(self) -> int:
-        if hasattr(self.scheduler, "active_outputs"):
-            return self.scheduler.active_outputs()
-        return 0
-
-    def approx_state_bytes(self) -> int:
-        queued = getattr(self.scheduler, "total_depth", 0)
-        return self.tables.approx_bytes(
-            client_state_bytes=self.monitor.state_bytes(),
-            tracked_servers=self.tracked_servers(),
-            queued_messages=queued,
-        )

@@ -119,8 +119,6 @@ _DECODERS = {
     int(OptionCode.DCC_CONGESTION): CongestionSignal.decode,
 }
 
-_SIGNAL_CODES = set(_DECODERS)
-
 
 def extract_signals(message: Message, strip: bool = True) -> List[Signal]:
     """Decode every DCC signal on ``message``.
@@ -175,13 +173,3 @@ _SIGNAL_NAMES = {
 def signal_name(signal: Signal) -> str:
     """Short lowercase label for a signal (observability annotations)."""
     return _SIGNAL_NAMES.get(type(signal), type(signal).__name__.lower())
-
-
-def has_signal(message: Message, code: OptionCode) -> bool:
-    return any(option.code == int(code) for option in message.edns_options)
-
-
-def strip_all_signals(message: Message) -> None:
-    message.edns_options = [
-        option for option in message.edns_options if option.code not in _SIGNAL_CODES
-    ]

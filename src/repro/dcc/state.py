@@ -35,9 +35,6 @@ class PerRequestState:
         "dropped_congestion", "dropped_policing", "anomaly", "relay_signals", "allocated_rate",
     )
 
-    #: rough per-entry footprint used by the Figure 10 memory proxy
-    APPROX_BYTES = 96
-
     def __init__(self, client: str, request_id: int, created_at: float) -> None:
         self.client = client
         self.request_id = request_id
@@ -55,17 +52,9 @@ class PerRequestState:
         #: channel (reported in congestion signals)
         self.allocated_rate = 0.0
 
-    @property
-    def key(self) -> Tuple[str, int]:
-        return (self.client, self.request_id)
-
 
 class DccStateTables:
     """The per-request table plus cross-granularity accounting."""
-
-    #: per-server entry footprint for the memory proxy (per-client state
-    #: is measured: :meth:`AnomalyMonitor.state_bytes`)
-    PER_SERVER_BYTES = 120  # queue head/tails + rounds + token bucket
 
     def __init__(self, request_lifetime: float = 30.0) -> None:
         self.request_lifetime = request_lifetime
@@ -113,13 +102,3 @@ class DccStateTables:
     # ------------------------------------------------------------------
     def open_request_count(self) -> int:
         return len(self._requests)
-
-    def approx_bytes(
-        self, client_state_bytes: int, tracked_servers: int, queued_messages: int
-    ) -> int:
-        """Approximate resident bytes across all three granularities."""
-        return (
-            client_state_bytes
-            + tracked_servers * self.PER_SERVER_BYTES
-            + (len(self._requests) + queued_messages) * PerRequestState.APPROX_BYTES
-        )

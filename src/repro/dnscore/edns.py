@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Tuple
+from typing import ClassVar, List, Optional
 
 from repro.dnscore.errors import WireDecodeError
 
@@ -89,10 +89,6 @@ class ClientAttribution:
         if len(addr) != addr_len:
             raise WireDecodeError("attribution option truncated address")
         return cls(client=addr.decode("ascii"), port=port, request_id=request_id)
-
-    @property
-    def key(self) -> Tuple[str, int, int]:
-        return (self.client, self.port, self.request_id)
 
 
 def opaque_client_token(client: str, salt: str, length: int = 12) -> str:

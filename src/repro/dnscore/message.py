@@ -149,17 +149,6 @@ class Message:
             and any(rrset.rrtype == RRType.NS for rrset in self.authority)
         )
 
-    @property
-    def is_nodata(self) -> bool:
-        """NOERROR, empty answer, no delegation: the name exists but has
-        no records of the queried type."""
-        return (
-            self.is_response
-            and self.rcode == RCode.NOERROR
-            and not self.answers
-            and not self.is_referral
-        )
-
     def answer_rrset(self, rrtype: Optional[RRType] = None) -> Optional[RRSet]:
         """First answer RRset, optionally filtered by type."""
         for rrset in self.answers:
@@ -184,12 +173,3 @@ class Message:
             for opt in self.edns_options:
                 size += opt.wire_length()
         return size
-
-    def section_counts(self) -> str:
-        return (
-            f"an={len(self.answers)} au={len(self.authority)} ad={len(self.additional)}"
-        )
-
-    def __str__(self) -> str:
-        kind = "response" if self.is_response else "query"
-        return f"<{kind} id={self.id} {self.question} {self.rcode} {self.section_counts()}>"

@@ -77,10 +77,6 @@ class Name:
             text = text[:-1]
         return cls(text.split("."))
 
-    @classmethod
-    def root(cls) -> "Name":
-        return ROOT
-
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
@@ -88,17 +84,9 @@ class Name:
         """Number of labels (the root has zero)."""
         return len(self.labels)
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.labels)
-
     @property
     def is_root(self) -> bool:
         return not self.labels
-
-    @property
-    def is_wildcard(self) -> bool:
-        """True when the owner name starts with the ``*`` label (RFC 4592)."""
-        return bool(self.labels) and self.labels[0] == "*"
 
     def parent(self) -> "Name":
         """The name with the most specific label removed.
@@ -135,19 +123,6 @@ class Name:
             name._parent = suffix
         return name
 
-    def relativize(self, origin: "Name") -> Tuple[str, ...]:
-        """Labels of this name below ``origin``.
-
-        ``www.example.com.`` relativized to ``example.com.`` is
-        ``("www",)``.  Raises :class:`FormError` if this name is not a
-        subdomain of ``origin``.
-        """
-        if not self.is_subdomain_of(origin):
-            raise FormError(f"{self} is not under {origin}")
-        if len(origin) == 0:
-            return self.labels
-        return self.labels[: len(self.labels) - len(origin)]
-
     def is_subdomain_of(self, other: "Name") -> bool:
         """True if this name equals ``other`` or is below it."""
         n = len(other.labels)
@@ -162,13 +137,6 @@ class Name:
         while name.labels:
             name = name.parent()
             yield name
-
-    def wildcard_sibling(self) -> "Name":
-        """The wildcard name at this name's parent: ``*.<parent>``.
-
-        Used by zone lookup when checking for RFC 4592 synthesis.
-        """
-        return self.parent().child("*")
 
     def canonical_key(self) -> Tuple[str, ...]:
         """Sort key implementing canonical DNS ordering (RFC 4034 6.1):
@@ -187,12 +155,6 @@ class Name:
             return NotImplemented
         return self.labels == other.labels
 
-    def __lt__(self, other: "Name") -> bool:
-        return self.canonical_key() < other.canonical_key()
-
-    def __le__(self, other: "Name") -> bool:
-        return self.canonical_key() <= other.canonical_key()
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -200,9 +162,6 @@ class Name:
         if self.is_root:
             return "."
         return ".".join(self.labels) + "."
-
-    def __repr__(self) -> str:
-        return f"Name({str(self)!r})"
 
 
 #: The DNS root name (zero labels).

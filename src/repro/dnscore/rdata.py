@@ -74,9 +74,6 @@ class RData:
         """Approximate uncompressed RDATA length in octets."""
         raise NotImplementedError
 
-    def to_text(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class AData(RData):
@@ -87,9 +84,6 @@ class AData(RData):
 
     def wire_length(self) -> int:
         return 4
-
-    def to_text(self) -> str:
-        return self.address
 
 
 @dataclass(frozen=True)
@@ -102,9 +96,6 @@ class AAAAData(RData):
     def wire_length(self) -> int:
         return 16
 
-    def to_text(self) -> str:
-        return self.address
-
 
 @dataclass(frozen=True)
 class NSData(RData):
@@ -116,9 +107,6 @@ class NSData(RData):
     def wire_length(self) -> int:
         return self.target.wire_length()
 
-    def to_text(self) -> str:
-        return str(self.target)
-
 
 @dataclass(frozen=True)
 class CNAMEData(RData):
@@ -129,9 +117,6 @@ class CNAMEData(RData):
 
     def wire_length(self) -> int:
         return self.target.wire_length()
-
-    def to_text(self) -> str:
-        return str(self.target)
 
 
 @dataclass(frozen=True)
@@ -152,12 +137,6 @@ class SOAData(RData):
     def wire_length(self) -> int:
         return self.mname.wire_length() + self.rname.wire_length() + 20
 
-    def to_text(self) -> str:
-        return (
-            f"{self.mname} {self.rname} {self.serial} {self.refresh} "
-            f"{self.retry} {self.expire} {self.minimum}"
-        )
-
 
 @dataclass(frozen=True)
 class TXTData(RData):
@@ -168,9 +147,6 @@ class TXTData(RData):
 
     def wire_length(self) -> int:
         return len(self.text) + 1
-
-    def to_text(self) -> str:
-        return f'"{self.text}"'
 
 
 @dataclass(frozen=True)
@@ -183,9 +159,6 @@ class PTRData(RData):
     def wire_length(self) -> int:
         return self.target.wire_length()
 
-    def to_text(self) -> str:
-        return str(self.target)
-
 
 @dataclass(frozen=True)
 class MXData(RData):
@@ -197,9 +170,6 @@ class MXData(RData):
 
     def wire_length(self) -> int:
         return 2 + self.exchange.wire_length()
-
-    def to_text(self) -> str:
-        return f"{self.preference} {self.exchange}"
 
 
 @dataclass(frozen=True)
@@ -221,9 +191,6 @@ class NSECData(RData):
     def wire_length(self) -> int:
         return self.next_name.wire_length() + 2
 
-    def to_text(self) -> str:
-        return str(self.next_name)
-
 
 @dataclass(frozen=True)
 class OPTData(RData):
@@ -238,6 +205,3 @@ class OPTData(RData):
 
     def wire_length(self) -> int:
         return sum(4 + len(payload) for _, payload in self.options)
-
-    def to_text(self) -> str:
-        return " ".join(f"opt{code}={payload.hex()}" for code, payload in self.options)

@@ -33,12 +33,6 @@ class ResourceRecord:
         """Copy with a different owner name (wildcard synthesis)."""
         return ResourceRecord(name=name, ttl=self.ttl, rdata=self.rdata)
 
-    def to_text(self) -> str:
-        return f"{self.name} {self.ttl} IN {self.rrtype} {self.rdata.to_text()}"
-
-    def __str__(self) -> str:
-        return self.to_text()
-
 
 class RRSet:
     """All records with the same (owner, type).
@@ -142,6 +136,3 @@ class RRSet:
             and self.rrtype == other.rrtype
             and set(self._records) == set(other._records)
         )
-
-    def __repr__(self) -> str:
-        return f"RRSet({self.name} {self.rrtype} x{len(self._records)})"

@@ -24,12 +24,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.dnscore.errors import ZoneError
 from repro.dnscore.name import Name, NameLike, as_name
 from repro.dnscore.rdata import (
-    AAAAData,
     AData,
     CNAMEData,
     NSData,
@@ -129,9 +128,6 @@ class Zone:
     def add_a(self, name: NameLike, address: str, ttl: Optional[int] = None) -> ResourceRecord:
         return self.add(name, AData(address), ttl=ttl)
 
-    def add_aaaa(self, name: NameLike, address: str, ttl: Optional[int] = None) -> ResourceRecord:
-        return self.add(name, AAAAData(address), ttl=ttl)
-
     def add_ns(self, name: NameLike, target: NameLike, ttl: Optional[int] = None) -> ResourceRecord:
         return self.add(name, NSData(self._absolute(target)), ttl=ttl)
 
@@ -169,16 +165,8 @@ class Zone:
             raise ZoneError(f"zone {self.origin} has no SOA")
         return soa
 
-    def rrset(self, name: NameLike, rrtype: RRType) -> Optional[RRSet]:
-        return self._nodes.get(self._absolute(name), {}).get(rrtype)
-
     def node_exists(self, name: Name) -> bool:
         return name in self._nodes or name in self._nonterminals or name == self.origin
-
-    def record_count(self) -> int:
-        return sum(
-            len(rrset) for types in self._nodes.values() for rrset in types.values()
-        )
 
     def owners(self) -> Iterator[Name]:
         return iter(self._nodes)
@@ -187,12 +175,6 @@ class Zone:
         """All RRsets at one owner (empty dict when the owner has none);
         the zone-graph validator's raw view of a node."""
         return dict(self._nodes.get(self._absolute(name), {}))
-
-    def __contains__(self, name: NameLike) -> bool:
-        return self.node_exists(self._absolute(name))
-
-    def __repr__(self) -> str:
-        return f"Zone({self.origin}, {self.record_count()} records)"
 
     # ------------------------------------------------------------------
     # lookup

@@ -64,8 +64,7 @@ from repro.netsim.faults import (
     schedule_from_dicts,
     schedule_to_dicts,
 )
-from repro.obs import Observability
-from repro.obs.export import canonical_json, metrics_jsonl
+from repro.obs.export import canonical_json
 from repro.server.health import HealthConfig
 from repro.server.overload import OverloadConfig, ShedPolicy
 from repro.server.resolver import ResolverConfig, ResolverStats
@@ -650,9 +649,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--metrics-out", default=None, metavar="FILE",
                         help="write the canonical metrics JSON here "
                         "(default results/chaos_<backend>.json)")
-    parser.add_argument("--obs-out", default=None, metavar="FILE",
-                        help="export each cell's observability registry as "
-                        "JSONL (every line carries its cell)")
     parser.add_argument("--check-against", default=None, metavar="FILE",
                         help="fail unless FILE is byte-identical to this "
                         "run's canonical metrics JSON")
@@ -679,18 +675,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     reports = run_chaos(cfg, plan)
     rendered = render_report(cfg, args.plan, plan, reports, args.min_goodput)
     print(rendered)
-
-    if args.obs_out:
-        lines = []
-        for cell, report in reports.items():
-            obs = Observability()
-            report.auditor.emit(obs)
-            for key in ("crashes", "restarts", "recoveries", "proxies", "spec_updates"):
-                if key in report.info:
-                    obs.inc(f"chaos.exec.{key}", report.info[key])
-            lines.extend(json.dumps(dict(json.loads(line), cell=cell), sort_keys=True) + "\n"
-                         for line in metrics_jsonl(obs.metrics).splitlines())
-        _write(args.obs_out, "".join(lines))
 
     canonical = canonical_metrics(reports)
     metrics_path = args.metrics_out or os.path.join("results", f"chaos_{cfg.backend}.json")

@@ -25,10 +25,10 @@ figure shape is scale-invariant.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.analysis.report import format_series, render_table, sparkline
+from repro.analysis.report import render_table, sparkline
 from repro.dcc.monitor import AnomalyKind, MonitorConfig
 from repro.dcc.policing import PolicyKind, PolicyTemplate
 from repro.experiments.common import AttackScenario, ScenarioConfig, ScenarioResult, report_failures

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.report import render_table
-from repro.dnscore.rdata import RRType
 from repro.experiments.common import AttackScenario, ScenarioConfig, report_failures
 from repro.workloads.schedule import ClientSpec
 
@@ -72,9 +71,7 @@ def run_table1(
     inflight_queries = len(resolver._query_registry)
     srtt_entries = len(resolver.health.srtt_table())
     resolver_state = {
-        "per-client (RL/policing)": (
-            resolver.ingress_rl.tracked_keys() if resolver.ingress_rl else clients
-        ),
+        "per-client (RL/policing)": clients,  # this cast runs no ingress limiter: one entry per client
         "per-server (NS info, RL, SRTT)": cache_entries + srtt_entries,
         "per-request (resolution state)": pending_requests + inflight_queries,
     }

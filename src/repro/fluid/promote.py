@@ -204,12 +204,6 @@ class PromotionController:
         for key in list(self._live):
             self._demote(key, now)
 
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    def live_keys(self) -> List[str]:
-        return list(self._live)
-
     def live_handles(self) -> List[tuple]:
         """(key, handle) of every currently-materialized slice -- the
         experiments layer walks this to refresh flags from DCC monitor

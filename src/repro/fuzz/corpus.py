@@ -81,14 +81,3 @@ def replay(
     inject = record.get("injected_bug") if honor_injection else None
     observations = run_scenario(scenario, inject_bug=inject)
     return scenario, observations, check_all(scenario, observations)
-
-
-def corpus_files(directory: str) -> List[str]:
-    """All counterexample files in a corpus directory, sorted."""
-    if not os.path.isdir(directory):
-        return []
-    return sorted(
-        os.path.join(directory, name)
-        for name in os.listdir(directory)
-        if name.endswith(".json")
-    )

@@ -29,7 +29,7 @@ from repro import sanitize
 from repro.dcc.mopifq import MopiFqConfig
 from repro.dcc.shim import DccConfig, DccShim
 from repro.dnscore.message import Question
-from repro.dnscore.name import Name
+from repro.dnscore.name import ROOT, Name
 from repro.dnscore.rdata import RRType
 from repro.netsim.faults import FaultInjector, fault_span
 from repro.netsim.link import Network
@@ -327,7 +327,7 @@ def _build(scenario: FuzzScenario, inject_bug: Optional[str]) -> _Harness:
         pool = h.graph.resolvable.get(spec.zone, [])[: max(1, spec.pool_size)]
         if not pool:
             # Degenerate zone spec (no leaves, no chain): query the apex.
-            pool = [h.graph.zones[spec.zone].origin] if spec.zone in h.graph.zones else [Name.root()]
+            pool = [h.graph.zones[spec.zone].origin] if spec.zone in h.graph.zones else [ROOT]
         client = StubClient(
             f"10.1.50.{i + 1}",
             NamePoolPattern(pool),
@@ -406,7 +406,7 @@ def _adversary_pattern(adversary, graph: ZoneGraph) -> QueryPattern:
         # Hammer the CNAME-chasing path: the chain head re-resolves on
         # every TTL lapse (generated chains carry short TTLs); zones
         # without a chain degrade to an apex-hammering fixed pattern.
-        origin = graph.zones[zone].origin if zone in graph.zones else Name.root()
+        origin = graph.zones[zone].origin if zone in graph.zones else ROOT
         names = graph.resolvable.get(zone, [])
         head = next((n for n in names if str(n).startswith("c0.")), None)
         return FixedPattern(head if head is not None else origin)

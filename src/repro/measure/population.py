@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 #: (name, anycast address) pairs from Table 3.
 TABLE3_RESOLVERS: List[Tuple[str, str]] = [

@@ -24,7 +24,7 @@ unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.dnscore.message import Message
 from repro.dnscore.rdata import RCode
@@ -33,7 +33,7 @@ from repro.netsim.node import Node
 from repro.netsim.sim import Simulator
 from repro.measure.population import ResolverProfile
 from repro.server.authoritative import AuthoritativeServer
-from repro.server.ratelimit import RateLimitAction, RateLimitConfig, RateLimiter
+from repro.server.ratelimit import RateLimitConfig, RateLimiter
 from repro.server.resolver import RecursiveResolver, ResolverConfig
 from repro.workloads.patterns import (
     CnameChainPattern,
@@ -80,10 +80,6 @@ class IngressProbeResult:
     limit: Optional[float]
     probe_steps: int
 
-    @property
-    def uncertain(self) -> bool:
-        return self.limit is None
-
 
 @dataclass
 class EgressProbeResult:
@@ -93,10 +89,6 @@ class EgressProbeResult:
     probe_steps: int
     #: highest egress QPS observed (unscaled)
     peak_egress: float = 0.0
-
-    @property
-    def uncertain(self) -> bool:
-        return self.limit is None
 
 
 class _ProfiledResolver(RecursiveResolver):

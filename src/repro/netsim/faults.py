@@ -26,7 +26,7 @@ draws happen, which is itself seed-stable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from repro.netsim.link import LinkSpec

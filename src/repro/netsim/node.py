@@ -88,7 +88,3 @@ class Node:
 
     def on_recover(self) -> None:
         """Subclass hook: re-read whatever a restart reloads from disk."""
-
-    def __repr__(self) -> str:
-        state = "" if self.up else ", down"
-        return f"{type(self).__name__}({self.address}{state})"

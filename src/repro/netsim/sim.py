@@ -45,10 +45,6 @@ class Event:
         if self._sim is not None:
             self._sim._note_cancelled()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self.time:.6f}, {getattr(self.fn, '__name__', self.fn)}, {state})"
-
 
 #: a heap entry: ordered by (time, seq) as they were when scheduled
 _HeapEntry = Tuple[float, int, Event]
@@ -189,15 +185,6 @@ class Simulator:
             if self.obs_tick is not None:
                 self.obs_tick(until)
 
-    def step(self) -> bool:
-        """Process a single event; returns False when the heap is empty."""
-        before = self.events_processed
-        self.run(max_events=1)
-        return self.events_processed > before
-
     def pending(self) -> int:
         """Number of live (non-cancelled) queued events."""
         return len(self._heap) - self._cancelled
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Simulator(now={self.now:.6f}, pending={self.pending()})"

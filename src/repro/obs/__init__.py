@@ -92,9 +92,6 @@ class NullObservability:
     def end(self, span_id: int, now: float, **args: Any) -> None:
         pass
 
-    def annotate(self, span_id: int, **args: Any) -> None:
-        pass
-
     def instant(self, name: str, track: str, now: float, **args: Any) -> None:
         pass
 
@@ -180,10 +177,6 @@ class Observability(NullObservability):
     def end(self, span_id: int, now: float, **args: Any) -> None:
         if span_id:
             self.tracer.end(span_id, now, **args)
-
-    def annotate(self, span_id: int, **args: Any) -> None:
-        if span_id:
-            self.tracer.annotate(span_id, **args)
 
     def instant(self, name: str, track: str, now: float, **args: Any) -> None:
         if self._trace_spans:

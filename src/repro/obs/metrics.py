@@ -49,9 +49,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def add(self, amount: float) -> None:
-        self.value += amount
-
 
 def log_bounds(lo: float, hi: float, per_decade: int = 4) -> Tuple[float, ...]:
     """Fixed log-spaced bucket upper bounds from ``lo`` to ``hi``.

@@ -60,9 +60,6 @@ class SpaceSaving:
         self.total_weight = 0.0
         self.evictions = 0
 
-    def __len__(self) -> int:
-        return len(self._counters)
-
     def offer(self, key: str, weight: float = 1.0) -> None:
         """Fold one observation of ``key`` into the sketch."""
         self.total_weight += weight
@@ -119,11 +116,6 @@ class SpaceSaving:
             return entries
         outside_ceiling = entries[n].count
         return [hh for hh in entries[:n] if hh.count - hh.error >= outside_ceiling]
-
-    def clear(self) -> None:
-        self._counters.clear()
-        self.total_weight = 0.0
-        self.evictions = 0
 
 
 def _rank_key(item: tuple) -> tuple:

@@ -55,10 +55,6 @@ class SpanRecord:
     def duration(self) -> float:
         return (self.end - self.start) if self.end != OPEN else 0.0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        closed = f"{self.end:.6f}" if self.end != OPEN else "open"
-        return f"Span#{self.span_id}({self.name}@{self.track} {self.start:.6f}..{closed})"
-
 
 class InstantRecord:
     """A zero-duration mark on a track."""
@@ -121,11 +117,6 @@ class Tracer:
         if args:
             span.args.update(args)
 
-    def annotate(self, span_id: int, **args: Any) -> None:
-        span = self._by_id.get(span_id)
-        if span is not None:
-            span.args.update(args)
-
     def instant(self, name: str, track: str, now: float, **args: Any) -> None:
         if len(self.instants) >= self.max_spans:
             self.dropped += 1
@@ -149,9 +140,6 @@ class Tracer:
     def get(self, span_id: int) -> Optional[SpanRecord]:
         return self._by_id.get(span_id)
 
-    def children(self, span_id: int) -> List[SpanRecord]:
-        return [s for s in self.spans if s.parent_id == span_id]
-
     def roots(self) -> List[SpanRecord]:
         return [s for s in self.spans if s.parent_id == NO_PARENT]
 
@@ -171,34 +159,3 @@ class Tracer:
             for child in reversed(kids.get(node_id, [])):
                 stack.append(child.span_id)
         return tracks
-
-
-def validate_span_tree(tracer: Tracer) -> List[str]:
-    """Well-formedness problems, empty when the span set is sound.
-
-    Checks: every span closed with ``end >= start``; every non-root
-    parent exists; every parent opens no later than its child (causality
-    in virtual time).
-    """
-    problems: List[str] = []
-    for span in tracer.spans:
-        if span.end == OPEN:
-            problems.append(f"span #{span.span_id} {span.name!r} never closed")
-        elif span.end < span.start:
-            problems.append(
-                f"span #{span.span_id} {span.name!r} ends before it starts "
-                f"({span.end:.9f} < {span.start:.9f})"
-            )
-        if span.parent_id != NO_PARENT:
-            parent = tracer.get(span.parent_id)
-            if parent is None:
-                problems.append(
-                    f"span #{span.span_id} {span.name!r} has unknown parent "
-                    f"#{span.parent_id}"
-                )
-            elif parent.start > span.start:
-                problems.append(
-                    f"span #{span.span_id} {span.name!r} starts before its parent "
-                    f"#{parent.span_id} ({span.start:.9f} < {parent.start:.9f})"
-                )
-    return problems

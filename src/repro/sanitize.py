@@ -51,12 +51,6 @@ def enable() -> None:
     ENABLED = True
 
 
-def disable() -> None:
-    """Turn the sanitizer off (the default)."""
-    global ENABLED
-    ENABLED = False
-
-
 def fail(message: str) -> None:
     """Raise a :class:`SimSanViolation`; never stripped by ``-O``."""
     raise SimSanViolation(message)

@@ -18,7 +18,7 @@ The cache stores:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.dnscore.name import Name
 from repro.dnscore.rdata import RCode, RRType
@@ -203,9 +203,6 @@ class ResolverCache:
             self.denial_hits += 1
         return covered
 
-    def denial_range_count(self) -> int:
-        return len(self._denials)
-
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
@@ -221,11 +218,3 @@ class ResolverCache:
             del self._entries[key]
         self.expirations += len(dead)
         return len(dead)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

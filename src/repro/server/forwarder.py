@@ -19,12 +19,11 @@ stands for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.dnscore.edns import ClientAttribution, OptionCode
 from repro.dnscore.message import Message
-from repro.dnscore.name import Name
-from repro.dnscore.rdata import RCode, RRType
+from repro.dnscore.rdata import RCode
 from repro.netsim.node import Node
 from repro.server.cache import ResolverCache
 from repro.server.ratelimit import RateLimitAction, RateLimitConfig, RateLimiter
@@ -95,23 +94,6 @@ class Forwarder(Node):
         self.egress_response_hook = None
         #: observation-only tap on queries actually leaving the host
         self.egress_tap = None
-
-    # ------------------------------------------------------------------
-    # crash / recovery lifecycle
-    # ------------------------------------------------------------------
-    def on_crash(self) -> None:
-        """A forwarder crash loses its cache, its pending-forward table
-        (clients discover via their own timeouts), its rotation position
-        and limiter state."""
-        for pending in self._pending.values():
-            if pending.timer is not None:
-                pending.timer.cancel()
-                pending.timer = None  # timer <-> event.args is a cycle
-        self._pending.clear()
-        self._rr_index = 0
-        if self.ingress_rl is not None:
-            self.ingress_rl = RateLimiter(self.config.ingress_limit)
-        self.cache = ResolverCache(max_entries=CACHE_SIZE)
 
     # ------------------------------------------------------------------
     # dispatch
@@ -305,6 +287,3 @@ class Forwarder(Node):
         if self.obs.enabled:
             self.obs.inc("forwarder.responses")
         self.send(client, response)
-
-    def pending_request_count(self) -> int:
-        return len(self._pending)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.obs import NULL_OBS
@@ -391,16 +391,6 @@ class HealthRegistry:
             self._servers[server] = entry
         return entry
 
-    def peek(self, server: str) -> Optional[UpstreamHealth]:
-        """The server's health entry, without creating one."""
-        return self._servers.get(server)
-
-    def __len__(self) -> int:
-        return len(self._servers)
-
-    def __contains__(self, server: str) -> bool:
-        return server in self._servers
-
     # ------------------------------------------------------------------
     # event feeds
     # ------------------------------------------------------------------
@@ -496,15 +486,6 @@ class HealthRegistry:
             for server, entry in self._servers.items()
             if entry.srtt is not None
         }
-
-    def open_table(self, now: float) -> Dict[str, float]:
-        """Servers whose breaker is currently OPEN -> reopen deadline."""
-        table: Dict[str, float] = {}
-        for server, entry in self._servers.items():
-            entry._tick(now)
-            if entry.state is BreakerState.OPEN:
-                table[server] = entry.open_until
-        return table
 
     def clear(self) -> None:
         """Crash semantics: learned upstream quality is process memory."""

@@ -101,13 +101,6 @@ class RateLimiter:
         self.total_limited += 1
         return False
 
-    def would_allow(self, address: str, now: float, amount: float = 1.0) -> bool:
-        """Non-consuming peek."""
-        entry = self._entries.get(address)
-        if entry is None:
-            return True
-        return entry.bucket.available(now, amount)
-
     def purge(self, now: float) -> int:
         """Drop entries idle longer than :data:`IDLE_TIMEOUT`; returns count."""
         stale = [
@@ -118,12 +111,3 @@ class RateLimiter:
         for key in stale:
             del self._entries[key]
         return len(stale)
-
-    def tracked_keys(self) -> int:
-        return len(self._entries)
-
-    def stats_for(self, address: str) -> Optional[Dict[str, float]]:
-        entry = self._entries.get(address)
-        if entry is None:
-            return None
-        return {"allowed": entry.allowed, "limited": entry.limited}

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.dnscore.edns import ClientAttribution, EdnsOption
 from repro.dnscore.message import Message
@@ -65,10 +65,6 @@ class ResolutionOutcome:
     authority: List[RRSet] = field(default_factory=list)
     #: total upstream queries attributed to this task tree
     queries_sent: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.rcode.is_success
 
 
 class _PendingQuery:

@@ -196,17 +196,6 @@ class RecursiveResolver(Node):
         """Dedicated seeded stream for breaker backoff jitter."""
         return self.sim.rng(f"resolver.{self.address}.health")
 
-    # -- legacy-introspection views (the seed exposed raw dicts) -------
-    @property
-    def _srtt(self) -> Dict[str, float]:
-        """Known smoothed per-server RTT estimates (read-only view)."""
-        return self.health.srtt_table()
-
-    @property
-    def _backoff_until(self) -> Dict[str, float]:
-        """Servers currently held down / breaker-open -> reopen time."""
-        return self.health.open_table(self.now)
-
     # ------------------------------------------------------------------
     # priming
     # ------------------------------------------------------------------
@@ -494,9 +483,6 @@ class RecursiveResolver(Node):
         else:
             self._outstanding[server] = count - 1
 
-    def outstanding_to(self, server: str) -> int:
-        return self._outstanding.get(server, 0)
-
     def pick_server(self, candidates: List[str]) -> Optional[str]:
         """Server selection among a delegation's addressed NS set.
 
@@ -533,10 +519,6 @@ class RecursiveResolver(Node):
         the breaker threshold."""
         if self.health.on_failure(server, self.now):
             self.stats.server_backoffs += 1
-
-    def server_available(self, server: str) -> bool:
-        """False while the server is held down / breaker-open."""
-        return self.health.available(server, self.now)
 
     def query_timeout_for(self, server: str) -> float:
         """Per-query timer for ``server``: the fixed configured timeout

@@ -237,9 +237,6 @@ class InflightTable(Generic[E]):
             reclaimed.append(entry)
         return reclaimed
 
-    def entries(self) -> List[InflightEntry[E]]:
-        return list(self._entries.values())
-
 
 @dataclass
 class TransportStats:

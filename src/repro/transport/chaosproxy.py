@@ -188,10 +188,6 @@ class ChaosProxy:
     def _fwd_label(src: str, dst: str) -> str:
         return f"{src}>{dst}"
 
-    @property
-    def channel(self) -> "Tuple[str, str]":
-        return (self._a, self._b)
-
     def direction(self, src: str, dst: str) -> str:
         """The direction label for ``src -> dst`` on this channel."""
         label = self._fwd_label(src, dst)

@@ -24,6 +24,7 @@ through it on either fabric.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -136,14 +137,11 @@ class QueryEngine:
         self._transmit = transmit
         self.config = config if config is not None else EngineConfig()
         self.stats = EngineStats()
-        self.health = HealthRegistry(self.config.health, rng_factory=self._health_rng)
+        self.health = HealthRegistry(self.config.health, rng_factory=functools.partial(clock.rng, "engine.health"))
         self._inflight: InflightTable[_EngineQuery] = InflightTable(
             self.config.inflight_capacity
         )
         self._audit_timer: Optional[TimerHandle] = None
-
-    def _health_rng(self):  # noqa: ANN202 - Callable[[], random.Random]
-        return self._clock.rng("engine.health")
 
     # ------------------------------------------------------------------
     # issue path
@@ -291,13 +289,6 @@ class QueryEngine:
                 verdict, str(q.qname), rcode, response, rtt,
                 q.retransmits, q.via_tcp,
             ))
-
-    # ------------------------------------------------------------------
-    # liveness
-    # ------------------------------------------------------------------
-    @property
-    def inflight_depth(self) -> int:
-        return len(self._inflight)
 
     def liveness_violations(self, grace: float = 1.0) -> List[str]:
         """Queries past deadline + grace with no verdict -- must be empty."""

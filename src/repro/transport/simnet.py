@@ -10,8 +10,6 @@ The simulator reads SimSan's switch (``REPRO_SIMSAN``) as every other
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
 from repro.netsim.link import Network
 from repro.netsim.sim import Simulator
 
@@ -30,10 +28,3 @@ class VirtualBackend:
     @property
     def fabric(self) -> Network:
         return self.net
-
-    def attach(self, node: Any) -> None:
-        self.net.attach(node)
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        self.sim.run(until=until, max_events=max_events)
-        return self.sim.events_processed

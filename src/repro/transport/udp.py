@@ -109,10 +109,6 @@ class AsyncioClock:
         self.wall_start = time.time()
 
     @property
-    def seed(self) -> int:
-        return self._seed
-
-    @property
     def now(self) -> float:
         if self._loop is None:
             return 0.0
@@ -148,9 +144,6 @@ class AsyncioClock:
         timer._handle = self._loop.call_soon(self._fire, timer)  # type: ignore[assignment]
         self._pending_count += 1
         return timer
-
-    def pending(self) -> int:
-        return self._pending_count
 
     def _fire(self, timer: AsyncioTimer) -> None:
         if timer.cancelled:
@@ -276,12 +269,6 @@ class UdpFabric:
         if live:
             await asyncio.gather(*live, return_exceptions=True)
         self._tasks.clear()
-
-    # ------------------------------------------------------------------
-    # interposition hooks (chaos proxy)
-    # ------------------------------------------------------------------
-    def udp_address(self, address: str) -> SockAddr:
-        return self._udp_addr[address]
 
     def udp_address_if_bound(self, address: str) -> Optional[SockAddr]:
         """The node's current socket address, or None while crashed.

@@ -92,9 +92,6 @@ class SignalLog:
     policing: List[PolicingSignal] = field(default_factory=list)
     congestion: List[CongestionSignal] = field(default_factory=list)
 
-    def total(self) -> int:
-        return len(self.anomaly) + len(self.policing) + len(self.congestion)
-
 
 class StubClient(Node):
     """A request generator with outcome tracking."""
@@ -240,6 +237,3 @@ class StubClient(Node):
                 if 0 <= index < len(buckets):
                     buckets[index] += 1
         return [count / bucket for count in buckets]
-
-    def request_count(self) -> int:
-        return len(self.records)

@@ -100,9 +100,6 @@ class PromotedHandle:
         self.clients = clients
         self.promoted_at = promoted_at
 
-    def addresses(self) -> List[str]:
-        return [client.address for client in self.clients]
-
 
 class SliceMaterializer:
     """Factory pair for :class:`repro.fluid.promote.PromotionController`.

@@ -19,9 +19,6 @@ class QueryPattern:
     def next_question(self, rng: random.Random) -> Question:
         raise NotImplementedError
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
 
 def _random_label(rng: random.Random, length: int = 12) -> str:
     """``length`` characters drawn as ``rng.choice`` over the alphabet draws each

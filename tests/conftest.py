@@ -1,8 +1,8 @@
 """Shared fixtures: small DNS topologies for server-level tests."""
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Iterator, List, Optional
 
 import pytest
 

@@ -18,7 +18,7 @@ The cache stores:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.dnscore.name import Name
 from repro.dnscore.rdata import RCode, RRType

@@ -1,7 +1,5 @@
 """Authoritative server tests: answer synthesis + ingress RL actions."""
 
-import pytest
-
 from repro.dnscore.message import Flags, Message
 from repro.dnscore.name import Name
 from repro.dnscore.rdata import RCode, RRType

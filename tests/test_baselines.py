@@ -53,7 +53,7 @@ class TestFifoPathology:
         fifo.enqueue("s2", "healthy", "h0", 0.0)
         assert fifo.dequeue(0.0).payload == "d0"
         assert fifo.dequeue(0.0) is None  # h0 stuck behind d1
-        assert fifo.total_queued() == 2
+        assert len(fifo._queue) == 2
 
 
 class TestInputCentricPathology:
@@ -106,7 +106,7 @@ class TestIoIsolated:
                 fq.enqueue(f"s{s}", f"d{d}", None, 0.0)
         # O(|S| * |O|) live queues -- the cost the paper rejects -- where
         # MOPI-FQ under the same load keeps one queue per output.
-        assert fq.queue_count() == 20
+        assert sum(len(per_dst) for per_dst in fq._queues.values()) == 20
         mopi = MopiFq(MopiFqConfig())
         for s in range(4):
             for d in range(5):

@@ -6,7 +6,6 @@ import pytest
 
 from repro.chaos import RecoveryAuditor, SloConfig, segment_windows
 from repro.experiments.chaos_unified import ChaosConfig, ChaosReport, canonical_metrics
-from repro.obs import Observability
 from repro.obs.export import canonical_json
 from repro.server.resolver import ResolverStats
 
@@ -184,13 +183,3 @@ class TestCanonicalOutput:
         assert doc["backend"] == "sim" and doc["seed"] == 7
         assert doc["fault_span"] == [3.0, 6.0]
         assert set(doc["windows"]) == {"pre", "fault", "recovery"}
-
-    def test_emit_publishes_counters_and_gauges(self):
-        auditor = make_auditor()
-        fill(auditor, 0.0, 2.5)
-        fill(auditor, 8.5, 12.0)
-        obs = Observability()
-        auditor.emit(obs)
-        assert obs.metrics.counters()["chaos.slo.pre.sent"] > 0
-        assert obs.metrics.gauges()["chaos.slo.goodput_retained"] == pytest.approx(1.0)
-        assert "chaos.slo.mttr" in obs.metrics.gauges()

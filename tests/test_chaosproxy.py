@@ -147,7 +147,7 @@ class TestProxyChannelSurface:
 
     def test_direction_labels_and_channel(self):
         backend, _, _, proxy = _proxied(ChaosSpec())
-        assert proxy.channel == (A_ADDR, B_ADDR)
+        assert (proxy._a, proxy._b) == (A_ADDR, B_ADDR)
         assert proxy.direction(A_ADDR, B_ADDR) == f"{A_ADDR}>{B_ADDR}"
         assert proxy.direction(B_ADDR, A_ADDR) == f"{B_ADDR}>{A_ADDR}"
         with pytest.raises(KeyError):

@@ -25,7 +25,7 @@ DEFAULTS = {
              "corpus_dir": "results/fuzz-corpus", "shrink_budget": 150, "inject_bug": None,
              "replay": None, "replay_with_bug": False, "quiet": False},
     "chaos": {"backend": "sim", "seed": 1, "plan": "default", "out": None,
-              "metrics_out": None, "obs_out": None, "check_against": None, "slo": False,
+              "metrics_out": None, "check_against": None, "slo": False,
               "min_recovery": 0.8, "max_mttr": None, "min_goodput": None},
     "scale": {"clients": 1_000_000, "seed": 42, "duration": 20.0, "tick": 0.1, "mode": "all", "runs": 2,
               "attacker_rate": 1200.0, "no_check_verdicts": False, "out": "results/scale.txt"},

@@ -7,10 +7,7 @@ machinery sheds load away from a partitioned server and re-learns it
 after the heal.
 """
 
-import pytest
-
-from repro.dnscore.name import Name
-from repro.dnscore.rdata import RCode, RRType
+from repro.dnscore.rdata import RCode
 from repro.netsim.faults import FaultInjector, NodeOutage, Partition
 from repro.server.resolver import ResolverConfig
 from repro.workloads.schedule import ClientSpec
@@ -62,11 +59,11 @@ class TestResolverCrash:
     def test_learned_server_state_is_lost(self):
         topo = build_topology()
         topo.resolve("www.target-domain.")
-        assert topo.resolver._srtt  # learned something about upstreams
+        assert topo.resolver.health.srtt_table()  # learned something about upstreams
         topo.resolver.crash()
-        assert topo.resolver._srtt == {}
+        assert topo.resolver.health.srtt_table() == {}
         assert topo.resolver._outstanding == {}
-        assert topo.resolver._backoff_until == {}
+        assert topo.resolver.health._servers == {}  # no server held down either
 
 
 class TestServeStaleUnderFaults:
@@ -147,7 +144,7 @@ class TestBackoffAcrossPartition:
             counts[tag] = (
                 per_server.get(preferred, 0),
                 per_server.get(other, 0),
-                resolver._srtt.get(preferred),
+                resolver.health.srtt_table().get(preferred),
             )
 
         sim.schedule_at(3.0, snapshot, "partition")
@@ -182,4 +179,4 @@ class TestBackoffAcrossPartition:
         # (exploration probes) pull the EWMA back down.
         assert srtt_at_end < srtt_at_heal
         # And the hold-down has lapsed: the server is usable again.
-        assert resolver.server_available(preferred)
+        assert resolver.health.available(preferred, resolver.now)

@@ -1,11 +1,8 @@
 """DCC-aware end hosts (paper Section 3.3): signal-driven behaviour."""
 
-import pytest
-
 from repro.dcc.monitor import AnomalyKind, MonitorConfig
 from repro.dcc.policing import PolicyKind, PolicyTemplate
 from repro.dcc.shim import DccConfig, DccShim
-from repro.dnscore.rdata import RCode
 from repro.workloads.clients import ClientConfig, StubClient
 from repro.workloads.patterns import NxdomainPattern, WildcardPattern
 

@@ -78,7 +78,7 @@ class TestEngineAudit:
         assert [o.verdict for o in outcomes] == [Verdict.TIMEOUT]
         assert engine.stats.reclaimed_overdue == 1
         assert engine.stats.timeouts == 1
-        assert engine.inflight_depth == 0
+        assert len(engine._inflight) == 0
         assert engine.liveness_violations() == []
         # reclaim happens at the first audit tick past deadline + grace
         assert sim.now < 2.0
@@ -102,7 +102,7 @@ class TestEngineAudit:
         orphan(engine, mid)
         sim.run()  # terminates: the audit stopped re-arming itself
         assert engine._audit_timer is None
-        assert engine.inflight_depth == 0
+        assert len(engine._inflight) == 0
 
     def test_audit_disabled_by_zero_interval(self, monkeypatch):
         sim = Simulator(seed=3)

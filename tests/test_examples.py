@@ -4,7 +4,6 @@ import runpy
 import sys
 from pathlib import Path
 
-import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 

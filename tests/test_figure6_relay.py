@@ -92,13 +92,12 @@ class TestCountdownRelay:
         suspect.start()
         topo.sim.run(until=8.0)
         assert forwarder_shim.stats.signal_triggered_policings >= 1
-        assert forwarder_shim.engine.is_policed(suspect.address, topo.sim.now)
+        assert forwarder_shim.engine.policy_for(suspect.address, topo.sim.now) is not None
         # The forwarder acted before the resolver convicted anyone: the
         # forwarder itself never got policed upstream.
         assert resolver_shim.monitor.stats.convictions == 0
 
     def test_other_clients_unaffected_by_policing(self):
-        from repro.dnscore.rdata import RCode
         from repro.workloads.patterns import WildcardPattern
 
         topo, resolver_shim, forwarder_shim, suspect = build_chain(
@@ -112,5 +111,5 @@ class TestCountdownRelay:
         suspect.start()
         innocent.start()
         topo.sim.run(until=9.0)
-        assert forwarder_shim.engine.is_policed(suspect.address, topo.sim.now)
+        assert forwarder_shim.engine.policy_for(suspect.address, topo.sim.now) is not None
         assert innocent.success_ratio(1.0, 8.0) > 0.95

@@ -1,7 +1,5 @@
 """Promotion/demotion: determinism, bounds, seeding, trigger paths."""
 
-import pytest
-
 from repro.fluid import (
     FluidBridge,
     PromotionConfig,
@@ -143,7 +141,7 @@ class TestFlagPath:
         sim, bridge, controller, factory = build_stack()
         assert controller.flag(slice_key("suspect", 1), now=0.5)
         assert controller.promoted_now == 2
-        assert controller.live_keys() == [slice_key("suspect", 1)]
+        assert list(controller._live) == [slice_key("suspect", 1)]
         assert controller.live_handles()[0][0] == slice_key("suspect", 1)
 
     def test_flag_refresh_restarts_quiet_timer(self):
@@ -152,9 +150,9 @@ class TestFlagPath:
         controller.flag(key, now=0.0)
         controller.flag(key, now=2.9)  # refresh just before quiet_period
         controller._demote_quiet(3.5)  # 3.5 - 2.9 < 3.0: stays live
-        assert controller.live_keys() == [key]
+        assert list(controller._live) == [key]
         controller._demote_quiet(6.0)  # now quiet
-        assert controller.live_keys() == []
+        assert list(controller._live) == []
 
     def test_unpromotable_cohort_rejected(self):
         sim, bridge, controller, factory = build_stack(promotable=False)
@@ -181,7 +179,7 @@ class TestFlagPath:
         controller.flag(slice_key("suspect", 0), now=0.0)
         controller.flag(slice_key("suspect", 1), now=0.0)
         controller.demote_all(now=1.0)
-        assert controller.live_keys() == []
+        assert list(controller._live) == []
         assert controller.promoted_now == 0
         assert controller.demotions == 2
         assert len(factory.retired) == 2

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.dnscore.rdata import RCode, RRType
+from repro.dnscore.rdata import RCode
 from repro.server import forwarder as forwarder_module
 from repro.server.forwarder import Forwarder, ForwarderConfig
 from repro.server.ratelimit import RateLimitAction, RateLimitConfig
 
-from tests.conftest import RESOLVER_ADDR, Collector, build_topology
+from tests.conftest import RESOLVER_ADDR, build_topology
 
 FWD_ADDR = "10.0.2.1"
 

@@ -7,9 +7,10 @@ from repro.netsim.link import Network
 from repro.netsim.sim import Simulator
 from repro.server.authoritative import AuthoritativeServer
 from repro.server.resolver import RecursiveResolver, ResolverConfig
-from repro.workloads.zonegen import build_target_zone, build_tld_hierarchy
+from repro.workloads.zonegen import build_target_zone
 
 from tests.conftest import Collector
+from tests.zone_fixtures import build_tld_hierarchy
 
 
 def build_world(resolver_config=None):

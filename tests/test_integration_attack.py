@@ -4,8 +4,6 @@ Small-scale versions of the paper's headline experiments, asserting the
 *shape* results: vanilla collapses, DCC protects, fairness holds.
 """
 
-import pytest
-
 from repro.experiments.common import AttackScenario, ScenarioConfig
 from repro.experiments.fig8_resilience import paper_monitor_config, paper_policy_templates
 from repro.workloads.schedule import ClientSpec

@@ -85,7 +85,7 @@ class TestProber:
     def test_ingress_estimate_close_to_truth(self):
         prober = RateLimitProber(self._profile(), scale=0.1)
         result = prober.probe_ingress("WC")
-        assert not result.uncertain and result.probe_steps >= 1
+        assert result.limit is not None and result.probe_steps >= 1
         assert result.limit == pytest.approx(300.0, rel=0.4)
         assert bucket_of(result.limit) == bucket_of(300.0)
 
@@ -94,7 +94,7 @@ class TestProber:
             self._profile(ingress_limit=None), scale=0.1
         )
         result = prober.probe_ingress("WC")
-        assert result.uncertain
+        assert result.limit is None
 
     def test_nx_specific_limit_detected_lower(self):
         profile = self._profile(ingress_limit=800.0, ingress_limit_nx=100.0)
@@ -108,14 +108,14 @@ class TestProber:
             self._profile(action="servfail"), scale=0.1
         )
         result = prober.probe_ingress("WC")
-        assert not result.uncertain
+        assert result.limit is not None
         assert result.limit == pytest.approx(300.0, rel=0.4)
 
     def test_egress_limit_detected_via_amplification(self):
         profile = self._profile(ingress_limit=2000.0, egress_limit=500.0)
         prober = RateLimitProber(profile, scale=0.1)
         result = prober.probe_egress("FF", ingress_limit=2000.0)
-        assert not result.uncertain
+        assert result.limit is not None
         # Best-effort estimate (the paper flags the same caveat).
         assert result.limit == pytest.approx(500.0, rel=0.7)
 

@@ -1,7 +1,5 @@
 """Anomaly monitor tests: metrics, alarms, suspicion state machine."""
 
-import pytest
-
 from repro.dcc import monitor as monitor_module
 from repro.dcc.monitor import (
     AnomalyKind,

@@ -7,10 +7,7 @@ fairness that distinguishes MOPI-FQ from every classic FQ variant
 (paper Section 4.1).
 """
 
-import pytest
-
 from repro.dcc.shim import DccConfig, DccShim
-from repro.dnscore.rdata import RCode
 from repro.netsim.link import Network
 from repro.netsim.sim import Simulator
 from repro.server.authoritative import AuthoritativeServer

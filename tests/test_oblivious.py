@@ -5,8 +5,6 @@ revealing client identities upstream.  DCC's fairness only requires
 identity *consistency*, so a salted one-way token suffices.
 """
 
-import pytest
-
 from repro.dcc.mopifq import MopiFq, MopiFqConfig
 from repro.dnscore.edns import ClientAttribution, OptionCode, opaque_client_token
 from repro.dnscore.rdata import RCode

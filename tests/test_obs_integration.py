@@ -18,7 +18,7 @@ from tests.reference_trace import MessageTrace
 import repro.obs as obs_module
 from repro.obs import ObsConfig
 from repro.obs.export import chrome_trace, find_full_query_root, validate_chrome_trace
-from repro.obs.spans import validate_span_tree
+from tests.span_oracle import validate_span_tree
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if REPO_ROOT not in sys.path:

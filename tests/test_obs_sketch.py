@@ -125,17 +125,6 @@ def test_top_ties_break_lexicographically():
     assert [h.key for h in sketch.top(4)] == ["a", "b", "c", "d"]
 
 
-def test_clear_resets_everything():
-    sketch = SpaceSaving(2)
-    for key in ["a", "b", "c"]:
-        sketch.offer(key)
-    sketch.clear()
-    assert len(sketch) == 0
-    assert sketch.total_weight == 0.0
-    assert sketch.evictions == 0
-    assert sketch.top(5) == []
-
-
 def test_rejects_bad_k():
     with pytest.raises(ValueError):
         SpaceSaving(0)

@@ -6,7 +6,6 @@ from repro.dcc.monitor import AnomalyKind
 from repro.dcc.policing import (
     DEFAULT_TEMPLATES,
     SIGNAL_TRIGGERED_TEMPLATE,
-    Policy,
     PolicyEngine,
     PolicyKind,
     PolicyTemplate,
@@ -77,7 +76,7 @@ class TestExpiry:
     def test_policy_for_and_is_policed(self):
         engine = PolicyEngine()
         policy = engine.convict("atk", AnomalyKind.NXDOMAIN, now=0.0)
-        assert engine.is_policed("atk", 1.0)
+        assert engine.policy_for("atk", 1.0) is not None
         assert engine.policy_for("atk", 1.0) is policy
         assert policy.remaining(5.0) == pytest.approx(15.0)
         assert engine.policy_for("atk", 25.0) is None

@@ -227,21 +227,14 @@ class TestRateLimiter:
         results = [rl.allow("c", 0.1 * i) for i in range(5)]
         assert results == [True, True, True, False, False]
 
-    def test_would_allow_does_not_consume(self):
-        rl = RateLimiter(RateLimitConfig(rate=1, burst=1))
-        assert rl.would_allow("a", 0.0)
-        assert rl.would_allow("a", 0.0)
-        assert rl.allow("a", 0.0)
-        assert not rl.would_allow("a", 0.0)
-
     def test_stats(self):
         rl = RateLimiter(RateLimitConfig(rate=1, burst=1))
         rl.allow("a", 0.0)
         rl.allow("a", 0.0)
         assert rl.total_allowed == 1
         assert rl.total_limited == 1
-        assert rl.stats_for("a") == {"allowed": 1, "limited": 1}
-        assert rl.stats_for("zzz") is None
+        assert (rl._entries["a"].allowed, rl._entries["a"].limited) == (1, 1)
+        assert "zzz" not in rl._entries
 
     def test_purge_idle_entries(self, monkeypatch):
         monkeypatch.setattr(ratelimit, "IDLE_TIMEOUT", 10.0)
@@ -249,4 +242,4 @@ class TestRateLimiter:
         rl.allow("a", 0.0)
         rl.allow("b", 8.0)
         assert rl.purge(15.0) == 1  # "a" idle > 10s
-        assert rl.tracked_keys() == 1
+        assert len(rl._entries) == 1

@@ -6,11 +6,11 @@ import os
 
 import pytest
 
-from repro.fuzz.corpus import corpus_files, load_counterexample, replay
+from repro.fuzz.corpus import load_counterexample, replay
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "regressions")
 
-FILES = corpus_files(CORPUS_DIR)
+FILES = sorted(os.path.join(CORPUS_DIR, name) for name in os.listdir(CORPUS_DIR) if name.endswith(".json"))
 
 
 def test_corpus_is_not_empty():

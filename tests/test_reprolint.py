@@ -10,7 +10,6 @@ import subprocess
 import sys
 import textwrap
 
-import pytest
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if REPO_ROOT not in sys.path:

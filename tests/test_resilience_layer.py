@@ -30,7 +30,7 @@ class TestPickServer:
         resolver = topo.resolver
         for _ in range(resolver.config.health.failure_threshold):
             resolver.note_server_timeout(TARGET_ANS_ADDR)
-        assert not resolver.server_available(TARGET_ANS_ADDR)
+        assert not resolver.health.available(TARGET_ANS_ADDR, resolver.now)
         assert resolver.pick_server([TARGET_ANS_ADDR]) is None
         assert resolver.pick_server([TARGET_ANS_ADDR, "10.0.0.9"]) == "10.0.0.9"
 
@@ -47,7 +47,7 @@ class TestPickServer:
         resolver = topo.resolver
         resolver.note_server_timeout(TARGET_ANS_ADDR)  # threshold 1: OPEN
         assert resolver.pick_server([TARGET_ANS_ADDR]) is None
-        reopen = resolver.health.peek(TARGET_ANS_ADDR).open_until
+        reopen = resolver.health.health(TARGET_ANS_ADDR).open_until
         topo.sim.run(until=reopen + 0.01)
         # HALF_OPEN with a free probe slot: selectable exactly once.
         assert resolver.pick_server([TARGET_ANS_ADDR]) == TARGET_ANS_ADDR

@@ -1,7 +1,5 @@
 """Resolution edge cases: cross-zone CNAMEs, loss, partial glue, misc."""
 
-import pytest
-
 from repro.dnscore.name import Name
 from repro.dnscore.rdata import RCode, RRType
 from repro.netsim.link import LinkSpec, Network
@@ -10,9 +8,10 @@ from repro.server import resolution
 from repro.server.authoritative import AuthoritativeServer
 from repro.server.health import HealthConfig
 from repro.server.resolver import RecursiveResolver, ResolverConfig
-from repro.workloads.zonegen import build_target_zone, build_tld_hierarchy
+from repro.workloads.zonegen import build_target_zone
 
 from tests.conftest import Collector, build_topology
+from tests.zone_fixtures import build_tld_hierarchy
 
 
 def hierarchy_world(resolver_config=None, loss=0.0):

@@ -11,7 +11,6 @@ Two seams in ``server/resolution.py``:
 """
 
 from repro.dnscore.message import Message
-from repro.dnscore.name import Name
 from repro.dnscore.rdata import RCode
 from repro.netsim.link import Network
 from repro.netsim.sim import Simulator

@@ -166,7 +166,7 @@ class TestFailureHandling:
             topo.client.query("10.0.1.1", f"h{i}.wc.target-domain.")
         topo.sim.run(until=0.5)  # before the first timeout fires
         assert topo.resolver.stats.quota_rejections > 0
-        assert topo.resolver.outstanding_to("10.0.0.2") <= 2
+        assert topo.resolver._outstanding.get("10.0.0.2", 0) <= 2
 
     def test_quota_decline_fails_over_within_the_step(self, monkeypatch):
         """A server at its fetch quota hands the query to the step's next
@@ -210,7 +210,7 @@ class TestFailureHandling:
             topo.client.query("10.0.1.1", f"b{i}.wc.target-domain.")
             topo.sim.run(until=topo.sim.now + 1.0)
         assert topo.resolver.stats.server_backoffs >= 1
-        assert not topo.resolver.server_available("10.0.0.2")
+        assert not topo.resolver.health.available("10.0.0.2", topo.resolver.now)
 
     def test_duplicate_request_not_doubled(self, topology):
         from repro.dnscore.message import Message

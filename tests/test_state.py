@@ -46,7 +46,7 @@ class TestPerRequestLifecycle:
         state = PerRequestState(client="c", request_id=1, created_at=0.0)
         state.anomaly = AnomalyKind.AMPLIFICATION
         state.dropped_congestion += 1
-        assert state.key == ("c", 1)
+        assert (state.client, state.request_id) == ("c", 1)
         assert state.relay_signals == []
 
 
@@ -64,11 +64,9 @@ class TestPerRequestStateShape:
         with pytest.raises(AttributeError):
             state.unknown_field = 1
         assert (state.client, state.request_id, state.created_at) == ("c", 9, 1.5)
-        assert state.key == ("c", 9)
         assert (state.queries_attributed, state.queries_sent) == (0, 0)
         assert (state.dropped_congestion, state.dropped_policing) == (0, 0)
         assert state.anomaly is None and state.allocated_rate == 0.0
-        assert PerRequestState.APPROX_BYTES == 96
 
 
 class TestPurge:
@@ -84,20 +82,3 @@ class TestPurge:
         tables = DccStateTables(request_lifetime=10.0)
         tables.open_request("c1", 1, now=5.0)
         assert tables.purge(now=10.0) == 0
-
-
-class TestAccounting:
-    def test_approx_bytes_scales_with_entities(self):
-        tables = DccStateTables()
-        small = tables.approx_bytes(client_state_bytes=0, tracked_servers=10, queued_messages=0)
-        large = tables.approx_bytes(client_state_bytes=0, tracked_servers=1000, queued_messages=0)
-        assert large > small
-        # per-client state is measured by the monitor and passed through
-        assert tables.approx_bytes(4096, 10, 0) == small + 4096
-
-    def test_approx_bytes_counts_open_requests(self):
-        tables = DccStateTables()
-        base = tables.approx_bytes(0, 0, 0)
-        for i in range(10):
-            tables.open_request("c", i, 0.0)
-        assert tables.approx_bytes(0, 0, 0) == base + 10 * PerRequestState.APPROX_BYTES

@@ -49,7 +49,8 @@ class TestProtocolConformance:
         assert isinstance(backend.fabric, Fabric)
         fired = []
         backend.clock.schedule(0.5, fired.append, 1)
-        assert backend.run() == 1
+        backend.sim.run()
+        assert backend.sim.events_processed == 1
         assert fired == [1]
 
     @pytest.mark.parametrize("switch", [True, False])
@@ -103,7 +104,7 @@ class TestInflightTable:
         assert len(table) == 0
         table.insert(1, 1.0, 0.0, "b")
         table.insert(10, 1.0, 0.0, "c")
-        assert [entry.payload for entry in table.entries()] == ["b", "c"]
+        assert [entry.payload for entry in table._entries.values()] == ["b", "c"]
 
     def test_complete_is_idempotent(self):
         table: InflightTable[str] = InflightTable(4)
@@ -148,7 +149,7 @@ class TestQueryEngine:
         assert outcomes[0].verdict is Verdict.ANSWERED
         assert outcomes[0].rcode == "NXDOMAIN"
         assert engine.stats.rcodes == {"NXDOMAIN": 1}
-        assert engine.inflight_depth == 0
+        assert len(engine._inflight) == 0
 
     def test_response_from_wrong_server_unmatched(self):
         sim, engine, wire, outcomes = _harness(EngineConfig())
@@ -223,8 +224,8 @@ class TestQueryEngine:
         retransmitted under a fresh id, not the younger one behind it."""
         backend = VirtualBackend(seed=5)
         client, silent_resolver = Collector("10.1.0.1"), Collector(SERVER)
-        backend.attach(client)
-        backend.attach(silent_resolver)
+        backend.net.attach(client)
+        backend.net.attach(silent_resolver)
         engine = QueryEngine(
             backend.clock,
             lambda message, server: client.send(server, message),
@@ -239,10 +240,10 @@ class TestQueryEngine:
 
         for at, label in ((0.0, "a"), (0.1, "b"), (0.25, "c")):
             backend.clock.schedule_at(at, lookup, label)
-        backend.run(until=0.3)
+        backend.sim.run(until=0.3)
         assert engine.stats.retransmits == 1  # "a" at 0.2, before "c" arrived
         assert verdicts == {"a": Verdict.SHED}
-        backend.run(until=5.0)
+        backend.sim.run(until=5.0)
         assert verdicts == {"a": Verdict.SHED, "b": Verdict.TIMEOUT, "c": Verdict.TIMEOUT}
 
     def test_karn_retransmitted_sample_rejected(self):

@@ -92,7 +92,7 @@ class TestAsyncioClock:
             fired = []
             timer = clock.schedule(0.02, fired.append, "x")
             timer.cancel()
-            assert clock.pending() == 0
+            assert clock._pending_count == 0
             await asyncio.sleep(0.05)
             assert fired == []
 
@@ -118,7 +118,7 @@ class TestAsyncioClock:
                 cancelled.cancel()
                 late = clock.schedule(0.001, fired.append, "late")
                 await asyncio.sleep(0.05)
-                assert len(fired) == 101 and clock.pending() == 0
+                assert len(fired) == 101 and clock._pending_count == 0
                 assert cancelled._handle is None and late._handle is None and late.fired
                 del cancelled, late
                 assert gc.collect() == 0

@@ -1,12 +1,9 @@
 """UDP truncation (TC bit) and TCP fallback tests (RFC 7766)."""
 
-import pytest
-
-from repro.dnscore.message import Flags, Message
+from repro.dnscore.message import Message
 from repro.dnscore.name import Name
 from repro.dnscore.rdata import AData, RCode, RRType
 from repro.dnscore.rrset import ResourceRecord, RRSet
-from repro.server.resolver import ResolverConfig
 
 from tests.conftest import build_topology
 

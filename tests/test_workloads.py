@@ -18,7 +18,6 @@ from repro.workloads.patterns import (
 from repro.workloads.schedule import (
     FIGURE9_ATTACKER_RATES,
     TABLE2_SCENARIOS,
-    ClientSpec,
     table2_clients,
 )
 from repro.workloads.zonegen import (

@@ -5,14 +5,11 @@ checked against an independent, obviously-correct (quadratic) oracle
 implementing RFC 1034 4.3.2 + RFC 4592 from first principles.
 """
 
-import random
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dnscore.name import Name
-from repro.dnscore.rdata import AData, RRType
+from repro.dnscore.rdata import RRType
 from repro.dnscore.zone import LookupStatus, Zone
 
 ORIGIN = Name.from_text("model.example.")
