@@ -43,7 +43,6 @@ COMMANDS: Dict[str, Tuple[str, str]] = {
               "hybrid-vs-packet verdict gate"),
     "lint": ("repro.cli:_cmd_lint",
              "run the reprolint static analyzer (rules R1-R11) over src/ tests/ tools/, or the given paths"),
-    "all": ("repro.cli:_cmd_all", "run every experiment (quick settings)"),
 }
 
 
@@ -111,24 +110,6 @@ def _cmd_lint(argv: Optional[List[str]] = None) -> int:
     from tools.reprolint.__main__ import main as lint_main
 
     return lint_main(argv)
-
-
-def _cmd_all(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro all", description=COMMANDS["all"][1])
-    parser.add_argument("--scale", type=float, default=0.1)
-    scale = parser.parse_args(argv).scale
-    return max(_run(name, row) for name, row in [
-        ("fig2", ["--scale", repr(scale), "--resolvers", "10"]),
-        ("fig4", ["--scale", repr(scale), "--quick"]),
-        ("fig8", ["--scale", repr(scale)]),
-        ("fig9", ["--scale", repr(scale)]),
-        ("fig10", ["--quick"]),
-        ("fig11", ["--quick"]),
-        ("table1", []),
-        ("ablations", []),
-        ("chaos", ["--plan", "total-outage", "--seed", "42", "--metrics-out", os.devnull]),
-        ("chaos", ["--plan", "crash-ramp", "--seed", "42", "--metrics-out", os.devnull]),
-    ])
 
 
 def _run(name: str, argv: List[str]) -> int:

@@ -29,7 +29,6 @@ DEFAULTS = {
               "min_recovery": 0.8, "max_mttr": None, "min_goodput": None},
     "scale": {"clients": 1_000_000, "seed": 42, "duration": 20.0, "tick": 0.1, "mode": "all", "runs": 2,
               "attacker_rate": 1200.0, "no_check_verdicts": False, "out": "results/scale.txt"},
-    "all": {"scale": 0.1},
 }
 
 
@@ -73,19 +72,6 @@ def test_ablations(capsys, monkeypatch):
     assert "Ablation 5" in out
 
 
-def test_all_runs_every_figure_and_returns_the_worst_exit_code(monkeypatch):
-    from repro import cli
-
-    ran = []
-    monkeypatch.setattr(cli, "_run", lambda name, argv: ran.append((name, argv)) or int(name == "fig9"))
-    assert cli._cmd_all([]) == 1
-    assert [name for name, _ in ran] == [
-        "fig2", "fig4", "fig8", "fig9", "fig10", "fig11", "table1", "ablations", "chaos", "chaos"]
-    # the matrix plans run at the seed their results files and CI use
-    assert [argv[:4] for name, argv in ran if name == "chaos"] == [
-        ["--plan", "total-outage", "--seed", "42"], ["--plan", "crash-ramp", "--seed", "42"]]
-
-
 def test_lint_subcommand_forwards_to_reprolint(capsys, tmp_path):
     bad = tmp_path / "src" / "repro" / "netsim" / "bad.py"
     bad.parent.mkdir(parents=True)
@@ -118,7 +104,7 @@ def test_help_lists_exactly_the_readme_cli_table(capsys):
         table = fh.read().split("All `repro` subcommands:")[1].split("\n\nSee ")[0]
     documented = re.findall(r"^\| `([a-z0-9-]+)` \|", table, re.MULTILINE)
     assert sorted(documented) == sorted(listed.split(","))
-    assert "chaos" in documented and len(documented) == 15
+    assert "chaos" in documented and len(documented) == 14
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

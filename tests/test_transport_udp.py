@@ -246,10 +246,11 @@ OVERLONG_NAME_DATAGRAM = (
 
 
 class TestHostileDatagrams:
-    """Nothing a peer sends may raise out of the protocol callback
-    (ROADMAP item 4).  The transport catches ``WireDecodeError``; the
-    decoder used to let ``NameTooLong`` -- a ``FormError`` that is not
-    one -- out for this datagram."""
+    """Nothing a peer sends may raise out of the protocol callback (the
+    ROADMAP north star's correctness aim: unbreakable at its edges).
+    The transport catches ``WireDecodeError``; the decoder used to let
+    ``NameTooLong`` -- a ``FormError`` that is not one -- out for this
+    datagram."""
 
     def test_overlong_name_is_counted_not_raised(self):
         assert len(OVERLONG_NAME_DATAGRAM) == 12 + 321 + 4

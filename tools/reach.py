@@ -1,11 +1,11 @@
 """Which ``src/repro`` functions does no driver run?
 
-``python tools/reach.py`` runs every driver of ``drivers()`` once, in this process and at reduced scales, under a
-global trace function that records each code object entered and returns ``None``: no line events, no C-call
-events.  It then walks the AST of ``src/repro`` and prints every function whose code was never entered,
-``path:qualname  (lines)``.  Stubs are not counted: methods of a ``Protocol``, ``@abstractmethod`` and
-``@overload`` functions, and bodies that are only a docstring, ``pass``, ``...`` or ``raise
-NotImplementedError``.
+``python tools/reach.py`` runs every row of the driver manifest ``tools/results_drift.TABLE`` (its ``reach`` argv,
+at reduced scales) and every ``perf/workloads`` runner once, in this process, under a global trace function that
+records each code object entered and returns ``None``: no line events, no C-call events.  It then walks the AST
+of ``src/repro`` and prints every function whose code was never entered, ``path:qualname  (lines)``.  Stubs are
+not counted: methods of a ``Protocol``, ``@abstractmethod`` and ``@overload`` functions, and bodies that are only
+a docstring, ``pass``, ``...`` or ``raise NotImplementedError``.
 
 Each unreached function must be listed in ``tools/reach_unreached.txt``, one ``path:qualname  # reason`` a line,
 with a reason from ``REASONS``.  An unreached function that is not listed fails (exit 1); a listed one that was
@@ -45,13 +45,14 @@ REASONS = (
     "reached only by a run too small to judge",
     "implements an interface method another implementation runs",
     "kept by an R11 suppression",
-    "runs drivers the list runs one by one",
 )
 _REASON = re.compile("^(?:%s)(?:: .+)?$" % "|".join(re.escape(r).replace("N", r"\d+") for r in REASONS))
 
-#: the perf workloads' seed and run length
+#: the perf workloads' seed and run length, and how much the matrix plans' timeline is compressed
 PERF_SEED = 5
 PERF_SECONDS = 1.0
+MATRIX_SCALE = 0.15
+_MATRIX_PLAN = re.compile(r"\{tmp\}/([a-z-]+)\.json")
 
 
 @dataclass(frozen=True)
@@ -137,12 +138,17 @@ Driver = Tuple[str, Callable[[str], int], int]  # label, run(scratch dir) -> exi
 
 
 def _repro(*argv: str, expect: int = 0) -> Driver:
-    """``repro <argv>`` through ``repro.cli.main``, output discarded; ``{tmp}`` is the scratch directory and
-    ``{ce}`` the counterexample the fuzz self-test wrote there."""
+    """``repro <argv>`` through ``repro.cli.main``, output discarded; ``{tmp}`` is the scratch directory, ``{ce}``
+    the fuzz self-test's counterexample there, ``{tmp}/<plan>.json`` the matrix plan compressed by ``MATRIX_SCALE``."""
+    plans = [match.group(1) for match in map(_MATRIX_PLAN.fullmatch, argv) if match]
 
     def run(tmp: str) -> int:
         from repro.cli import main as repro_main
 
+        for plan in plans:
+            from repro.experiments.chaos_unified import matrix_plans  # as late as a driver would import it
+            with open(os.path.join(tmp, f"{plan}.json"), "w", encoding="utf-8") as handle:
+                json.dump(matrix_plans(MATRIX_SCALE)[plan], handle)
         found = sorted(glob.glob(os.path.join(tmp, "fuzz-selftest", "ce-*.json")))
         args = [arg.format(tmp=tmp, ce=found[0] if found else "") for arg in argv]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -168,63 +174,21 @@ def _perf(workload: str, obs: bool) -> Driver:
     return f"perf {workload}{' obs' if obs else ''}", run, 0
 
 
-def _matrix(plan: str, scale: float, *argv: str) -> Driver:
-    """``repro chaos`` on the built-in matrix ``plan`` with its 60 s timeline compressed by ``scale``."""
-    label, run_chaos, expect = _repro("chaos", "--plan", f"{{tmp}}/{plan}.json", *argv)
-
-    def run(tmp: str) -> int:
-        from repro.experiments.chaos_unified import matrix_plans
-
-        with open(os.path.join(tmp, f"{plan}.json"), "w", encoding="utf-8") as handle:
-            json.dump(matrix_plans(scale)[plan], handle)
-        return run_chaos(tmp)
-
-    return label, run, expect
-
-
 def drivers() -> List[Driver]:
-    """The drivers, in run order.  First the rows of ``tools/results_drift.TABLE``: those named in ``reduced``
-    run smaller (each still passes its own judgement), the others as recorded."""
+    """The drivers, in run order: each row of ``results_drift.TABLE`` by its ``reach`` argv, then the perf runners."""
     from perf import workloads
     from tools.results_drift import TABLE
 
-    reduced = {
-        "fig2.txt": _repro("fig2", "--scale", "0.05", "--resolvers", "10"),
-        "fig4.txt": _repro("fig4", "--scale", "0.1", "--quick"),
-        "fig8.txt": _repro("fig8", "--scale", "0.05"),
-        "fig9.txt": _repro("fig9", "--scale", "0.05"),
-        "fig10.txt": _repro("fig10", "--quick", "--ops", "5000"),
-        "chaos_total_outage.txt": _matrix("total-outage", 0.15, "--seed", "42", "--metrics-out", os.devnull),
-        "chaos_crash_ramp.txt": _matrix("crash-ramp", 0.15, "--seed", "42", "--metrics-out", os.devnull),
-        "scale.txt": _repro("scale", "--clients", "10000", "--duration", "4", "--out", "{tmp}/scale.txt"),
-    }
-    return [
-        *[reduced.get(name) or _repro(*[arg.replace("{out}", "{tmp}/" + name) for arg in argv])
-          for name, argv, _ in TABLE],
-        _repro("fig11", "--quick"),
-        _repro("selfcheck", "--scale", "0.05"),
-        _repro("obs", "--scale", "0.1", "--out-dir", "{tmp}/obs"),
-        _repro("chaos", "--backend", "live", "--seed", "7", "--slo", "--min-recovery", "0.8",
-               "--metrics-out", os.devnull),
-        *[_repro("chaos", "--backend", backend, "--seed", "1", "--plan", plan, *extra, "--metrics-out", os.devnull)
-          for backend in ("sim", "live")
-          for plan, extra in (("examples/chaos_none.json", ()),
-                              ("examples/chaos_loss30.json", ("--min-goodput", "0.7")))],
-        _repro("fuzz", "--seed", "42", "--iterations", "20", "--quiet", "--time-budget", "600",
-               "--corpus-dir", "{tmp}/fuzz-corpus"),
-        _repro("fuzz", "--seed", "12", "--iterations", "1", "--inject-bug", "dangling-glueless",
-               "--corpus-dir", "{tmp}/fuzz-selftest", "--quiet", expect=1),
-        _repro("fuzz", "--replay", "{ce}"),
-        _repro("fuzz", "--replay", "{ce}", "--replay-with-bug", expect=1),
-        _repro("lint", "src/", "tests/", "tools/", "--ratchet", "--stats"),
-        # obs on changes only the two simulator workloads; the other four do not read it
-        *[_perf(workload, False) for workload in workloads.NAMES],
-        _perf("sim_nx_dcc", True),
-        _perf("sim_ff_vanilla", True),
-    ]
+    rows: Dict[Tuple[str, ...], Driver] = {}  # by argv, so that a reach form two rows share runs once
+    for row in TABLE:
+        argv = tuple(arg.replace("{out}", "{tmp}/" + row.name) for arg in row.reach or row.argv)
+        rows.setdefault(argv, _repro(*argv, expect=row.expect))
+    # obs on changes only the simulator runner's two workloads; the other four do not read it
+    return [*rows.values(), *[_perf(workload, False) for workload in workloads.NAMES],
+            *[_perf(workload, True) for workload in workloads.NAMES if workloads.RUNNERS[workload] is workloads._sim]]
 
 
-def run_drivers(build: Callable[[], List[Driver]] = drivers) -> Tuple[Dict[int, CodeType], List[str]]:
+def run_drivers() -> Tuple[Dict[int, CodeType], List[str]]:
     """Build the driver list and run it under the tracer, imports included; the code objects entered (by id)
     and one problem line per driver that gave the wrong exit code."""
     seen: Dict[int, CodeType] = {}
@@ -237,7 +201,7 @@ def run_drivers(build: Callable[[], List[Driver]] = drivers) -> Tuple[Dict[int, 
     sys.settrace(enter)
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            for label, run, expect in build():
+            for label, run, expect in drivers():
                 started = time.perf_counter()
                 try:
                     code = run(tmp)
