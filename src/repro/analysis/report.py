@@ -71,13 +71,6 @@ def render_resilience_table(labeled_stats: Mapping[str, object]) -> str:
     return render_table([""] + columns, rows)
 
 
-def format_series(label: str, values: Sequence[float], every: int = 5, precision: int = 0) -> str:
-    """One figure line as 'label: v0 v5 v10 ...' sampled every N buckets."""
-    sampled = values[::every]
-    body = " ".join(f"{v:.{precision}f}" for v in sampled)
-    return f"{label:>12s}: {body}"
-
-
 def render_obs_summary(obs, top: int = 10) -> str:
     """Terminal digest of one observed run (see :mod:`repro.obs`).
 

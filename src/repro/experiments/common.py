@@ -76,9 +76,6 @@ TARGET_ANS_ADDR = target_ans_addr(0)
 RESOLVER_ADDR = resolver_addr(0)
 #: stub-client request timeout, also the forwarder's upstream timeout
 CLIENT_TIMEOUT = 2.0
-#: name-pool size of the "WC_POOL" client pattern (names repeat, so the
-#: traffic is cache-hittable -- and serve-stale-able)
-WC_POOL_SIZE = 512
 
 
 def report_failures(problems: List[str]) -> int:
@@ -339,10 +336,7 @@ class AttackScenario:
         if obs is None:
             return
         obs.attach(self.sim)
-        nodes = [self.root, self.attacker_ans, *self.target_ans, *self.resolvers]
-        if self.forwarder is not None:
-            nodes.append(self.forwarder)
-        for node in nodes:
+        for node in [self.root, self.attacker_ans, *self.target_ans, *self.resolvers]:
             node.obs = obs
         for resolver in self.resolvers:
             resolver.health.obs = obs
@@ -425,8 +419,6 @@ class AttackScenario:
     def _pattern_for(self, spec: ClientSpec) -> QueryPattern:
         if spec.pattern == "WC":
             return WildcardPattern(TARGET_ORIGIN)
-        if spec.pattern == "WC_POOL":
-            return WildcardPattern(TARGET_ORIGIN, pool_size=WC_POOL_SIZE)
         if spec.pattern == "NX":
             return NxdomainPattern(TARGET_ORIGIN)
         if spec.pattern == "FF":

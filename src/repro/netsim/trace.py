@@ -33,7 +33,6 @@ class MessageTrace:
         self._lines: List[str] = []
         self._hasher = hashlib.sha256()
         self._sim = network.sim
-        self._network = network
         self._original_deliver = network._deliver
         network._deliver = self._traced_deliver
 
@@ -50,10 +49,6 @@ class MessageTrace:
     def _flush(self) -> None:
         self._hasher.update("".join(self._lines).encode("utf-8"))
         self._lines.clear()
-
-    def detach(self) -> None:
-        """Stop tracing; the network delivers directly again."""
-        self._network._deliver = self._original_deliver
 
     def __len__(self) -> int:
         return self.count

@@ -106,17 +106,6 @@ class SpaceSaving:
             for key, counter in ranked[:n]
         ]
 
-    def guaranteed(self, n: int) -> List[HeavyHitter]:
-        """Like :meth:`top` but keeps only entries provably in the true
-        top-``n``: their lower bound (count - error) must meet or beat
-        the (n+1)-th monitored count, the ceiling on anything outside
-        the reported set."""
-        entries = self.top(len(self._counters))
-        if len(entries) <= n:
-            return entries
-        outside_ceiling = entries[n].count
-        return [hh for hh in entries[:n] if hh.count - hh.error >= outside_ceiling]
-
 
 def _rank_key(item: tuple) -> tuple:
     key, counter = item

@@ -45,7 +45,6 @@ class AuthoritativeServer(Node):
         address: str,
         zones: Optional[List[Zone]] = None,
         ingress_limit: Optional[RateLimitConfig] = None,
-        service_delay: float = 0.0,
         udp_payload_limit: Optional[int] = None,
     ) -> None:
         super().__init__(address)
@@ -53,7 +52,6 @@ class AuthoritativeServer(Node):
         for zone in zones or ():
             self.add_zone(zone)
         self.ingress_rl = RateLimiter(ingress_limit) if ingress_limit else None
-        self.service_delay = service_delay
         #: datagram responses above this size are truncated (TC bit) and
         #: the client must retry over TCP; None disables truncation
         self.udp_payload_limit = udp_payload_limit
@@ -126,10 +124,7 @@ class AuthoritativeServer(Node):
         if obs.enabled:
             obs.observe_size("auth.response_bytes", response.wire_length())
             obs.end(serve_span, self.now, outcome=response.rcode.name)
-        if self.service_delay > 0:
-            self.sim.schedule(self.service_delay, self._respond, src, response)
-        else:
-            self._respond(src, response)
+        self._respond(src, response)
 
     def _respond(self, dst: str, response: Message) -> None:
         self.stats.responses_sent += 1

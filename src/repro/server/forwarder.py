@@ -7,8 +7,9 @@ entities most exposed to collateral damage: if an upstream polices a
 forwarder because one of *its* clients misbehaves, every client behind
 the forwarder loses service (the DoS vector DCC's signaling closes).
 
-The forwarder keeps its own cache, fails over across its configured
-upstreams (hosts typically list 2-3, cf. resolv.conf), and retries on
+The forwarder keeps no cache and no rate limiter of its own: each client
+request becomes an upstream query.  It fails over across its configured
+upstreams (hosts typically list 2-3, cf. resolv.conf) and retries on
 timeout -- the retry duplication is part of why redundant resolution
 paths do not save the day in Figure 4b.  Upstream choice is blind: a
 fixed per-attempt timer and plain rotation or priority order, with no
@@ -25,13 +26,10 @@ from repro.dnscore.edns import ClientAttribution, OptionCode
 from repro.dnscore.message import Message
 from repro.dnscore.rdata import RCode
 from repro.netsim.node import Node
-from repro.server.cache import ResolverCache
-from repro.server.ratelimit import RateLimitAction, RateLimitConfig, RateLimiter
 
 
 #: total upstream attempts per client request (first try + failovers)
 MAX_ATTEMPTS = 3
-CACHE_SIZE = 50_000
 
 
 @dataclass
@@ -39,7 +37,6 @@ class ForwarderConfig:
     upstreams: List[str] = field(default_factory=list)
     #: fixed per-attempt timer (seconds)
     query_timeout: float = 1.0
-    ingress_limit: Optional[RateLimitConfig] = None
     #: rotate upstreams round-robin (False: strict priority order)
     rotate: bool = False
     #: oblivious-proxy mode (paper Section 6): attribute queries with a
@@ -52,8 +49,6 @@ class ForwarderConfig:
 class ForwarderStats:
     requests_received: int = 0
     responses_sent: int = 0
-    cache_hit_responses: int = 0
-    ingress_limited: int = 0
     queries_forwarded: int = 0
     upstream_timeouts: int = 0
     failovers: int = 0
@@ -64,26 +59,20 @@ class ForwarderStats:
 class _PendingForward:
     client: str
     request: Message
-    arrived_at: float
     attempts: int = 0
-    upstream: Optional[str] = None
     upstream_query_id: int = 0
     timer: object = None
-    #: observability span covering the whole client request (0 = none)
-    span: int = 0
 
 
 class Forwarder(Node):
-    """A caching DNS forwarder with upstream failover."""
+    """A DNS forwarder with upstream failover."""
 
     def __init__(self, address: str, config: ForwarderConfig) -> None:
         super().__init__(address)
         if not config.upstreams:
             raise ValueError("a forwarder needs at least one upstream resolver")
         self.config = config
-        self.cache = ResolverCache(max_entries=CACHE_SIZE)
         self.stats = ForwarderStats()
-        self.ingress_rl = RateLimiter(config.ingress_limit) if config.ingress_limit else None
         self._rr_index = 0
         #: upstream query id -> pending client request
         self._pending: Dict[int, _PendingForward] = {}
@@ -109,51 +98,7 @@ class Forwarder(Node):
     # ------------------------------------------------------------------
     def _receive_request(self, request: Message, client: str) -> None:
         self.stats.requests_received += 1
-        obs = self.obs
-        if obs.enabled:
-            obs.inc("forwarder.requests")
-            obs.client_query(client, request.wire_length())
-        if self.ingress_rl is not None and not self.ingress_rl.allow(client, self.now):
-            self.stats.ingress_limited += 1
-            if obs.enabled:
-                obs.inc("forwarder.rate_limited")
-                obs.instant(
-                    "forwarder.rate_limited",
-                    f"forwarder:{self.address}",
-                    self.now,
-                    client=client,
-                )
-            if self.ingress_rl.config.action == RateLimitAction.DROP:
-                return
-            rcode = (
-                RCode.SERVFAIL
-                if self.ingress_rl.config.action == RateLimitAction.SERVFAIL
-                else RCode.REFUSED
-            )
-            self._respond(client, request.make_response(rcode))
-            return
-
-        entry = self.cache.get(request.question.name, request.question.rrtype, self.now)
-        if entry is not None:
-            response = request.make_response(entry.rcode)
-            if entry.rrset is not None:
-                response.answers.append(entry.rrset)
-            self.stats.cache_hit_responses += 1
-            if obs.enabled:
-                obs.inc("forwarder.cache_hits")
-            self._respond(client, response)
-            return
-
-        pending = _PendingForward(client=client, request=request, arrived_at=self.now)
-        if obs.enabled:
-            pending.span = obs.begin(
-                "forward",
-                f"forwarder:{self.address}",
-                self.now,
-                qname=str(request.question.name),
-                client=client,
-            )
-        self._forward(pending)
+        self._forward(_PendingForward(client=client, request=request))
 
     def _pick_upstream(self, pending: _PendingForward) -> str:
         """Round-robin across requests with ``rotate``, else strict
@@ -169,14 +114,12 @@ class Forwarder(Node):
     def _forward(self, pending: _PendingForward) -> None:
         if pending.attempts >= MAX_ATTEMPTS:
             self.stats.servfail_responses += 1
-            self.obs.end(pending.span, self.now, outcome="servfail")
             self._respond(pending.client, pending.request.make_response(RCode.SERVFAIL))
             return
         upstream = self._pick_upstream(pending)
         if pending.attempts > 0:
             self.stats.failovers += 1
         pending.attempts += 1
-        pending.upstream = upstream
 
         query = Message.query(
             pending.request.question.name,
@@ -195,15 +138,6 @@ class Forwarder(Node):
         )
         query.edns_options.append(attribution.encode())
         pending.upstream_query_id = query.id
-        if self.obs.enabled:
-            self.obs.inc("forwarder.queries_forwarded")
-            self.obs.instant(
-                "forward.attempt",
-                f"forwarder:{self.address}",
-                self.now,
-                upstream=upstream,
-                attempt=pending.attempts,
-            )
         pending.timer = self.sim.schedule(self.config.query_timeout, self._on_timeout, pending)
         self._pending[query.id] = pending
 
@@ -225,14 +159,6 @@ class Forwarder(Node):
             return
         pending.timer = None  # fired
         self.stats.upstream_timeouts += 1
-        if self.obs.enabled:
-            self.obs.inc("forwarder.upstream_timeouts")
-            self.obs.instant(
-                "forward.timeout",
-                f"forwarder:{self.address}",
-                self.now,
-                upstream=pending.upstream,
-            )
         self._forward(pending)
 
     # ------------------------------------------------------------------
@@ -260,18 +186,6 @@ class Forwarder(Node):
             self._forward(pending)
             return
 
-        now = self.now
-        for rrset in answer.answers:
-            self.cache.put_rrset(rrset, now)
-        if answer.rcode == RCode.NXDOMAIN:
-            self.cache.put_negative(
-                answer.question.name, answer.question.rrtype, RCode.NXDOMAIN, 5.0, now
-            )
-
-        if self.obs.enabled:
-            self.obs.observe("forwarder.request_latency", self.now - pending.arrived_at)
-            self.obs.end(pending.span, self.now, outcome=answer.rcode.name)
-
         response = pending.request.make_response(answer.rcode)
         response.answers.extend(answer.answers)
         response.authority.extend(answer.authority)
@@ -284,6 +198,4 @@ class Forwarder(Node):
         if self.egress_response_hook is not None:
             response = self.egress_response_hook(response, client)
         self.stats.responses_sent += 1
-        if self.obs.enabled:
-            self.obs.inc("forwarder.responses")
         self.send(client, response)

@@ -35,7 +35,7 @@ class ClientSpec:
     start: float
     stop: float
     rate: float
-    pattern: str  # "WC", "WC_POOL", "NX", "FF", or "NX_THEN_WC"
+    pattern: str  # "WC", "NX", "FF", or "NX_THEN_WC"
     is_attacker: bool = False
 
     def scaled(self, time_scale: float = 1.0, rate_scale: float = 1.0) -> "ClientSpec":

@@ -152,11 +152,6 @@ def add_ff_delegations(zone: Zone, target_origin: NameLike, instances: int, fano
                 zone.add_ns(mid, ff.child(f"ns-t{j}{k}-{instance}"), ttl=ttl)
 
 
-def expected_ff_maf(fanout: int) -> int:
-    """Theoretical queries landing on the target channel per FF request."""
-    return fanout * fanout
-
-
 # ----------------------------------------------------------------------
 # zone-graph validation
 # ----------------------------------------------------------------------

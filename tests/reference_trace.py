@@ -64,10 +64,6 @@ class MessageTrace:
                 self.dropped += 1
         self._original_deliver(src, dst, message)
 
-    def detach(self) -> None:
-        """Stop tracing; the network delivers directly again."""
-        self._network._deliver = self._original_deliver
-
     # ------------------------------------------------------------------
     # queries over the trace
     # ------------------------------------------------------------------

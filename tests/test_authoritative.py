@@ -72,19 +72,6 @@ class TestAnswers:
         sim.run()
         assert server.stats.queries_received == 0
 
-    def test_service_delay(self):
-        sim = Simulator(seed=1)
-        net = Network(sim)
-        zone = build_target_zone("target-domain.", "ns1", "10.0.0.2")
-        server = AuthoritativeServer("10.0.0.2", zones=[zone], service_delay=0.05)
-        client = Collector()
-        net.attach(server)
-        net.attach(client)
-        client.query("10.0.0.2", "www.target-domain.")
-        sim.run()
-        # 2x link latency + 50ms service time
-        assert sim.now >= 0.05
-
 
 class TestIngressRL:
     def test_drop_action(self):

@@ -68,25 +68,6 @@ def test_zipf_top_talkers_are_monitored(seed):
             assert key in monitored
 
 
-def test_guaranteed_entries_are_truly_top_n():
-    stream = zipf_stream(100, 8000, seed=5)
-    exact = exact_counts(stream)
-    sketch = SpaceSaving(24)
-    for key in stream:
-        sketch.offer(key)
-    n = 5
-    truly_top = sorted(exact, key=lambda k: (-exact[k], k))[:n]
-    for hitter in sketch.guaranteed(n):
-        assert hitter.key in truly_top
-
-
-def test_guaranteed_returns_everything_when_under_capacity():
-    sketch = SpaceSaving(16)
-    for key in ["a", "b", "b", "c"]:
-        sketch.offer(key)
-    assert {h.key for h in sketch.guaranteed(10)} == {"a", "b", "c"}
-
-
 def test_weighted_offers():
     sketch = SpaceSaving(4)
     sketch.offer("big", 100.0)

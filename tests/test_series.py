@@ -1,15 +1,9 @@
-"""Time-series / CDF / report helper tests."""
+"""Time-series / percentile / report helper tests."""
 
 import pytest
 
-from repro.analysis.report import format_series, render_table, sparkline
-from repro.analysis.series import (
-    TimeSeries,
-    bucket_counts,
-    cdf_points,
-    fraction_below,
-    percentile,
-)
+from repro.analysis.report import render_table, sparkline
+from repro.analysis.series import TimeSeries, percentile
 
 
 class TestTimeSeries:
@@ -18,9 +12,10 @@ class TestTimeSeries:
         ts.add(0.5)
         ts.add(0.7)
         ts.add(3.2)
-        assert ts.at(0.5) == 2.0
-        assert ts.at(3.0) == 1.0
-        assert ts.at(5.0) == 0.0
+        rates = ts.rates()
+        assert rates[0] == 2.0
+        assert rates[3] == 1.0
+        assert rates[5] == 0.0
 
     def test_rates_per_second(self):
         ts = TimeSeries(duration=4.0, bucket=2.0)
@@ -34,13 +29,6 @@ class TestTimeSeries:
         ts.add(100.0)
         assert sum(ts.rates()) == 0.0
 
-    def test_mean_rate_window(self):
-        ts = TimeSeries(duration=10.0)
-        for t in (1.5, 2.5, 3.5):
-            ts.add(t)
-        assert ts.mean_rate(1.0, 4.0) == pytest.approx(1.0)
-        assert ts.mean_rate(5.0, 10.0) == 0.0
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             TimeSeries(0)
@@ -50,7 +38,7 @@ class TestTimeSeries:
     def test_weighted_add(self):
         ts = TimeSeries(duration=2.0)
         ts.add(0.5, amount=5.0)
-        assert ts.at(0.5) == 5.0
+        assert ts.rates()[0] == 5.0
 
 
 class TestDistributions:
@@ -69,31 +57,6 @@ class TestDistributions:
         with pytest.raises(ValueError):
             percentile([1], 101)
 
-    def test_cdf_points_monotone(self):
-        points = cdf_points([3, 1, 2, 5, 4])
-        values = [v for v, _ in points]
-        fractions = [f for _, f in points]
-        assert values == sorted(values)
-        assert fractions == sorted(fractions)
-        assert fractions[-1] == pytest.approx(1.0)
-
-    def test_cdf_downsampling(self):
-        points = cdf_points(range(10_000), points=50)
-        assert len(points) == 50
-        assert points[-1][1] == pytest.approx(1.0)
-
-    def test_cdf_empty(self):
-        assert cdf_points([]) == []
-
-    def test_fraction_below(self):
-        data = [1, 2, 3, 4]
-        assert fraction_below(data, 2) == 0.5
-        assert fraction_below(data, 0) == 0.0
-        assert fraction_below([], 1) == 0.0
-
-    def test_bucket_counts(self):
-        counts = bucket_counts([50, 150, 550, 9999], [1, 100, 500, 1500])
-        assert counts == [1, 1, 1]  # 9999 out of range
 
 
 class TestReport:
@@ -103,10 +66,6 @@ class TestReport:
         assert lines[0].startswith("name")
         assert len(lines) == 4
         assert "longer" in lines[3]
-
-    def test_format_series(self):
-        line = format_series("test", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], every=2)
-        assert "test" in line and "1" in line and "5" in line
 
     def test_sparkline_shape(self):
         line = sparkline([0, 1, 2, 3, 4, 5])

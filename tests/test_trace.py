@@ -31,16 +31,6 @@ def test_tracing_is_passive():
     assert plain.resolver.stats.queries_sent == traced.resolver.stats.queries_sent
 
 
-def test_detach_stops_tracing():
-    topo = build_topology()
-    trace = MessageTrace(topo.net)
-    topo.resolve("one.wc.target-domain.")
-    size = len(trace)
-    trace.detach()
-    topo.resolve("two.wc.target-domain.")
-    assert len(trace) == size
-
-
 class _Sink(Node):
     def receive(self, message, src):
         pass

@@ -26,7 +26,6 @@ from repro.workloads.zonegen import (
     build_ff_attacker_zone,
     build_root_zone,
     build_target_zone,
-    expected_ff_maf,
 )
 
 
@@ -126,9 +125,6 @@ class TestZoneGenerators:
         targets = {str(rec.rdata.target) for rec in mid.authority[0]}
         assert all(".ff.target-domain." in t for t in targets)
         assert len(targets) == 3
-
-    def test_expected_maf(self):
-        assert expected_ff_maf(7) == 49
 
 
 class TestSchedule:
