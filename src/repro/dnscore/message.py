@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional
 
 from repro.dnscore.edns import EdnsOption, find_option
@@ -53,13 +52,16 @@ _NO_FLAGS = Flags(0)
 _QUERY_RD = Flags.RD
 _RESPONSE = Flags.QR
 _RESPONSE_RD_RA = Flags.QR | Flags.RD | Flags.RA
+_QUERY_OPCODE = Opcode.QUERY
 
 
 class Question(NamedTuple):
     """The question section entry: (QNAME, QTYPE); IN class implied.
 
     Immutable (a query and all its responses share one) and, as a named
-    tuple, built without a per-field ``object.__setattr__``.
+    tuple, built without a per-field ``object.__setattr__``; the per-query
+    constructors build it as ``tuple.__new__(Question, (name, rrtype))``,
+    which skips the named tuple's Python-level ``__new__``.
     """
 
     name: Name
@@ -72,22 +74,32 @@ class Question(NamedTuple):
         return self.name.wire_length() + 4
 
 
-@dataclass
 class Message:
-    """A DNS query or response."""
+    """A DNS query or response.  Slotted (a resolved query builds four); an
+    omitted section starts as a fresh list and an omitted ``id`` is drawn
+    from :func:`next_message_id`."""
 
-    question: Question
-    id: int = field(default_factory=next_message_id)
-    opcode: Opcode = Opcode.QUERY
-    flags: Flags = _NO_FLAGS
-    rcode: RCode = RCode.NOERROR
-    answers: List[RRSet] = field(default_factory=list)
-    authority: List[RRSet] = field(default_factory=list)
-    additional: List[RRSet] = field(default_factory=list)
-    edns_options: List[EdnsOption] = field(default_factory=list)
-    #: transport marker: True = sent over a reliable stream (no size
-    #: limit); False = datagram, subject to EDNS-size truncation
-    via_tcp: bool = False
+    __slots__ = ("question", "id", "opcode", "flags", "rcode", "answers", "authority", "additional",
+                 "edns_options", "via_tcp")
+
+    def __init__(
+        self, question: Question, id: Optional[int] = None, opcode: Opcode = Opcode.QUERY, flags: Flags = _NO_FLAGS,
+        rcode: RCode = RCode.NOERROR, answers: Optional[List[RRSet]] = None, authority: Optional[List[RRSet]] = None,
+        additional: Optional[List[RRSet]] = None, edns_options: Optional[List[EdnsOption]] = None,
+        via_tcp: bool = False,
+    ) -> None:
+        self.question = question
+        self.id = next_message_id() if id is None else id
+        self.opcode = opcode
+        self.flags = flags
+        self.rcode = rcode
+        self.answers = [] if answers is None else answers
+        self.authority = [] if authority is None else authority
+        self.additional = [] if additional is None else additional
+        self.edns_options = [] if edns_options is None else edns_options
+        #: transport marker: True = sent over a reliable stream (no size
+        #: limit); False = datagram, subject to EDNS-size truncation
+        self.via_tcp = via_tcp
 
     # ------------------------------------------------------------------
     # constructors
@@ -103,12 +115,12 @@ class Message:
         flags = _QUERY_RD if recursion_desired else _NO_FLAGS
         if msg_id is None:
             msg_id = next_message_id()
-        return cls(Question(name, rrtype), msg_id, flags=flags)
+        return cls(tuple.__new__(Question, (name, rrtype)), msg_id, _QUERY_OPCODE, flags)
 
     def make_response(self, rcode: RCode = RCode.NOERROR) -> "Message":
         """A response skeleton echoing this query's ID and question."""
         flags = _RESPONSE_RD_RA if self.flags._value_ & _RD else _RESPONSE
-        return Message(question=self.question, id=self.id, flags=flags, rcode=rcode)
+        return Message(self.question, self.id, _QUERY_OPCODE, flags, rcode)
 
     # ------------------------------------------------------------------
     # classification
@@ -129,14 +141,8 @@ class Message:
         """A TC-flagged copy with all record sections dropped, as a UDP
         responder sends when the full answer exceeds the payload size
         (RFC 1035 / RFC 6891); the client retries over TCP."""
-        return Message(
-            question=self.question,
-            id=self.id,
-            opcode=self.opcode,
-            flags=self.flags | Flags.TC,
-            rcode=self.rcode,
-            edns_options=list(self.edns_options),
-        )
+        return Message(self.question, self.id, self.opcode, self.flags | Flags.TC, self.rcode,
+                       edns_options=list(self.edns_options))
 
     @property
     def is_referral(self) -> bool:

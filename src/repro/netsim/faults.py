@@ -292,12 +292,12 @@ class FaultStats:
 class FaultInjector:
     """Applies a scheduled fault plan to one network.
 
-    Construction installs the injector as the network's
-    ``fault_shaper``; faults are then added with :meth:`add_partition`,
-    :meth:`add_link_degradation` and :meth:`add_node_outage`.  All three
-    may be called before or during a run (scheduling into the past is
-    clamped to "now").  ``timeline`` records every lifecycle transition
-    for reporting.
+    Faults are added with :meth:`add_partition`,
+    :meth:`add_link_degradation` and :meth:`add_node_outage`, before or
+    during a run (scheduling into the past is clamped to "now").  The
+    first partition or degradation installs the network's
+    ``fault_shaper``; outages alone leave every send unshaped.
+    ``timeline`` records every lifecycle transition for reporting.
     """
 
     def __init__(self, net: "Network") -> None:
@@ -309,19 +309,20 @@ class FaultInjector:
         self.stats = FaultStats()
         #: (virtual time, human-readable fault event)
         self.timeline: List[Tuple[float, str]] = []
-        net.fault_shaper = self._shape
 
     # ------------------------------------------------------------------
     # fault registration
     # ------------------------------------------------------------------
     def add_link_degradation(self, spec: LinkDegradation) -> LinkDegradation:
         self._degradations.append(spec)
+        self.net.fault_shaper = self._shape
         self._mark(spec.start, f"degradation start {_label(spec.src)}~{_label(spec.dst)}")
         self._mark(spec.end, f"degradation end {_label(spec.src)}~{_label(spec.dst)}")
         return spec
 
     def add_partition(self, spec: Partition) -> Partition:
         self._partitions.append(spec)
+        self.net.fault_shaper = self._shape
         self._mark(spec.start, f"partition start {_label(spec.a)}|{_label(spec.b)}")
         self._mark(spec.end, f"partition heal {_label(spec.a)}|{_label(spec.b)}")
         return spec

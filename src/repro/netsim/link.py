@@ -85,16 +85,13 @@ class Network:
         if symmetric:
             self._links[(dst, src)] = spec
 
-    def link(self, src: str, dst: str) -> LinkSpec:
-        return self._links.get((src, dst), self.default_link)
-
     # ------------------------------------------------------------------
     # delivery
     # ------------------------------------------------------------------
     def send(self, src: str, dst: str, message: "Message") -> None:
         """Fire-and-forget datagram semantics."""
         self.stats.messages_sent += 1
-        spec = self.link(src, dst)
+        spec = self._links.get((src, dst), self.default_link)
         if self.fault_shaper is not None:
             spec = self.fault_shaper(src, dst, spec)
             if spec is None:  # severed by an active partition

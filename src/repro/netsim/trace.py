@@ -13,8 +13,8 @@ from __future__ import annotations
 import hashlib
 from typing import List
 
-from repro.dnscore.message import Message
-from repro.dnscore.rdata import RCode
+from repro.dnscore.message import _QR, Message
+from repro.dnscore.rdata import RCode, RRType
 from repro.netsim.link import Network
 
 #: lines buffered before one hasher update (bounds what the trace holds)
@@ -22,6 +22,9 @@ FLUSH_LINES = 256
 
 #: ``str(code)`` per response code, looked up once per delivery
 _RCODE_TEXT = {code: str(code) for code in RCode}
+#: the question's type as the line has always spelt it (``f"{rrtype}"``,
+#: the expression ``Question.__str__`` formats), looked up once per delivery
+_RRTYPE_TEXT = {rrtype: f"{rrtype}" for rrtype in RRType}
 
 
 class MessageTrace:
@@ -37,8 +40,12 @@ class MessageTrace:
         network._deliver = self._traced_deliver
 
     def _traced_deliver(self, src: str, dst: str, message: Message) -> None:
+        # byte for byte ``str(question)`` and ``int(is_response)``, without
+        # their frames (a name's text: labels joined, dot-terminated, root ".")
+        name, rrtype = message.question
         self._lines.append(
-            f"{self._sim.now:.9f}|{src}|{dst}|{message.question!s}|{int(message.is_response)}|"
+            f"{self._sim.now:.9f}|{src}|{dst}|{'.'.join(name.labels)}. {_RRTYPE_TEXT[rrtype]}|"
+            f"{1 if message.flags._value_ & _QR else 0}|"
             f"{_RCODE_TEXT[message.rcode]}|{message.wire_length()}\n"
         )
         self.count += 1

@@ -5,10 +5,6 @@ semantics in :mod:`repro.dnscore.zone`.  Ingress (response) rate limiting
 caps what any client address -- including a recursive resolver -- can
 elicit, which is precisely what gives the resolver->nameserver channel
 its limited capacity (the "RA channel" of Section 2.3).
-
-Per-query processing cost can be modelled with a small service delay so
-that amplification patterns also consume authoritative-side compute, but
-the paper's channel-capacity story is carried by the rate limiter.
 """
 
 from __future__ import annotations
@@ -16,12 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.dnscore.message import Flags, Message
+from repro.dnscore.message import _RESPONSE, _RESPONSE_RD_RA, Flags, Message
 from repro.dnscore.name import Name
 from repro.dnscore.rdata import RCode
 from repro.dnscore.zone import LookupStatus, Zone
 from repro.netsim.node import Node
 from repro.server.ratelimit import RateLimitAction, RateLimitConfig, RateLimiter
+
+
+#: ``flags | AA`` for the two flag words ``make_response`` sets, so that
+#: no ``IntFlag`` arithmetic runs per authoritative answer
+_WITH_AA = {_RESPONSE: _RESPONSE | Flags.AA, _RESPONSE_RD_RA: _RESPONSE_RD_RA | Flags.AA}
 
 
 @dataclass
@@ -45,7 +46,6 @@ class AuthoritativeServer(Node):
         address: str,
         zones: Optional[List[Zone]] = None,
         ingress_limit: Optional[RateLimitConfig] = None,
-        udp_payload_limit: Optional[int] = None,
     ) -> None:
         super().__init__(address)
         self._zones: Dict[Name, Zone] = {}
@@ -54,7 +54,7 @@ class AuthoritativeServer(Node):
         self.ingress_rl = RateLimiter(ingress_limit) if ingress_limit else None
         #: datagram responses above this size are truncated (TC bit) and
         #: the client must retry over TCP; None disables truncation
-        self.udp_payload_limit = udp_payload_limit
+        self.udp_payload_limit: Optional[int] = None
         self.stats = AuthoritativeStats()
 
     def add_zone(self, zone: Zone) -> None:
@@ -148,17 +148,17 @@ class AuthoritativeServer(Node):
         result = zone.lookup(query.question.name, query.question.rrtype)
         response = query.make_response()
         if result.status in (LookupStatus.ANSWER, LookupStatus.CNAME):
-            response.flags |= Flags.AA
+            response.flags = _WITH_AA[response.flags]
             response.answers.extend(result.answers)
         elif result.status == LookupStatus.DELEGATION:
             self.stats.referrals_sent += 1
             response.authority.extend(result.authority)
             response.additional.extend(result.additional)
         elif result.status == LookupStatus.NODATA:
-            response.flags |= Flags.AA
+            response.flags = _WITH_AA[response.flags]
             response.authority.extend(result.authority)
         elif result.status == LookupStatus.NXDOMAIN:
-            response.flags |= Flags.AA
+            response.flags = _WITH_AA[response.flags]
             response.rcode = RCode.NXDOMAIN
             response.authority.extend(result.authority)
         else:  # NOTZONE despite zone_for: hosted zone mismatch

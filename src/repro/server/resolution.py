@@ -478,7 +478,7 @@ class ResolutionTask:
             pending is None
             or pending.message_id != response.id
             or pending.server != src
-            or response.question.name != pending.qname
+            or response.question.name.labels != pending.qname.labels
         ):
             self.resolver.stats.mismatched_responses += 1
             return
@@ -526,7 +526,7 @@ class ResolutionTask:
                 self._advance()
             return
 
-        was_minimized = pending.qname != self.current_name
+        was_minimized = pending.qname.labels != self.current_name.labels
 
         if response.rcode == RCode.NXDOMAIN:
             ttl = _negative_ttl(response)
@@ -706,8 +706,9 @@ class ResolutionTask:
 
 
 def _find_rrset(rrsets: List[RRSet], name: Name, rrtype: RRType) -> Optional[RRSet]:
+    labels = name.labels
     for rrset in rrsets:
-        if rrset.name == name and rrset.rrtype == rrtype:
+        if rrset.name.labels == labels and rrset.rrtype == rrtype:
             return rrset
     return None
 

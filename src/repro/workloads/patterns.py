@@ -66,16 +66,17 @@ class WildcardPattern(QueryPattern):
                 label = self._pool[-1]
             else:
                 label = rng.choice(self._pool)
-            return Question(self.base.child(label), self.rrtype)
-        return Question(self.base.child(_random_label(rng)), self.rrtype)
+            return tuple.__new__(Question, (self.base.child(label), self.rrtype))
+        return tuple.__new__(Question, (self.base.child(_random_label(rng)), self.rrtype))
 
 
-class NxdomainPattern(QueryPattern):
+class NxdomainPattern(WildcardPattern):
     """P2 (NX): pseudo-random names with no covering wildcard.
 
     The classic pseudo-random-subdomain / Water Torture pattern [8]:
     cache-bypassing and NXDOMAIN-eliciting, so resolvers that track the
-    NXDOMAIN ratio (as DCC's monitor does) can spot it.
+    NXDOMAIN ratio (as DCC's monitor does) can spot it.  The names are
+    drawn as the WC pattern draws them, under another subtree.
     """
 
     tag = "NX"
@@ -87,20 +88,7 @@ class NxdomainPattern(QueryPattern):
         rrtype: RRType = RRType.A,
         pool_size: Optional[int] = None,
     ) -> None:
-        self.base = as_name(zone_origin) if subtree in ("", "@") else as_name(zone_origin).child(subtree)
-        self.rrtype = rrtype
-        self.pool_size = pool_size
-        self._pool: list = []
-
-    def next_question(self, rng: random.Random) -> Question:
-        if self.pool_size is not None:
-            if len(self._pool) < self.pool_size:
-                self._pool.append(_random_label(rng))
-                label = self._pool[-1]
-            else:
-                label = rng.choice(self._pool)
-            return Question(self.base.child(label), self.rrtype)
-        return Question(self.base.child(_random_label(rng)), self.rrtype)
+        super().__init__(zone_origin, subtree, rrtype, pool_size)
 
 
 class CnameChainPattern(QueryPattern):
@@ -141,7 +129,7 @@ class CnameChainPattern(QueryPattern):
             self._next_instance += 1
         else:
             instance = rng.randrange(self.instances)
-        return Question(self.head_name(instance), self.rrtype)
+        return tuple.__new__(Question, (self.head_name(instance), self.rrtype))
 
 
 class FanoutPattern(QueryPattern):
@@ -179,7 +167,7 @@ class FanoutPattern(QueryPattern):
             self._next_instance += 1
         else:
             instance = rng.randrange(self.instances)
-        return Question(self.head_name(instance), self.rrtype)
+        return tuple.__new__(Question, (self.head_name(instance), self.rrtype))
 
 
 class FixedPattern(QueryPattern):

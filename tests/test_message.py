@@ -15,7 +15,7 @@ from repro.dnscore.edns import (
 from repro.dnscore.errors import WireDecodeError
 from repro.dnscore.message import Flags, Message, Question
 from repro.dnscore.name import Name
-from repro.dnscore.rdata import AData, RCode, RRType, NSData
+from repro.dnscore.rdata import AData, Opcode, RCode, RRType, NSData
 from repro.dnscore.rrset import ResourceRecord, RRSet
 from repro.dnscore.wire import decode_message, encode_message
 
@@ -311,3 +311,60 @@ class TestQuestion:
         assert Message.query(QNAME, RRType.A, msg_id=77).id == 77
         assert Message.query(QNAME, RRType.A, msg_id=0).id == 0
         assert not Message.query(QNAME, RRType.A, recursion_desired=False).flags & Flags.RD
+
+
+def _ten_fields(message):
+    return (message.question, message.id, message.opcode, message.flags, message.rcode, message.answers,
+            message.authority, message.additional, message.edns_options, message.via_tcp)
+
+
+class TestSlottedMessage:
+    """``Message`` is a plain ``__slots__`` class, no longer a dataclass: the
+    same ten fields in the same order, the same constructor defaults."""
+
+    def test_no_instance_dict(self):
+        message = Message.query(QNAME, RRType.A)
+        assert not hasattr(message, "__dict__")
+        assert Message.__slots__ == ("question", "id", "opcode", "flags", "rcode", "answers",
+                                     "authority", "additional", "edns_options", "via_tcp")
+        with pytest.raises(AttributeError):
+            message.extra = 1
+
+    def test_constructor_defaults_draw_an_id_and_fresh_sections(self):
+        question = Question(QNAME, RRType.A)
+        first, second = Message(question), Message(question)
+        assert second.id == first.id + 1
+        assert _ten_fields(first)[2:] == (Opcode.QUERY, Flags(0), RCode.NOERROR, [], [], [], [], False)
+        assert first.answers is not second.answers and first.edns_options is not second.edns_options
+        answers = [RRSet.of(ResourceRecord(QNAME, 60, AData("1.2.3.4")))]
+        passed = Message(question, 9, Opcode.QUERY, Flags.QR, RCode.REFUSED, answers, via_tcp=True)
+        assert passed.answers is answers and (passed.id, passed.via_tcp) == (9, True)
+
+    def test_query_and_make_response(self):
+        query = Message.query(QNAME, RRType.A, msg_id=41)
+        assert _ten_fields(query) == (Question(QNAME, RRType.A), 41, Opcode.QUERY, Flags.RD, RCode.NOERROR,
+                                      [], [], [], [], False)
+        assert type(query.question) is Question and type(query.flags) is Flags
+        response = query.make_response(RCode.NXDOMAIN)
+        assert _ten_fields(response) == (query.question, 41, Opcode.QUERY, Flags.QR | Flags.RD | Flags.RA,
+                                         RCode.NXDOMAIN, [], [], [], [], False)
+        bare = Message.query(QNAME, RRType.NS, recursion_desired=False, msg_id=42).make_response()
+        assert _ten_fields(bare) == (Question(QNAME, RRType.NS), 42, Opcode.QUERY, Flags.QR,
+                                     RCode.NOERROR, [], [], [], [], False)
+        assert type(bare.flags) is Flags and type(bare.rcode) is RCode
+
+    def test_truncate_and_wire_decode(self):
+        response = Message.query(QNAME, RRType.A, msg_id=43).make_response()
+        response.flags |= Flags.AA
+        response.answers.append(RRSet.of(ResourceRecord(QNAME, 60, AData("1.2.3.4"))))
+        response.edns_options.append(EdnsOption(65001, b"zz"))
+        response.via_tcp = True
+        truncated = response.truncate()
+        all_bits = Flags.QR | Flags.AA | Flags.TC | Flags.RD | Flags.RA
+        assert _ten_fields(truncated) == (response.question, 43, Opcode.QUERY, all_bits, RCode.NOERROR,
+                                          [], [], [], [EdnsOption(65001, b"zz")], False)
+        assert truncated.edns_options is not response.edns_options
+        decoded = decode_message(encode_message(response))
+        assert _ten_fields(decoded) == (response.question, 43, Opcode.QUERY, response.flags, RCode.NOERROR,
+                                        response.answers, [], [], [EdnsOption(65001, b"zz")], False)
+        assert type(decoded.question) is Question

@@ -39,9 +39,9 @@ def _auth_with_payload(target_size: int) -> AuthoritativeServer:
         lengths = [200] * 5 + [last_len]
         for i, length in enumerate(lengths):
             zone.add("fat", TXTData(f"{i:02d}" + "x" * (length - 2)))
-        return AuthoritativeServer(
-            AUTH_ADDR, zones=[zone], udp_payload_limit=EDNS_UDP_SIZE
-        )
+        auth = AuthoritativeServer(AUTH_ADDR, zones=[zone])
+        auth.udp_payload_limit = EDNS_UDP_SIZE
+        return auth
 
     probe = build(100)
     probe_size = probe.answer(Message.query(QNAME, RRType.TXT)).wire_length()

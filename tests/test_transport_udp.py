@@ -40,7 +40,8 @@ async def _wait_until(predicate, timeout: float = 5.0) -> None:
 def _backend(seed: int = 1, payload_limit=None):
     backend = UdpBackend(seed=seed)
     zone = build_target_zone("target-domain.", "ns1", AUTH)
-    auth = AuthoritativeServer(AUTH, zones=[zone], udp_payload_limit=payload_limit)
+    auth = AuthoritativeServer(AUTH, zones=[zone])
+    auth.udp_payload_limit = payload_limit
     client = Collector(CLIENT)
     backend.attach(auth)
     backend.attach(client)

@@ -59,7 +59,7 @@ class TestValidateZoneGraph:
         zone.add_ns("@", "ns.c.")
         zone.add_a("ns.c.", "10.0.0.9")
         zone.add_cname("alias.c.", "ns.c.")
-        zone._nodes[zone._absolute("alias.c.")][RRType.A] = zone.lookup(
+        zone._nodes[zone._absolute("alias.c.").labels][RRType.A] = zone.lookup(
             "ns.c.", RRType.A
         ).answers[0]
         with pytest.raises(ZoneGraphError, match="CNAME"):
