@@ -309,7 +309,6 @@ class AnomalyMonitor:
         threshold = self.config.alarm_threshold
         convicted = state.alarms >= threshold
         if self.obs.enabled:
-            self.obs.inc("monitor.alarms")
             self.obs.instant(
                 "monitor.alarm",
                 self.obs_track,
@@ -321,8 +320,6 @@ class AnomalyMonitor:
         if convicted:
             state.verdict = ClientVerdict.CONVICTED
             self.stats.convictions += 1
-            if self.obs.enabled:
-                self.obs.inc("monitor.convictions")
         return AnomalyEvent(
             client=client,
             kind=kind,

@@ -135,7 +135,6 @@ class PolicyEngine:
         self._policies[client] = policy
         self.stats.policies_activated += 1
         if self.obs.enabled:
-            self.obs.inc("police.activations")
             self.obs.instant(
                 "police.activate",
                 self.obs_track,
@@ -164,20 +163,13 @@ class PolicyEngine:
             return True
         if policy.kind == PolicyKind.BLOCK:
             self.stats.queries_blocked += 1
-            if self.obs.enabled:
-                self.obs.inc("police.queries_blocked")
         else:
             self.stats.queries_rate_limited += 1
-            if self.obs.enabled:
-                self.obs.inc("police.queries_rate_limited")
         return False
 
     def _expire(self, client: str) -> None:
         self._policies.pop(client, None)
         self.stats.policies_expired += 1
-        if self.obs.enabled:
-            # No clock in here (expiry is detected lazily): counter only.
-            self.obs.inc("police.expirations")
         if self.on_expire is not None:
             self.on_expire(client)
 

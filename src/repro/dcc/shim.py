@@ -47,7 +47,7 @@ from repro.dcc.state import DccStateTables, PerRequestState
 from repro.dnscore.edns import ClientAttribution, OptionCode
 from repro.dnscore.message import Message
 from repro.dnscore.rdata import RCode
-from repro.obs import NULL_OBS
+from repro.obs import NULL_OBS, Observability
 
 #: attribution used for a resolver's own housekeeping queries (priming
 #: etc.) that no client is responsible for
@@ -184,11 +184,26 @@ class DccShim:
         self.tables = DccStateTables()
         if self.obs.enabled:
             # The rebuilt components must keep reporting to the same run.
-            self.scheduler.obs = self.obs
-            self.monitor.obs = self.obs
-            self.monitor.obs_track = self._obs_track
-            self.engine.obs = self.obs
-            self.engine.obs_track = self._obs_track
+            self._observe_components()
+
+    def attach_obs(self, obs: Observability) -> None:
+        """Report this shim and its components to ``obs``: their spans and
+        instants, and their stats blocks as counters."""
+        self.obs = obs
+        obs.metrics.watch("dcc", self.stats)
+        self._observe_components()
+
+    def _observe_components(self) -> None:
+        obs = self.obs
+        self.scheduler.obs = obs
+        self.monitor.obs = obs
+        self.monitor.obs_track = self._obs_track
+        self.engine.obs = obs
+        self.engine.obs_track = self._obs_track
+        if isinstance(self.scheduler, MopiFq):  # the baseline schedulers keep no stats
+            obs.metrics.watch("mopifq", self.scheduler.stats)
+        obs.metrics.watch("monitor", self.monitor.stats)
+        obs.metrics.watch("police", self.engine.stats)
 
     def _on_host_recover(self) -> None:
         """Operator-configured channel capacities come back from the
@@ -252,7 +267,6 @@ class DccShim:
                 self.stats.queries_policed += 1
                 reqstate.dropped_policing += 1
                 if self.obs.enabled:
-                    self.obs.inc("dcc.queries_policed")
                     self.obs.instant(
                         "police.refuse", self._obs_track, now, client=client
                     )
@@ -268,7 +282,6 @@ class DccShim:
             if reqstate is not None:
                 reqstate.queries_sent += 1
             if self.obs.enabled:
-                self.obs.inc("dcc.queries_scheduled")
                 span = self.obs.begin(
                     "mopifq.wait",
                     self._obs_fq_track,
@@ -289,7 +302,6 @@ class DccShim:
                 reqstate.dropped_congestion += 1
                 reqstate.allocated_rate = self._allocated_rate(server)
             if self.obs.enabled:
-                self.obs.inc(f"dcc.enqueue_{status.name.lower()}")
                 self.obs.instant(
                     "mopifq.reject",
                     self._obs_fq_track,
@@ -313,7 +325,6 @@ class DccShim:
         self.stats.queries_evicted += 1
         query, server, request_id = evicted.payload
         if self.obs.enabled:
-            self.obs.inc("dcc.queries_evicted")
             span = self._obs_wait.pop(query.id, 0)
             self.obs.end(span, now, outcome="evicted")
         client = evicted.source
@@ -383,7 +394,6 @@ class DccShim:
             self.stats.signals_received += len(signals)
             for signal in signals:
                 if self.obs.enabled:
-                    self.obs.inc(f"dcc.signal_rx_{signal_name(signal)}")
                     self.obs.instant(
                         "signal.rx",
                         self._obs_track,
@@ -487,7 +497,6 @@ class DccShim:
 
     def _note_attach(self, kind: str, client: str, now: float) -> None:
         if self.obs.enabled:
-            self.obs.inc(f"dcc.signal_tx_{kind}")
             self.obs.instant(
                 "signal.attach", self._obs_track, now, kind=kind, client=client
             )
@@ -505,7 +514,6 @@ class DccShim:
     def _act_on_event(self, event: AnomalyEvent, now: float) -> None:
         if event.convicted:
             if self.obs.enabled:
-                self.obs.inc("dcc.convictions")
                 self.obs.instant(
                     "dcc.convict",
                     self._obs_track,

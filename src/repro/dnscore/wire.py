@@ -15,7 +15,7 @@ bound checked before the read and every malformed input rejected with
 :class:`WireDecodeError` -- nothing else may leave
 :func:`decode_message`, whose callers sit in socket callbacks.
 
-The live ``TransportStats.bytes_sent`` counts these bytes.  The
+The live fabric's ``NetworkStats.bytes_sent`` counts these bytes.  The
 simulator's size is ``Message.wire_length()``, an *uncompressed
 estimate* that adds the 11-byte OPT record only when options are
 present (a plain ``a.example.`` query: 27 octets there, 38 here).

@@ -327,7 +327,8 @@ class AttackScenario:
         self.shims.append(shim)
 
     def _wire_obs(self) -> None:
-        """Hand the live facade to every instrumented component.
+        """Hand the live facade to every instrumented component, and
+        watch each one's stats block as the counters ``<prefix>.<field>``.
 
         A single Observability instance observes the whole scenario; the
         track names encode which entity each span/instant belongs to.
@@ -336,20 +337,18 @@ class AttackScenario:
         if obs is None:
             return
         obs.attach(self.sim)
-        for node in [self.root, self.attacker_ans, *self.target_ans, *self.resolvers]:
+        for node in [self.root, self.attacker_ans, *self.target_ans]:
             node.obs = obs
+            obs.metrics.watch("auth", node.stats)
         for resolver in self.resolvers:
+            resolver.obs = obs
+            obs.metrics.watch("resolver", resolver.stats)
             resolver.health.obs = obs
             resolver.health.obs_track = f"resolver:{resolver.address}"
             if resolver.overload is not None:
-                resolver.overload.obs = obs
+                obs.metrics.watch("overload", resolver.overload.stats)
         for shim in self.shims:
-            shim.obs = obs
-            shim.monitor.obs = obs
-            shim.monitor.obs_track = shim._obs_track
-            shim.engine.obs = obs
-            shim.engine.obs_track = shim._obs_track
-            shim.scheduler.obs = obs
+            shim.attach_obs(obs)
 
     def _make_tap(self):
         """Per-second wire accounting keyed by attributed client."""

@@ -11,7 +11,7 @@ of what makes adversarial congestion bite, cf. Figure 4b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,7 +31,9 @@ class LinkSpec:
 
 @dataclass
 class NetworkStats:
-    """Aggregate transport counters."""
+    """Aggregate fabric counters, of the simulated network and of the
+    live :class:`~repro.transport.udp.UdpFabric` alike; the socket-path
+    counters stay zero in the simulator."""
 
     messages_sent: int = 0
     messages_delivered: int = 0
@@ -41,6 +43,14 @@ class NetworkStats:
     messages_dropped_down: int = 0
     #: severed mid-air by an active partition fault
     messages_cut: int = 0
+    # socket path only
+    #: octets the fabric wrote to its sockets (TCP frames count their 2-octet prefix)
+    bytes_sent: int = 0
+    decode_errors: int = 0
+    tcp_queries: int = 0
+    tcp_responses: int = 0
+    #: rarer socket-path events by name (socket and TCP failures, node crashes and restarts)
+    extra: Dict[str, int] = field(default_factory=dict)
 
 
 class Network:

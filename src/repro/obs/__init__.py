@@ -2,8 +2,9 @@
 
 One facade (:class:`Observability`) bundles the three pillars:
 
-- :mod:`repro.obs.metrics` -- counters, gauges, log-bucketed histograms,
-  and periodic time-series sampling on the virtual clock;
+- :mod:`repro.obs.metrics` -- counters (a view over the components'
+  ``*Stats`` blocks), gauges, log-bucketed histograms, and periodic
+  time-series sampling on the virtual clock;
 - :mod:`repro.obs.spans` -- per-query trace spans forming one causal
   tree per client request;
 - :mod:`repro.obs.sketch` -- Space-Saving heavy-hitter sketches over
@@ -96,9 +97,6 @@ class NullObservability:
         pass
 
     # -- metrics -------------------------------------------------------
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        pass
-
     def set_gauge(self, name: str, value: float) -> None:
         pass
 
@@ -185,9 +183,6 @@ class Observability(NullObservability):
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        self.metrics.counter(name).inc(amount)
-
     def set_gauge(self, name: str, value: float) -> None:
         self.metrics.gauge(name).set(value)
 

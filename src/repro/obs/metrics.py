@@ -1,40 +1,33 @@
 """Deterministic metrics registry: counters, gauges, histograms, series.
 
-Three primitive kinds plus periodic time-series sampling:
+Three kinds plus periodic time-series sampling:
 
-- :class:`Counter` -- monotone event tally (``inc``).
+- counters -- a read-only view over the components' own ``*Stats``
+  dataclasses (:meth:`MetricsRegistry.watch`): every ``int`` field of a
+  watched block is the counter ``<prefix>.<field>``, summed over the
+  blocks watched under one prefix.  Components count each event once,
+  with a plain attribute add; the registry reads the blocks only when
+  it reports or samples.
 - :class:`Gauge` -- last-write-wins instantaneous level (``set``).
 - :class:`Histogram` -- value distribution over fixed log-spaced bucket
   bounds, so percentile summaries are comparable across runs without
   any data-dependent bucketing.
 
-The registry samples every counter and gauge on a fixed virtual-time
-grid.  Sampling is *driven by* scheduler events rather than *being* one:
-the simulator invokes :meth:`MetricsRegistry.on_advance` from its run
-loop whenever the clock moves, and the registry snapshots any grid
-points the clock just crossed.  Nothing here pushes events onto the
-heap, draws randomness, or sends messages, which is what keeps the
-selfcheck event-trace digest byte-identical with observability on or
-off (the determinism guard test pins this).
+The registry samples every non-zero counter and every gauge on a fixed
+virtual-time grid.  Sampling is *driven by* scheduler events rather
+than *being* one: the simulator invokes
+:meth:`MetricsRegistry.on_advance` from its run loop whenever the clock
+moves, and the registry snapshots any grid points the clock just
+crossed.  Nothing here pushes events onto the heap, draws randomness,
+or sends messages, which is what keeps the selfcheck event-trace digest
+byte-identical with observability on or off (the determinism guard
+test pins this).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-
-class Counter:
-    """Monotone tally of occurrences (optionally weighted)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
+from dataclasses import dataclass, fields
+from typing import Any, Dict, List, Optional, Tuple
 
 
 class Gauge:
@@ -142,16 +135,17 @@ class Sample:
 class MetricsRegistry:
     """Namespace of metrics plus the grid sampler.
 
-    All accessors are get-or-create so instrumentation sites never need
-    registration boilerplate; a name maps to exactly one instrument kind
-    (mixing kinds under one name raises).
+    Gauge and histogram accessors are get-or-create so instrumentation
+    sites never need registration boilerplate; a name maps to exactly
+    one kind (mixing kinds under one name raises).
     """
 
     def __init__(self, sample_interval: float = 1.0) -> None:
         if sample_interval <= 0:
             raise ValueError(f"sample_interval must be > 0, got {sample_interval}")
         self.sample_interval = sample_interval
-        self._counters: Dict[str, Counter] = {}
+        #: counter name -> the (stats block, field) pairs it sums
+        self._watched: Dict[str, List[Tuple[Any, str]]] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self.samples: List[Sample] = []
@@ -161,13 +155,17 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # instruments
     # ------------------------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        instrument = self._counters.get(name)
-        if instrument is None:
-            self._claim(name)
-            instrument = Counter(name)
-            self._counters[name] = instrument
-        return instrument
+    def watch(self, prefix: str, stats: Any) -> None:
+        """Count every ``int`` field of the dataclass ``stats`` as
+        ``<prefix>.<field>``; blocks watched under one prefix sum."""
+        for item in fields(stats):
+            if item.type in ("int", int):
+                name = f"{prefix}.{item.name}"
+                sources = self._watched.get(name)
+                if sources is None:
+                    self._claim(name)
+                    sources = self._watched[name] = []
+                sources.append((stats, item.name))
 
     def gauge(self, name: str) -> Gauge:
         instrument = self._gauges.get(name)
@@ -188,7 +186,7 @@ class MetricsRegistry:
         return instrument
 
     def _claim(self, name: str) -> None:
-        if name in self._counters or name in self._gauges or name in self._histograms:
+        if name in self._watched or name in self._gauges or name in self._histograms:
             raise ValueError(f"metric name {name!r} already registered as another kind")
 
     # ------------------------------------------------------------------
@@ -208,8 +206,8 @@ class MetricsRegistry:
             self._next_tick += 1
 
     def _snapshot(self, tick_time: float) -> None:
-        for name, counter in self._counters.items():
-            self.samples.append(Sample(tick_time, name, counter.value))
+        for name, value in self.counters().items():
+            self.samples.append(Sample(tick_time, name, value))
         for name, gauge in self._gauges.items():
             self.samples.append(Sample(tick_time, name, gauge.value))
 
@@ -217,7 +215,12 @@ class MetricsRegistry:
     # export views
     # ------------------------------------------------------------------
     def counters(self) -> Dict[str, float]:
-        return {name: c.value for name, c in sorted(self._counters.items())}
+        """Every non-zero watched counter, by name."""
+        totals = {
+            name: sum(getattr(stats, field) for stats, field in sources)
+            for name, sources in sorted(self._watched.items())
+        }
+        return {name: total for name, total in totals.items() if total}
 
     def gauges(self) -> Dict[str, float]:
         return {name: g.value for name, g in sorted(self._gauges.items())}

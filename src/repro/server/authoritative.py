@@ -90,7 +90,6 @@ class AuthoritativeServer(Node):
         obs = self.obs
         serve_span = 0
         if obs.enabled:
-            obs.inc("auth.queries")
             serve_span = obs.begin(
                 "auth.serve",
                 f"auth:{self.address}",
@@ -103,7 +102,6 @@ class AuthoritativeServer(Node):
         if self.ingress_rl is not None and not self.ingress_rl.allow(src, self.now):
             self.stats.rate_limited += 1
             if obs.enabled:
-                obs.inc("auth.rate_limited")
                 obs.end(serve_span, self.now, outcome="rate_limited")
             action = self.ingress_rl.config.action
             if action == RateLimitAction.DROP:
@@ -130,10 +128,6 @@ class AuthoritativeServer(Node):
         self.stats.responses_sent += 1
         if response.rcode == RCode.NXDOMAIN:
             self.stats.nxdomain_sent += 1
-        if self.obs.enabled:
-            self.obs.inc("auth.responses")
-            if response.rcode == RCode.NXDOMAIN:
-                self.obs.inc("auth.nxdomain")
         self.send(dst, response)
 
     # ------------------------------------------------------------------

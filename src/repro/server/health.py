@@ -400,7 +400,6 @@ class HealthRegistry:
             was_open = entry.state != BreakerState.CLOSED
             entry.on_success(rtt, now, retransmitted=retransmitted)
             if was_open and entry.state == BreakerState.CLOSED:
-                self.obs.inc("health.breaker_closes")
                 self.obs.instant(
                     "breaker.close", self.obs_track, now, upstream=server
                 )
@@ -411,7 +410,6 @@ class HealthRegistry:
         """Returns True when this failure opened the server's breaker."""
         opened = self.health(server).on_failure(now, self._rng_factory())
         if opened and self.obs.enabled:
-            self.obs.inc("health.breaker_opens")
             self.obs.instant("breaker.open", self.obs_track, now, upstream=server)
         return opened
 

@@ -35,8 +35,6 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.obs import NULL_OBS
-
 
 class ShedPolicy(enum.Enum):
     """What a shed client observes."""
@@ -78,10 +76,6 @@ class OverloadConfig:
 class OverloadStats:
     #: times shedding engaged (high watermark crossed)
     shed_engagements: int = 0
-    #: requests refused while shedding
-    shed_requests: int = 0
-    #: of those, requests from suspected/convicted clients
-    shed_suspected: int = 0
     #: benign requests admitted in the hysteresis band while suspects
     #: were being shed
     band_admissions: int = 0
@@ -101,8 +95,6 @@ class OverloadController:
         self.config = config or OverloadConfig()
         self.stats = OverloadStats()
         self.shedding = False
-        #: observability facade (counters only: no clock in here)
-        self.obs = NULL_OBS
         #: load carried by aggregate (fluid) traffic models, in
         #: pending-request equivalents: added to every watermark
         #: comparison so admission control reacts to background load
@@ -124,8 +116,6 @@ class OverloadController:
         if not self.shedding and effective >= self.config.high_watermark:
             self.shedding = True
             self.stats.shed_engagements += 1
-            if self.obs.enabled:
-                self.obs.inc("overload.engagements")
         elif self.shedding and effective <= self.config.low_watermark:
             self.shedding = False
 
@@ -144,21 +134,13 @@ class OverloadController:
         is the client's suspicion rank.  While shedding, suspects are
         refused outright; normal clients are refused only while the
         table still sits at or above the high watermark (between the
-        watermarks the remaining capacity drains suspect-free).
+        watermarks the remaining capacity drains suspect-free).  The
+        caller counts what it refuses (``ResolverStats.shed_requests``).
         """
         self.observe(pending)
         if not self.shedding:
             return True
-        if priority > 0:
-            self.stats.shed_requests += 1
-            self.stats.shed_suspected += 1
-            if self.obs.enabled:
-                self.obs.inc("overload.shed_suspected")
-            return False
-        if self._effective(pending) >= self.config.high_watermark:
-            self.stats.shed_requests += 1
-            if self.obs.enabled:
-                self.obs.inc("overload.shed_requests")
+        if priority > 0 or self._effective(pending) >= self.config.high_watermark:
             return False
         self.stats.band_admissions += 1
         return True

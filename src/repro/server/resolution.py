@@ -397,7 +397,6 @@ class ResolutionTask:
                 qname=str(qname),
             )
             obs.note_query_span(query.id, pending.span)
-            obs.inc("resolver.queries_sent")
         pending.timer = self.resolver.sim.schedule(
             self.resolver.query_timeout_for(server), self._on_timeout, pending
         )
@@ -441,7 +440,6 @@ class ResolutionTask:
             pending.retransmitted = True
             obs = self.resolver.obs
             if obs.enabled:
-                obs.inc("resolver.upstream_retransmits")
                 obs.instant(
                     "upstream.retransmit",
                     f"resolver:{self.resolver.address}",
@@ -461,7 +459,6 @@ class ResolutionTask:
         self.resolver.note_server_timeout(pending.server)
         obs = self.resolver.obs
         if obs.enabled:
-            obs.inc("resolver.upstream_timeouts")
             obs.end(pending.span, now, outcome="timeout")
             obs.forget_query_span(pending.message_id)
         self._pending = None

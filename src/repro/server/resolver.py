@@ -283,7 +283,6 @@ class RecursiveResolver(Node):
         now = self.sim.now
         obs = self.obs
         if obs.enabled:
-            obs.inc("resolver.requests")
             obs.client_query(client, request.wire_length())
 
         if self.ingress_rl is not None and not self.ingress_rl.allow(client, now):
@@ -334,7 +333,6 @@ class RecursiveResolver(Node):
                 response.answers.append(entry.rrset)
             self.stats.cache_hit_responses += 1
             if obs.enabled:
-                obs.inc("resolver.cache_hits")
                 obs.end(request_span, now, outcome="cache_hit")
                 obs.end(client_span, now, outcome="cache_hit")
             self._respond(client, response)
@@ -445,10 +443,8 @@ class RecursiveResolver(Node):
         if self.egress_response_hook is not None:
             response = self.egress_response_hook(response, client)
         self.stats.responses_sent += 1
-        if self.obs.enabled:
-            self.obs.inc("resolver.responses")
-            if response.rcode == RCode.NXDOMAIN:
-                self.obs.client_nxdomain(client)
+        if self.obs.enabled and response.rcode == RCode.NXDOMAIN:
+            self.obs.client_nxdomain(client)
         self.send(client, response)
 
     def pending_request_count(self) -> int:

@@ -21,7 +21,7 @@ structurally (``@runtime_checkable``), not by inheritance.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -236,27 +236,3 @@ class InflightTable(Generic[E]):
             self.stats.completed += 1
             reclaimed.append(entry)
         return reclaimed
-
-
-@dataclass
-class TransportStats:
-    """Fabric counters: netsim's ``NetworkStats`` fields, then extras.
-
-    The shared fields let report code read either backend's stats
-    object without caring which it got; the extra fields only exist on
-    the socket path.
-    """
-
-    messages_sent: int = 0
-    messages_delivered: int = 0
-    messages_lost: int = 0
-    messages_unroutable: int = 0
-    messages_dropped_down: int = 0
-    messages_cut: int = 0
-    # socket-path extras
-    #: octets this fabric wrote to its sockets (TCP frames count their 2-octet prefix)
-    bytes_sent: int = 0
-    decode_errors: int = 0
-    tcp_queries: int = 0
-    tcp_responses: int = 0
-    extra: Dict[str, int] = field(default_factory=dict)

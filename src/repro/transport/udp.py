@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.dnscore.message import Message
 from repro.dnscore.wire import WireDecodeError, decode_message, encode_message
-from repro.transport.base import TransportStats
+from repro.netsim.link import NetworkStats
 
 SockAddr = Tuple[str, int]
 
@@ -184,7 +184,7 @@ class UdpFabric:
         self._clock = clock
         self._host = host
         self._nodes: Dict[str, Any] = {}
-        self.stats = TransportStats()
+        self.stats = NetworkStats()
         #: Network-protocol compat; socket faults come from the chaos
         #: proxy, not an in-fabric shaper
         self.fault_shaper = None

@@ -1,6 +1,7 @@
 """Exporters: JSONL metrics, Chrome trace JSON + validator, renderers."""
 
 import json
+from dataclasses import dataclass
 
 from repro.obs.export import (
     chrome_trace,
@@ -35,10 +36,15 @@ def make_tracer():
 # JSONL
 # ----------------------------------------------------------------------
 
+@dataclass
+class Stats:
+    count: int = 0
+
+
 def test_metrics_jsonl_parses_and_orders():
     reg = MetricsRegistry(sample_interval=1.0)
-    reg.counter("b.count").inc(3)
-    reg.counter("a.count").inc()
+    reg.watch("b", Stats(count=3))
+    reg.watch("a", Stats(count=1))
     reg.gauge("depth").set(7)
     reg.histogram("rtt").observe(0.25)
     reg.on_advance(1.5)

@@ -8,11 +8,13 @@ The two load-bearing guarantees of ``repro.obs``:
    per-client counts computed from the delivered-message trace.
 """
 
+import dataclasses
 import os
 import sys
 
 import pytest
 
+from repro.dcc.monitor import AnomalyKind
 from repro.experiments import obs_demo, selfcheck
 from tests.reference_trace import MessageTrace
 import repro.obs as obs_module
@@ -122,12 +124,59 @@ def test_monitor_top_talkers_sees_the_attacker(observed_run):
 def test_metrics_account_for_scenario_traffic(observed_run):
     scenario, _ = observed_run
     counters = scenario.obs.metrics.counters()
-    assert counters["resolver.requests"] == sum(
+    assert counters["resolver.requests_received"] == sum(
         resolver.stats.requests_received for resolver in scenario.resolvers
     )
-    assert counters["auth.queries"] > 0
+    assert counters["auth.queries_received"] > 0
     assert counters["dcc.queries_scheduled"] > 0
     assert scenario.obs.metrics.samples, "grid sampler never fired"
+
+
+def test_counters_are_the_watched_stats_fields(observed_run):
+    """Each counter is ``<prefix>.<field>`` of the stats blocks, summed
+    over the blocks of one prefix: one count per event, no second copy."""
+    scenario, _ = observed_run
+    blocks = {
+        "auth": [a.stats for a in [scenario.root, scenario.attacker_ans, *scenario.target_ans]],
+        "resolver": [r.stats for r in scenario.resolvers],
+        "overload": [r.overload.stats for r in scenario.resolvers if r.overload is not None],
+        "dcc": [s.stats for s in scenario.shims],
+        "monitor": [s.monitor.stats for s in scenario.shims],
+        "mopifq": [s.scheduler.stats for s in scenario.shims],
+        "police": [s.engine.stats for s in scenario.shims],
+    }
+    expected = {}
+    for prefix, stats_blocks in blocks.items():
+        for stats in stats_blocks:
+            for item in dataclasses.fields(stats):
+                value = getattr(stats, item.name)
+                if type(value) is int and value:
+                    name = f"{prefix}.{item.name}"
+                    expected[name] = expected.get(name, 0) + value
+    counters = scenario.obs.metrics.counters()
+    assert counters == expected
+    assert list(counters) == sorted(expected)
+    gauges = scenario.obs.metrics.gauges()
+    final = {s.name: s.value for s in scenario.obs.metrics.samples if s.name not in gauges}
+    assert final == counters, "the last grid sample of each counter is its final value"
+
+
+def test_counters_count_a_conviction_once():
+    """The monitor counts a conviction; the shim acting on it and the
+    policy it installs add no second conviction count."""
+    scenario = obs_demo.build_scenario(scale=0.1)
+    (shim,) = scenario.shims
+    attacker = scenario.clients["attacker"].address
+    threshold = shim.monitor.config.alarm_threshold
+    event = shim.monitor.external_alarm(attacker, AnomalyKind.AMPLIFICATION, 0.0, weight=threshold)
+    assert event is not None and event.convicted
+    shim._act_on_event(event, 0.0)  # what the window tick does with a convicting event
+    assert scenario.obs.metrics.counters() == {
+        "monitor.alarms_raised": threshold,
+        "monitor.convictions": 1,
+        "monitor.external_alarms": 1,
+        "police.policies_activated": 1,
+    }
 
 
 def test_obs_demo_cli_roundtrip(tmp_path, capsys):
@@ -143,3 +192,19 @@ def test_obs_demo_cli_roundtrip(tmp_path, capsys):
     assert (out_dir / "trace.json").exists()
     assert "trace passed schema validation" in out
     assert out.startswith("# experiment=obs repro=")
+
+
+def test_counters_keep_counting_across_a_dcc_host_crash():
+    """A crash rebuilds the shim's monitor, scheduler and policy engine:
+    their new blocks are watched too, and the old ones keep their counts."""
+    scenario = obs_demo.build_scenario(scale=0.1)
+    (shim,) = scenario.shims
+    before = shim.monitor.stats
+    before.alarms_raised = 2
+    scenario.resolvers[0].crash()
+    assert shim.monitor.stats is not before
+    shim.monitor.stats.alarms_raised = 3
+    shim.scheduler.stats.enqueued = 4
+    counters = scenario.obs.metrics.counters()
+    assert counters["monitor.alarms_raised"] == 5
+    assert counters["mopifq.enqueued"] == 4

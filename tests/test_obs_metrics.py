@@ -1,5 +1,7 @@
 """Metrics registry: bucket edges, grid sampling, instrument semantics."""
 
+from dataclasses import dataclass, field
+
 import pytest
 
 from repro.obs.metrics import (
@@ -96,28 +98,53 @@ def test_empty_histogram():
 # registry
 # ----------------------------------------------------------------------
 
+@dataclass
+class Stats:
+    """A component's stats block: the int fields are counters."""
+
+    zeta: int = 0
+    alpha: int = 0
+    level: float = 0.0
+    per_key: dict = field(default_factory=dict)
+
+
 def test_get_or_create_returns_same_instrument():
     reg = MetricsRegistry()
-    assert reg.counter("x") is reg.counter("x")
     assert reg.gauge("g") is reg.gauge("g")
     assert reg.histogram("h") is reg.histogram("h")
 
 
 def test_name_cannot_span_instrument_kinds():
     reg = MetricsRegistry()
-    reg.counter("x")
+    reg.watch("p", Stats())
     with pytest.raises(ValueError):
-        reg.gauge("x")
+        reg.gauge("p.alpha")
     with pytest.raises(ValueError):
-        reg.histogram("x")
+        reg.histogram("p.zeta")
+    reg.gauge("q.alpha")
+    with pytest.raises(ValueError):
+        reg.watch("q", Stats())
 
 
 def test_views_are_sorted():
     reg = MetricsRegistry()
-    reg.counter("zeta").inc()
-    reg.counter("alpha").inc(2)
-    assert list(reg.counters()) == ["alpha", "zeta"]
-    assert reg.counters()["alpha"] == 2.0
+    stats = Stats()
+    reg.watch("p", stats)
+    stats.zeta += 1
+    stats.alpha += 2
+    assert list(reg.counters()) == ["p.alpha", "p.zeta"]
+    assert reg.counters()["p.alpha"] == 2.0
+
+
+def test_counters_sum_int_fields_per_prefix_and_hide_zeros():
+    reg = MetricsRegistry()
+    a, b, c = Stats(alpha=1, level=9.0, per_key={"k": 5}), Stats(alpha=2, zeta=3), Stats(alpha=7)
+    reg.watch("p", a)
+    reg.watch("p", b)
+    reg.watch("q", c)
+    assert reg.counters() == {"p.alpha": 3, "p.zeta": 3, "q.alpha": 7}
+    c.alpha = 0
+    assert "q.alpha" not in reg.counters()
 
 
 def test_rejects_nonpositive_interval():
@@ -131,15 +158,17 @@ def test_rejects_nonpositive_interval():
 
 def test_sampling_grid_emits_each_tick_once():
     reg = MetricsRegistry(sample_interval=1.0)
-    counter = reg.counter("c")
+    stats = Stats(alpha=1)
+    reg.watch("c", stats)
     reg.on_advance(0.0)    # tick 0
-    counter.inc()
+    stats.alpha += 1
     reg.on_advance(0.5)    # no new tick
     reg.on_advance(1.0)    # tick 1
-    counter.inc()
+    stats.alpha += 1
     reg.on_advance(1.0)    # same instant: no duplicate
-    times = [(s.time, s.value) for s in reg.samples if s.name == "c"]
-    assert times == [(0.0, 0.0), (1.0, 1.0)]
+    times = [(s.time, s.value) for s in reg.samples if s.name == "c.alpha"]
+    assert times == [(0.0, 1.0), (1.0, 2.0)]
+    assert not [s for s in reg.samples if s.name == "c.zeta"]  # zero: not sampled
 
 
 def test_sampling_gap_emits_all_spanned_ticks():

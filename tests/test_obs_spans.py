@@ -1,5 +1,7 @@
 """Tracer span trees: well-formedness, handles, overflow behaviour."""
 
+from dataclasses import dataclass
+
 import repro.obs as obs_module
 from repro.obs import NULL_OBS, Observability, ObsConfig
 from repro.obs.spans import NO_PARENT, OPEN, Tracer
@@ -131,7 +133,8 @@ def test_null_obs_is_inert():
     assert NULL_OBS.begin("x", "t:1", 0.0) == NO_PARENT
     assert NULL_OBS.query_span(123) == NO_PARENT
     NULL_OBS.end(1, 0.0)
-    NULL_OBS.inc("c")
+    NULL_OBS.set_gauge("g", 1.0)
+    assert not hasattr(NULL_OBS, "inc")  # counters are watched stats blocks
     NULL_OBS.observe("h", 1.0)
     NULL_OBS.client_query("10.1.0.1", 64)
     NULL_OBS.note_query_span(1, 2)
@@ -157,13 +160,18 @@ def test_facade_trace_spans_off_disables_tracer_only(monkeypatch):
     obs.instant("i", "t:1", 0.0)
     assert obs.tracer.spans == []
     assert obs.tracer.instants == []
-    obs.inc("still.counted")
+    obs.metrics.watch("still", Stats(counted=1))
     assert obs.metrics.counters()["still.counted"] == 1.0
+
+
+@dataclass
+class Stats:
+    counted: int = 0
 
 
 def test_facade_finish_closes_and_samples():
     obs = Observability(ObsConfig(sample_interval=1.0))
-    obs.inc("c")
+    obs.metrics.watch("c", Stats(counted=1))
     obs.begin("x", "t:1", 0.0)
     obs.finish(2.0)
     assert validate_span_tree(obs.tracer) == []

@@ -44,28 +44,39 @@ class TestHysteresis:
         assert c.stats.shed_engagements == 2
 
 
+def admit_all(controller, requests):
+    """``admit`` each ``(pending, priority)`` in turn: ``[(priority, admitted)]``."""
+    return [(priority, controller.admit(pending, priority)) for pending, priority in requests]
+
+
+def shed_counts(verdicts):
+    """What the resolver counts of the refused ones: ``(shed_requests, shed_suspected)``."""
+    refused = [priority for priority, admitted in verdicts if not admitted]
+    return len(refused), sum(1 for priority in refused if priority > 0)
+
+
 class TestAdmission:
     def test_admits_everyone_when_not_shedding(self):
         c = make()
-        assert c.admit(5, priority=2) is True
-        assert c.stats.shed_requests == 0
+        verdicts = admit_all(c, [(5, 2)])
+        assert verdicts == [(2, True)]
+        assert shed_counts(verdicts)[0] == 0
 
     def test_sheds_suspects_first(self):
         c = make(high=10, low=4)
         c.observe(10)
         # In the hysteresis band, suspects are refused, normals drain.
-        assert c.admit(7, priority=1) is False
-        assert c.admit(7, priority=2) is False
-        assert c.admit(7, priority=0) is True
-        assert c.stats.shed_suspected == 2
+        verdicts = admit_all(c, [(7, 1), (7, 2), (7, 0)])
+        assert [admitted for _, admitted in verdicts] == [False, False, True]
+        assert shed_counts(verdicts)[1] == 2
         assert c.stats.band_admissions == 1
 
     def test_sheds_normals_at_or_above_high(self):
         c = make(high=10, low=4)
-        assert c.admit(10, priority=0) is False
-        assert c.admit(12, priority=0) is False
-        assert c.stats.shed_requests == 2
-        assert c.stats.shed_suspected == 0
+        verdicts = admit_all(c, [(10, 0), (12, 0)])
+        assert [admitted for _, admitted in verdicts] == [False, False]
+        assert shed_counts(verdicts)[0] == 2
+        assert shed_counts(verdicts)[1] == 0
 
     def test_deadline_for(self):
         c = make(request_deadline=1.5)

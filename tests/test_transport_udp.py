@@ -13,6 +13,7 @@ import pytest
 from repro.dnscore.message import Message
 from repro.dnscore.name import Name
 from repro.dnscore.rdata import RRType
+from repro.netsim.link import NetworkStats
 from repro.netsim.sim import Simulator
 from repro.server.authoritative import AuthoritativeServer
 from repro.transport.base import Clock, Fabric
@@ -185,6 +186,9 @@ class TestUdpFabric:
         backend, auth, client = _backend()
         assert isinstance(backend.fabric, Fabric)
         assert backend.fabric.node(AUTH) is auth
+        # one stats class for both fabrics: the simulator's, socket-path counters included
+        assert type(backend.fabric.stats) is NetworkStats
+        assert backend.fabric.stats.bytes_sent == backend.fabric.stats.tcp_queries == 0
 
     def test_crash_restart_round_trip(self):
         # supervised lifecycle: crash closes the sockets (queries
