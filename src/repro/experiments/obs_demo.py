@@ -28,6 +28,7 @@ from typing import List, Optional
 from repro.analysis.provenance import provenance_header
 from repro.analysis.report import render_obs_summary
 from repro.experiments.common import AttackScenario, ScenarioConfig
+from repro.experiments.fig8_resilience import paper_monitor_config, paper_policy_templates
 from repro.obs import ObsConfig
 from repro.obs.export import (
     chrome_trace,
@@ -41,13 +42,18 @@ from repro.workloads.schedule import ClientSpec
 
 def build_scenario(scale: float = 0.15, seed: int = 42) -> AttackScenario:
     """The fig4-style observed run: 3 benign WC clients + 1 FF attacker
-    against a DCC-enabled resolver with two redundant target servers."""
+    against a DCC-enabled resolver with two redundant target servers.
+    DCC timers scale with the timeline and the attacker sends Figure
+    8(c)'s 50 QPS, so each scaled monitor window alarms and the run
+    convicts it."""
     config = ScenarioConfig(
         seed=seed,
         duration=50.0 * scale,
         channel_capacity=100.0,
         target_ans_count=2,
         use_dcc=True,
+        monitor=paper_monitor_config(time_scale=scale),
+        policy_templates=paper_policy_templates(time_scale=scale),
         obs=ObsConfig(sample_interval=max(0.25, scale)),
     )
     scenario = AttackScenario(config)
@@ -56,7 +62,7 @@ def build_scenario(scale: float = 0.15, seed: int = 42) -> AttackScenario:
             ClientSpec("benign1", 5.0 * scale, 35.0 * scale, 3.0, "WC"),
             ClientSpec("benign2", 5.0 * scale, 35.0 * scale, 3.0, "WC"),
             ClientSpec("benign3", 5.0 * scale, 35.0 * scale, 3.0, "WC"),
-            ClientSpec("attacker", 0.0, 50.0 * scale, 5.0, "FF", is_attacker=True),
+            ClientSpec("attacker", 0.0, 50.0 * scale, 50.0, "FF", is_attacker=True),
         ]
     )
     return scenario

@@ -7,7 +7,7 @@ while the attacker (and anything the defense flags) stays packet-level
 against a DCC-protected resolver.  Three modes:
 
 - ``fluid``   -- cohorts only integrate; promotion disabled.  The
-  cheapest mode: per-tick numpy updates regardless of population.
+  cheapest mode: per-tick float-lane updates regardless of population.
 - ``hybrid``  -- fluid cohorts plus the seeded promotion/demotion path:
   heavy-hitter evidence (and DCC monitor verdicts, via the external
   flag refresh) materialize bounded slices as real packet clients.
@@ -39,7 +39,7 @@ from typing import Dict, List, Optional
 
 from repro.dcc.monitor import MonitorConfig
 from repro.experiments.common import TARGET_ORIGIN, AttackScenario, ScenarioConfig
-from repro.fluid import HAVE_NUMPY, FluidBridge, PromotionConfig, PromotionController
+from repro.fluid import FluidBridge, PromotionConfig, PromotionController
 from repro.fluid.cohort import CohortSpec, pool_miss_ratio
 from repro.netsim.trace import MessageTrace
 from repro.server.overload import OverloadConfig
@@ -132,10 +132,6 @@ class ScaleScenario:
     def __init__(self, config: ScaleConfig, mode: str) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if mode != "packet":
-            from repro.fluid import require_numpy
-
-            require_numpy()
         self.config = config
         self.mode = mode
         self.specs = config.cohort_specs()
@@ -428,10 +424,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="skip the hybrid-vs-packet verdict gate")
     parser.add_argument("--out", type=str, default="results/scale.txt")
     args = parser.parse_args(argv)
-
-    if not HAVE_NUMPY and args.mode != "packet":
-        print("repro scale: numpy is required for fluid/hybrid modes")
-        return 2
 
     config = ScaleConfig(
         seed=args.seed,

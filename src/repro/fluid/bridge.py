@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Dict, List, Optional
 
-from repro.fluid.cohort import Cohort, slice_key
+from repro.fluid.cohort import Cohort, lane_sum, slice_key
 from repro.netsim.sim import Simulator
 from repro.obs.sketch import SpaceSaving
 
@@ -163,7 +163,7 @@ class FluidBridge:
                 channel.granted / channel.demand if channel.demand > 0.0 else 1.0
             )
             cohort.settle(share, channel.queue_delay)
-            backlog_total += float(cohort.backlog.sum())
+            backlog_total += lane_sum(cohort.backlog)
             self._offer_slices(cohort)
         for sink in self.pressure_sinks:
             sink(t1, backlog_total)

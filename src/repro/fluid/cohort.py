@@ -1,11 +1,12 @@
-"""Fluid cohorts: benign client populations as numpy rate arrays.
+"""Fluid cohorts: benign client populations as lists of float lanes.
 
 A :class:`Cohort` models ``clients`` identical stub clients as a set of
-*slices* -- numpy vectors of per-slice client counts, smoothed RTTs,
-and unserved-query backlogs -- integrated on the bridge's virtual-time
-tick instead of simulated per packet.  A million clients cost a few
-hundred float lanes per tick, which is what lets the fig4/fig8-class
-population scenarios run at paper scale (ROADMAP item 1).
+*slices* -- per-slice lanes of client counts, smoothed RTTs, and
+unserved-query backlogs, each a plain ``list[float]`` -- integrated on
+the bridge's virtual-time tick instead of simulated per packet.  A
+million clients cost a few hundred float lanes per tick, which is what
+lets the fig4/fig8-class population scenarios run at paper scale
+(ROADMAP item 1).
 
 The model is intentionally the *expected value* of the packet path:
 
@@ -21,37 +22,45 @@ The model is intentionally the *expected value* of the packet path:
   timeout, mirroring :class:`repro.workloads.clients.StubClient` giving
   up after ``request_timeout``.
 
-No numpy RNG is used anywhere in the fluid layer (reprolint R1/R7:
-randomness must flow from seeded ``random.Random`` streams); the only
-nondeterminism budget is float arithmetic, which is fixed for a given
-numpy build and covered by the double-run digest gate in CI.
-
-``numpy`` itself is imported defensively: the dataclasses in this
-module stay importable (for serialization) without it, and only
-constructing a runtime :class:`Cohort` demands the array backend.
+No RNG is used anywhere in the fluid layer (reprolint R1/R7:
+randomness must flow from seeded ``random.Random`` streams).  Every
+lane operation is one IEEE-754 double operation per slice, and lane
+totals go through :func:`lane_sum`, whose fixed addition order makes
+the tick digest a function of the inputs alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-try:  # tier-1 must collect without numpy (conftest skips fluid tests)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less hosts
-    _np = None
-
-HAVE_NUMPY = _np is not None
+from typing import Dict, List, Optional, Sequence
 
 
-def require_numpy() -> None:
-    """Fail loudly where a runtime fluid object is built without numpy."""
-    if _np is None:
-        raise RuntimeError(
-            "repro.fluid needs numpy for its vectorized cohort state; "
-            "install the package extras (pip install -e .) or keep the "
-            "scenario packet-only"
-        )
+def lane_sum(values: Sequence[float]) -> float:
+    """Sum in the pairwise order of numpy's float64 add-reduce.
+
+    From ``0.0`` (the reduction's identity, which also turns a ``-0.0``
+    total into ``0.0``): up to 7 values left to right; up to 128, 8
+    interleaved accumulators added as a balanced tree, then the tail;
+    above that, halves split at a multiple of 8.  The stored digests
+    and ``residual=`` values were recorded in this order; ``sum``
+    rounds differently (and compensates, from Python 3.12).
+    """
+    n = len(values)
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return lane_sum(values[:half]) + lane_sum(values[half:])
+    total, end = 0.0, 0
+    if n >= 8:
+        acc = values[:8]
+        end = n - n % 8
+        for i in range(8, end, 8):
+            acc = [a + b for a, b in zip(acc, values[i : i + 8])]
+        r0, r1, r2, r3, r4, r5, r6, r7 = acc
+        total += ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for value in values[end:]:
+        total += value
+    return total
 
 
 @dataclass
@@ -109,18 +118,17 @@ def pool_miss_ratio(total_rate: float, pool_size: int, zipf_s: float, ttl: float
     it a fraction ``lambda_i*ttl / (1 + lambda_i*ttl)`` of the time, so
     the miss ratio is the weighted sum of ``1 / (1 + lambda_i*ttl)``.
     """
-    require_numpy()
     if pool_size <= 0 or ttl <= 0 or total_rate <= 0:
         return 1.0
-    ranks = _np.arange(1, pool_size + 1, dtype=_np.float64)
-    weights = ranks ** (-float(zipf_s))
-    weights /= weights.sum()
-    lam = total_rate * weights
-    return float((weights / (1.0 + lam * ttl)).sum())
+    exponent = -float(zipf_s)
+    weights = [float(rank) ** exponent for rank in range(1, pool_size + 1)]
+    norm = lane_sum(weights)
+    weights = [w / norm for w in weights]
+    return lane_sum([w / (1.0 + total_rate * w * ttl) for w in weights])
 
 
 class Cohort:
-    """Runtime state of one fluid cohort, vectorized over slices.
+    """Runtime state of one fluid cohort, one float lane per slice.
 
     The bridge drives the two-phase tick: :meth:`begin_tick` turns the
     elapsed window into per-slice upstream demand (new cache misses plus
@@ -152,33 +160,30 @@ class Cohort:
     SRTT_GAIN = 0.125
 
     def __init__(self, spec: CohortSpec, seed: int) -> None:
-        require_numpy()
         self.spec = spec
         self.seed = seed
         n = spec.slices
         base, rem = divmod(spec.clients, n)
-        counts = _np.full(n, float(base))
-        counts[:rem] += 1.0
         #: clients currently modeled as fluid (promotion subtracts)
-        self.active = counts
+        self.active: List[float] = [float(base) + 1.0] * rem + [float(base)] * (n - rem)
         #: clients currently materialized as packet-level objects
-        self.promoted = _np.zeros(n)
-        self.srtt = _np.full(n, spec.base_rtt)
+        self.promoted: List[float] = [0.0] * n
+        self.srtt: List[float] = [float(spec.base_rtt)] * n
         #: unserved cache-miss queries waiting on the channel
-        self.backlog = _np.zeros(n)
+        self.backlog: List[float] = [0.0] * n
         # lifetime accumulators (queries)
-        self.offered = _np.zeros(n)
-        self.hits = _np.zeros(n)
-        self.upstream = _np.zeros(n)
-        self.timeouts = _np.zeros(n)
+        self.offered: List[float] = [0.0] * n
+        self.hits: List[float] = [0.0] * n
+        self.upstream: List[float] = [0.0] * n
+        self.timeouts: List[float] = [0.0] * n
         if spec.pattern == "WC_POOL":
             self.miss_ratio = pool_miss_ratio(
                 spec.aggregate_rate, spec.pool_size, spec.zipf_s, spec.ttl
             )
         else:
             self.miss_ratio = 1.0
-        self._demand = _np.zeros(n)
-        self._granted = _np.zeros(n)
+        self._demand: List[float] = [0.0] * n
+        self._granted: List[float] = [0.0] * n
 
     # ------------------------------------------------------------------
     # tick integration (driven by FluidBridge)
@@ -187,29 +192,32 @@ class Cohort:
         """Accrue arrivals over [t0, t1); returns total upstream demand."""
         overlap = min(self.spec.stop, t1) - max(self.spec.start, t0)
         if overlap > 0.0:
-            offered_new = self.active * (self.spec.rate * overlap)
-            hits = offered_new * (1.0 - self.miss_ratio)
-            self.offered += offered_new
-            self.hits += hits
-            self._demand = self.backlog + (offered_new - hits)
+            per_client = self.spec.rate * overlap
+            keep = 1.0 - self.miss_ratio
+            offered_new = [a * per_client for a in self.active]
+            hits = [o * keep for o in offered_new]
+            self.offered = [x + o for x, o in zip(self.offered, offered_new)]
+            self.hits = [x + h for x, h in zip(self.hits, hits)]
+            self._demand = [b + (o - h) for b, o, h in zip(self.backlog, offered_new, hits)]
         else:
-            self._demand = self.backlog.copy()
-        return float(self._demand.sum())
+            self._demand = list(self.backlog)
+        return lane_sum(self._demand)
 
     def settle(self, share: float, queue_delay: float) -> None:
         """Apply the channel's grant ``share`` in [0, 1] for this tick."""
-        granted = self._demand * share
-        self.upstream += granted
-        remainder = self._demand - granted
+        granted = [d * share for d in self._demand]
+        self.upstream = [x + g for x, g in zip(self.upstream, granted)]
+        remainder = [d - g for d, g in zip(self._demand, granted)]
         # Backlog deeper than `timeout` seconds of miss demand has, by
         # Little's law, been waiting longer than a StubClient would:
         # those queries expire as client timeouts.
-        cap = self.active * (self.spec.rate * self.miss_ratio * self.spec.timeout)
-        kept = _np.minimum(remainder, cap)
-        self.timeouts += remainder - kept
+        depth = self.spec.rate * self.miss_ratio * self.spec.timeout
+        cap = [a * depth for a in self.active]
+        kept = [r if r <= c else c for r, c in zip(remainder, cap)]
+        self.timeouts = [x + (r - k) for x, r, k in zip(self.timeouts, remainder, kept)]
         self.backlog = kept
         latency = self.spec.base_rtt + queue_delay
-        self.srtt += self.SRTT_GAIN * (latency - self.srtt)
+        self.srtt = [s + self.SRTT_GAIN * (latency - s) for s in self.srtt]
         self._granted = granted
 
     # ------------------------------------------------------------------
@@ -237,19 +245,19 @@ class Cohort:
     # ------------------------------------------------------------------
     def served_total(self) -> float:
         """Completed resolutions so far (cache hits + upstream grants)."""
-        return float(self.hits.sum() + self.upstream.sum())
+        return lane_sum(self.hits) + lane_sum(self.upstream)
 
     def granted_last_tick(self, slice_idx: int) -> float:
-        return float(self._granted[slice_idx])
+        return self._granted[slice_idx]
 
     def ledger(self) -> Dict[str, float]:
         """Conservation snapshot: offered == hits+upstream+timeouts+backlog."""
         return {
-            "offered": float(self.offered.sum()),
-            "hits": float(self.hits.sum()),
-            "upstream": float(self.upstream.sum()),
-            "timeouts": float(self.timeouts.sum()),
-            "backlog": float(self.backlog.sum()),
+            "offered": lane_sum(self.offered),
+            "hits": lane_sum(self.hits),
+            "upstream": lane_sum(self.upstream),
+            "timeouts": lane_sum(self.timeouts),
+            "backlog": lane_sum(self.backlog),
         }
 
     def digest_line(self) -> str:
@@ -258,8 +266,8 @@ class Cohort:
         return (
             f"{self.spec.name}|{led['offered']:.6f}|{led['hits']:.6f}"
             f"|{led['upstream']:.6f}|{led['timeouts']:.6f}"
-            f"|{led['backlog']:.6f}|{float(self.srtt.mean()):.9f}"
-            f"|{float(self.active.sum()):.1f}|{float(self.promoted.sum()):.1f}"
+            f"|{led['backlog']:.6f}|{lane_sum(self.srtt) / len(self.srtt):.9f}"
+            f"|{lane_sum(self.active):.1f}|{lane_sum(self.promoted):.1f}"
         )
 
 

@@ -360,9 +360,8 @@ def _build(scenario: FuzzScenario, inject_bug: Optional[str]) -> _Harness:
         h.clients["__adversary__"] = attacker
 
     if scenario.fluid_cohorts:
-        # Raises (-> the no-crash oracle) when numpy is missing; the
-        # default generator never draws cohorts, so only explicitly-fluid
-        # scenarios ever take this path.
+        # The default generator never draws cohorts, so only
+        # explicitly-fluid scenarios ever take this path.
         h.bridge = mount_fluid(
             h.sim, scenario.fluid_cohorts, scenario.seed, h.resolver, h.shim,
             scenario.dcc.channel_capacity, stop_at=scenario.duration + scenario.grace,

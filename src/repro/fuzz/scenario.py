@@ -35,8 +35,8 @@ from repro.netsim.faults import (
     schedule_to_dicts,
 )
 # Also anchors the ``List[CohortSpec]`` hint for decode_dataclass; the
-# spec is plain-dataclass data, so scenarios stay serializable (and
-# runnable, modulo a skip) without numpy.
+# spec is plain-dataclass data, so a fluid scenario serializes like any
+# other.
 from repro.fluid.cohort import CohortSpec
 from repro.workloads.zonegen import ZoneNodeSpec
 
@@ -125,7 +125,7 @@ class FuzzScenario:
     client_attempts: int = 1
     #: fluid background mass riding the hybrid core (empty = pure
     #: packet scenario; the default generator does not draw these, so
-    #: corpus digests stay numpy-independent)
+    #: its corpus digests never depend on the fluid layer)
     fluid_cohorts: List[CohortSpec] = field(default_factory=list)
 
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@ This module is where the fluid layer meets the traffic sources: a
 :class:`~repro.fluid.cohort.CohortSpec` describes a population once,
 and from that single description the harness can
 
-- mount the numpy-backed fluid runtime on the packet path
+- mount the float-lane fluid runtime on the packet path
   (:func:`mount_fluid`: shared channel buckets, overload pressure),
 - materialize *slices* of it as real :class:`StubClient` objects when
   the promotion controller flags them (:class:`SliceMaterializer`), or
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.fluid import FluidBridge, build_cohorts, require_numpy
+from repro.fluid import FluidBridge, build_cohorts
 from repro.fluid.cohort import Cohort, CohortSpec, slice_key
 from repro.netsim.link import Network
 from repro.util.tokenbucket import TokenBucket
@@ -206,7 +206,6 @@ def mount_fluid(
     the packet clients fixes the event order, so it stays with the
     caller.
     """
-    require_numpy()
     bridge = FluidBridge(sim, tick=tick, stop_at=stop_at)
     for spec in specs:
         if spec.destination not in bridge.channels:

@@ -22,13 +22,6 @@ from repro.workloads.zonegen import (
     build_target_zone,
 )
 
-# The fluid/scale tests need numpy (the only non-stdlib runtime dep);
-# a numpy-less environment still runs the rest of the tier-1 suite.
-try:
-    import numpy  # noqa: F401
-except ImportError:
-    collect_ignore_glob = ["test_fluid*", "test_scale*"]
-
 ROOT_ADDR = "10.0.0.1"
 TARGET_ANS_ADDR = "10.0.0.2"
 ATTACKER_ANS_ADDR = "10.0.0.3"

@@ -1,5 +1,9 @@
 """Fluid cohorts + bridge: conservation, coupling, digest determinism."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.fluid import (
@@ -104,7 +108,7 @@ class TestCohortIntegration:
         # More than the slice holds: takes what is there.
         assert cohort.promote_clients(0, 10) == 2
         assert cohort.demote_clients(0, 10) == 4
-        assert float(cohort.active.sum()) == 16.0
+        assert sum(cohort.active) == 16.0
 
     def test_promoted_clients_stop_offering(self):
         full = Cohort(spec(clients=16, slices=4), seed=1)
@@ -218,3 +222,17 @@ class TestFluidBridge:
             sim.run(until=5.0)
             digests.append(bridge.digest())
         assert digests[0] != digests[1]
+
+
+def test_fluid_drivers_import_without_numpy():
+    """The fluid layer is stdlib floats: importing the drivers that run
+    it loads no numpy."""
+    code = (
+        "import sys\n"
+        "import repro.experiments.scale, repro.fuzz.runner, repro.workloads.cohorts\n"
+        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('numpy'))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -9,6 +9,7 @@ The two load-bearing guarantees of ``repro.obs``:
 """
 
 import dataclasses
+import json
 import os
 import sys
 
@@ -19,7 +20,7 @@ from repro.experiments import obs_demo, selfcheck
 from tests.reference_trace import MessageTrace
 import repro.obs as obs_module
 from repro.obs import ObsConfig
-from repro.obs.export import chrome_trace, find_full_query_root, validate_chrome_trace
+from repro.obs.export import chrome_trace, find_full_query_root, metrics_jsonl, validate_chrome_trace
 from tests.span_oracle import validate_span_tree
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -111,6 +112,24 @@ def test_heavy_hitters_match_exact_per_client_counts(observed_run):
     # the attacker is the single heaviest talker
     attacker = scenario.clients["attacker"].address
     assert sketch.top(1)[0].key == attacker
+
+
+def test_observed_run_convicts_the_attacker(observed_run):
+    """The demo's monitor runs on the scaled timeline: the attacker is
+    convicted inside the run, and the export shows the conviction."""
+    scenario, _ = observed_run
+    counters = {
+        row["name"]: row["value"]
+        for row in map(json.loads, metrics_jsonl(scenario.obs.metrics).splitlines())
+        if row["kind"] == "counter"
+    }
+    assert counters.get("monitor.convictions", 0) >= 1
+    attacker = scenario.clients["attacker"].address
+    convicts = [
+        event for event in chrome_trace(scenario.obs.tracer)["traceEvents"]
+        if event["ph"] == "i" and event["name"] == "dcc.convict"
+    ]
+    assert convicts and convicts[0]["args"]["client"] == attacker
 
 
 def test_monitor_top_talkers_sees_the_attacker(observed_run):
