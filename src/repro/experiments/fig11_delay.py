@@ -64,10 +64,11 @@ def run_end_to_end(use_dcc: bool, requests: int = 2000, seed: int = 42) -> Delay
     scenario = AttackScenario(config)
     scenario.add_clients([ClientSpec("probe", 0.0, duration, rate, "WC")])
     scenario.run()
+    log = scenario.clients["probe"].records
     samples = [
-        record.latency * 1000.0
-        for record in scenario.clients["probe"].records
-        if record.latency is not None
+        (completed_at - sent_at) * 1000.0
+        for sent_at, completed_at in zip(log.sent_at, log.completed_at)
+        if completed_at == completed_at  # NaN: never answered
     ]
     return DelaySample("DCC (end-to-end)" if use_dcc else "vanilla (end-to-end)", samples)
 

@@ -207,7 +207,7 @@ class ScaleScenario:
         # channel bucket, so packet flows and fluid load contend for the
         # same tokens.
         self.bridge = mount_fluid(
-            sim, self.specs, self.config.seed, self.resolver, self.shim,
+            sim, self.specs, self.resolver, self.shim,
             self.scenario.config.channel_capacity, stop_at=horizon, tick=self.config.tick,
         )
         self.bridge.start()

@@ -142,7 +142,6 @@ class Cohort:
 
     __slots__ = (
         "spec",
-        "seed",
         "active",
         "promoted",
         "srtt",
@@ -159,9 +158,8 @@ class Cohort:
     #: per-tick SRTT smoothing gain (RFC 6298's alpha)
     SRTT_GAIN = 0.125
 
-    def __init__(self, spec: CohortSpec, seed: int) -> None:
+    def __init__(self, spec: CohortSpec) -> None:
         self.spec = spec
-        self.seed = seed
         n = spec.slices
         base, rem = divmod(spec.clients, n)
         #: clients currently modeled as fluid (promotion subtracts)
@@ -271,17 +269,15 @@ class Cohort:
         )
 
 
-def build_cohorts(specs: List[CohortSpec], seed: int) -> List["Cohort"]:
-    """Runtime cohorts with per-cohort sub-seeds (util.derive_seed scheme)."""
-    from repro.util.seeds import derive_seed
-
+def build_cohorts(specs: List[CohortSpec]) -> List["Cohort"]:
+    """Runtime cohorts, one per spec; names must be unique."""
     cohorts = []
     names = set()
     for spec in specs:
         if spec.name in names:
             raise ValueError(f"duplicate cohort name {spec.name!r}")
         names.add(spec.name)
-        cohorts.append(Cohort(spec, derive_seed(seed, "cohort", spec.name)))
+        cohorts.append(Cohort(spec))
     return cohorts
 
 

@@ -363,7 +363,7 @@ def _build(scenario: FuzzScenario, inject_bug: Optional[str]) -> _Harness:
         # The default generator never draws cohorts, so only
         # explicitly-fluid scenarios ever take this path.
         h.bridge = mount_fluid(
-            h.sim, scenario.fluid_cohorts, scenario.seed, h.resolver, h.shim,
+            h.sim, scenario.fluid_cohorts, h.resolver, h.shim,
             scenario.dcc.channel_capacity, stop_at=scenario.duration + scenario.grace,
         )
     return h
@@ -487,8 +487,8 @@ def _collect(scenario: FuzzScenario, h: _Harness, obs: FuzzObservations) -> None
             name=spec.name,
             zone=spec.zone,
             requests=len(client.records),
-            successes=sum(1 for r in client.records if r.success),
-            timeouts=sum(1 for r in client.records if r.timed_out),
+            successes=client.records.successes(),
+            timeouts=client.records.timed_out.count(1),
             success_ratio=client.success_ratio(spec.start, stop),
             clean_ratio=client.success_ratio(spec.start, clean_until),
             attacked_ratio=(
@@ -505,8 +505,8 @@ def _collect(scenario: FuzzScenario, h: _Harness, obs: FuzzObservations) -> None
                 name="__adversary__",
                 zone=adversary.zone,
                 requests=len(attacker.records),
-                successes=sum(1 for r in attacker.records if r.success),
-                timeouts=sum(1 for r in attacker.records if r.timed_out),
+                successes=attacker.records.successes(),
+                timeouts=attacker.records.timed_out.count(1),
                 success_ratio=attacker.success_ratio(adversary.start, scenario.duration),
                 clean_ratio=0.0,
                 attacked_ratio=0.0,

@@ -16,8 +16,9 @@ signals to its owner (e.g. to hunt a compromised local application).
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.dcc.signaling import AnomalySignal, CongestionSignal, PolicingSignal, extract_signals
 from repro.dnscore.message import Message
@@ -50,40 +51,107 @@ class ClientConfig:
     backoff_recovery: float = 10.0  # reprolint: disable=R11 -- paper Section 3.3 backoff recovery (seconds)
 
 
-class RequestRecord:
-    """Ground truth about one logical client request.
+#: ``RequestLog.completed_at`` and ``RequestLog.rcode`` of a request that has no answer
+_NAN = float("nan")
+NO_RCODE = -1
+#: rcodes that count as a success: the paper's criterion (``RCode.is_success``)
+SUCCESS_RCODES = tuple(int(code) for code in RCode if code.is_success)
 
-    One per simulated request, so slotted: no per-instance ``__dict__``.
+
+class RequestLog:
+    """Ground truth about every logical request of one client, as columns.
+
+    One row per request, appended when it is sent and written in place
+    as its fate arrives.  A row is 20 bytes of ``array`` storage: the
+    ``sent_at`` and ``completed_at`` doubles (NaN: not answered), the
+    ``rcode`` byte (:data:`NO_RCODE`: not answered), and one byte each for
+    ``timed_out``, ``attempts`` and ``resolver`` (an index into
+    ``resolvers``).  No object outlives its request; ``log[i]`` and
+    iteration hand out :class:`RequestRecord` views.
     """
 
-    __slots__ = ("sent_at", "resolver", "attempts", "completed_at", "rcode", "timed_out")
+    __slots__ = ("resolvers", "sent_at", "completed_at", "rcode", "timed_out", "attempts", "resolver")
 
-    def __init__(
-        self,
-        sent_at: float,
-        resolver: str,
-        attempts: int = 1,
-        completed_at: Optional[float] = None,
-        rcode: Optional[RCode] = None,
-        timed_out: bool = False,
-    ) -> None:
-        self.sent_at = sent_at
-        self.resolver = resolver
-        self.attempts = attempts
-        self.completed_at = completed_at
-        self.rcode = rcode
-        self.timed_out = timed_out
+    def __init__(self, resolvers: Sequence[str]) -> None:
+        self.resolvers = resolvers
+        self.sent_at = array("d")
+        self.completed_at = array("d")
+        self.rcode = array("b")
+        self.timed_out = array("B")
+        self.attempts = array("B")
+        self.resolver = array("B")
+
+    def append(self, sent_at: float, resolver: int) -> int:
+        """Add the row of a request sent now to ``resolvers[resolver]``."""
+        row = len(self.sent_at)
+        self.sent_at.append(sent_at)
+        self.completed_at.append(_NAN)
+        self.rcode.append(NO_RCODE)
+        self.timed_out.append(0)
+        self.attempts.append(1)
+        self.resolver.append(resolver)
+        return row
+
+    def successes(self) -> int:
+        """Rows answered with a success rcode."""
+        return sum(map(self.rcode.count, SUCCESS_RCODES))
+
+    def __len__(self) -> int:
+        return len(self.sent_at)
+
+    def __getitem__(self, row: int) -> "RequestRecord":
+        return RequestRecord(self, range(len(self.sent_at))[row])
+
+    def __iter__(self) -> Iterator["RequestRecord"]:
+        for row in range(len(self.sent_at)):
+            yield RequestRecord(self, row)
+
+
+class RequestRecord:
+    """Read-only view of one :class:`RequestLog` row."""
+
+    __slots__ = ("_log", "_row")
+
+    def __init__(self, log: RequestLog, row: int) -> None:
+        self._log = log
+        self._row = row
+
+    @property
+    def sent_at(self) -> float:
+        return self._log.sent_at[self._row]
+
+    @property
+    def resolver(self) -> str:
+        log = self._log
+        return log.resolvers[log.resolver[self._row]]
+
+    @property
+    def attempts(self) -> int:
+        return self._log.attempts[self._row]
+
+    @property
+    def completed_at(self) -> Optional[float]:
+        completed = self._log.completed_at[self._row]
+        return None if completed != completed else completed
+
+    @property
+    def rcode(self) -> Optional[RCode]:
+        code = self._log.rcode[self._row]
+        return None if code == NO_RCODE else RCode(code)
+
+    @property
+    def timed_out(self) -> bool:
+        return bool(self._log.timed_out[self._row])
 
     @property
     def success(self) -> bool:
         """The paper's success criterion: a NOERROR or NXDOMAIN answer."""
-        return self.rcode is not None and self.rcode.is_success
+        return self._log.rcode[self._row] in SUCCESS_RCODES
 
     @property
     def latency(self) -> Optional[float]:
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.sent_at
+        completed = self.completed_at
+        return None if completed is None else completed - self.sent_at
 
 
 @dataclass
@@ -104,9 +172,9 @@ class StubClient(Node):
             raise ValueError(f"rate must be positive, got {config.rate}")
         self.pattern = pattern
         self.config = config
-        self.records: List[RequestRecord] = []
+        self.records = RequestLog(config.resolvers)
         self.signals = SignalLog()
-        #: request id -> (record, timer event, attempt index)
+        #: request id -> [records row, timer event, attempt index, request]
         self._pending: Dict[int, List] = {}
         self._started = False
         self._rate_penalty = 0.0  # dcc-aware backoff state
@@ -148,9 +216,9 @@ class StubClient(Node):
         gap *= 1.0 + rng.uniform(-JITTER, JITTER)
         self.sim.schedule(gap, self._fire)
 
-    def _resolver_for(self, attempt: int) -> str:
-        resolvers = self.config.resolvers
-        return resolvers[(self._resolver_offset + attempt) % len(resolvers)]
+    def _resolver_index(self, attempt: int) -> int:
+        """Index into ``config.resolvers`` of the given attempt's resolver."""
+        return (self._resolver_offset + attempt) % len(self.config.resolvers)
 
     def _send_request(self, now: float) -> None:
         rng = self._names_rng
@@ -158,31 +226,31 @@ class StubClient(Node):
             rng = self._names_rng = self.sim.rng(f"client.{self.address}.names")
         question = self.pattern.next_question(rng)
         request = Message.query(question.name, question.rrtype)
-        resolver = self._resolver_for(0)
-        record = RequestRecord(sent_at=now, resolver=resolver)
-        self.records.append(record)
+        resolver = self._resolver_index(0)
+        row = self.records.append(now, resolver)
         timer = self.sim.schedule(self.config.request_timeout, self._on_timeout, request.id)
-        self._pending[request.id] = [record, timer, 0, request]
-        self.send(resolver, request)
+        self._pending[request.id] = [row, timer, 0, request]
+        self.send(self.config.resolvers[resolver], request)
 
     def _on_timeout(self, request_id: int) -> None:
         entry = self._pending.pop(request_id, None)
         if entry is None:
             return
-        record, _, attempt, request = entry
+        row, _, attempt, request = entry
+        log = self.records
         if attempt + 1 < self.config.max_attempts:
             # Retry against the next resolver -- "retried requests are
             # indeed duplicated multiple times" (Section 7), which is
             # why path redundancy does not rescue Figure 4b.
-            resolver = self._resolver_for(attempt + 1)
-            record.attempts += 1
-            record.resolver = resolver
+            resolver = self._resolver_index(attempt + 1)
+            log.attempts[row] += 1
+            log.resolver[row] = resolver
             retry = Message.query(request.question.name, request.question.rrtype)
             timer = self.sim.schedule(self.config.request_timeout, self._on_timeout, retry.id)
-            self._pending[retry.id] = [record, timer, attempt + 1, retry]
-            self.send(resolver, retry)
+            self._pending[retry.id] = [row, timer, attempt + 1, retry]
+            self.send(self.config.resolvers[resolver], retry)
             return
-        record.timed_out = True
+        log.timed_out[row] = 1
 
     # ------------------------------------------------------------------
     # responses
@@ -193,10 +261,11 @@ class StubClient(Node):
         entry = self._pending.pop(message.id, None)
         if entry is None:
             return  # late response after timeout
-        record, timer, _, _ = entry
+        row, timer, _, _ = entry
         timer.cancel()
-        record.completed_at = self.sim.now
-        record.rcode = message.rcode
+        log = self.records
+        log.completed_at[row] = self.sim.now
+        log.rcode[row] = message.rcode
         if self.config.dcc_aware:
             self._process_signals(message)
 
@@ -222,18 +291,26 @@ class StubClient(Node):
     # ------------------------------------------------------------------
     def success_ratio(self, since: float = 0.0, until: float = float("inf")) -> float:
         """Fraction of requests sent in [since, until) that succeeded."""
-        window = [r for r in self.records if since <= r.sent_at < until]
-        if not window:
+        log = self.records
+        sent = succeeded = 0
+        for sent_at, rcode in zip(log.sent_at, log.rcode):
+            if since <= sent_at < until:
+                sent += 1
+                if rcode in SUCCESS_RCODES:
+                    succeeded += 1
+        if not sent:
             return 0.0
-        return sum(1 for r in window if r.success) / len(window)
+        return succeeded / sent
 
     def effective_qps_series(self, duration: float, bucket: float = 1.0) -> List[float]:
         """Successful responses per second, bucketed by completion time
-        (the Figure 8 'effective QPS' metric)."""
+        (the Figure 8 'effective QPS' metric).  A success row always has
+        its completion time: ``receive`` writes both."""
         buckets = [0.0] * int(duration / bucket + 1)
-        for record in self.records:
-            if record.success and record.completed_at is not None:
-                index = int(record.completed_at / bucket)
+        log = self.records
+        for completed_at, rcode in zip(log.completed_at, log.rcode):
+            if rcode in SUCCESS_RCODES:
+                index = int(completed_at / bucket)
                 if 0 <= index < len(buckets):
                     buckets[index] += 1
         return [count / bucket for count in buckets]

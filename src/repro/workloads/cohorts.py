@@ -189,7 +189,6 @@ def packet_cohort_clients(
 def mount_fluid(
     sim: Simulator,
     specs: List[CohortSpec],
-    seed: int,
     resolver: RecursiveResolver,
     shim: Optional[DccShim],
     capacity: float,
@@ -214,7 +213,7 @@ def mount_fluid(
             else:
                 bucket = TokenBucket(rate=capacity, burst=max(1.0, capacity * 0.1))
             bridge.add_channel(spec.destination, bucket)
-    for cohort in build_cohorts(specs, seed):
+    for cohort in build_cohorts(specs):
         bridge.add_cohort(cohort)
     if resolver.overload is not None:
         bridge.pressure_sinks.append(FluidPressure(resolver).push)

@@ -60,7 +60,7 @@ class TestPoolMissRatio:
 
 class TestCohortIntegration:
     def test_conservation_every_tick(self):
-        cohort = Cohort(spec(), seed=1)
+        cohort = Cohort(spec())
         t = 0.0
         for _ in range(50):
             cohort.begin_tick(t, t + 0.1)
@@ -73,7 +73,7 @@ class TestCohortIntegration:
             assert abs(residual) < 1e-6 * max(1.0, led["offered"])
 
     def test_start_stop_window(self):
-        cohort = Cohort(spec(start=2.0, stop=4.0), seed=1)
+        cohort = Cohort(spec(start=2.0, stop=4.0))
         cohort.begin_tick(0.0, 1.0)  # before start
         assert cohort.ledger()["offered"] == 0.0
         cohort.begin_tick(2.0, 3.0)  # inside the window
@@ -82,13 +82,13 @@ class TestCohortIntegration:
         assert cohort.ledger()["offered"] == pytest.approx(100.0)
 
     def test_full_share_leaves_no_backlog(self):
-        cohort = Cohort(spec(), seed=1)
+        cohort = Cohort(spec())
         cohort.begin_tick(0.0, 0.1)
         cohort.settle(share=1.0, queue_delay=0.0)
         assert cohort.ledger()["backlog"] == 0.0
 
     def test_starved_backlog_expires_as_timeouts(self):
-        cohort = Cohort(spec(timeout=1.0), seed=1)
+        cohort = Cohort(spec(timeout=1.0))
         t = 0.0
         for _ in range(40):
             cohort.begin_tick(t, t + 0.1)
@@ -101,7 +101,7 @@ class TestCohortIntegration:
         assert led["backlog"] <= cohort.spec.aggregate_rate * 1.0 + 1e-9
 
     def test_promote_demote_bookkeeping(self):
-        cohort = Cohort(spec(clients=16, slices=4), seed=1)
+        cohort = Cohort(spec(clients=16, slices=4))
         assert cohort.promote_clients(0, 2) == 2
         assert float(cohort.active[0]) == 2.0
         assert float(cohort.promoted[0]) == 2.0
@@ -111,8 +111,8 @@ class TestCohortIntegration:
         assert sum(cohort.active) == 16.0
 
     def test_promoted_clients_stop_offering(self):
-        full = Cohort(spec(clients=16, slices=4), seed=1)
-        half = Cohort(spec(clients=16, slices=4), seed=1)
+        full = Cohort(spec(clients=16, slices=4))
+        half = Cohort(spec(clients=16, slices=4))
         for idx in range(4):
             half.promote_clients(idx, 2)
         full.begin_tick(0.0, 1.0)
@@ -125,11 +125,7 @@ class TestCohortIntegration:
 class TestBuildCohorts:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate cohort name"):
-            build_cohorts([spec(), spec()], seed=1)
-
-    def test_sub_seeds_differ_per_cohort(self):
-        a, b = build_cohorts([spec(name="a"), spec(name="b")], seed=1)
-        assert a.seed != b.seed
+            build_cohorts([spec(), spec()])
 
 
 class TestSliceKeys:
@@ -145,14 +141,14 @@ class TestFluidBridge:
     def _bridge(self, sim, rate=50.0, **cohort_overrides):
         bridge = FluidBridge(sim, tick=0.1, stop_at=5.0)
         bridge.add_channel("10.0.0.2", TokenBucket(rate=rate, burst=rate * 0.1))
-        for cohort in build_cohorts([spec(**cohort_overrides)], seed=3):
+        for cohort in build_cohorts([spec(**cohort_overrides)]):
             bridge.add_cohort(cohort)
         return bridge
 
     def test_cohort_needs_registered_channel(self):
         bridge = FluidBridge(Simulator(seed=1))
         with pytest.raises(ValueError, match="unregistered channel"):
-            bridge.add_cohort(Cohort(spec(), seed=1))
+            bridge.add_cohort(Cohort(spec()))
 
     def test_duplicate_channel_rejected(self):
         bridge = FluidBridge(Simulator(seed=1))
@@ -186,7 +182,7 @@ class TestFluidBridge:
         bucket = TokenBucket(rate=50.0, burst=5.0)
         bridge = FluidBridge(sim, tick=0.1, stop_at=5.0)
         bridge.add_channel("10.0.0.2", bucket)
-        for cohort in build_cohorts([spec()], seed=3):
+        for cohort in build_cohorts([spec()]):
             bridge.add_cohort(cohort)
         bridge.start()
         sim.run(until=1.05)

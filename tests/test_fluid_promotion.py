@@ -50,7 +50,7 @@ def build_stack(
         destination="10.0.0.2", stop=horizon, pattern="NX", slices=4,
         promotable=promotable,
     )
-    for cohort in build_cohorts([spec], seed=seed):
+    for cohort in build_cohorts([spec]):
         bridge.add_cohort(cohort)
     controller = PromotionController(
         sim,

@@ -116,7 +116,7 @@ class TestGoodputAgreement:
         bridge.add_channel(
             "10.0.0.2", TokenBucket(rate=capacity, burst=capacity * 0.1)
         )
-        for cohort in build_cohorts([self._cohort_spec("10.0.0.2")], seed=11):
+        for cohort in build_cohorts([self._cohort_spec("10.0.0.2")]):
             bridge.add_cohort(cohort)
         bridge.start()
         sim.run(until=self.DURATION)

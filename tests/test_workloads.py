@@ -7,7 +7,7 @@ import pytest
 from repro.dnscore.name import Name
 from repro.dnscore.rdata import RRType
 from repro.dnscore.zone import LookupStatus
-from repro.workloads.clients import ClientConfig, RequestRecord, StubClient
+from repro.workloads.clients import ClientConfig, RequestLog, StubClient
 from repro.workloads.patterns import (
     CnameChainPattern,
     FanoutPattern,
@@ -165,6 +165,18 @@ class TestSchedule:
         assert set(TABLE2_SCENARIOS) == {"wildcard", "nxdomain", "amplification"}
 
 
+def request_log(*rows):
+    """A one-resolver log of ``(sent_at, rcode, completed_at, timed_out)`` rows."""
+    log = RequestLog(["r"])
+    for sent_at, rcode, completed_at, timed_out in rows:
+        row = log.append(sent_at, 0)
+        if rcode is not None:
+            log.rcode[row] = rcode
+            log.completed_at[row] = completed_at
+        log.timed_out[row] = timed_out
+    return log
+
+
 class TestStubClient:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -175,38 +187,43 @@ class TestStubClient:
     def test_request_record_success_criteria(self):
         from repro.dnscore.rdata import RCode
 
-        record = RequestRecord(sent_at=0.0, resolver="r")
-        assert not record.success
-        record.rcode = RCode.NXDOMAIN
-        assert record.success  # NXDOMAIN counts as resolved
-        record.rcode = RCode.SERVFAIL
-        assert not record.success
+        log = RequestLog(["r"])
+        row = log.append(0.0, 0)
+        assert not log[row].success
+        log.rcode[row] = RCode.NXDOMAIN
+        assert log[row].success  # NXDOMAIN counts as resolved
+        log.rcode[row] = RCode.SERVFAIL
+        assert not log[row].success
 
     def test_request_record_is_slotted(self):
         from repro.dnscore.rdata import RCode
 
-        record = RequestRecord(1.0, "r", 2, 1.5, RCode.NOERROR, False)
-        assert not hasattr(record, "__dict__")
+        log = request_log((1.0, RCode.NOERROR, 1.5, False))
+        log.attempts[0] = 2
+        record = log[0]
+        assert not hasattr(record, "__dict__") and not hasattr(log, "__dict__")
         assert (record.attempts, record.completed_at, record.rcode) == (2, 1.5, RCode.NOERROR)
         assert record.success and not record.timed_out
+        assert log[-1].sent_at == 1.0
+        with pytest.raises(IndexError):
+            log[1]
 
     def test_latency(self):
-        record = RequestRecord(sent_at=1.0, resolver="r")
-        assert record.latency is None
-        record.completed_at = 1.5
-        assert record.latency == pytest.approx(0.5)
+        log = RequestLog(["r"])
+        row = log.append(1.0, 0)
+        assert log[row].latency is None
+        log.completed_at[row] = 1.5
+        assert log[row].latency == pytest.approx(0.5)
 
     def test_success_ratio_windows(self):
         from repro.dnscore.rdata import RCode
 
         client = StubClient.__new__(StubClient)
-        client.records = [
-            RequestRecord(sent_at=1.0, resolver="r", rcode=RCode.NOERROR,
-                          completed_at=1.1),
-            RequestRecord(sent_at=2.0, resolver="r", timed_out=True),
-            RequestRecord(sent_at=9.0, resolver="r", rcode=RCode.NOERROR,
-                          completed_at=9.1),
-        ]
+        client.records = request_log(
+            (1.0, RCode.NOERROR, 1.1, False),
+            (2.0, None, None, True),
+            (9.0, RCode.NOERROR, 9.1, False),
+        )
         assert StubClient.success_ratio(client, 0.0, 5.0) == 0.5
         assert StubClient.success_ratio(client, 8.0, 10.0) == 1.0
         assert StubClient.success_ratio(client, 20.0, 30.0) == 0.0
@@ -215,13 +232,10 @@ class TestStubClient:
         from repro.dnscore.rdata import RCode
 
         client = StubClient.__new__(StubClient)
-        client.records = [
-            RequestRecord(sent_at=0.0, resolver="r", rcode=RCode.NOERROR,
-                          completed_at=0.5),
-            RequestRecord(sent_at=0.1, resolver="r", rcode=RCode.NOERROR,
-                          completed_at=0.6),
-            RequestRecord(sent_at=0.2, resolver="r", rcode=RCode.SERVFAIL,
-                          completed_at=0.7),
-        ]
+        client.records = request_log(
+            (0.0, RCode.NOERROR, 0.5, False),
+            (0.1, RCode.NOERROR, 0.6, False),
+            (0.2, RCode.SERVFAIL, 0.7, False),
+        )
         series = StubClient.effective_qps_series(client, duration=2.0)
         assert series[0] == 2.0  # only the successes
