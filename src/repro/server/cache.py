@@ -13,29 +13,35 @@ The cache stores:
   SOA-minimum TTL (RFC 2308);
 - **delegations** (NS RRsets + glue addresses) which the iterative
   resolver consults to find the deepest known zone cut.
+
+An entry leaves when it dies, not when it is next read: each put first
+pops the entries past their TTL and stale window off per-TTL expiry
+queues, so single-use attack names cost about one TTL's worth of entries.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, List, Optional, Tuple
+from collections import OrderedDict, defaultdict, deque
+from typing import Callable, DefaultDict, Deque, List, Optional, Tuple
 
 from repro.dnscore.name import Name
 from repro.dnscore.rdata import RCode, RRType
 from repro.dnscore.rrset import RRSet
 
 _ADDRESS_TYPES = (RRType.A, RRType.AAAA)
+_Key = Tuple[Tuple[str, ...], RRType]
 
 
 class CacheEntry:
     """One cached fact: either an RRset or a negative answer."""
 
-    __slots__ = ("rrset", "rcode", "expires")
+    __slots__ = ("rrset", "rcode", "expires", "key")
 
-    def __init__(self, rrset: Optional[RRSet], rcode: RCode, expires: float) -> None:
+    def __init__(self, rrset: Optional[RRSet], rcode: RCode, expires: float, key: _Key) -> None:
         self.rrset = rrset  # None for negative entries
         self.rcode = rcode  # NOERROR (positive/NODATA) or NXDOMAIN
         self.expires = expires
+        self.key = key  # the cache key, so an expiry queue can find it
 
     @property
     def is_negative(self) -> bool:
@@ -53,12 +59,22 @@ class ResolverCache:
     fresh resolution fails (RFC 8767 serve-stale) -- a deployed
     availability mitigation that softens adversarial congestion for
     *popular* names (cache-bypassing attack patterns are unaffected).
+
+    Expiry is eager: a put that finds a queue front due runs
+    :meth:`flush_expired` first, as if the cache were flushed before every
+    put; no read can tell.  ``now`` must not decrease (``Simulator`` and
+    ``AsyncioClock`` guarantee it); the one backwards put, a root hint
+    re-installed at 0.0 with a 10^9 s TTL, can only delay a drop.
     """
 
     def __init__(self, max_entries: int = 100_000, stale_window: float = 0.0) -> None:
         self.max_entries = max_entries
         self.stale_window = stale_window
-        self._entries: "OrderedDict[Tuple[Tuple[str, ...], RRType], CacheEntry]" = OrderedDict()
+        self._entries: "OrderedDict[_Key, CacheEntry]" = OrderedDict()
+        #: TTL -> entries put with that TTL, oldest first; the earliest
+        #: ``expires + stale_window`` among the queue fronts is ``_due``
+        self._queues: "DefaultDict[float, Deque[CacheEntry]]" = defaultdict(deque)
+        self._due = float("inf")
         self.hits = 0
         self.misses = 0
         self.expirations = 0
@@ -79,15 +95,22 @@ class ResolverCache:
     # store
     # ------------------------------------------------------------------
     def put_rrset(self, rrset: RRSet, now: float) -> None:
-        self._put((rrset.name.labels, rrset.rrtype), CacheEntry(rrset, RCode.NOERROR, now + rrset.ttl))
+        self._put((rrset.name.labels, rrset.rrtype), rrset, RCode.NOERROR, rrset.ttl, now)
 
     def put_negative(
         self, name: Name, rrtype: RRType, rcode: RCode, ttl: float, now: float
     ) -> None:
         """Cache an NXDOMAIN or NODATA answer for ``ttl`` seconds."""
-        self._put((name.labels, rrtype), CacheEntry(None, rcode, now + ttl))
+        self._put((name.labels, rrtype), None, rcode, ttl, now)
 
-    def _put(self, key: Tuple[Tuple[str, ...], RRType], entry: CacheEntry) -> None:
+    def _put(self, key: _Key, rrset: Optional[RRSet], rcode: RCode, ttl: float, now: float) -> None:
+        if now >= self._due:
+            self.flush_expired(now)
+        entry = CacheEntry(rrset, rcode, now + ttl, key)
+        queue = self._queues[ttl]
+        if not queue:
+            self._due = min(self._due, entry.expires + self.stale_window)
+        queue.append(entry)
         if key in self._entries:
             del self._entries[key]
         self._entries[key] = entry
@@ -208,13 +231,18 @@ class ResolverCache:
     # ------------------------------------------------------------------
     def flush_expired(self, now: float) -> int:
         """Drop the entries no read can return: past their TTL and the
-        stale window.  The resolver's purge tick calls this."""
-        dead = [
-            key
-            for key, entry in self._entries.items()
-            if now >= entry.expires + self.stale_window
-        ]
-        for key in dead:
-            del self._entries[key]
-        self.expirations += len(dead)
-        return len(dead)
+        stale window.  Every put that finds one due calls this, and so
+        does the resolver's purge tick.  A queued entry that was since
+        replaced, evicted or dropped on read leaves the queue uncounted."""
+        entries, window, dropped, due = self._entries, self.stale_window, 0, float("inf")
+        for queue in self._queues.values():
+            while queue and now >= queue[0].expires + window:
+                entry = queue.popleft()
+                if entries.get(entry.key) is entry:
+                    del entries[entry.key]
+                    dropped += 1
+            if queue:
+                due = min(due, queue[0].expires + window)
+        self._due = due
+        self.expirations += dropped
+        return dropped

@@ -153,8 +153,8 @@ class TestCacheEntry:
     def test_is_negative_and_fresh(self):
         from repro.server.cache import CacheEntry
 
-        positive = CacheEntry(a_rrset(), RCode.NOERROR, 60.0)
-        negative = CacheEntry(None, RCode.NXDOMAIN, 5.0)
+        positive = CacheEntry(a_rrset(), RCode.NOERROR, 60.0, (WWW.labels, RRType.A))
+        negative = CacheEntry(None, RCode.NXDOMAIN, 5.0, (WWW.labels, RRType.AAAA))
         assert not positive.is_negative and negative.is_negative
         assert positive.fresh(59.999) and not positive.fresh(60.0)
         assert (negative.rrset, negative.rcode, negative.expires) == (None, RCode.NXDOMAIN, 5.0)

@@ -258,12 +258,33 @@ class TestCacheUpkeep:
         assert all(entry.expires > 30.0 for entry in cache._entries.values())
         assert len(cache) < 60 and cache.expirations > 280
 
+    def test_dead_entries_leave_before_the_first_purge_tick(self):
+        """Unique 1 s-TTL names at a steady rate, all before the first tick:
+        the cache holds about one second's worth of answers plus the
+        delegations, not everything asked so far."""
+        rate = 20
+        topo = build_topology(answer_ttl=1)
+        for i in range(rate * 9):
+            topo.sim.schedule_at(i / rate, topo.client.query, "10.0.1.1", f"u{i}.wc.target-domain.")
+        cache, sizes = topo.resolver.cache, []
+
+        def sample():
+            sizes.append(len(cache))
+            topo.sim.schedule(0.5, sample)
+
+        topo.sim.schedule_at(0.25, sample)
+        topo.sim.run(until=9.5)
+        delegations = sum(entry.expires > 10.0 for entry in cache._entries.values())
+        assert [r.rcode for r in topo.client.responses] == [RCode.NOERROR] * (rate * 9)
+        assert len(sizes) == 19 and delegations == 4
+        assert max(sizes) < rate * 2 + delegations
+
     def test_full_cache_that_evicted_the_root_hints_still_resolves(self, monkeypatch):
-        """Dead entries fill a small cache before any purge tick; LRU takes
-        the root NS first, then its glue, then the target's delegation --
-        reads never refresh them."""
+        """Live negative answers fill a small cache before any purge tick;
+        LRU takes the root NS first, then its glue, then the target's
+        delegation -- reads never refresh them."""
         monkeypatch.setattr(resolver_module, "CACHE_SIZE", 50)
-        topo = build_topology(negative_ttl=1)
+        topo = build_topology(negative_ttl=30)  # outlives the 4 s run
         for i in range(60):
             topo.sim.schedule_at(i * 0.05, topo.client.query, "10.0.1.1", f"g{i}.nx.target-domain.")
         topo.sim.run(until=4.0)
