@@ -71,49 +71,6 @@ def render_resilience_table(labeled_stats: Mapping[str, object]) -> str:
     return render_table([""] + columns, rows)
 
 
-def render_obs_summary(obs, top: int = 10) -> str:
-    """Terminal digest of one observed run (see :mod:`repro.obs`).
-
-    Counters, histogram quantiles, and the heavy-hitter top-N tables --
-    the ``repro obs`` subcommand prints this after its scenario run.
-    """
-    from repro.obs.export import heavy_hitter_rows
-
-    sections: List[str] = []
-    counters = obs.metrics.counters()
-    if counters:
-        rows = [[name, f"{value:.0f}"] for name, value in counters.items()]
-        sections.append("counters\n" + render_table(["name", "value"], rows))
-    histograms = obs.metrics.histograms()
-    if histograms:
-        rows = [
-            [
-                name,
-                hist.count,
-                f"{hist.mean():.6f}",
-                f"{hist.quantile(0.5):.6f}",
-                f"{hist.quantile(0.99):.6f}",
-            ]
-            for name, hist in histograms.items()
-        ]
-        sections.append(
-            "histograms\n" + render_table(["name", "count", "mean", "p50", "p99"], rows)
-        )
-    for label, sketch in (
-        ("top query sources", obs.hh_queries),
-        ("top NXDOMAIN receivers", obs.hh_nxdomain),
-        ("top byte sources", obs.hh_bytes),
-    ):
-        rows = heavy_hitter_rows(sketch, top)
-        if rows:
-            sections.append(
-                f"{label} (Space-Saving k={sketch.k}, "
-                f"error <= {sketch.error_bound():.1f})\n"
-                + render_table(["client", "count", "max err"], rows)
-            )
-    return "\n\n".join(sections)
-
-
 def sparkline(values: Sequence[float], width: int = 60) -> str:
     """Unicode sparkline of a series, downsampled to ``width`` points."""
     if not values:

@@ -29,8 +29,6 @@ COMMANDS: Dict[str, Tuple[str, str]] = {
     "selfcheck": ("repro.experiments.selfcheck:main",
                   "prove determinism: run a DCC scenario twice under the SimSan sanitizer and diff "
                   "event-trace hashes"),
-    "obs": ("repro.experiments.obs_demo:main",
-            "run one observed fig4-style scenario and export metrics.jsonl + a Perfetto-loadable Chrome trace"),
     "fuzz": ("repro.cli:_cmd_fuzz",
              "property-based scenario fuzzing with invariant oracles (deterministic: same seed -> same "
              "verdict log and digest)"),

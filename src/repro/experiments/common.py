@@ -20,6 +20,7 @@ ratios (the Figure 4 metric).
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 from dataclasses import dataclass, field, replace
@@ -88,6 +89,32 @@ def report_failures(problems: List[str]) -> int:
 def not_judged(claim: str, why: str) -> None:
     """A run too small to judge ``claim`` says so instead of passing silently."""
     print(f"not judged: {claim} ({why})", file=sys.stderr)
+
+
+def write_obs(obs: Observability, out_dir: str, stem: str, full_tree: bool) -> List[str]:
+    """Export one observed run as ``out_dir/<stem>.metrics.jsonl`` (with the
+    heavy hitters) and ``<stem>.trace.json``; what is wrong with them.
+
+    The trace must pass the schema gate and, with ``full_tree``, hold one
+    query whose span tree crosses client -> resolver -> MOPI-FQ -> auth."""
+    # imported here: a driver run without obs loads neither (perf counts imports in its set-up time)
+    import json
+
+    from repro.obs.export import chrome_trace, find_full_query_root, metrics_jsonl, validate_chrome_trace
+
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, stem)
+    sketches = {"hh_queries": obs.hh_queries, "hh_nxdomain": obs.hh_nxdomain, "hh_bytes": obs.hh_bytes}
+    with open(f"{path}.metrics.jsonl", "w", encoding="utf-8") as handle:
+        handle.write(metrics_jsonl(obs.metrics, sketches))
+    doc = chrome_trace(obs.tracer)
+    with open(f"{path}.trace.json", "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(doc, separators=(",", ":")))  # dumps: json.dump never uses the C encoder
+    problems = validate_chrome_trace(doc)
+    out = [f"{path}.trace.json: {len(problems)} schema problem(s), first: {problems[0]}"] if problems else []
+    if full_tree and find_full_query_root(obs.tracer) is None:
+        out.append(f"{path}.trace.json: no query's span tree crosses client -> resolver -> MOPI-FQ -> auth")
+    return out
 
 
 class SwitchingPattern(QueryPattern):

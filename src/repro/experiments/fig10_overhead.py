@@ -131,7 +131,8 @@ def _drive_dcc(n_clients: int, n_servers: int, ops: int, seed: int = 11) -> Over
             cache.put_rrset(RRSet.of(ResourceRecord(name, 1, AData("192.0.2.1"))), now)
     elapsed = time.perf_counter() - start
     resolver_ops = ops / elapsed if elapsed > 0 else float("inf")
-    resolver_bytes = approx_deep_size(cache._entries) + approx_deep_size(ingress._entries)
+    # one walk over both: an entry in a TTL queue and in the table counts once, the queue its deque slot
+    resolver_bytes = approx_deep_size((cache._entries, cache._queues)) + approx_deep_size(ingress._entries)
 
     return OverheadPoint(
         clients=n_clients,

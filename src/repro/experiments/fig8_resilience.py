@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import render_table, sparkline
 from repro.dcc.monitor import AnomalyKind, MonitorConfig
 from repro.dcc.policing import PolicyKind, PolicyTemplate
-from repro.experiments.common import AttackScenario, ScenarioConfig, ScenarioResult, report_failures
+from repro.experiments.common import AttackScenario, ScenarioConfig, ScenarioResult, report_failures, write_obs
+from repro.obs import ObsConfig
 from repro.workloads.schedule import TABLE2_SCENARIOS, table2_clients
 
 #: capacity of the resolver -> authoritative channel (Section 5.1)
@@ -76,24 +77,18 @@ class Figure8Run:
         return self.result.effective_qps[client]
 
 
-def run_scenario(
-    scenario: str,
-    use_dcc: bool,
-    scale: float = 1.0,
-    seed: int = 42,
-    attacker_rate: float = None,
-) -> Figure8Run:
-    """One Figure 8 cell: (scenario, vanilla|DCC)."""
+def build_scenario(
+    scenario: str, use_dcc: bool, scale: float = 1.0, seed: int = 42, obs: Optional[ObsConfig] = None
+) -> AttackScenario:
+    """One Figure 8 cell, (scenario, vanilla|DCC), built and not yet run; observed when ``obs`` is given."""
     if scenario not in TABLE2_SCENARIOS:
         raise ValueError(f"scenario must be one of {sorted(TABLE2_SCENARIOS)}")
     # Only the *timeline* is scaled; rates, the channel capacity, and the
     # queue configuration stay at paper values so queuing-delay dynamics
     # (wait vs timeout) are preserved exactly.
-    specs = table2_clients(scenario, attacker_rate=attacker_rate, time_scale=scale)
-    duration = 60.0 * scale
     config = ScenarioConfig(
         seed=seed,
-        duration=duration,
+        duration=60.0 * scale,
         channel_capacity=CHANNEL_QPS,
         use_dcc=use_dcc,
         monitor=paper_monitor_config(time_scale=scale),
@@ -101,22 +96,34 @@ def run_scenario(
         max_poq_depth=100,
         max_round=75,
         ff_instances=200,
+        obs=obs,
     )
-    scenario_obj = AttackScenario(config)
-    scenario_obj.add_clients(specs)
-    result = scenario_obj.run()
-    return Figure8Run(scenario=scenario, use_dcc=use_dcc, result=result)
+    cell = AttackScenario(config)
+    cell.add_clients(table2_clients(scenario, time_scale=scale))
+    return cell
 
 
-def run_figure8(scale: float = 1.0, seed: int = 42) -> Dict[str, Dict[str, Figure8Run]]:
-    """All six Figure 8 panels: three scenarios x {vanilla, dcc}."""
-    out: Dict[str, Dict[str, Figure8Run]] = {}
+def run_figure8(
+    scale: float = 1.0, seed: int = 42, obs_dir: Optional[str] = None
+) -> Tuple[Dict[str, Dict[str, Figure8Run]], List[str]]:
+    """All six Figure 8 panels: three scenarios x {vanilla, dcc}.
+
+    With ``obs_dir``, every cell is observed (one sample a paper second) and
+    exported there as ``<scenario>-<vanilla|dcc>``; the second value is what
+    is wrong with those exports."""
+    runs: Dict[str, Dict[str, Figure8Run]] = {}
+    problems: List[str] = []
+    obs = None if obs_dir is None else ObsConfig(sample_interval=scale)
     for scenario in ("wildcard", "nxdomain", "amplification"):
-        out[scenario] = {
-            "vanilla": run_scenario(scenario, use_dcc=False, scale=scale, seed=seed),
-            "dcc": run_scenario(scenario, use_dcc=True, scale=scale, seed=seed),
-        }
-    return out
+        runs[scenario] = {}
+        for label in ("vanilla", "dcc"):
+            cell = build_scenario(scenario, label == "dcc", scale, seed, obs)
+            runs[scenario][label] = Figure8Run(scenario, label == "dcc", cell.run())
+            if obs_dir is not None:
+                assert cell.obs is not None
+                # only a DCC resolver has a MOPI-FQ layer to cross
+                problems += write_obs(cell.obs, obs_dir, f"{scenario}-{label}", full_tree=label == "dcc")
+    return runs, problems
 
 
 def summarize(run: Figure8Run, phases: List[tuple]) -> List[List[object]]:
@@ -165,10 +172,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="repro fig8", description="DCC vs vanilla (Table 2 scenarios)")
     parser.add_argument("--scale", type=float, default=0.25)
     parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--obs", metavar="DIR", default=None,
+                        help="observe every cell and write DIR/<scenario>-<vanilla|dcc>.metrics.jsonl and "
+                        ".trace.json (stdout is unchanged; a bad export fails the run)")
     args = parser.parse_args(argv)
     scale, seed = args.scale, args.seed
     print(provenance_header("fig8", seed=seed, scale=scale))
-    runs = run_figure8(scale=scale, seed=seed)
+    runs, obs_problems = run_figure8(scale=scale, seed=seed, obs_dir=args.obs)
     duration = 60.0 * scale
     phases = [
         ("0-10s", 0 * scale, 10 * scale),
@@ -185,4 +195,4 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(render_table(["client"] + [p[0] for p in phases], summarize(run, phases)))
             for client in ("attacker", "heavy", "medium", "light"):
                 print(f"  {client:>9s} |{sparkline(run.series(client))}|")
-    return report_failures(failures(runs))
+    return report_failures(obs_problems + failures(runs))

@@ -10,8 +10,9 @@ One facade (:class:`Observability`) bundles the three pillars:
 - :mod:`repro.obs.sketch` -- Space-Saving heavy-hitter sketches over
   per-client query/NXDOMAIN/byte streams.
 
-Exporters live in :mod:`repro.obs.export` (JSONL metrics, Chrome
-trace-event JSON for Perfetto, terminal summaries).
+Exporters live in :mod:`repro.obs.export` (JSONL metrics with the
+heavy hitters, Chrome trace-event JSON for Perfetto); ``repro fig8
+--obs DIR`` writes both for every Figure 8 cell.
 
 **Zero overhead when off.**  Observability defaults to *disabled*: every
 instrumented object carries :data:`NULL_OBS`, a process-wide no-op

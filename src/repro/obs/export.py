@@ -1,11 +1,12 @@
 """Exporters: metrics -> JSONL, spans -> Chrome trace-event JSON.
 
-Two on-disk formats plus terminal renderers:
+Two on-disk formats:
 
 - **JSONL metrics** (:func:`metrics_jsonl`): one JSON object per line --
-  final counter/gauge values, histogram summaries, then the periodic
-  time-series samples.  Line order is deterministic (kind, then name,
-  then time) so exports diff cleanly across runs.
+  final counter/gauge values, histogram summaries, the heavy hitters of
+  each Space-Saving sketch, then the periodic time-series samples.  Line
+  order is deterministic (kind, then name, then rank or time) so exports
+  diff cleanly across runs.
 - **Chrome trace-event JSON** (:func:`chrome_trace`): the ``traceEvents``
   format that Perfetto and chrome://tracing load directly.  Spans become
   complete ``"X"`` events, instants become ``"i"`` events; each
@@ -21,17 +22,19 @@ validator accepts the full begin/end vocabulary so it can vet traces
 from other producers too).
 
 Everything here returns strings or plain data; printing and file I/O
-belong to the CLI (reprolint R5).
+belong to the drivers (reprolint R5; ``repro fig8 --obs DIR`` writes
+both files for every cell).
 """
 
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sketch import SpaceSaving
-from repro.obs.spans import NO_PARENT, OPEN, SpanRecord, Tracer
+from repro.obs.spans import NO_PARENT, OPEN, Tracer
 
 #: one trace process holds all simulation tracks
 TRACE_PID = 1
@@ -39,13 +42,15 @@ TRACE_PID = 1
 #: microseconds; chrome trace ts must strictly increase per track
 _US = 1e6
 _TS_NUDGE = 0.001
+_by_ts = itemgetter("ts")
 
 
 # ----------------------------------------------------------------------
 # metrics -> JSONL
 # ----------------------------------------------------------------------
-def metrics_jsonl(metrics: MetricsRegistry) -> str:
-    """Serialize a registry as JSON Lines (one object per line)."""
+def metrics_jsonl(metrics: MetricsRegistry, sketches: Optional[Dict[str, SpaceSaving]] = None) -> str:
+    """Serialize a registry, and every counter each of ``sketches`` (name ->
+    sketch) monitors, heaviest first, as JSON Lines (one object per line)."""
     lines: List[str] = []
     for name, value in metrics.counters().items():
         lines.append(_dumps({"kind": "counter", "name": name, "value": value}))
@@ -67,6 +72,19 @@ def metrics_jsonl(metrics: MetricsRegistry) -> str:
                 }
             )
         )
+    for name, sketch in (sketches or {}).items():
+        for hitter in sketch.top(sketch.k):
+            lines.append(
+                _dumps(
+                    {
+                        "kind": "heavy_hitter",
+                        "name": name,
+                        "key": hitter.key,
+                        "count": hitter.count,
+                        "error": hitter.error,
+                    }
+                )
+            )
     for sample in metrics.samples:
         lines.append(
             _dumps(
@@ -119,8 +137,6 @@ def chrome_trace(tracer: Tracer) -> Dict[str, Any]:
             tids[track] = tid
         return tid
 
-    timed: List[Tuple[float, int, Dict[str, Any]]] = []
-    order = 0
     for span in tracer.spans:
         if span.end == OPEN:
             continue
@@ -128,45 +144,35 @@ def chrome_trace(tracer: Tracer) -> Dict[str, Any]:
         args["span_id"] = span.span_id
         if span.parent_id != NO_PARENT:
             args["parent_id"] = span.parent_id
-        timed.append(
-            (
-                span.start * _US,
-                order,
-                {
-                    "name": span.name,
-                    "ph": "X",
-                    "ts": span.start * _US,
-                    "dur": max(span.end - span.start, 0.0) * _US,
-                    "pid": TRACE_PID,
-                    "tid": tid_for(span.track),
-                    "cat": span.name.split(".")[0],
-                    "args": args,
-                },
-            )
+        events.append(
+            {
+                "name": span.name,
+                "ph": "X",
+                "ts": span.start * _US,
+                "dur": max(span.end - span.start, 0.0) * _US,
+                "pid": TRACE_PID,
+                "tid": tid_for(span.track),
+                "cat": span.name.split(".")[0],
+                "args": args,
+            }
         )
-        order += 1
     for mark in tracer.instants:
-        timed.append(
-            (
-                mark.time * _US,
-                order,
-                {
-                    "name": mark.name,
-                    "ph": "i",
-                    "ts": mark.time * _US,
-                    "pid": TRACE_PID,
-                    "tid": tid_for(mark.track),
-                    "s": "t",
-                    "cat": mark.name.split(".")[0],
-                    "args": dict(mark.args),
-                },
-            )
+        events.append(
+            {
+                "name": mark.name,
+                "ph": "i",
+                "ts": mark.time * _US,
+                "pid": TRACE_PID,
+                "tid": tid_for(mark.track),
+                "s": "t",
+                "cat": mark.name.split(".")[0],
+                "args": dict(mark.args),
+            }
         )
-        order += 1
 
-    timed.sort(key=_timed_key)
+    events.sort(key=_by_ts)  # stable: equal times keep record order, spans before instants
     last_ts_per_tid: Dict[int, float] = {}
-    for _, _, event in timed:
+    for event in events:
         tid = event["tid"]
         ts = event["ts"]
         previous = last_ts_per_tid.get(tid)
@@ -174,7 +180,6 @@ def chrome_trace(tracer: Tracer) -> Dict[str, Any]:
             ts = previous + _TS_NUDGE
             event["ts"] = ts
         last_ts_per_tid[tid] = ts
-        events.append(event)
 
     metadata: List[Dict[str, Any]] = [
         {
@@ -197,12 +202,8 @@ def chrome_trace(tracer: Tracer) -> Dict[str, Any]:
     return {
         "traceEvents": metadata + events,
         "displayTimeUnit": "ms",
-        "otherData": {"producer": "repro.obs", "clock": "virtual-us"},
+        "otherData": {"producer": "repro.obs", "clock": "virtual-us", "spans_dropped": tracer.dropped},
     }
-
-
-def _timed_key(item: Tuple[float, int, Dict[str, Any]]) -> Tuple[float, int]:
-    return (item[0], item[1])
 
 
 def validate_chrome_trace(doc: Dict[str, Any]) -> List[str]:
@@ -261,42 +262,8 @@ def validate_chrome_trace(doc: Dict[str, Any]) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# terminal renderers
+# probes
 # ----------------------------------------------------------------------
-def render_span_tree(tracer: Tracer, root_id: int) -> str:
-    """ASCII rendering of one span tree, children in start order."""
-    kids: Dict[int, List[SpanRecord]] = {}
-    for span in tracer.spans:
-        kids.setdefault(span.parent_id, []).append(span)
-    for siblings in kids.values():
-        siblings.sort(key=_span_order)
-
-    lines: List[str] = []
-    root = tracer.get(root_id)
-    if root is None:
-        return f"(no span #{root_id})"
-
-    stack: List[Tuple[SpanRecord, int]] = [(root, 0)]
-    while stack:
-        span, depth = stack.pop()
-        duration_ms = span.duration * 1e3
-        detail = " ".join(
-            f"{key}={value}" for key, value in sorted(span.args.items())
-        )
-        lines.append(
-            f"{'  ' * depth}{span.name} [{span.track}] "
-            f"t={span.start:.6f}s dur={duration_ms:.3f}ms"
-            + (f" {detail}" if detail else "")
-        )
-        for child in reversed(kids.get(span.span_id, [])):
-            stack.append((child, depth + 1))
-    return "\n".join(lines)
-
-
-def _span_order(span: SpanRecord) -> Tuple[float, int]:
-    return (span.start, span.span_id)
-
-
 def find_full_query_root(
     tracer: Tracer,
     required_prefixes: Tuple[str, ...] = ("client", "resolver", "mopifq", "auth"),
@@ -314,10 +281,3 @@ def find_full_query_root(
             return root.span_id
     return None
 
-
-def heavy_hitter_rows(sketch: SpaceSaving, top: int = 10) -> List[List[str]]:
-    """Table rows (key, estimate, max error) for a sketch's top-N."""
-    rows: List[List[str]] = []
-    for hitter in sketch.top(top):
-        rows.append([hitter.key, f"{hitter.count:.0f}", f"±{hitter.error:.0f}"])
-    return rows

@@ -13,14 +13,13 @@ from repro.cli import COMMANDS, main
 DEFAULTS = {
     "fig2": {"scale": 0.1, "resolvers": None},
     "fig4": {"scale": 0.15, "quick": False},
-    "fig8": {"scale": 0.25, "seed": 42},
+    "fig8": {"scale": 0.25, "seed": 42, "obs": None},
     "fig9": {"scale": 0.25, "seed": 42},
     "fig10": {"quick": False, "ops": 50_000, "seed": 11},
     "fig11": {"quick": False},
     "table1": {},
     "ablations": {"seed": 1},
     "selfcheck": {"seed": 42, "scale": 0.05, "runs": 2, "out": None},
-    "obs": {"scale": 0.15, "seed": 42, "out_dir": "results/obs", "top": 10},
     "fuzz": {"seed": 42, "iterations": 25, "time_budget": None, "log": None,
              "corpus_dir": "results/fuzz-corpus", "shrink_budget": 150, "inject_bug": None,
              "replay": None, "replay_with_bug": False, "quiet": False},
@@ -104,7 +103,7 @@ def test_help_lists_exactly_the_readme_cli_table(capsys):
         table = fh.read().split("All `repro` subcommands:")[1].split("\n\nSee ")[0]
     documented = re.findall(r"^\| `([a-z0-9-]+)` \|", table, re.MULTILINE)
     assert sorted(documented) == sorted(listed.split(","))
-    assert "chaos" in documented and len(documented) == 14
+    assert "chaos" in documented and len(documented) == 13
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

@@ -134,15 +134,21 @@ class TestFig4:
         assert fig4_attacks.failures({"d": sweeps}) == []
 
 
+def fig8_cell(scenario, use_dcc, scale):
+    """One Figure 8 cell, run."""
+    cell = fig8_resilience.build_scenario(scenario, use_dcc, scale=scale)
+    return fig8_resilience.Figure8Run(scenario, use_dcc, cell.run())
+
+
 class TestFig8:
     def test_scenario_run_structure(self):
-        run = fig8_resilience.run_scenario("wildcard", use_dcc=True, scale=0.05)
+        run = fig8_cell("wildcard", use_dcc=True, scale=0.05)
         assert set(run.result.effective_qps) == {"heavy", "medium", "light", "attacker"}
         rows = fig8_resilience.summarize(run, [("p", 0, 3)])
         assert len(rows) == 4
 
     def test_ff_attacker_uses_wire_metric(self):
-        run = fig8_resilience.run_scenario("amplification", use_dcc=False, scale=0.05)
+        run = fig8_cell("amplification", use_dcc=False, scale=0.05)
         assert run.series("attacker") is not run.result.effective_qps["attacker"]
 
 

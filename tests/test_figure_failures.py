@@ -104,7 +104,8 @@ def test_driver_exits_1_with_the_claim_on_stderr_and_the_figure_on_stdout(monkey
 
 def test_a_changed_rate_constant_breaks_figure_8_end_to_end(monkeypatch):
     monkeypatch.setattr(fig8_resilience, "CHANNEL_QPS", 100.0)
-    pair = {"vanilla": fig8_resilience.run_scenario("wildcard", False, scale=0.1),
-            "dcc": fig8_resilience.run_scenario("wildcard", True, scale=0.1)}
+    pair = {label: fig8_resilience.Figure8Run("wildcard", label == "dcc",
+                                              fig8_resilience.build_scenario("wildcard", label == "dcc", 0.1).run())
+            for label in ("vanilla", "dcc")}
     problems = fig8_resilience.failures({"wildcard": pair})
     assert problems and all(problem.startswith("Figure 8 (wildcard)") for problem in problems)

@@ -1,4 +1,4 @@
-"""Exporters: JSONL metrics, Chrome trace JSON + validator, renderers."""
+"""Exporters: JSONL metrics and heavy hitters, Chrome trace JSON + validator, the full-tree probe."""
 
 import json
 from dataclasses import dataclass
@@ -6,9 +6,7 @@ from dataclasses import dataclass
 from repro.obs.export import (
     chrome_trace,
     find_full_query_root,
-    heavy_hitter_rows,
     metrics_jsonl,
-    render_span_tree,
     validate_chrome_trace,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -154,18 +152,8 @@ def test_validator_accepts_paired_begin_end():
 
 
 # ----------------------------------------------------------------------
-# renderers / probes
+# probes
 # ----------------------------------------------------------------------
-
-def test_render_span_tree_nests_by_depth():
-    tracer, root = make_tracer()
-    text = render_span_tree(tracer, root)
-    lines = text.splitlines()
-    assert lines[0].startswith("client.request [client:10.1.0.1]")
-    assert lines[1].startswith("  resolve ")
-    assert "outcome=answered" in lines[0] or "outcome=answered" in text
-    assert render_span_tree(tracer, 9999) == "(no span #9999)"
-
 
 def test_find_full_query_root():
     tracer, root = make_tracer()
@@ -181,8 +169,20 @@ def test_find_full_query_root():
 
 
 def test_heavy_hitter_rows():
-    sketch = SpaceSaving(4)
-    for key in ["a"] * 3 + ["b"]:
-        sketch.offer(key)
-    rows = heavy_hitter_rows(sketch, top=2)
-    assert rows == [["a", "3", "±0"], ["b", "1", "±0"]]
+    """Every counter of each sketch, heaviest first, after the histograms and before the samples."""
+    reg = MetricsRegistry(sample_interval=1.0)
+    reg.histogram("rtt").observe(0.25)
+    reg.watch("a", Stats(count=1))
+    reg.on_advance(1.5)
+    queries, nxdomain = SpaceSaving(2), SpaceSaving(4)
+    for key in ["a"] * 3 + ["b", "c"]:
+        queries.offer(key)
+    nxdomain.offer("b")
+    objects = [json.loads(line) for line in metrics_jsonl(reg, {"q": queries, "nx": nxdomain}).splitlines()]
+    kinds = [o["kind"] for o in objects]
+    assert kinds == sorted(kinds, key=["counter", "histogram", "heavy_hitter", "sample"].index)
+    assert [o for o in objects if o["kind"] == "heavy_hitter"] == [
+        {"kind": "heavy_hitter", "name": "q", "key": "a", "count": 3.0, "error": 0.0},
+        {"kind": "heavy_hitter", "name": "q", "key": "c", "count": 2.0, "error": 1.0},
+        {"kind": "heavy_hitter", "name": "nx", "key": "b", "count": 1.0, "error": 0.0},
+    ]

@@ -16,7 +16,7 @@ import sys
 import pytest
 
 from repro.dcc.monitor import AnomalyKind
-from repro.experiments import obs_demo, selfcheck
+from repro.experiments import fig8_resilience, selfcheck
 from tests.reference_trace import MessageTrace
 import repro.obs as obs_module
 from repro.obs import ObsConfig
@@ -58,12 +58,17 @@ def test_reprolint_clean_over_obs_subsystem():
 
 
 # ----------------------------------------------------------------------
-# the observed fig4 attack scenario
+# an observed Figure 8 cell: FF amplification against a DCC resolver
 # ----------------------------------------------------------------------
+
+def observed_cell():
+    """Figure 8(c)'s DCC cell at scale 0.1, observed as ``repro fig8 --obs`` observes it."""
+    return fig8_resilience.build_scenario("amplification", True, scale=0.1, seed=7, obs=ObsConfig(sample_interval=0.1))
+
 
 @pytest.fixture(scope="module")
 def observed_run():
-    scenario = obs_demo.build_scenario(scale=0.1, seed=7)
+    scenario = observed_cell()
     trace = MessageTrace(scenario.net, max_records=1_000_000)
     scenario.run()
     return scenario, trace
@@ -109,13 +114,12 @@ def test_heavy_hitters_match_exact_per_client_counts(observed_run):
     assert reported == dict(expected_top)
     # four clients, k=32: the sketch never evicted, so errors are zero
     assert all(h.error == 0 for h in sketch.top(10))
-    # the attacker is the single heaviest talker
-    attacker = scenario.clients["attacker"].address
-    assert sketch.top(1)[0].key == attacker
+    # Table 2's heavy client (600 QPS) is the single heaviest talker
+    assert sketch.top(1)[0].key == scenario.clients["heavy"].address
 
 
 def test_observed_run_convicts_the_attacker(observed_run):
-    """The demo's monitor runs on the scaled timeline: the attacker is
+    """The cell's monitor runs on the scaled timeline: the attacker is
     convicted inside the run, and the export shows the conviction."""
     scenario, _ = observed_run
     counters = {
@@ -183,7 +187,7 @@ def test_counters_are_the_watched_stats_fields(observed_run):
 def test_counters_count_a_conviction_once():
     """The monitor counts a conviction; the shim acting on it and the
     policy it installs add no second conviction count."""
-    scenario = obs_demo.build_scenario(scale=0.1)
+    scenario = observed_cell()
     (shim,) = scenario.shims
     attacker = scenario.clients["attacker"].address
     threshold = shim.monitor.config.alarm_threshold
@@ -198,25 +202,51 @@ def test_counters_count_a_conviction_once():
     }
 
 
-def test_obs_demo_cli_roundtrip(tmp_path, capsys):
+def test_fig8_obs_cli_roundtrip(tmp_path, capsys, monkeypatch):
+    """``repro fig8 --obs DIR`` prints the figure it prints without it, and
+    exports every cell; its heavy-hitter lines are the sketches' counters."""
     from repro import cli
 
+    rc_plain = cli.main(["fig8", "--scale", "0.05"])
+    plain = capsys.readouterr()
     out_dir = tmp_path / "obs"
-    rc = cli.main([
-        "obs", "--scale", "0.05", "--seed", "11", "--out-dir", str(out_dir),
-    ])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert (out_dir / "metrics.jsonl").exists()
-    assert (out_dir / "trace.json").exists()
-    assert "trace passed schema validation" in out
-    assert out.startswith("# experiment=obs repro=")
+    sketches = {}
+    build = fig8_resilience.build_scenario
+
+    def keep(scenario, use_dcc, scale, seed, obs):
+        cell = build(scenario, use_dcc, scale, seed, obs)
+        sketches[f"{scenario}-{'dcc' if use_dcc else 'vanilla'}"] = {
+            name: getattr(cell.obs, name) for name in ("hh_queries", "hh_nxdomain", "hh_bytes")}
+        return cell
+
+    monkeypatch.setattr(fig8_resilience, "build_scenario", keep)
+    rc_observed = cli.main(["fig8", "--scale", "0.05", "--obs", str(out_dir)])
+    observed = capsys.readouterr()
+    assert rc_observed == rc_plain == 0
+    assert observed.out == plain.out
+    assert observed.err == plain.err, "an export problem"
+    assert len(sketches) == 6
+    assert sorted(path.name for path in out_dir.iterdir()) == sorted(
+        f"{stem}.{suffix}" for stem in sketches for suffix in ("metrics.jsonl", "trace.json"))
+    for stem, cell_sketches in sketches.items():
+        doc = json.loads((out_dir / f"{stem}.trace.json").read_text())
+        assert validate_chrome_trace(doc) == []
+        assert doc["otherData"]["spans_dropped"] == 0
+        tracks = {event["args"]["name"] for event in doc["traceEvents"] if event["name"] == "thread_name"}
+        # only a DCC resolver has a MOPI-FQ layer; write_obs already failed the run if no query crossed it
+        assert any(track.startswith("mopifq:") for track in tracks) == stem.endswith("-dcc")
+        rows = [json.loads(line) for line in (out_dir / f"{stem}.metrics.jsonl").read_text().splitlines()]
+        for name, sketch in cell_sketches.items():
+            lines = [(row["key"], row["count"], row["error"]) for row in rows
+                     if row["kind"] == "heavy_hitter" and row["name"] == name]
+            assert lines == [(h.key, h.count, h.error) for h in sketch.top(sketch.k)]
+            assert lines or name == "hh_nxdomain"
 
 
 def test_counters_keep_counting_across_a_dcc_host_crash():
     """A crash rebuilds the shim's monitor, scheduler and policy engine:
     their new blocks are watched too, and the old ones keep their counts."""
-    scenario = obs_demo.build_scenario(scale=0.1)
+    scenario = observed_cell()
     (shim,) = scenario.shims
     before = shim.monitor.stats
     before.alarms_raised = 2
