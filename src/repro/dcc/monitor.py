@@ -22,7 +22,9 @@ police the true culprit before the upstream polices *it*
 
 Per-client state is one packed slot table (docs/ALGORITHMS.md, "Anomaly
 monitoring"): ``client -> slot``, and per slot 5 metrics x 8 buckets of
-``uint32`` counts, one bucket epoch and one ``last_seen``.  The five
+counts, one bucket epoch and one ``last_seen``.  The counts start one
+byte wide; the first increment that overflows widens the whole table
+one type (``B`` -> ``H`` -> ``I`` -> ``Q``), so they stay exact.  The five
 metrics of a client share that epoch, which is exact under a monotone
 clock (``Simulator`` and ``AsyncioClock`` both are): a bucket is zeroed
 the first time *any* metric of the client is touched after it aged out,
@@ -102,7 +104,8 @@ _ANOMALOUS = 2 * _BUCKETS
 _NX_ANSWERS = 3 * _BUCKETS
 _ANSWERS = 4 * _BUCKETS
 _SLOT = 5 * _BUCKETS
-_EMPTY_SLOT = array("I", [0] * _SLOT)
+#: the next wider typecode of the count table
+_WIDER = {"B": "H", "H": "I", "I": "Q"}
 
 
 class _Suspicion:
@@ -139,7 +142,9 @@ class AnomalyMonitor:
         #: (metric-major), the absolute index of its newest bucket, and
         #: when the client was last seen; purged slots wait in _free
         self._slots: Dict[str, int] = {}
-        self._counts = array("I")
+        self._counts = array("B")
+        #: one slot of zeros in the table's current typecode
+        self._empty_slot = array("B", [0] * _SLOT)
         self._epochs = array("q")
         self._last_seen = array("d")
         self._free: List[int] = []
@@ -165,7 +170,7 @@ class AnomalyMonitor:
                 slot = self._free.pop()
             else:
                 slot = len(self._epochs)
-                self._counts.extend(_EMPTY_SLOT)
+                self._counts.extend(self._empty_slot)
                 self._epochs.append(0)
                 self._last_seen.append(0.0)
             self._slots[client] = slot
@@ -186,13 +191,23 @@ class AnomalyMonitor:
         counts = self._counts
         base = slot * _SLOT
         if index - epoch >= _BUCKETS:
-            counts[base : base + _SLOT] = _EMPTY_SLOT
+            counts[base : base + _SLOT] = self._empty_slot
         else:
             for expired in range(epoch + 1, index + 1):
                 for bucket in range(base + expired % _BUCKETS, base + _SLOT, _BUCKETS):
                     counts[bucket] = 0
         self._epochs[slot] = index
         return index
+
+    def _widen(self, index: int) -> None:
+        """Count the event whose increment overflowed the table's type:
+        rebuild the table one type wider, then count it (``Q`` never
+        overflows: 2^64 events).  Each ``record_*`` increments inline and
+        calls this only on ``OverflowError``, so counting costs no call."""
+        typecode = _WIDER[self._counts.typecode]
+        self._counts = array(typecode, self._counts)
+        self._empty_slot = array(typecode, [0] * _SLOT)
+        self._counts[index] += 1
 
     def _total(self, slot: int, metric: int) -> int:
         start = slot * _SLOT + metric
@@ -204,24 +219,40 @@ class AnomalyMonitor:
     def record_request(self, client: str, now: float) -> None:
         """A client request entered the resolution path (cache misses
         only: cache hits are 'treated as normal by DCC', Section 3.2.3)."""
-        self._counts[self._touch(client, now) + _REQUESTS] += 1
+        index = self._touch(client, now) + _REQUESTS
+        try:
+            self._counts[index] += 1
+        except OverflowError:
+            self._widen(index)
 
     def record_query(self, client: str, now: float) -> None:
         """An outgoing query was attributed to ``client``."""
-        self._counts[self._touch(client, now) + _QUERIES] += 1
+        index = self._touch(client, now) + _QUERIES
+        try:
+            self._counts[index] += 1
+        except OverflowError:
+            self._widen(index)
 
     def record_answer(self, client: str, rcode: RCode, now: float) -> None:
         """An upstream answer for a query attributed to ``client``."""
         newest = self._touch(client, now)
-        self._counts[newest + _ANSWERS] += 1
+        try:
+            self._counts[newest + _ANSWERS] += 1
+        except OverflowError:
+            self._widen(newest + _ANSWERS)
         if rcode == RCode.NXDOMAIN:
+            # never above the answers count just incremented, so it fits
             self._counts[newest + _NX_ANSWERS] += 1
 
     def record_anomalous_request(self, client: str, now: float) -> None:
         """One of the client's requests crossed the per-request
         amplification threshold (reported by the shim the moment the
         request's attributed-query count exceeds it)."""
-        self._counts[self._touch(client, now) + _ANOMALOUS] += 1
+        index = self._touch(client, now) + _ANOMALOUS
+        try:
+            self._counts[index] += 1
+        except OverflowError:
+            self._widen(index)
 
     def raise_sensitivity(self, now: float, factor: float = 0.5, duration: float = 30.0) -> None:
         """Temporarily tighten detection thresholds (Section 3.3.2):
@@ -421,7 +452,7 @@ class AnomalyMonitor:
         for client in stale:
             slot = self._slots.pop(client)
             self._suspects.pop(client, None)
-            self._counts[slot * _SLOT : (slot + 1) * _SLOT] = _EMPTY_SLOT
+            self._counts[slot * _SLOT : (slot + 1) * _SLOT] = self._empty_slot
             self._epochs[slot] = 0
             self._free.append(slot)
         return len(stale)

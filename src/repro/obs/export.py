@@ -271,13 +271,10 @@ def find_full_query_root(
     """The first root span whose tree touches every required track kind
     (track names are ``kind:address``) -- the acceptance probe for "one
     query's full life crosses client -> resolver -> MOPI-FQ -> auth"."""
+    kids = tracer.children()
     for root in tracer.roots():
-        kinds: List[str] = []
-        for track in tracer.tree_tracks(root.span_id):
-            kind = track.split(":", 1)[0]
-            if kind not in kinds:
-                kinds.append(kind)
-        if all(prefix in kinds for prefix in required_prefixes):
+        kinds = {track.split(":", 1)[0] for track in tracer.tree_tracks(root.span_id, kids)}
+        if kinds.issuperset(required_prefixes):
             return root.span_id
     return None
 

@@ -143,13 +143,19 @@ class Tracer:
     def roots(self) -> List[SpanRecord]:
         return [s for s in self.spans if s.parent_id == NO_PARENT]
 
-    def tree_tracks(self, root_id: int) -> List[str]:
-        """Distinct tracks touched by the tree under ``root_id``, in
-        first-visit (depth-first) order."""
-        tracks: List[str] = []
+    def children(self) -> Dict[int, List[SpanRecord]]:
+        """Parent id -> its child spans in start order: the index a tree
+        walk needs, built in one pass over every span."""
         kids: Dict[int, List[SpanRecord]] = {}
         for span in self.spans:
             kids.setdefault(span.parent_id, []).append(span)
+        return kids
+
+    def tree_tracks(self, root_id: int, kids: Dict[int, List[SpanRecord]]) -> List[str]:
+        """Distinct tracks touched by the tree under ``root_id``, in
+        first-visit (depth-first) order; ``kids`` is :meth:`children`,
+        built once for however many trees are walked."""
+        tracks: List[str] = []
         stack = [root_id]
         while stack:
             node_id = stack.pop()

@@ -310,6 +310,106 @@ def test_recycled_slot_starts_from_zero_and_normal():
     assert monitor._slots["newer"] != slot
 
 
+METRICS = (
+    monitor_module._REQUESTS,
+    monitor_module._QUERIES,
+    monitor_module._ANOMALOUS,
+    monitor_module._NX_ANSWERS,
+    monitor_module._ANSWERS,
+)
+
+
+def _check_totals(packed, reference, now):
+    """Every tracked client's five window totals, against the reference."""
+    assert packed.tracked_clients() == reference.tracked_clients()
+    for client, slot in packed._slots.items():
+        packed._roll(slot, now)
+        state = reference._clients[client]
+        want = [
+            state.requests.total(now),
+            state.queries.total(now),
+            state.anomalous_requests.total(now),
+            state.nx_ratio._hits.total(now),
+            state.nx_ratio.observations(now),
+        ]
+        assert [packed._total(slot, metric) for metric in METRICS] == want, client
+        _check_client(packed, reference, client)
+
+
+def test_a_flood_widens_the_count_table_without_losing_a_count():
+    """One client takes more than 255 and then more than 65 535 events in
+    one 0.25 s bucket, other clients interleaved: each overflow rebuilds
+    the table one type wider, and the totals, alarms, purges and recycled
+    slots after it are the reference monitor's."""
+    config = MonitorConfig(window=2.0, alarm_threshold=3, suspicion_period=5.0)
+    packed, reference = AnomalyMonitor(config), _ReferenceMonitor(config)
+    both = (packed, reference)
+    early, steady = CLIENTS[:20], CLIENTS[20:40]
+    for client in early:
+        for monitor in both:
+            monitor.record_query(client, 0.0)
+    typecodes = [packed._counts.typecode]
+
+    def flood(start, record, events, others, every):
+        # ``events`` calls of ``record`` for "flood" inside the bucket at
+        # ``start``; every ``every``-th call one of ``others`` sends a
+        # request, a query and a NOERROR answer as well
+        for i in range(events):
+            now = start + 0.24 * i / events
+            for monitor in both:
+                record(monitor, now)
+            if i % every == 0:
+                other = others[i // every % len(others)]
+                for monitor in both:
+                    monitor.record_request(other, now)
+                    monitor.record_query(other, now)
+                    monitor.record_answer(other, RCode.NOERROR, now)
+
+    def checkpoint(now, idle_timeout, newcomers):
+        # totals and alarms, then a purge whose freed slots go to newcomers
+        _check_totals(packed, reference, now)
+        assert packed.evaluate(now) == reference.evaluate(now)
+        freed = set(packed._slots.values())
+        assert packed.purge(now, idle_timeout) == reference.purge(now, idle_timeout) > 0
+        freed -= set(packed._slots.values())
+        for client in newcomers:
+            for monitor in both:
+                monitor.record_request(client, now)
+        assert freed == {packed._slots[client] for client in newcomers}
+        _check_totals(packed, reference, now)
+        typecodes.append(packed._counts.typecode)
+
+    def nx_answer(monitor, now):
+        monitor.record_answer("flood", RCode.NXDOMAIN, now)
+
+    flood(1.0, nx_answer, 300, steady, every=8)
+    checkpoint(1.24, 1.0, [f"new-{i}" for i in range(len(early))])
+    assert packed.verdict("flood") == ClientVerdict.SUSPICIOUS
+
+    def query(monitor, now):
+        monitor.record_query("flood", now)
+
+    # a full window later: the flood's slot is reset wholesale
+    flood(3.0, query, 70_000, [f"new-{i}" for i in range(len(early))], every=500)
+    checkpoint(3.24, 1.0, [f"newer-{i}" for i in range(len(steady))])
+    assert packed.top_talkers(1, 3.24) == [("flood", 70_000)]
+    assert typecodes == ["B", "H", "I"]
+
+
+@pytest.mark.parametrize("metric, record", [
+    (monitor_module._REQUESTS, lambda monitor: monitor.record_request("c", 0.0)),
+    (monitor_module._QUERIES, lambda monitor: monitor.record_query("c", 0.0)),
+    (monitor_module._ANSWERS, lambda monitor: monitor.record_answer("c", RCode.NOERROR, 0.0)),
+    (monitor_module._ANOMALOUS, lambda monitor: monitor.record_anomalous_request("c", 0.0)),
+])
+def test_each_count_site_widens_on_its_own_overflow(metric, record):
+    monitor = AnomalyMonitor()
+    for _ in range(256):
+        record(monitor)
+    assert monitor._counts.typecode == "H"
+    assert monitor._total(monitor._slots["c"], metric) == 256
+
+
 def test_earlier_now_counts_into_the_newest_bucket():
     """What SlidingWindowCounter.add does with a repeated or earlier
     timestamp: no rewind, the event lands in the newest bucket."""
@@ -329,12 +429,14 @@ def test_nonpositive_window_is_rejected_at_construction():
         AnomalyMonitor(MonitorConfig(window=0.0))
 
 
-def test_state_is_under_400_bytes_per_client_at_100k():
+def test_state_is_under_200_bytes_per_client_at_100k():
     monitor = AnomalyMonitor()
     for i in range(100_000):
         monitor.record_request(f"10.{i >> 16 & 255}.{i >> 8 & 255}.{i & 255}", 0.0)
     assert monitor.tracked_clients() == 100_000
-    assert monitor.state_bytes() / monitor.tracked_clients() <= 400
+    # 40 one-byte counts per slot: the table was never widened
+    assert monitor._counts.typecode == "B"
+    assert monitor.state_bytes() / monitor.tracked_clients() <= 200
     # the sparse records are counted: suspects cost extra, the rest nothing
     before = monitor.state_bytes()
     monitor.external_alarm("10.0.0.1", AnomalyKind.RATE, 0.0)

@@ -1,6 +1,7 @@
 """Exporters: JSONL metrics and heavy hitters, Chrome trace JSON + validator, the full-tree probe."""
 
 import json
+import time
 from dataclasses import dataclass
 
 from repro.obs.export import (
@@ -166,6 +167,23 @@ def test_find_full_query_root():
     for span, t in ((a, 0.3), (u, 0.4), (r, 0.5)):
         bare.end(span, t)
     assert find_full_query_root(bare) is None
+
+
+def test_find_full_query_root_walks_each_span_once():
+    """A vanilla-sized trace with no qualifying root: every tree is
+    walked over one children index, so the probe stays linear in spans."""
+    tracer = Tracer()
+    for i in range(10_000):
+        t = 0.001 * i
+        r = tracer.begin("client.request", f"client:c{i % 50}", t)
+        u = tracer.begin("upstream", "resolver:r", t, parent=r)
+        a = tracer.begin("auth.serve", "auth:a", t, parent=u)
+        for span in (a, u, r):
+            tracer.end(span, t + 0.0005)
+    assert len(tracer.spans) >= 30_000
+    started = time.perf_counter()
+    assert find_full_query_root(tracer) is None
+    assert time.perf_counter() - started < 1.0
 
 
 def test_heavy_hitter_rows():

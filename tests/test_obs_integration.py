@@ -84,7 +84,7 @@ def test_full_query_span_crosses_all_layers(observed_run):
     tracer = scenario.obs.tracer
     root_id = find_full_query_root(tracer)
     assert root_id is not None
-    kinds = {track.split(":", 1)[0] for track in tracer.tree_tracks(root_id)}
+    kinds = {track.split(":", 1)[0] for track in tracer.tree_tracks(root_id, tracer.children())}
     assert {"client", "resolver", "mopifq", "auth"} <= kinds
 
 

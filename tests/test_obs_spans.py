@@ -37,7 +37,7 @@ def test_tree_queries():
     root = build_query_tree(tracer)
     assert [s.span_id for s in tracer.roots()] == [root]
     assert [s.name for s in tracer.spans if s.parent_id == root] == ["resolve"]
-    assert tracer.tree_tracks(root) == [
+    assert tracer.tree_tracks(root, tracer.children()) == [
         "client:10.1.0.1",
         "resolver:10.0.1.1",
         "mopifq:10.0.1.1",
