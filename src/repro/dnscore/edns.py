@@ -91,25 +91,6 @@ class ClientAttribution:
         return cls(client=addr.decode("ascii"), port=port, request_id=request_id)
 
 
-def opaque_client_token(client: str, salt: str, length: int = 12) -> str:
-    """A stable, non-invertible per-client token for query attribution.
-
-    Oblivious-DNS proxies (paper Section 6) must attribute queries to
-    clients "without the need to see queries in plaintext" -- and more to
-    the point, without *revealing* client identities to the upstream.
-    Hashing the client identity under a proxy-private salt preserves the
-    only property DCC's fairness needs (identity consistency) while
-    keeping the mapping one-way: the upstream resolver treats the token
-    exactly like any client address.
-    """
-    import hashlib
-
-    digest = hashlib.blake2s(
-        client.encode("utf-8"), salt=salt.encode("utf-8")[:8]
-    ).hexdigest()
-    return f"anon-{digest[:length]}"
-
-
 def find_option(options: List[EdnsOption], code: int) -> Optional[EdnsOption]:
     """First option with ``code``, or ``None``."""
     for opt in options:

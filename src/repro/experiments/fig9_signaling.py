@@ -111,9 +111,11 @@ def failures(runs: Dict[str, Dict[str, Figure9Run]]) -> List[str]:
         if not (on["heavy"] > 0.75 and on["light"] > 0.7 and on["heavy"] > off["heavy"]):
             problems.append(f"Figure 9 ({scenario}): signaling should save the innocuous clients, heavy="
                             f"{on['heavy']:.2f} light={on['light']:.2f} (heavy with signaling off: {off['heavy']:.2f})")
-        medium = pair["on"].result.success_ratio("medium", 25 * scale, 45 * scale)
-        if not medium > 0.8:
-            problems.append(f"Figure 9 ({scenario}): the direct medium client should be served, got {medium:.2f}")
+        for mode in ("off", "on"):  # off: the collateral stays behind the forwarder (Figure 1)
+            medium = pair[mode].result.success_ratio("medium", 25 * scale, 45 * scale)
+            if not medium > 0.8:
+                problems.append(f"Figure 9 ({scenario}, signaling {mode}): the direct medium client should be "
+                                f"served, got {medium:.2f}")
     return problems
 
 

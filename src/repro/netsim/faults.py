@@ -390,13 +390,6 @@ class FaultInjector:
                 self.stats.degraded_messages += 1
         return shaped
 
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    def render_timeline(self) -> str:
-        lines = [f"{t:8.3f}s  {label}" for t, label in sorted(self.timeline)]
-        return "\n".join(lines)
-
 
 def _label(group: FrozenSet[str]) -> str:
     members = sorted(group)

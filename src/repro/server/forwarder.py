@@ -20,7 +20,7 @@ stands for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.dnscore.edns import ClientAttribution, OptionCode
 from repro.dnscore.message import Message
@@ -39,10 +39,6 @@ class ForwarderConfig:
     query_timeout: float = 1.0
     #: rotate upstreams round-robin (False: strict priority order)
     rotate: bool = False
-    #: oblivious-proxy mode (paper Section 6): attribute queries with a
-    #: salted one-way token instead of the client's real address, so the
-    #: local DCC instance can police fairly without leaking identities
-    oblivious_salt: Optional[str] = None  # reprolint: disable=R11 -- paper Section 6 oblivious proxy, exercised by examples/oblivious_and_stale.py
 
 
 @dataclass
@@ -126,15 +122,8 @@ class Forwarder(Node):
             pending.request.question.rrtype,
             recursion_desired=True,
         )
-        client_identity = pending.client
-        if self.config.oblivious_salt is not None:
-            from repro.dnscore.edns import opaque_client_token
-
-            client_identity = opaque_client_token(
-                pending.client, self.config.oblivious_salt
-            )
         attribution = ClientAttribution(
-            client=client_identity, port=0, request_id=pending.request.id
+            client=pending.client, port=0, request_id=pending.request.id
         )
         query.edns_options.append(attribution.encode())
         pending.upstream_query_id = query.id

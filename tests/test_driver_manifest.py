@@ -1,7 +1,8 @@
 """The driver manifest (``tools/results_drift.TABLE``) is the one list of driver command lines, checked without
 running a driver: its rows are well formed, every ``results/*.txt`` is one of them, and every ``python -m repro``
 and ``python -m tools.reprolint`` command CI runs is a row's ``argv`` or ``reach`` form once the flags that only
-say where output goes are dropped."""
+say where output goes are dropped.  The documents, CI and ``src/`` name only ``examples/`` files and ``repro``
+subcommands that exist."""
 
 import glob
 import os
@@ -125,3 +126,28 @@ def test_write_keeps_the_recorded_wall_clock_fields():
                                                        "  events=128722 packet_messages=79238 wall=6.22s\n")
     assert keep_wall_clock(scale, recorded, fresh + "  wall=1.00s\n") == fresh + "  wall=1.00s\n"
     assert keep_wall_clock(None, recorded, fresh) == fresh
+
+
+#: what a reader is told to run or open: the top-level documents, docs/, the verify skill, CI, and src/
+NAMING_FILES = [os.path.join(REPO_ROOT, name) for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+                                                             os.path.join(".claude", "skills", "verify", "SKILL.md"),
+                                                             os.path.join(".github", "workflows", "ci.yml"))]
+NAMING_FILES += sorted(glob.glob(os.path.join(REPO_ROOT, "docs", "*.md")))
+NAMING_FILES += sorted(glob.glob(os.path.join(REPO_ROOT, "src", "**", "*.py"), recursive=True))
+EXAMPLE_PATH = re.compile(r"\bexamples/[\w.-]+\.\w+")
+SUBCOMMAND = re.compile(r"(?:python -m repro|repro-experiments)\s+([a-z][\w-]*)")
+
+
+def test_every_named_example_path_and_subcommand_exists():
+    paths, subcommands = set(), set()
+    for path in NAMING_FILES:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        where = os.path.relpath(path, REPO_ROOT)
+        paths.update((where, name) for name in EXAMPLE_PATH.findall(text))
+        if not path.endswith(".py"):
+            subcommands.update((where, name) for name in SUBCOMMAND.findall(text))
+    assert {name for _, name in paths} >= {"examples/chaos_none.json", "examples/chaos_loss30.json"}
+    assert {name for _, name in subcommands} >= {"fig8", "selfcheck", "chaos", "lint"}
+    assert sorted((where, name) for where, name in paths if not os.path.isfile(os.path.join(REPO_ROOT, name))) == []
+    assert sorted((where, name) for where, name in subcommands if name not in COMMANDS) == []

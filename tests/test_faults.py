@@ -260,16 +260,6 @@ class TestInjectorComposition:
         assert injector.stats.partition_cuts == 1
         assert injector.stats.degraded_messages == 0
 
-    def test_render_timeline_sorted_by_time(self):
-        sim, net, a, b = make_net()
-        injector = FaultInjector(net)
-        injector.add_partition(Partition(a=A_ADDR, b=B_ADDR, start=3.0, end=4.0))
-        injector.add_node_outage(NodeOutage(address=B_ADDR, at=1.0, duration=0.5))
-        sim.run()
-        rendered = injector.render_timeline().splitlines()
-        times = [float(line.split("s")[0]) for line in rendered]
-        assert times == sorted(times)
-
 
 class TestFaultSerialization:
     SPECS = [

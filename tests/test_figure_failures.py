@@ -38,6 +38,8 @@ VANILLA8 = fig8_resilience.Figure8Run("wildcard", False, _result({"heavy": 270, 
 DCC8 = fig8_resilience.Figure8Run("wildcard", True, _result({"heavy": 297, "medium": 350, "light": 150}))
 OFF9 = fig9_signaling.Figure9Run("nxdomain", False, _result(ratios={"heavy": 0.23, "light": 0.49, "medium": 1.0}))
 ON9 = fig9_signaling.Figure9Run("nxdomain", True, _result(ratios={"heavy": 0.89, "light": 0.89, "medium": 1.0}))
+#: signaling off, and the collateral reaches the direct client too
+SPILLED9 = fig9_signaling.Figure9Run("nxdomain", False, _result(ratios={"heavy": 0.23, "light": 0.49, "medium": 0.3}))
 SNAPSHOT = {"per-client (monitoring, policies)": 8, "per-server (NS info, RL, SRTT)": 6404}
 ABLATIONS = {
     "fairness": {"fifo": (4.9, 78.0), "MOPI-FQ": (19.9, 32.0)},
@@ -78,6 +80,7 @@ CASES = [
      {"mitigations": {**ABLATIONS["mitigations"], "dcc": {"benign_success": 0.2}}}),
     (ablations, "countdown threshold 5", ABLATIONS, {"countdown": {5: {"heavy": 0.29, "light": 0.6, "attacker": 0.4}}}),
     (ablations, "Figure 7 end to end", ABLATIONS, {"e2e": {"MOPI-FQ": (0.5, 219.0)}}),
+    (fig9_signaling, "signaling off", {"nxdomain": {"off": OFF9, "on": ON9}}, {"nxdomain": {"off": SPILLED9, "on": ON9}}),
 ]
 
 

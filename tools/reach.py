@@ -65,6 +65,10 @@ _SPAN = re.compile(r"\+(\d+)(?:-(\d+))?")
 #: the perf workloads' seed and run length, and how much the matrix plans' timeline is compressed
 PERF_SEED = 5
 PERF_SECONDS = 1.0
+#: the live runners' offered rate per engine here, in place of the benchmark's 250 QPS: under the line tracer a
+#: ``live_wc_dcc`` query costs twice its CPU and 250 QPS keeps the one event loop over 90 % busy, so a stall of the
+#: host backs queries up past their 2 s deadline, and the run fails and reaches the timeout lines
+LIVE_RATE_QPS = 100.0
 MATRIX_SCALE = 0.15
 _MATRIX_PLAN = re.compile(r"\{tmp\}/([a-z-]+)\.json")
 
@@ -223,15 +227,19 @@ def _repro(*argv: str, expect: int = 0) -> Driver:
 
 
 def _perf(workload: str, obs: bool) -> Driver:
-    """One ``perf/workloads`` runner at ``PERF_SECONDS``; exit 1 on a failed operation or a failed output
-    check other than the scenario-shape checks, which are tuned to the benchmark's own run length."""
+    """One ``perf/workloads`` runner at ``PERF_SECONDS`` (a live one at ``LIVE_RATE_QPS``); exit 1 on a failed
+    operation or a failed output check other than the scenario-shape checks, which are tuned to the benchmark's own
+    run length."""
 
     def run(tmp: str) -> int:
         from perf import workloads
 
+        params = workloads.params(workload, PERF_SECONDS)
+        if workload in workloads.LIVE:
+            params["rate_qps_per_engine"] = LIVE_RATE_QPS
         harness = workloads.Harness(time.time(), obs=obs)
         try:
-            outcome = workloads.RUNNERS[workload](PERF_SEED, workloads.params(workload, PERF_SECONDS), harness)
+            outcome = workloads.RUNNERS[workload](PERF_SEED, params, harness)
         finally:
             gc.unfreeze()  # the harness freezes what set-up built
         return int(outcome.failed > 0 or any("shape:" not in problem for problem in outcome.problems))

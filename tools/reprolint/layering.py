@@ -19,8 +19,8 @@ options to the same rule: a field of a ``repro`` class named
 file, passes it as a keyword or positional argument to its class, as
 a keyword of ``replace(...)``, or assigns it through
 ``<...>config.<field> = ...`` (the last two by field name alone).
-Tests and examples do not count: a field only they set is a
-configuration no figure, result or ledger row runs.
+Tests do not count: a field only tests set is a configuration no
+figure, result or ledger row runs.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def check_layering(
         facts = index.modules[module]
         layer = repro_layer(module)
         if not layer:
-            continue  # tests/tools/examples sit above the contract
+            continue  # tests, tools and benchmarks sit above the contract
         allowed = contract.get(layer, _ALL)
         seen: set = set()
         for target, imp in index.resolve_import_targets(facts):

@@ -33,7 +33,7 @@ RNG_DRAW_METHODS = frozenset(
 # ----------------------------------------------------------------------
 
 #: directory anchors that start a module path (checked in order)
-_ANCHORS = ("tests", "tools", "benchmarks", "examples")
+_ANCHORS = ("tests", "tools", "benchmarks")
 
 
 def module_name_for_path(posix_path: str) -> str:
@@ -41,8 +41,8 @@ def module_name_for_path(posix_path: str) -> str:
 
     ``src/`` layouts are rooted after the last ``src`` component
     (``src/repro/dcc/mopifq.py`` -> ``repro.dcc.mopifq``); ``tests/``,
-    ``tools/``, ``benchmarks/`` and ``examples/`` keep their anchor as
-    the package root.  Works on absolute paths too, so synthetic trees
+    ``tools/`` and ``benchmarks/`` keep their anchor as the package
+    root.  Works on absolute paths too, so synthetic trees
     under a tmp dir resolve the same way as the checked-in tree.
     """
     parts = [p for p in posix_path.split("/") if p]

@@ -61,7 +61,6 @@ PRINT_ALLOWED_FRAGMENTS: Tuple[str, ...] = (
     "repro/__main__.py",
     "tests/",
     "tools/",
-    "examples/",
     "benchmarks/",
 )
 
